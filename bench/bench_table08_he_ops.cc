@@ -118,8 +118,8 @@ main(int argc, char **argv)
         lowering::Config cfg;
         ckks::HeOpCostModel model(v6e, cfg, p);
         const size_t lvl = p.limbs - 1;
-        const std::vector<HeOp> pipe = {HeOp::Mult, HeOp::Rescale,
-                                        HeOp::Rotate};
+        const std::vector<ckks::PipelineOp> pipe = {
+            {HeOp::Mult}, {HeOp::Rescale}, {HeOp::Rotate}};
         TablePrinter f("Fused Mult->Rescale->Rotate pipeline on one "
                        "v6e core (Set C, simulated)");
         f.header({"Batch", "separate us/item", "fused us/item",

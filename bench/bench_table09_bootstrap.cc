@@ -5,17 +5,17 @@
  * Methodology: kernel-count x per-kernel simulated latency, no fusion
  * (the paper's own worst-case estimator).
  *
- * Part 2 (functional): the same schedule *executed* -- every op of
- * enumerateBootstrapOps as one fused BatchEvaluator pipeline on the
- * host CPU (plaintext CtS/StC stages, BSGS rotation keys served from
- * the LRU residency cache), in both kernel modes: PerOp (every
- * rotation pays its own ModUp) and Hoisted (each BSGS group shares one
- * ModUp, Halevi-Shoup style). Both runs are verified bit-identical to
- * the sequential evaluator loop and kernel-for-kernel against their
- * enumeration mode before any number is reported. Two trajectory
- * records are emitted: the functional-vs-estimated latency ratio
- * (estimator fidelity; the estimator prices the Hoisted schedule) and
- * the hoisted-vs-per-op wall-clock speedup. Runtime config:
+ * Part 2 (functional): the same schedule *executed* -- bootstrapGraph
+ * compiled by graph::compileGraph into one fused segment on the host
+ * CPU (plaintext CtS/StC stages, BSGS rotation keys served from the LRU
+ * residency cache), in both kernel modes: PerOp (the Fused schedule,
+ * every rotation pays its own ModUp) and Hoisted (each BSGS group
+ * shares one ModUp, Halevi-Shoup style). Both runs are verified
+ * bit-identical to CompiledGraph::runSequential and kernel-for-kernel
+ * against their enumeration mode before any number is reported. Two
+ * trajectory records are emitted: the functional-vs-estimated latency
+ * ratio (estimator fidelity; the estimator prices the Hoisted schedule)
+ * and the hoisted-vs-per-op wall-clock speedup. Runtime config:
  *
  *     --threads <n>   thread-pool size for the fused run  (default 2)
  *     --batch <n>     ciphertexts bootstrapped per batch  (default 2)
@@ -26,8 +26,8 @@
 #include "bench_util.h"
 #include "ckks/batch_evaluator.h"
 #include "ckks/bootstrap.h"
-#include "ckks/bootstrap_pipeline.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "common/timer.h"
 #include "tpu/sim.h"
 
@@ -35,11 +35,34 @@ namespace {
 
 using namespace cross;
 
+/** Uniform ciphertexts at each compiled input's (limbs, scale): the
+ *  synthetic operands the bootstrap schedule executes on. */
+std::vector<ckks::CtVec>
+uniformInputs(const ckks::CkksContext &ctx,
+              const std::vector<ckks::graph::InputSpec> &ledger,
+              size_t batch, u64 seed)
+{
+    Rng rng(seed);
+    std::vector<ckks::CtVec> inputs;
+    for (const auto &spec : ledger) {
+        ckks::CtVec v(batch);
+        for (auto &ct : v) {
+            ct.c0 = poly::RnsPoly::uniform(ctx.ring(), spec.limbs, true,
+                                           rng);
+            ct.c1 = poly::RnsPoly::uniform(ctx.ring(), spec.limbs, true,
+                                           rng);
+            ct.scale = spec.scale;
+        }
+        inputs.push_back(std::move(v));
+    }
+    return inputs;
+}
+
 /**
- * Execute the full bootstrap schedule through one fused pipeline on
+ * Execute the full bootstrap schedule as one compiled fused segment on
  * test-profile parameters and report measured-vs-estimated latency.
  * Returns false when the fused result is not bit-identical to the
- * sequential loop or the kernel log diverges from the enumerator.
+ * sequential reference or the kernel log diverges from the enumerator.
  */
 bool
 functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
@@ -56,27 +79,32 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     cfg.evalModIters = 1;
     cfg.plainMatrices = true;
 
-    // Two pipelines over identical key material and inputs: fresh
+    // One graph compiled twice over identical key material: fresh
     // KeyGenerators with the same seed draw the same keys in the same
-    // derivation order, and the same build seed synthesizes the same
-    // operands -- so the PerOp and Hoisted runs can be compared bit
-    // for bit.
+    // derivation order, so the PerOp (Fused schedule) and Hoisted runs
+    // on the same inputs can be compared bit for bit.
     const double scale = static_cast<double>(1ULL << 26);
+    const BootstrapGraph bg = bootstrapGraph(ctx, cfg, scale, 0xb009);
+    graph::CompileOptions opts;
+    opts.lowering = bg.lowering;
     KeyGenerator keygen(ctx, 0x7ab1e9);
-    const auto bp = BootstrapPipeline::build(
-        ctx, cfg, keygen, batch, scale, 0xb009,
-        BootstrapKernelMode::PerOp);
+    opts.keygen = &keygen;
+    opts.schedule = graph::ScheduleKind::Fused;
+    const auto cg = graph::compileGraph(ctx, bg.graph, opts);
     KeyGenerator keygen_h(ctx, 0x7ab1e9);
-    const auto bp_h = BootstrapPipeline::build(
-        ctx, cfg, keygen_h, batch, scale, 0xb009,
-        BootstrapKernelMode::Hoisted);
+    opts.keygen = &keygen_h;
+    opts.schedule = graph::ScheduleKind::Hoisted;
+    const auto cg_h = graph::compileGraph(ctx, bg.graph, opts);
+    const auto inputs =
+        uniformInputs(ctx, cg->inputLedger(), batch, 0xb00a);
+    const std::string he_ops = std::to_string(cg->ops().size());
 
     // Sequential reference (one thread, one-shot keys, no log: kernel
     // conformance is asserted on the fused runs below and logging would
     // inflate the timed baseline).
     setGlobalThreadCount(1);
     WallTimer t_seq;
-    const auto seq = bp->runSequential(ctx, nullptr);
+    const auto seq = cg->runSequential(nullptr, inputs).front();
     const double seq_s = t_seq.seconds();
 
     // Fused pipeline with the key-switch residency cache.
@@ -87,7 +115,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     KernelLog fused_log;
     BatchEvaluator batch_ev(ctx, &fused_log);
     WallTimer t_fused;
-    const auto fused = bp->run(batch_ev);
+    const auto fused = cg->run(batch_ev, inputs).front();
     const double fused_s = t_fused.seconds();
 
     // The same schedule with Halevi-Shoup hoisting: every BSGS group
@@ -95,7 +123,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     KernelLog hoisted_log;
     BatchEvaluator batch_ev_h(ctx, &hoisted_log);
     WallTimer t_hoisted;
-    const auto hoisted = bp_h->run(batch_ev_h);
+    const auto hoisted = cg_h->run(batch_ev_h, inputs).front();
     const double hoisted_s = t_hoisted.seconds();
     setGlobalThreadCount(1);
 
@@ -142,14 +170,13 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
                    "CPU host)");
     t.header({"Mode", "Threads", "Batch", "ms/bootstrap", "HE ops"});
     t.row({"sequential", "1", std::to_string(batch),
-           fmtF(seq_s * 1e3 / batch_d, 1),
-           std::to_string(bp->ops().size())});
+           fmtF(seq_s * 1e3 / batch_d, 1), he_ops});
     t.row({"fused per-op", std::to_string(threads),
            std::to_string(batch), fmtF(fused_s * 1e3 / batch_d, 1),
-           std::to_string(bp->ops().size())});
+           he_ops});
     t.row({"fused hoisted", std::to_string(threads),
            std::to_string(batch), fmtF(hoisted_s * 1e3 / batch_d, 1),
-           std::to_string(bp_h->ops().size())});
+           he_ops});
     t.print(std::cout);
     std::cout << "Bit-identical to sequential: per-op "
               << (identical ? "yes" : "NO (BUG)") << ", hoisted "
@@ -176,7 +203,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
                {"batch", std::to_string(batch)},
                {"n", n_str},
                {"limbs", limbs_str},
-               {"he_ops", std::to_string(bp->ops().size())}},
+               {"he_ops", he_ops}},
               fused_us, batch_d / fused_s);
     rep.addUs("table9/functional_bootstrap",
               {{"mode", "hoisted"},
@@ -184,7 +211,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
                {"batch", std::to_string(batch)},
                {"n", n_str},
                {"limbs", limbs_str},
-               {"he_ops", std::to_string(bp_h->ops().size())}},
+               {"he_ops", he_ops}},
               hoisted_us, batch_d / hoisted_s);
     rep.add("table9/hoisted_vs_perop",
             {{"metric", "perop_wall_over_hoisted_wall"},
@@ -201,7 +228,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
                {"batch", std::to_string(batch)},
                {"n", n_str},
                {"limbs", limbs_str},
-               {"he_ops", std::to_string(bp->ops().size())}},
+               {"he_ops", he_ops}},
               seq_s * 1e6 / batch_d, batch_d / seq_s);
     rep.add("table9/functional_vs_estimated",
             {{"metric", "cpu_functional_over_v6e_estimate"},

@@ -7,27 +7,16 @@
 
 namespace cross::ckks {
 
-// Fail-fast (run validates before any parallel work): a missing row or
-// a row whose chain is shorter than the ciphertext's is the caller's
-// bug, mirrored on the scalar paths' precomp-level-style checks.
+// Fail-fast (run validates before any parallel work): an operand whose
+// chain is shorter than the ciphertext's is the caller's bug, mirrored
+// on the scalar paths' precomp-level-style checks.
 const Plaintext &
 pipelineStagePlain(const PipelineStage &st, size_t level)
 {
-    if (st.pt) {
-        requireThat(st.pt->poly.limbCount() >= level + 1,
-                    "BatchEvaluator::run: plaintext operand level below "
-                    "item level");
-        return *st.pt;
-    }
-    requireThat(st.ptRows != nullptr,
-                "BatchEvaluator::run: plaintext stage has no operand");
-    requireThat(level < st.ptRows->size(),
-                "BatchEvaluator::run: no plaintext row for item level");
-    const Plaintext &row = (*st.ptRows)[level];
-    requireThat(row.poly.limbCount() >= level + 1,
-                "BatchEvaluator::run: plaintext row level below item "
-                "level");
-    return row;
+    requireThat(st.pt->poly.limbCount() >= level + 1,
+                "BatchEvaluator::run: plaintext operand level below "
+                "item level");
+    return *st.pt;
 }
 
 Pipeline &
@@ -101,26 +90,6 @@ Pipeline::multiplyPlain(const Plaintext &pt)
 }
 
 Pipeline &
-Pipeline::addPlain(const std::vector<Plaintext> &rows)
-{
-    PipelineStage st{};
-    st.op = HeOp::AddPlain;
-    st.ptRows = &rows;
-    stages_.push_back(std::move(st));
-    return *this;
-}
-
-Pipeline &
-Pipeline::multiplyPlain(const std::vector<Plaintext> &rows)
-{
-    PipelineStage st{};
-    st.op = HeOp::MultiplyPlain;
-    st.ptRows = &rows;
-    stages_.push_back(std::move(st));
-    return *this;
-}
-
-Pipeline &
 Pipeline::rotateAccum(std::vector<RotateBranch> branches)
 {
     requireThat(!branches.empty(),
@@ -148,16 +117,6 @@ Pipeline::rotateHoisted(std::vector<RotateBranch> branches)
     st.branches = std::move(branches);
     stages_.push_back(std::move(st));
     return *this;
-}
-
-std::vector<HeOp>
-Pipeline::ops() const
-{
-    std::vector<HeOp> ops;
-    ops.reserve(stages_.size());
-    for (const auto &st : stages_)
-        ops.push_back(st.op);
-    return ops;
 }
 
 std::vector<PipelineOp>
@@ -315,7 +274,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     // needs, fetch each from the context's residency cache exactly
     // once (sequential prefetch: the parallel region below only
     // reads), warm the shared automorphism maps, and fail fast on
-    // malformed operands -- level/scale-mismatched plaintext rows,
+    // malformed operands -- level/scale-mismatched plaintext operands,
     // short rhs batches, drained modulus chains -- before any parallel
     // work starts. The scale walk replays the evaluator's exact
     // floating-point updates, so its checks accept precisely the

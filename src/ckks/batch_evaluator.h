@@ -33,7 +33,7 @@
  *    run logs exactly what a sequential run logs. For run() the
  *    per-item log covers the whole pipeline, matching the sequential
  *    "all stages for item 0, then item 1, ..." order, and matching
- *    enumerateKernels(pipeline.ops(), ...) stage by stage.
+ *    enumerateKernels(pipeline.pipelineOps(), ...) stage by stage.
  */
 #pragma once
 
@@ -72,20 +72,16 @@ struct PipelineStage
     const CtVec *rhs = nullptr;   ///< Add / Mult second operand batch
     /** AddPlain / MultiplyPlain: one operand for every item. */
     const Plaintext *pt = nullptr;
-    /** AddPlain / MultiplyPlain: per-level operand rows (CtS/StC
-     *  matrix rows), indexed by the item's level at this stage. */
-    const std::vector<Plaintext> *ptRows = nullptr;
     /** RotateAccum / HoistedRotations: the fan-in branches. */
     std::vector<RotateBranch> branches;
 };
 
 /**
  * Plaintext operand of an AddPlain/MultiplyPlain stage for an item at
- * @p level: the single operand, or the per-level row. Validates the
- * operand (present, chain covering level+1 limbs) and throws
+ * @p level. Validates that its chain covers level+1 limbs and throws
  * std::invalid_argument otherwise. Shared by BatchEvaluator::run's
  * prevalidation walk, its execution loop and the sequential reference
- * interpreters, so the checked selection logic cannot diverge.
+ * interpreter, so the checks cannot diverge.
  */
 const Plaintext &pipelineStagePlain(const PipelineStage &st, size_t level);
 
@@ -109,15 +105,9 @@ class Pipeline
     Pipeline &rotate(u32 auto_idx, const SwitchKey &rot_key);
 
     /** @name Plaintext-operand stages (CtS/StC matrices, EvalMod
-     *  constants). The single-operand forms apply @p pt to every item;
-     *  the per-level forms pick rows[level] for an item sitting at
-     *  `level` when the stage runs, so one stage serves a mixed-level
-     *  batch or a pipeline position whose level varies per item.
-     *  @{ */
+     *  constants): apply @p pt to every item. @{ */
     Pipeline &addPlain(const Plaintext &pt);
     Pipeline &multiplyPlain(const Plaintext &pt);
-    Pipeline &addPlain(const std::vector<Plaintext> &rows);
-    Pipeline &multiplyPlain(const std::vector<Plaintext> &rows);
     /** @} */
 
     /**
@@ -150,20 +140,12 @@ class Pipeline
     Pipeline &rotate(u32, SwitchKey &&) = delete;
     Pipeline &addPlain(Plaintext &&) = delete;
     Pipeline &multiplyPlain(Plaintext &&) = delete;
-    Pipeline &addPlain(std::vector<Plaintext> &&) = delete;
-    Pipeline &multiplyPlain(std::vector<Plaintext> &&) = delete;
     /** @} */
 
     const std::vector<PipelineStage> &stages() const { return stages_; }
     bool empty() const { return stages_.empty(); }
 
-    /** Operator sequence for the schedule enumerator / cost model
-     *  (one entry per stage; a RotateAccum stage appears once -- use
-     *  pipelineOps() when branch arity matters). */
-    std::vector<HeOp> ops() const;
-
-    /** Structural form: op + fan-in per stage, the shape
-     *  enumerateKernels(vector<PipelineOp>, ...) and
+    /** Op + fan-in per stage: the shape enumerateKernels and
      *  HeOpCostModel::pipelineCost price. */
     std::vector<PipelineOp> pipelineOps() const;
 

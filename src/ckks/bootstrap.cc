@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace cross::ckks {
 
@@ -11,10 +12,10 @@ namespace {
 /**
  * The one structural walk of the packed bootstrapping schedule
  * (ModRaise -> CoeffToSlot -> EvalMod -> SlotToCoeff). Every consumer
- * -- the op-level enumeration, the hoisted kernel expansion and the
- * executable pipeline builder -- replays this walk, so op counts and
- * level evolution can never drift between the estimator and the
- * functional engine.
+ * -- the op-level enumeration, the kernel expansion and the executable
+ * bootstrapGraph -- replays this walk, so op counts and level
+ * evolution can never drift between the estimator and the functional
+ * engine.
  *
  * @p on_rot_group fires once per BSGS rotation group (nrot, level);
  * @p on_op fires for every non-rotation op (op, level).
@@ -117,6 +118,96 @@ enumerateBootstrapKernels(const CkksParams &p, const BootstrapConfig &cfg,
         v.insert(v.end(), k.begin(), k.end());
     }
     return v;
+}
+
+BootstrapGraph
+bootstrapGraph(const CkksContext &ctx, const BootstrapConfig &cfg,
+               double scale, u64 seed)
+{
+    const std::vector<BootstrapOp> ops =
+        enumerateBootstrapOps(ctx.params(), cfg);
+
+    // Multiplicative operand scales: the k multiplications before a
+    // Rescale at level l share q_l between them.
+    std::vector<double> mul_scale(ops.size(), 1.0);
+    std::vector<size_t> pending;
+    for (size_t i = 0; i < ops.size(); ++i) {
+        if (ops[i].op == HeOp::Mult || ops[i].op == HeOp::MultiplyPlain) {
+            pending.push_back(i);
+        } else if (ops[i].op == HeOp::Rescale && !pending.empty()) {
+            const double s = std::pow(
+                static_cast<double>(ctx.qModulus(ops[i].level)),
+                1.0 / static_cast<double>(pending.size()));
+            for (size_t j : pending)
+                mul_scale[j] = s;
+            pending.clear();
+        }
+    }
+
+    // One node per op, the scale ledger replaying the compiler's exact
+    // floating-point updates so every Add operand meets its input spec.
+    Rng rng(seed);
+    const auto values = [&] {
+        std::vector<double> v(ctx.degree() / 2);
+        for (double &x : v)
+            x = rng.real();
+        return v;
+    };
+    BootstrapGraph bg;
+    graph::Graph &g = bg.graph;
+    auto &specs = bg.lowering.inputs;
+    size_t limbs = ctx.qCount();
+    double cur = scale;
+    const auto operand = [&](double s) {
+        specs.push_back({limbs, s});
+        return g.input("operand");
+    };
+    graph::NodeId x = operand(scale);
+    for (size_t i = 0; i < ops.size(); ++i) {
+        // An execution consumes one limb per Rescale unconditionally,
+        // so the walk's level guards (which stop decrementing near the
+        // chain bottom) must never have bound.
+        requireThat(ops[i].level + 1 == limbs,
+                    "bootstrapGraph: config level guards bound; "
+                    "schedule is not executable at these params "
+                    "(lengthen the modulus chain)");
+        switch (ops[i].op) {
+          case HeOp::Add:
+            x = g.add(x, operand(cur));
+            break;
+          case HeOp::AddPlain:
+            x = g.addPlain(x, graph::PlainOperand::matching(values()));
+            break;
+          case HeOp::Mult:
+            x = g.multiply(x, operand(mul_scale[i]));
+            cur = cur * mul_scale[i];
+            break;
+          case HeOp::MultiplyPlain:
+            x = g.multiplyPlain(
+                x, graph::PlainOperand::at(values(), mul_scale[i]));
+            cur = cur * mul_scale[i];
+            break;
+          case HeOp::Rescale:
+            x = g.rescale(x);
+            cur = cur / static_cast<double>(ctx.qModulus(limbs - 1));
+            --limbs;
+            break;
+          case HeOp::RotateAccum: {
+            // Every BSGS group is as wide as the rotation pool, so
+            // cycling the pool gives each group the steps 1..fanin.
+            std::vector<i64> steps(ops[i].fanin);
+            for (size_t b = 0; b < steps.size(); ++b)
+                steps[b] = static_cast<i64>(b + 1);
+            x = g.slotSum(x, std::move(steps));
+            break;
+          }
+          default:
+            internalCheck(false,
+                          "bootstrapGraph: op not emitted by the "
+                          "bootstrap walk");
+        }
+    }
+    return bg;
 }
 
 BootstrapEstimate

@@ -10,12 +10,16 @@
  * (ModRaise -> CoeffToSlot -> EvalMod -> SlotToCoeff) with BSGS
  * decompositions, expand every operator to its kernel schedule, and price
  * each kernel as an individual launch on the simulated device.
+ *
+ * The same schedule also *runs*: bootstrapGraph() emits it as an
+ * operator graph that graph::compileGraph lowers like any workload.
  */
 #pragma once
 
 #include <map>
 #include <string>
 
+#include "ckks/graph/compiler.h"
 #include "ckks/params.h"
 #include "ckks/schedule.h"
 #include "tpu/sim.h"
@@ -34,17 +38,17 @@ struct BootstrapConfig
      * ModRaise/Chebyshev constants as AddPlain (how MAD-style packed
      * bootstrapping actually applies its plaintext matrices) instead
      * of ciphertext-ciphertext Mult/Add. Off by default so the
-     * Table IX estimator keeps the paper's worst-case op mix; the
-     * executable pipeline (bootstrap_pipeline.h) turns it on to
-     * exercise the plaintext stage forms.
+     * Table IX estimator keeps the paper's worst-case op mix.
+     * bootstrapGraph() executes either setting.
      */
     bool plainMatrices = false;
 };
 
 /**
  * Which kernel expansion enumerateBootstrapKernels returns. Both modes
- * are *executable*: BootstrapPipeline::build takes the same mode and
- * its merged KernelLog matches the enumeration kernel-for-kernel.
+ * are *executable*: the compiled bootstrapGraph() runs PerOp under
+ * graph::ScheduleKind::Fused and Hoisted under ScheduleKind::Hoisted,
+ * and its merged KernelLog matches the enumeration kernel-for-kernel.
  *  - Hoisted: the rotations of each BSGS group share one ModUp
  *    (Halevi-Shoup hoisting; the group runs as a HoistedRotations
  *    stage) -- the schedule estimateBootstrap() prices.
@@ -103,14 +107,49 @@ enumerateBootstrapOps(const CkksParams &params, const BootstrapConfig &cfg);
  * overload -- in Hoisted mode the RotateAccum groups expand as
  * HoistedRotations (one shared ModUp per group). Both modes expand the
  * same op walk, so they can never drift apart on op counts or level
- * evolution, and both match the corresponding BootstrapPipeline run's
- * merged KernelLog kernel-for-kernel.
+ * evolution, and both match the corresponding compiled
+ * bootstrapGraph() run's merged KernelLog kernel-for-kernel.
  */
 std::vector<KernelCall>
 enumerateBootstrapKernels(const CkksParams &params,
                           const BootstrapConfig &cfg,
                           BootstrapKernelMode mode =
                               BootstrapKernelMode::Hoisted);
+
+/** The bootstrap schedule as a graph, plus the input specs to compile
+ *  it with. */
+struct BootstrapGraph
+{
+    graph::Graph graph;
+    /** inputs[0] is the bootstrapped ciphertext at the top of the
+     *  chain; then one synthetic operand per Add / Mult op, in program
+     *  order, at the level and scale the op meets it. */
+    graph::LoweringOptions lowering;
+};
+
+/**
+ * The enumerateBootstrapOps schedule as one chain of graph nodes, so
+ * graph::compileGraph lowers it to a single fused segment whose ops()
+ * equal the enumeration. Each BSGS group becomes a slotSum over the
+ * rotation pool (steps 1..2 ceil(sqrt(rho)), cycled), plaintext matrix
+ * rows and constants become multiplyPlain / addPlain nodes, and each
+ * Add / Mult operand becomes one more graph input.
+ *
+ * Operand values are synthesized from @p seed: the object under test
+ * is the schedule execution (kernel sequence, level/scale evolution,
+ * key residency), not a numerical bootstrap. The k multiplications
+ * before a Rescale at level l each carry scale q_l^(1/k), so the
+ * running scale returns to about @p scale after every rescale and
+ * every plaintext encodes at a scale above 1.
+ *
+ * @throws std::invalid_argument when the chain is too short or the
+ *         config's level guards would bind (the enumerated levels
+ *         would then diverge from an execution, which always consumes
+ *         a limb per rescale)
+ */
+BootstrapGraph bootstrapGraph(const CkksContext &ctx,
+                              const BootstrapConfig &cfg, double scale,
+                              u64 seed);
 
 /** Price the pipeline on one tensor core of @p dev. */
 BootstrapEstimate estimateBootstrap(const tpu::DeviceConfig &dev,

@@ -466,29 +466,37 @@ CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
 }
 
 std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::keySwitch(const RnsPoly &c, const SwitchKey &swk) const
-{
-    const size_t level = c.limbCount() - 1;
-    requireThat(ctx_.activeDigits(level) <= swk.digits.size(),
-                "keySwitch: not enough digits");
-    const auto ext_slots = ctx_.extendedSlots(level);
-    return keySwitchImpl(c, ext_slots, [&](size_t j) {
-        // One materialisation per digit, exactly as the pre-precomp
-        // code path did.
-        return std::make_pair(swk.digits[j].first.selectSlots(ext_slots),
-                              swk.digits[j].second.selectSlots(ext_slots));
-    });
-}
-
-std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(const RnsPoly &c,
                          const KeySwitchPrecomp &pre) const
 {
     requireThat(c.limbCount() - 1 == pre.level,
                 "keySwitch: precomp level mismatch");
-    return keySwitchImpl(c, pre.extSlots, [&](size_t j) {
-        return pre.keys[j]; // copy of the batch-shared operands
-    });
+    const size_t level = pre.level;
+    const size_t d = ctx_.activeDigits(level);
+    const size_t ext = pre.extSlots.size();
+
+    // Phase 1 (ModUp), then phase 2 (per-digit inner product), then
+    // phase 3 (ModDown) -- the same three-phase structure the hoisted
+    // rotation path reuses, with identical accumulation order.
+    const std::vector<RnsPoly> digits = modUpPhase(c, pre.extSlots);
+
+    RnsPoly acc0(ctx_.ring(), pre.extSlots, true);
+    RnsPoly acc1(ctx_.ring(), pre.extSlots, true);
+    for (size_t j = 0; j < d; ++j) {
+        WallTimer tm;
+        auto [kb, ka] = pre.keys[j]; // copy of the batch-shared operands
+        kb.mulPointwiseInPlace(digits[j]);
+        ka.mulPointwiseInPlace(digits[j]);
+        logCall(KernelKind::VecModMul, static_cast<u32>(2 * ext), 0,
+                tm.seconds());
+        WallTimer ta;
+        acc0.addInPlace(kb);
+        acc1.addInPlace(ka);
+        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * ext), 0,
+                ta.seconds());
+    }
+
+    return {modDownPhase(acc0, level), modDownPhase(acc1, level)};
 }
 
 std::vector<RnsPoly>
@@ -612,40 +620,6 @@ CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
     logCall(KernelKind::VecModMulConst, static_cast<u32>(level + 1), 0,
             tv.seconds());
     return res;
-}
-
-std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::keySwitchImpl(
-    const RnsPoly &c, const std::vector<u32> &ext_slots,
-    const std::function<std::pair<RnsPoly, RnsPoly>(size_t)> &key_at)
-    const
-{
-    const size_t level = c.limbCount() - 1;
-    const size_t d = ctx_.activeDigits(level);
-    const size_t ext = ext_slots.size();
-
-    // Phase 1 (ModUp), then phase 2 (per-digit inner product), then
-    // phase 3 (ModDown) -- the same three-phase structure the hoisted
-    // rotation path reuses, with identical accumulation order.
-    const std::vector<RnsPoly> digits = modUpPhase(c, ext_slots);
-
-    RnsPoly acc0(ctx_.ring(), ext_slots, true);
-    RnsPoly acc1(ctx_.ring(), ext_slots, true);
-    for (size_t j = 0; j < d; ++j) {
-        WallTimer tm;
-        auto [kb, ka] = key_at(j);
-        kb.mulPointwiseInPlace(digits[j]);
-        ka.mulPointwiseInPlace(digits[j]);
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * ext), 0,
-                tm.seconds());
-        WallTimer ta;
-        acc0.addInPlace(kb);
-        acc1.addInPlace(ka);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * ext), 0,
-                ta.seconds());
-    }
-
-    return {modDownPhase(acc0, level), modDownPhase(acc1, level)};
 }
 
 } // namespace cross::ckks

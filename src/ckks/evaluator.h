@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -167,14 +166,10 @@ class CkksEvaluator
     Ciphertext reduceToLimbs(const Ciphertext &ct, size_t limbs) const;
 
     /**
-     * Hybrid key-switching core (ModUp -> inner product -> ModDown);
-     * public because rotation/relin/bootstrapping all reuse it and tests
-     * probe it directly.
+     * Hybrid key-switching core (ModUp -> inner product -> ModDown)
+     * against a shared per-level precomputation; public because
+     * rotation/relin reuse it and benches probe it directly.
      */
-    std::pair<poly::RnsPoly, poly::RnsPoly>
-    keySwitch(const poly::RnsPoly &c, const SwitchKey &swk) const;
-
-    /** Key switch against a shared per-level precomputation. */
     std::pair<poly::RnsPoly, poly::RnsPoly>
     keySwitch(const poly::RnsPoly &c, const KeySwitchPrecomp &pre) const;
 
@@ -197,19 +192,7 @@ class CkksEvaluator
     precomputeKeySwitchCached(const SwitchKey &swk, size_t level) const;
 
   private:
-    /**
-     * Shared key-switch core. @p key_at materialises digit @p j's key
-     * pair restricted to @p ext_slots: the SwitchKey path selects
-     * slots directly (one materialisation, as ever), the precomp path
-     * copies the batch-shared operands.
-     */
-    std::pair<poly::RnsPoly, poly::RnsPoly> keySwitchImpl(
-        const poly::RnsPoly &c, const std::vector<u32> &ext_slots,
-        const std::function<
-            std::pair<poly::RnsPoly, poly::RnsPoly>(size_t)> &key_at)
-        const;
-
-    /** ModUp phase body shared by hoistedModUp and keySwitchImpl. */
+    /** ModUp phase body shared by hoistedModUp and keySwitch. */
     std::vector<poly::RnsPoly>
     modUpPhase(const poly::RnsPoly &c,
                const std::vector<u32> &ext_slots) const;

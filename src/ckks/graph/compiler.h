@@ -1,8 +1,8 @@
 /**
  * @file
- * Graph compiler: lowers an operator graph (graph.h) onto the fused
- * Pipeline / BatchEvaluator machinery, the way BootstrapPipeline::build
- * lowers the bootstrap schedule.
+ * Graph compiler: lowers an operator graph (graph.h) -- an ML workload
+ * or the bootstrap schedule (bootstrap.h's bootstrapGraph) -- onto the
+ * fused Pipeline / BatchEvaluator machinery.
  *
  * Lowering walks the expanded graph in program order and maintains a
  * level/scale *ledger* per edge that replays the evaluator's exact
@@ -188,7 +188,7 @@ class CompiledGraph
     /**
      * Sequential reference: item by item, stage by stage, one-shot
      * SwitchKey paths (no residency cache). The conformance baseline
-     * for run(), exactly like BootstrapPipeline::runSequential.
+     * for run(), and the stack's one sequential reference interpreter.
      */
     std::vector<CtVec> runSequential(KernelLog *log,
                                      const std::vector<CtVec> &inputs);

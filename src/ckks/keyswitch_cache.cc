@@ -96,11 +96,10 @@ KeySwitchCache::enforceBudgetLocked(const void *keep_key,
 void
 KeySwitchCache::invalidate(const void *key_id)
 {
-    // Retire, don't destroy: an in-flight evaluation (or an open
-    // serving stream) may still read the displaced precomps through
-    // references it fetched earlier. The quiesce point -- the last
-    // ReaderGuard dropping -- reclaims them; with no readers the
-    // reclamation happens right here.
+    // Retire, don't destroy: an in-flight evaluation may still read
+    // the displaced precomps through references it fetched earlier.
+    // The quiesce point -- the last ReaderGuard dropping -- reclaims
+    // them; with no readers the reclamation happens right here.
     std::lock_guard<std::mutex> lock(m_);
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (it->first.first == key_id) {

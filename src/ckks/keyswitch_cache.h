@@ -154,45 +154,22 @@ class KeySwitchCache
      * While any guard is alive, retired precomps stay allocated (their
      * references may still be read); when the last guard drops, the
      * retired list is freed -- the quiesce point. BatchEvaluator holds
-     * one across every batched key-switching operation, and the
-     * serving engine holds one per open request stream (so the stream
-     * closing is the quiesce point for everything it read).
-     *
-     * Movable (a moved-from guard owns nothing and releases nothing),
-     * so owners like serving::ServingEngine::Stream can store one per
-     * stream; not copyable (a copy would double-release).
+     * one across every batched key-switching operation. Neither
+     * copyable nor movable (either would double-release).
      */
     class ReaderGuard
     {
       public:
-        explicit ReaderGuard(const KeySwitchCache &cache) : cache_(&cache)
+        explicit ReaderGuard(const KeySwitchCache &cache) : cache_(cache)
         {
-            cache_->retainReader();
+            cache_.retainReader();
         }
-        ~ReaderGuard()
-        {
-            if (cache_)
-                cache_->releaseReader();
-        }
-        ReaderGuard(ReaderGuard &&other) noexcept : cache_(other.cache_)
-        {
-            other.cache_ = nullptr;
-        }
-        ReaderGuard &operator=(ReaderGuard &&other) noexcept
-        {
-            if (this != &other) {
-                if (cache_)
-                    cache_->releaseReader();
-                cache_ = other.cache_;
-                other.cache_ = nullptr;
-            }
-            return *this;
-        }
+        ~ReaderGuard() { cache_.releaseReader(); }
         ReaderGuard(const ReaderGuard &) = delete;
         ReaderGuard &operator=(const ReaderGuard &) = delete;
 
       private:
-        const KeySwitchCache *cache_;
+        const KeySwitchCache &cache_;
     };
 
     /** In-flight ReaderGuard count (0 = quiesced). */

@@ -218,19 +218,6 @@ heOpNextLevel(HeOp op, const CkksParams &p, size_t level)
 }
 
 std::vector<KernelCall>
-enumerateKernels(const std::vector<HeOp> &pipeline, const CkksParams &p,
-                 size_t level)
-{
-    std::vector<KernelCall> v;
-    for (HeOp op : pipeline) {
-        const auto one = enumerateKernels(op, p, level);
-        v.insert(v.end(), one.begin(), one.end());
-        level = heOpNextLevel(op, p, level);
-    }
-    return v;
-}
-
-std::vector<KernelCall>
 enumerateKernels(const std::vector<PipelineOp> &pipeline,
                  const CkksParams &p, size_t level)
 {
@@ -301,23 +288,6 @@ HeOpCostModel::opCost(HeOp op, size_t level) const
 }
 
 tpu::KernelCost
-HeOpCostModel::pipelineCost(const std::vector<HeOp> &pipeline,
-                            size_t level) const
-{
-    tpu::KernelCost total;
-    std::string name = "Pipeline[";
-    for (size_t i = 0; i < pipeline.size(); ++i) {
-        if (i)
-            name += " > ";
-        name += heOpName(pipeline[i]);
-    }
-    total.name = name + "]";
-    for (const auto &call : enumerateKernels(pipeline, params_, level))
-        total.append(kernelCost(call));
-    return total;
-}
-
-tpu::KernelCost
 HeOpCostModel::pipelineCost(const std::vector<PipelineOp> &pipeline,
                             size_t level) const
 {
@@ -343,14 +313,6 @@ double
 HeOpCostModel::opLatencyUs(HeOp op, size_t level, u64 batch) const
 {
     const auto cost = opCost(op, level);
-    return tpu::runBatched(dev_, cost, batch).perItemUs;
-}
-
-double
-HeOpCostModel::pipelineLatencyUs(const std::vector<HeOp> &pipeline,
-                                 size_t level, u64 batch) const
-{
-    const auto cost = pipelineCost(pipeline, level);
     return tpu::runBatched(dev_, cost, batch).perItemUs;
 }
 

@@ -29,21 +29,14 @@ std::vector<KernelCall> enumerateKernels(HeOp op, const CkksParams &params,
 /**
  * Kernel schedule of a fused operator pipeline starting at @p level:
  * the concatenation of each stage's schedule with the level evolving
- * between stages (heOpNextLevel). Mirrors BatchEvaluator::run's
- * per-item KernelLog exactly, so schedule-conformance tests can assert
+ * between stages (heOpNextLevel). A RotateAccum entry expands to
+ * fanin x (Rotate schedule + Add schedule) -- the rotate-and-accumulate
+ * fan-in the DAG stage executes per branch -- and a HoistedRotations
+ * entry to one shared ModUp plus fanin x (rotation block + Add
+ * schedule), the Halevi-Shoup hoisted execution that pays the
+ * decomposition once per stage. Mirrors BatchEvaluator::run's per-item
+ * KernelLog exactly, so schedule-conformance tests can assert
  * evaluator-log == enumerator for whole pipelines.
- */
-std::vector<KernelCall> enumerateKernels(const std::vector<HeOp> &pipeline,
-                                         const CkksParams &params,
-                                         size_t level);
-
-/**
- * Structural-arity form: like the HeOp overload but a RotateAccum
- * entry expands to fanin x (Rotate schedule + Add schedule) -- the
- * rotate-and-accumulate fan-in the DAG stage executes per branch --
- * and a HoistedRotations entry expands to one shared ModUp plus
- * fanin x (rotation block + Add schedule), the Halevi-Shoup hoisted
- * execution that pays the decomposition once per stage.
  */
 std::vector<KernelCall>
 enumerateKernels(const std::vector<PipelineOp> &pipeline,
@@ -78,25 +71,19 @@ class HeOpCostModel
     /**
      * Fused cost of a whole operator pipeline starting at @p level:
      * one launch covering every stage, pricing exactly the kernels
-     * BatchEvaluator::run executes per item.
+     * BatchEvaluator::run executes per item (RotateAccum fan-in priced
+     * per branch).
      */
-    tpu::KernelCost pipelineCost(const std::vector<HeOp> &pipeline,
-                                 size_t level) const;
-
-    /** Structural-arity form (RotateAccum fan-in priced per branch). */
     tpu::KernelCost pipelineCost(const std::vector<PipelineOp> &pipeline,
                                  size_t level) const;
 
     /** Amortised single-batch latency of @p op in microseconds. */
     double opLatencyUs(HeOp op, size_t level, u64 batch = 1) const;
 
-    /** Amortised per-item latency of a fused pipeline in microseconds. */
-    double pipelineLatencyUs(const std::vector<HeOp> &pipeline,
-                             size_t level, u64 batch = 1) const;
-
-    /** Structural-arity form of pipelineLatencyUs -- prices the exact
-     *  shape Pipeline::pipelineOps() reports, which is what the
-     *  serving engine's deadline admission control queries. */
+    /** Amortised per-item latency of a fused pipeline in
+     *  microseconds -- the shape Pipeline::pipelineOps() reports,
+     *  which is what the serving engine's deadline admission control
+     *  queries. */
     double pipelineLatencyUs(const std::vector<PipelineOp> &pipeline,
                              size_t level, u64 batch = 1) const;
 

@@ -43,8 +43,7 @@ ServingEngine::openStream(StreamOptions opts)
         std::lock_guard<std::mutex> lock(m_);
         sched_.setWeight(opts.tenant, opts.weight);
     }
-    return Stream(this, nextStream_.fetch_add(1) + 1, opts.tenant,
-                  ctx_.keySwitchCache());
+    return Stream(this, nextStream_.fetch_add(1) + 1, opts.tenant);
 }
 
 ServingEngine::BatchKey

@@ -45,10 +45,11 @@
  *  - The queue is bounded: a submit() past maxQueueDepth is rejected
  *    with QueueFullError delivered through the returned future (the
  *    backpressure signal; the engine never blocks a submitter).
- *  - Every open Stream holds a KeySwitchCache::ReaderGuard, so
- *    precomp references stay valid for as long as the stream may
- *    read them, and retired precomp storage (LRU evictions under a
- *    byte budget) is reclaimed when the last stream quiesces.
+ *  - Requests read cached precomps only inside BatchEvaluator::run,
+ *    whose own KeySwitchCache::ReaderGuard spans the batch, so
+ *    retired precomp storage (LRU evictions under a byte budget) is
+ *    reclaimed as soon as no batch is in flight -- open streams pin
+ *    nothing.
  *
  * Results are bit-identical to running each request sequentially
  * through the scalar evaluator, whatever batches the dispatcher forms
@@ -232,26 +233,21 @@ class ServingEngine
     ServingEngine &operator=(const ServingEngine &) = delete;
 
     /**
-     * One client's submission handle. Owns the stream's
-     * KeySwitchCache::ReaderGuard: while the stream is open, cached
-     * precomp references its requests read stay valid even across LRU
-     * evictions; closing (destroying) the last stream is the quiesce
-     * point where retired precomp storage is reclaimed. Movable, not
-     * copyable; a moved-from stream cannot submit.
+     * One client's submission handle. Movable, not copyable; a
+     * moved-from stream cannot submit.
      */
     class Stream
     {
       public:
         Stream(Stream &&other) noexcept
             : engine_(other.engine_), id_(other.id_),
-              tenant_(other.tenant_), guard_(std::move(other.guard_))
+              tenant_(other.tenant_)
         {
             other.engine_ = nullptr;
         }
         Stream &operator=(Stream &&other) noexcept
         {
             if (this != &other) {
-                guard_ = std::move(other.guard_);
                 engine_ = other.engine_;
                 id_ = other.id_;
                 tenant_ = other.tenant_;
@@ -268,16 +264,14 @@ class ServingEngine
 
       private:
         friend class ServingEngine;
-        Stream(ServingEngine *engine, u64 id, u64 tenant,
-               const ckks::KeySwitchCache &cache)
-            : engine_(engine), id_(id), tenant_(tenant), guard_(cache)
+        Stream(ServingEngine *engine, u64 id, u64 tenant)
+            : engine_(engine), id_(id), tenant_(tenant)
         {
         }
 
         ServingEngine *engine_;
         u64 id_;
         u64 tenant_;
-        ckks::KeySwitchCache::ReaderGuard guard_;
     };
 
     /**

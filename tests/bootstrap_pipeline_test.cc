@@ -1,16 +1,17 @@
 /**
  * @file
- * The executable bootstrap schedule: the full enumerateBootstrapOps
- * pipeline -- plaintext CtS/StC stages included -- must run through one
- * BatchEvaluator::run call with results bit-identical to the
- * sequential per-item/per-stage loop at any thread count and the
- * merged KernelLog identical, kernel for kernel, to
- * enumerateBootstrapKernels(..., BootstrapKernelMode::PerOp). Also
- * covers the branching-DAG RotateAccum stage (slot-summation rotation
- * tree, checked semantically against a decrypted slot sum), per-level
- * plaintext rows under mixed-level batches, the LRU-bounded key
- * residency under the bootstrap's many-(key, level) working set, and
- * the pipeline's fail-fast plaintext operand guards.
+ * The executable bootstrap schedule: bootstrapGraph() compiled by
+ * graph::compileGraph must lower the full enumerateBootstrapOps
+ * schedule -- under either plainMatrices setting -- to one fused
+ * segment whose ops() equal the enumeration, whose run() is
+ * bit-identical to runSequential at any thread count, and whose merged
+ * KernelLog equals enumerateBootstrapKernels kernel for kernel in both
+ * BootstrapKernelModes (PerOp compiled as ScheduleKind::Fused, Hoisted
+ * as ScheduleKind::Hoisted). Also covers the branching-DAG RotateAccum
+ * stage (slot-summation rotation tree, checked semantically against a
+ * decrypted slot sum), the LRU-bounded key residency under the
+ * bootstrap's many-(key, level) working set, and the pipeline's
+ * fail-fast plaintext operand guards.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job (ctest -L bootstrap) exercises the bounded cache's eviction
@@ -19,17 +20,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "ckks/batch_evaluator.h"
 #include "ckks/bootstrap.h"
-#include "ckks/bootstrap_pipeline.h"
 #include "ckks/context.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "ckks/graph/compiler.h"
 #include "ckks/keys.h"
 #include "ckks/schedule.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 
 #include "test_util.h"
 
@@ -39,16 +44,16 @@ namespace {
 using testutil::testThreads;
 
 /** Small-but-deep bootstrap config whose level guards never bind at
- *  9 limbs (asserted by BootstrapPipeline::build). */
+ *  9 limbs (asserted by bootstrapGraph). */
 BootstrapConfig
-smallBootstrapConfig()
+smallBootstrapConfig(bool plain_matrices = true)
 {
     BootstrapConfig cfg;
     cfg.ctsLevels = 2;
     cfg.stcLevels = 2;
     cfg.evalModDegree = 4;
     cfg.evalModIters = 1;
-    cfg.plainMatrices = true;
+    cfg.plainMatrices = plain_matrices;
     return cfg;
 }
 
@@ -79,20 +84,69 @@ expectSameCalls(const std::vector<KernelCall> &got,
     }
 }
 
-class BootstrapPipelineFixture : public ::testing::Test
+/** @p copies back-to-back copies of the per-item kernel schedule. */
+std::vector<KernelCall>
+repeated(const std::vector<KernelCall> &per_item, size_t copies)
+{
+    std::vector<KernelCall> v;
+    for (size_t c = 0; c < copies; ++c)
+        v.insert(v.end(), per_item.begin(), per_item.end());
+    return v;
+}
+
+/** Uniform ciphertexts at each compiled input's (limbs, scale): the
+ *  synthetic operands the schedule executes on. */
+std::vector<CtVec>
+uniformInputs(const CkksContext &ctx,
+              const std::vector<graph::InputSpec> &ledger, size_t batch,
+              u64 seed)
+{
+    Rng rng(seed);
+    std::vector<CtVec> inputs;
+    for (const graph::InputSpec &spec : ledger) {
+        CtVec v(batch);
+        for (Ciphertext &ct : v) {
+            ct.c0 = poly::RnsPoly::uniform(ctx.ring(), spec.limbs, true,
+                                           rng);
+            ct.c1 = poly::RnsPoly::uniform(ctx.ring(), spec.limbs, true,
+                                           rng);
+            ct.scale = spec.scale;
+        }
+        inputs.push_back(std::move(v));
+    }
+    return inputs;
+}
+
+class BootstrapGraphFixture : public ::testing::Test
 {
   protected:
     static constexpr double kScale = 1 << 26;
+    static constexpr size_t kBatch = 2;
 
-    BootstrapPipelineFixture()
+    BootstrapGraphFixture()
         : ctx(CkksParams::testSet(1 << 9, 9, 2)), keygen(ctx, 0xb007)
     {
     }
 
-    ~BootstrapPipelineFixture() override
+    ~BootstrapGraphFixture() override
     {
         setGlobalThreadCount(1);
         ctx.keySwitchCache().setByteBudget(0);
+    }
+
+    /** The bootstrap graph compiled in @p mode's schedule. */
+    std::unique_ptr<graph::CompiledGraph>
+    compileBootstrap(const BootstrapConfig &cfg, BootstrapKernelMode mode,
+                     KeyGenerator &kg, u64 seed)
+    {
+        const BootstrapGraph bg = bootstrapGraph(ctx, cfg, kScale, seed);
+        graph::CompileOptions opts;
+        opts.lowering = bg.lowering;
+        opts.keygen = &kg;
+        opts.schedule = mode == BootstrapKernelMode::Hoisted
+                            ? graph::ScheduleKind::Hoisted
+                            : graph::ScheduleKind::Fused;
+        return graph::compileGraph(ctx, bg.graph, opts);
     }
 
     CkksContext ctx;
@@ -100,135 +154,166 @@ class BootstrapPipelineFixture : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// The acceptance criterion: full schedule, one fused pipeline
+// The acceptance criterion: full schedule, one fused segment
 // ---------------------------------------------------------------------
-TEST_F(BootstrapPipelineFixture,
+TEST_F(BootstrapGraphFixture,
        FullScheduleExecutesAndMatchesEnumeratorAtAnyThreadCount)
 {
-    const auto cfg = smallBootstrapConfig();
-    const auto bp =
-        BootstrapPipeline::build(ctx, cfg, keygen, 2, kScale, 0xb1);
+    for (bool plain : {true, false}) {
+        SCOPED_TRACE(plain ? "plaintext matrices" : "ciphertext matrices");
+        const auto cfg = smallBootstrapConfig(plain);
+        const auto cg = compileBootstrap(cfg, BootstrapKernelMode::PerOp,
+                                         keygen, 0xb1);
+        const auto inputs =
+            uniformInputs(ctx, cg->inputLedger(), kBatch, 0xb2);
 
-    // The pipeline executes exactly the enumerated op schedule.
-    EXPECT_EQ(bp->ops(), enumerateBootstrapOps(ctx.params(), cfg));
-    EXPECT_EQ(bp->pipeline().stages().size(), bp->ops().size());
+        // One fused segment executing exactly the enumerated schedule.
+        EXPECT_EQ(cg->segmentCount(), 1u);
+        const auto want_ops = enumerateBootstrapOps(ctx.params(), cfg);
+        ASSERT_EQ(cg->ops().size(), want_ops.size());
+        for (size_t i = 0; i < want_ops.size(); ++i) {
+            const auto &op = cg->ops()[i];
+            EXPECT_TRUE((BootstrapOp{op.op, op.level, op.fanin} ==
+                         want_ops[i]))
+                << "op " << i;
+        }
 
-    setGlobalThreadCount(1);
-    KernelLog seq_log;
-    const auto seq = bp->runSequential(ctx, &seq_log);
+        // Per-item kernels == the PerOp bootstrap enumeration; the
+        // sequential log is batch-many copies of it.
+        setGlobalThreadCount(1);
+        KernelLog seq_log;
+        const auto seq = cg->runSequential(&seq_log, inputs);
+        ASSERT_EQ(seq.size(), 1u);
+        const auto expected = repeated(
+            enumerateBootstrapKernels(ctx.params(), cfg,
+                                      BootstrapKernelMode::PerOp),
+            kBatch);
+        expectSameCalls(seq_log.calls(), expected, "sequential");
 
-    // Per-item kernels == the PerOp bootstrap enumeration; the
-    // sequential log is batch-many copies of it.
-    const auto predicted = enumerateBootstrapKernels(
-        ctx.params(), cfg, BootstrapKernelMode::PerOp);
-    ASSERT_EQ(seq_log.calls().size(), 2 * predicted.size());
-    std::vector<KernelCall> expected;
-    for (int copy = 0; copy < 2; ++copy)
-        expected.insert(expected.end(), predicted.begin(),
-                        predicted.end());
-    expectSameCalls(seq_log.calls(), expected, "sequential");
-
-    for (u32 threads : {1u, testThreads()}) {
-        setGlobalThreadCount(threads);
-        KernelLog fused_log;
-        BatchEvaluator batch(ctx, &fused_log);
-        const auto fused = bp->run(batch);
-        expectEqual(fused, seq);
-        expectSameCalls(fused_log.calls(), expected, "fused");
+        for (u32 threads : {1u, testThreads()}) {
+            setGlobalThreadCount(threads);
+            KernelLog fused_log;
+            BatchEvaluator batch(ctx, &fused_log);
+            const auto fused = cg->run(batch, inputs);
+            ASSERT_EQ(fused.size(), 1u);
+            expectEqual(fused[0], seq[0]);
+            expectSameCalls(fused_log.calls(), expected, "fused");
+        }
+        setGlobalThreadCount(1);
     }
-    setGlobalThreadCount(1);
 }
 
 // ---------------------------------------------------------------------
 // Hoisted execution: same results, enumerated-schedule log, fewer ModUps
 // ---------------------------------------------------------------------
-TEST_F(BootstrapPipelineFixture,
+TEST_F(BootstrapGraphFixture,
        HoistedScheduleMatchesEnumerationAndPerOpBitIdentically)
 {
-    const auto cfg = smallBootstrapConfig();
-    // Two generators with the same seed draw identical key material in
-    // build's fixed derivation order, so the two pipelines differ only
-    // in how their rotation groups execute.
-    KeyGenerator kg_per(ctx, 0xb007);
-    KeyGenerator kg_hoist(ctx, 0xb007);
-    const auto per_bp = BootstrapPipeline::build(
-        ctx, cfg, kg_per, 2, kScale, 0xb7, BootstrapKernelMode::PerOp);
-    const auto hoist_bp = BootstrapPipeline::build(
-        ctx, cfg, kg_hoist, 2, kScale, 0xb7,
-        BootstrapKernelMode::Hoisted);
+    for (bool plain : {true, false}) {
+        SCOPED_TRACE(plain ? "plaintext matrices" : "ciphertext matrices");
+        const auto cfg = smallBootstrapConfig(plain);
+        // Two generators with the same seed draw identical key material
+        // in the compiler's fixed derivation order, so the two compiled
+        // graphs differ only in how their rotation groups execute.
+        KeyGenerator kg_per(ctx, 0xb007);
+        KeyGenerator kg_hoist(ctx, 0xb007);
+        const auto per = compileBootstrap(cfg, BootstrapKernelMode::PerOp,
+                                          kg_per, 0xb7);
+        const auto hoist = compileBootstrap(
+            cfg, BootstrapKernelMode::Hoisted, kg_hoist, 0xb7);
+        EXPECT_EQ(hoist->schedule(), graph::ScheduleKind::Hoisted);
+        EXPECT_EQ(hoist->segmentCount(), 1u);
+        const auto inputs =
+            uniformInputs(ctx, per->inputLedger(), kBatch, 0xb8);
 
-    // One op schedule, two kernel expansions.
-    EXPECT_EQ(per_bp->ops(), hoist_bp->ops());
-    u64 expected_saves = 0;
-    for (const auto &bop : per_bp->ops())
-        if (bop.op == HeOp::RotateAccum)
-            expected_saves += bop.fanin - 1;
-    ASSERT_GT(expected_saves, 0u);
+        // One op schedule, two kernel expansions.
+        u64 expected_saves = 0;
+        for (const auto &bop : enumerateBootstrapOps(ctx.params(), cfg))
+            if (bop.op == HeOp::RotateAccum)
+                expected_saves += bop.fanin - 1;
+        ASSERT_GT(expected_saves, 0u);
+        const auto expected = repeated(
+            enumerateBootstrapKernels(ctx.params(), cfg,
+                                      BootstrapKernelMode::Hoisted),
+            kBatch);
 
-    const auto hoist_pred = enumerateBootstrapKernels(
-        ctx.params(), cfg, BootstrapKernelMode::Hoisted);
-    std::vector<KernelCall> expected;
-    for (int copy = 0; copy < 2; ++copy)
-        expected.insert(expected.end(), hoist_pred.begin(),
-                        hoist_pred.end());
+        setGlobalThreadCount(1);
+        KernelLog per_log;
+        BatchEvaluator per_batch(ctx, &per_log);
+        const auto per_out = per->run(per_batch, inputs)[0];
+        EXPECT_EQ(per_log.hoistedModUpSaves(), 0u);
+        u64 per_intt = 0;
+        for (const auto &k : per_log.calls())
+            per_intt += k.kind == KernelKind::Intt;
 
-    setGlobalThreadCount(1);
-    KernelLog per_log;
-    BatchEvaluator per_batch(ctx, &per_log);
-    const auto per_out = per_bp->run(per_batch);
-    EXPECT_EQ(per_log.hoistedModUpSaves(), 0u);
-    u64 per_intt = 0;
-    for (const auto &k : per_log.calls())
-        per_intt += k.kind == KernelKind::Intt;
+        // The sequential reference executes the hoisted stages too.
+        KernelLog seq_log;
+        const auto seq = hoist->runSequential(&seq_log, inputs)[0];
+        expectEqual(seq, per_out);
+        expectSameCalls(seq_log.calls(), expected, "hoisted sequential");
 
-    // The sequential reference executes the hoisted stages too.
-    KernelLog seq_log;
-    const auto seq = hoist_bp->runSequential(ctx, &seq_log);
-    expectEqual(seq, per_out);
-    expectSameCalls(seq_log.calls(), expected, "hoisted sequential");
-
-    for (u32 threads : {1u, testThreads()}) {
-        setGlobalThreadCount(threads);
-        KernelLog log;
-        BatchEvaluator batch(ctx, &log);
-        const auto out = hoist_bp->run(batch);
-        // Bit-identical to the PerOp pipeline's results, log equal to
-        // the Hoisted enumeration, at every thread count.
-        expectEqual(out, per_out);
-        expectSameCalls(log.calls(), expected, "hoisted fused");
-        // Exactly fanin-1 fewer ModUps per group per item, and the
-        // log's save counter accounts for every one of them.
-        EXPECT_EQ(log.hoistedModUpSaves(), 2 * expected_saves);
-        u64 hoist_intt = 0;
-        for (const auto &k : log.calls())
-            hoist_intt += k.kind == KernelKind::Intt;
-        EXPECT_EQ(per_intt - hoist_intt, log.hoistedModUpSaves());
+        for (u32 threads : {1u, testThreads()}) {
+            setGlobalThreadCount(threads);
+            KernelLog log;
+            BatchEvaluator batch(ctx, &log);
+            const auto out = hoist->run(batch, inputs)[0];
+            // Bit-identical to the PerOp run's results, log equal to
+            // the Hoisted enumeration, at every thread count.
+            expectEqual(out, per_out);
+            expectSameCalls(log.calls(), expected, "hoisted fused");
+            // Exactly fanin-1 fewer ModUps per group per item, and the
+            // log's save counter accounts for every one of them.
+            EXPECT_EQ(log.hoistedModUpSaves(), kBatch * expected_saves);
+            u64 hoist_intt = 0;
+            for (const auto &k : log.calls())
+                hoist_intt += k.kind == KernelKind::Intt;
+            EXPECT_EQ(per_intt - hoist_intt, log.hoistedModUpSaves());
+        }
+        setGlobalThreadCount(1);
     }
-    setGlobalThreadCount(1);
 }
 
-TEST_F(BootstrapPipelineFixture, ResidencyStaysWithinByteBudget)
+TEST_F(BootstrapGraphFixture, RejectsChainWhoseLevelGuardsBind)
 {
-    const auto cfg = smallBootstrapConfig();
-    const auto bp =
-        BootstrapPipeline::build(ctx, cfg, keygen, 2, kScale, 0xb2);
+    // A second EvalMod refinement round reaches the guard that stops
+    // the walk's level decrement, so an execution (one limb per
+    // rescale) would leave the enumerated levels.
+    auto cfg = smallBootstrapConfig();
+    cfg.evalModIters = 2;
+    try {
+        (void)bootstrapGraph(ctx, cfg, kScale, 1);
+        ADD_FAILURE() << "a guard-binding schedule was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("level guards bound"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST_F(BootstrapGraphFixture, ResidencyStaysWithinByteBudget)
+{
+    const auto cg = compileBootstrap(smallBootstrapConfig(),
+                                     BootstrapKernelMode::PerOp, keygen,
+                                     0xb2);
+    const auto inputs = uniformInputs(ctx, cg->inputLedger(), kBatch, 0xb3);
     auto &cache = ctx.keySwitchCache();
 
-    // Unbounded runs: measure the schedule's full (key, level) working
-    // set -- the BSGS pool at every CtS/StC level plus the relin key
-    // at every mult level. A second run is served entirely from
-    // resident entries (each pair built exactly once, ever).
+    // Unbounded runs: the schedule's full (key, level) working set --
+    // the BSGS pool at every CtS/StC level plus the relin key at every
+    // mult level -- is exactly the compiler's key plan. A second run is
+    // served entirely from resident entries (each pair built exactly
+    // once, ever).
     setGlobalThreadCount(1);
     cache.clear();
     cache.resetStats();
     BatchEvaluator batch(ctx);
-    const auto unbounded = bp->run(batch);
+    const auto unbounded = cg->run(batch, inputs)[0];
     const size_t working_set = cache.residentBytes();
     const u64 builds = cache.misses();
     EXPECT_EQ(cache.evictions(), 0u);
-    EXPECT_GT(working_set, 0u);
-    EXPECT_GT(builds, static_cast<u64>(bp->rotationKeyCount()));
-    expectEqual(bp->run(batch), unbounded);
+    EXPECT_EQ(builds, cg->keyPlan().entries.size());
+    EXPECT_EQ(working_set, cg->keyPlan().totalBytes);
+    expectEqual(cg->run(batch, inputs)[0], unbounded);
     EXPECT_EQ(cache.misses(), builds); // fully resident across runs
 
     // Set-D-style roll-off: half the working set forces evictions but
@@ -240,8 +325,7 @@ TEST_F(BootstrapPipelineFixture, ResidencyStaysWithinByteBudget)
         cache.clear();
         cache.resetStats();
         cache.setByteBudget(budget);
-        const auto bounded = bp->run(batch);
-        expectEqual(bounded, unbounded);
+        expectEqual(cg->run(batch, inputs)[0], unbounded);
         EXPECT_LE(cache.residentBytes(), budget);
         EXPECT_GT(cache.evictions(), 0u);
         // The bootstrap touches each (key, level) pair once per run,
@@ -249,7 +333,7 @@ TEST_F(BootstrapPipelineFixture, ResidencyStaysWithinByteBudget)
         // *next* run must rebuild whatever rolled out -- the re-stream
         // cost the Fig. 11b roll-off models.
         EXPECT_EQ(cache.misses(), builds);
-        expectEqual(bp->run(batch), unbounded);
+        expectEqual(cg->run(batch, inputs)[0], unbounded);
         EXPECT_GT(cache.misses(), builds); // re-build after evict
         EXPECT_LE(cache.residentBytes(), budget);
     }
@@ -260,7 +344,7 @@ TEST_F(BootstrapPipelineFixture, ResidencyStaysWithinByteBudget)
 // ---------------------------------------------------------------------
 // Branching-DAG stage: slot-summation rotation tree
 // ---------------------------------------------------------------------
-TEST_F(BootstrapPipelineFixture, RotateAccumTreeSumsSlots)
+TEST_F(BootstrapGraphFixture, RotateAccumTreeSumsSlots)
 {
     CkksContext small(CkksParams::testSet(1 << 8, 3, 2));
     CkksEncoder encoder(small);
@@ -326,7 +410,7 @@ TEST_F(BootstrapPipelineFixture, RotateAccumTreeSumsSlots)
     expectSameCalls(seq_log.calls(), predicted, "enumerator");
 }
 
-TEST_F(BootstrapPipelineFixture, RotateAccumFanInMatchesSequential)
+TEST_F(BootstrapGraphFixture, RotateAccumFanInMatchesSequential)
 {
     CkksContext small(CkksParams::testSet(1 << 8, 3, 2));
     CkksEncoder encoder(small);
@@ -384,50 +468,9 @@ TEST_F(BootstrapPipelineFixture, RotateAccumFanInMatchesSequential)
 }
 
 // ---------------------------------------------------------------------
-// Plaintext stages: per-level rows, mixed levels, fail-fast guards
+// Plaintext stages: fail-fast guards
 // ---------------------------------------------------------------------
-TEST_F(BootstrapPipelineFixture, PerLevelRowsServeMixedLevelBatches)
-{
-    CkksEncoder encoder(ctx);
-    CkksEncryptor encryptor(ctx, keygen.publicKey(), 0x9e1);
-
-    CtVec input;
-    for (int i = 0; i < 4; ++i) {
-        std::vector<double> v(encoder.slotCount(), 0.3);
-        input.push_back(encryptor.encrypt(
-            encoder.encodeReal(v, kScale, ctx.qCount())));
-    }
-    setGlobalThreadCount(1);
-    CkksEvaluator ev(ctx);
-    // Two start levels in one batch.
-    input[1] = ev.rescale(input[1]);
-    input[3] = ev.rescale(input[3]);
-
-    // One row per level, each encoded with exactly level+1 limbs.
-    std::vector<Plaintext> rows;
-    for (size_t l = 0; l < ctx.qCount(); ++l) {
-        std::vector<double> w(encoder.slotCount(), 0.5);
-        rows.push_back(encoder.encodeReal(w, kScale, l + 1));
-    }
-
-    Pipeline p;
-    p.multiplyPlain(rows).rescale();
-
-    CtVec seq;
-    for (const auto &ct : input) {
-        seq.push_back(ev.rescale(
-            ev.multiplyPlain(ct, rows[ct.limbs() - 1])));
-    }
-
-    for (u32 threads : {1u, testThreads()}) {
-        setGlobalThreadCount(threads);
-        BatchEvaluator batch(ctx);
-        expectEqual(batch.run(input, p), seq);
-    }
-    setGlobalThreadCount(1);
-}
-
-TEST_F(BootstrapPipelineFixture, RunRejectsMismatchedPlaintextOperands)
+TEST_F(BootstrapGraphFixture, RunRejectsMismatchedPlaintextOperands)
 {
     CkksEncoder encoder(ctx);
     CkksEncryptor encryptor(ctx, keygen.publicKey(), 0x9e2);
@@ -451,13 +494,6 @@ TEST_F(BootstrapPipelineFixture, RunRejectsMismatchedPlaintextOperands)
     bad_level.multiplyPlain(short_pt);
     EXPECT_THROW(batch.run(input, bad_level), std::invalid_argument);
 
-    // Per-level rows with no row at the item's level.
-    std::vector<Plaintext> short_rows;
-    short_rows.push_back(encoder.encodeReal(v, kScale, 1));
-    Pipeline no_row;
-    no_row.multiplyPlain(short_rows);
-    EXPECT_THROW(batch.run(input, no_row), std::invalid_argument);
-
     // A valid single-operand pipeline still runs.
     const auto good = encoder.encodeReal(v, kScale, ctx.qCount());
     Pipeline ok;
@@ -468,7 +504,7 @@ TEST_F(BootstrapPipelineFixture, RunRejectsMismatchedPlaintextOperands)
 // ---------------------------------------------------------------------
 // Estimator consistency of the plaintext-matrix schedule
 // ---------------------------------------------------------------------
-TEST_F(BootstrapPipelineFixture, PlainMatricesShrinkKeySwitchWork)
+TEST_F(BootstrapGraphFixture, PlainMatricesShrinkKeySwitchWork)
 {
     const auto p = ctx.params();
     auto cfg = smallBootstrapConfig();

@@ -534,8 +534,8 @@ TEST(Schedule, PipelineEnumeratorChainsStagesWithEvolvingLevel)
 {
     const auto p = CkksParams::testSet(1 << 10, 6, 3);
     // Mult at level 5, Rescale 5 -> 4, Rotate at level 4.
-    const std::vector<HeOp> pipeline = {HeOp::Mult, HeOp::Rescale,
-                                        HeOp::Rotate};
+    const std::vector<PipelineOp> pipeline = {
+        {HeOp::Mult}, {HeOp::Rescale}, {HeOp::Rotate}};
     const auto fused = enumerateKernels(pipeline, p, 5);
 
     auto expect = enumerateKernels(HeOp::Mult, p, 5);
@@ -549,7 +549,7 @@ TEST(Schedule, PipelineEnumeratorChainsStagesWithEvolvingLevel)
         EXPECT_TRUE(fused[i].sameShape(expect[i])) << i;
 
     // Draining past the chain throws like the evaluator would.
-    const std::vector<HeOp> too_deep(6, HeOp::Rescale);
+    const std::vector<PipelineOp> too_deep(6, {HeOp::Rescale});
     EXPECT_THROW(enumerateKernels(too_deep, p, 5), std::invalid_argument);
 }
 
@@ -603,8 +603,8 @@ TEST(CostModel, PipelineCostMatchesStageSum)
     HeOpCostModel model(tpu::tpuV6e(), cfg, p);
     const size_t lvl = p.limbs - 1;
 
-    const std::vector<HeOp> pipeline = {HeOp::Mult, HeOp::Rescale,
-                                        HeOp::Rotate};
+    const std::vector<PipelineOp> pipeline = {
+        {HeOp::Mult}, {HeOp::Rescale}, {HeOp::Rotate}};
     auto sum = model.opCost(HeOp::Mult, lvl);
     sum.append(model.opCost(HeOp::Rescale, lvl));
     sum.append(model.opCost(HeOp::Rotate, lvl - 1));

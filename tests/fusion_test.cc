@@ -177,7 +177,7 @@ TEST_F(FusionFixture, PipelineLogMatchesScheduleEnumerator)
     // The merged log is `count` copies of the per-item pipeline
     // schedule, starting at the top level.
     const auto predicted =
-        enumerateKernels(p.ops(), ctx.params(), ctx.qCount() - 1);
+        enumerateKernels(p.pipelineOps(), ctx.params(), ctx.qCount() - 1);
     ASSERT_EQ(log.calls().size(), count * predicted.size());
     for (size_t i = 0; i < count; ++i) {
         for (size_t j = 0; j < predicted.size(); ++j) {
@@ -587,39 +587,8 @@ TEST_F(FusionFixture, PipelineRejectsBadShapes)
 }
 
 // ---------------------------------------------------------------------
-// ReaderGuard lifecycle + exception-safe quiesce (serving regressions)
+// ReaderGuard quiesce under throwing stages (serving regressions)
 // ---------------------------------------------------------------------
-TEST_F(FusionFixture, ReaderGuardMoveReleasesExactlyOnce)
-{
-    KeySwitchCache cache;
-    cache.setByteBudget(500);
-    const int first = 0, second = 0;
-    (void)cache.get(&first, 1, 0, [] { return syntheticPrecomp(1, 400); });
-
-    {
-        KeySwitchCache::ReaderGuard outer(cache);
-        EXPECT_EQ(cache.activeReaders(), 1u);
-
-        // Evict while the reader is registered: storage is retired.
-        (void)cache.get(&second, 2, 0,
-                        [] { return syntheticPrecomp(2, 400); });
-        EXPECT_GT(cache.retiredBytes(), 0u);
-
-        KeySwitchCache::ReaderGuard moved(std::move(outer));
-        EXPECT_EQ(cache.activeReaders(), 1u); // transferred, not added
-        {
-            KeySwitchCache::ReaderGuard extra(cache);
-            EXPECT_EQ(cache.activeReaders(), 2u);
-            extra = std::move(moved); // releases extra's registration
-            EXPECT_EQ(cache.activeReaders(), 1u);
-            EXPECT_GT(cache.retiredBytes(), 0u); // one reader remains
-        } // the moved-to guard drops the single registration...
-        EXPECT_EQ(cache.activeReaders(), 0u);
-        EXPECT_EQ(cache.retiredBytes(), 0u); // ...the quiesce point
-    } // moved-from guards must release nothing (no underflow)
-    EXPECT_EQ(cache.activeReaders(), 0u);
-}
-
 TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
 {
     const u32 k1 = encoder.rotationAutomorphism(1);
@@ -652,7 +621,7 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
         // Budget sized to one precomp: serving key2 retires key1's.
         cache.setByteBudget(cache.residentBytes());
         {
-            KeySwitchCache::ReaderGuard stream(cache);
+            KeySwitchCache::ReaderGuard reader(cache);
             (void)batch.run(a, p2);
             EXPECT_GT(cache.retiredBytes(), 0u);
 
