@@ -18,10 +18,10 @@
  * Part 3 (fused pipelines): the paper's batching wins amortise setup
  * across both items *and* operators. A Mult -> Rescale -> Rotate
  * pipeline (the bootstrap schedule's shape) is run three ways --
- * sequential evaluator loop, per-operator batched calls, and the fused
- * BatchEvaluator::run with the context-level key-switch residency
- * cache -- and the fused-vs-unfused amortisation is reported along
- * with the cache's build/hit counters.
+ * sequential evaluator loop, one single-stage batched run per
+ * operator, and one fused three-stage BatchEvaluator::run with the
+ * context-level key-switch residency cache -- and the fused-vs-unfused
+ * amortisation is reported along with the cache's build/hit counters.
  *
  * Part 4 (residency roll-off): the functional mirror of the
  * VMEM-residency knee in the analytical curves. A Set-D-style
@@ -185,11 +185,13 @@ functionalBatch(bench::Reporter &rep, u64 threads, u64 batch)
 
     bool identical = true;
     BatchEvaluator batch_ev(ctx);
+    Pipeline mult;
+    mult.multiply(b, rlk);
     for (const u64 thr : sweep) {
         // Batched engine: shared precomputation + thread pool.
         setGlobalThreadCount(static_cast<u32>(thr));
         WallTimer t_batch;
-        const auto par = batch_ev.multiply(a, b, rlk);
+        const auto par = batch_ev.run(a, mult);
         const double batch_s = t_batch.seconds();
         setGlobalThreadCount(1);
 
@@ -225,9 +227,10 @@ functionalBatch(bench::Reporter &rep, u64 threads, u64 batch)
 /**
  * Fused pipeline engine: Mult -> Rescale -> Rotate over a batch, run
  * (a) sequentially per item per operator, (b) batched one operator at
- * a time, (c) fused through BatchEvaluator::run with every (key,
- * level) precomp served from the context residency cache. Returns
- * false when any batched result is not bit-identical to sequential.
+ * a time (one single-stage pipeline each), (c) fused through one
+ * BatchEvaluator::run with every (key, level) precomp served from the
+ * context residency cache. Returns false when any batched result is
+ * not bit-identical to sequential.
  */
 bool
 functionalPipeline(bench::Reporter &rep, u64 threads, u64 batch)
@@ -273,16 +276,20 @@ functionalPipeline(bench::Reporter &rep, u64 threads, u64 batch)
 
     auto &cache = ctx.keySwitchCache();
 
-    // Unfused batched: one operator per call, batch-wide barrier and a
-    // fresh cache between operators (per-batch precomp build cost).
+    // Unfused batched: one single-stage pipeline per operator, a
+    // batch-wide barrier between operators and a fresh cache
+    // (per-batch precomp build cost).
     setGlobalThreadCount(static_cast<u32>(threads));
     BatchEvaluator batch_ev(ctx);
+    Pipeline mult, rescale, rotate;
+    mult.multiply(b, rlk);
+    rescale.rescale();
+    rotate.rotate(k, rot_key);
     cache.clear();
     cache.resetStats();
     WallTimer t_unfused;
-    const auto unfused =
-        batch_ev.rotate(batch_ev.rescale(batch_ev.multiply(a, b, rlk)),
-                        k, rot_key);
+    const auto unfused = batch_ev.run(
+        batch_ev.run(batch_ev.run(a, mult), rescale), rotate);
     const double unfused_s = t_unfused.seconds();
 
     // Fused: whole pipeline per item, precomps resident (already warm
@@ -403,18 +410,21 @@ residencySweep(bench::Reporter &rep, u64 batch)
 
     auto &cache = ctx.keySwitchCache();
     BatchEvaluator batch_ev(ctx);
+    std::vector<Pipeline> rotations(kKeys);
+    for (size_t j = 0; j < kKeys; ++j)
+        rotations[j].rotate(ks[j], keys[j]);
+    // One replay step rotates one level's batch by one key.
+    const size_t steps = kLevels.size() * kKeys;
     // The measurement pass walks the working set in reverse: BSGS
     // stages revisit their most recent keys first (StC follows CtS at
     // adjacent levels), and a forward cyclic scan is LRU's pathological
     // 0%-hit case rather than the roll-off being measured.
     const auto replay = [&](bool reversed) {
         std::vector<CtVec> out;
-        const size_t total = kLevels.size() * kKeys;
-        for (size_t p = 0; p < total; ++p) {
-            const size_t v = reversed ? total - 1 - p : p;
-            out.push_back(batch_ev.rotate(inputs[v / kKeys],
-                                          ks[v % kKeys],
-                                          keys[v % kKeys]));
+        for (size_t p = 0; p < steps; ++p) {
+            const size_t v = reversed ? steps - 1 - p : p;
+            out.push_back(
+                batch_ev.run(inputs[v / kKeys], rotations[v % kKeys]));
         }
         return out;
     };
@@ -467,10 +477,12 @@ residencySweep(bench::Reporter &rep, u64 batch)
         const u64 builds = cache.misses();
         cache.resetStats();
         const auto second = replay(true); // steady-state residency
-        const u64 hits = cache.hits();
         const u64 rebuilds = cache.misses();
-        const double hit_rate = static_cast<double>(hits) /
-            static_cast<double>(hits + rebuilds);
+        // Rate per replay step: run() looks the precomp up once per
+        // item, so a step misses at most once (its first item) and
+        // every later item hits the entry just built.
+        const double hit_rate = 1.0 -
+            static_cast<double>(rebuilds) / static_cast<double>(steps);
 
         identical = identical && matches(first, reference, false) &&
             matches(second, reference, true);

@@ -8,6 +8,7 @@
  * reports the CPU behaviour differs from the TPU's).
  */
 #include <algorithm>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -113,10 +114,10 @@ BENCHMARK(BM_BConv)->Arg(4)->Arg(8)->Arg(12);
 
 /**
  * Post-run dispatch sweep: the radix-2 forward NTT timed under every
- * available SIMD path (scalar first, then AVX2/AVX-512 where compiled
- * in and CPU-supported), emitting one per-path record plus the
- * trajectory metrics micro_ntt/avx2_vs_scalar_speedup and
- * micro_ntt/avx512_vs_scalar_speedup (items_per_sec = speedup ratio;
+ * available SIMD path (scalar, then AVX2/AVX-512 where compiled in and
+ * CPU-supported, interleaved round by round), emitting one per-path
+ * record plus the trajectory metrics micro_ntt/avx2_vs_scalar_speedup
+ * and micro_ntt/avx512_vs_scalar_speedup (items_per_sec = speedup ratio;
  * bench/fidelity_tolerance.json range-checks the AVX2 one). Unlike the
  * --isa flag, which pins one path for the whole binary, this sweep
  * measures every path in a single run so the ratios come from the same
@@ -131,45 +132,55 @@ dispatchSweep(bench::Reporter &rep)
     poly::NttTables tab(n, q);
     auto a = randomPoly(n, q, 0x15a);
 
+    std::vector<nt::SimdIsa> isas; // scalar first: the ratios' baseline
+    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                     nt::SimdIsa::Avx512})
+        if (nt::simdIsaAvailable(isa))
+            isas.push_back(isa);
+
     const nt::SimdIsa prev = nt::activeSimdIsa();
+    constexpr int kIters = 100;
+    constexpr int kRounds = 30;
+    // One sample: ns per NTT over kIters back-to-back transforms.
+    const auto sample = [&](nt::SimdIsa isa) {
+        nt::setSimdIsa(isa);
+        WallTimer w;
+        for (int i = 0; i < kIters; ++i) {
+            poly::forwardInPlace(a.data(), tab);
+            benchmark::DoNotOptimize(a.data());
+        }
+        return w.seconds() * 1e9 / kIters;
+    };
+    // A warmup sample per path, then best-of-kRounds with the paths
+    // interleaved inside each round (scalar, AVX2, AVX-512 back to
+    // back). Best-of keeps the undisturbed per-path speed; the
+    // interleaving makes load on a shared host land on every path's
+    // samples alike instead of on one path's whole block of rounds.
+    for (auto isa : isas)
+        (void)sample(isa);
+    std::vector<double> best_ns(isas.size(), 1e30);
+    for (int round = 0; round < kRounds; ++round)
+        for (size_t p = 0; p < isas.size(); ++p)
+            best_ns[p] = std::min(best_ns[p], sample(isas[p]));
+    nt::setSimdIsa(prev);
+
     TablePrinter t("SIMD dispatch sweep: radix-2 forward NTT, N = 2^12");
     t.header({"ISA", "ns/NTT", "vs scalar"});
-    double scalar_ns = 0.0;
-    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
-                     nt::SimdIsa::Avx512}) {
-        if (!nt::simdIsaAvailable(isa))
-            continue;
-        nt::setSimdIsa(isa);
-        constexpr int kIters = 400;
-        // Warmup pass, then best-of-5: the ratio wants the undisturbed
-        // per-path speed, not scheduler noise.
-        for (int i = 0; i < kIters; ++i)
-            poly::forwardInPlace(a.data(), tab);
-        double best_ns = 1e30;
-        for (int round = 0; round < 5; ++round) {
-            WallTimer w;
-            for (int i = 0; i < kIters; ++i) {
-                poly::forwardInPlace(a.data(), tab);
-                benchmark::DoNotOptimize(a.data());
-            }
-            best_ns = std::min(best_ns, w.seconds() * 1e9 / kIters);
-        }
-        const char *name = nt::simdIsaName(isa);
+    for (size_t p = 0; p < isas.size(); ++p) {
+        const char *name = nt::simdIsaName(isas[p]);
         rep.add("micro_ntt/ntt_dispatch",
-                {{"isa", name}, {"n", std::to_string(n)}}, best_ns,
-                1e9 / best_ns);
-        if (isa == nt::SimdIsa::Scalar) {
-            scalar_ns = best_ns;
-            t.row({name, fmtF(best_ns, 1), "1.00"});
+                {{"isa", name}, {"n", std::to_string(n)}}, best_ns[p],
+                1e9 / best_ns[p]);
+        if (p == 0) {
+            t.row({name, fmtF(best_ns[p], 1), "1.00"});
         } else {
-            const double speedup = scalar_ns / best_ns;
+            const double speedup = best_ns[0] / best_ns[p];
             rep.add(std::string("micro_ntt/") + name +
                         "_vs_scalar_speedup",
                     {{"n", std::to_string(n)}}, 0.0, speedup);
-            t.row({name, fmtF(best_ns, 1), fmtX(speedup, 2)});
+            t.row({name, fmtF(best_ns[p], 1), fmtX(speedup, 2)});
         }
     }
-    nt::setSimdIsa(prev);
     t.print(std::cout);
 }
 

@@ -4,16 +4,17 @@
  * drive the async ServingEngine (src/serving/) concurrently, each
  * stream submitting encrypted-inference requests one at a time and
  * waiting for its future before the next (closed loop). The dynamic
- * batch former coalesces whatever is queued across streams by
- * (model, level, scale), so under load the batch size self-tunes to
+ * batch former coalesces whatever is queued across streams by model,
+ * so under load the batch size self-tunes to
  * the number of in-flight streams -- the paper's Fig. 11b batching
  * amortisation, manufactured at the serving layer instead of handed
  * in by the caller.
  *
  * Reports per-request p50 / p99 latency and aggregate throughput,
  * plus the realised batch-forming statistics, as cross-bench-v1 JSON.
- * Every served result is verified bit-identical to the sequential
- * single-request evaluator before any number is reported. Runtime
+ * Every served result is verified bit-identical to the model's
+ * sequential reference (CompiledGraph::runSequential, one request at
+ * a time) before any number is reported. Runtime
  * config:
  *
  *     --streams <n>      concurrent client streams     (default 128)
@@ -26,14 +27,14 @@
  */
 #include <algorithm>
 #include <iostream>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "ckks/batch_evaluator.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
-#include "ckks/evaluator.h"
+#include "ckks/graph/compiler.h"
 #include "ckks/keys.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -67,20 +68,22 @@ closedLoop(bench::Reporter &rep, u64 streams, u64 requests, u64 threads,
     KeyGenerator keygen(ctx, 0x5e21);
     CkksEncryptor encryptor(ctx, keygen.publicKey(), 0x5e22);
 
-    // Two served models with distinct rotation-key working sets: the
-    // batch former must group by model so the LRU residency cache
-    // serves each batch from one resident key set.
-    const u32 k1 = encoder.rotationAutomorphism(1);
-    const u32 k2 = encoder.rotationAutomorphism(2);
-    const auto key1 = keygen.rotationKey(k1);
-    const auto key2 = keygen.rotationKey(k2);
-    const auto pt = encoder.encodeReal(
-        std::vector<double>(encoder.slotCount(), 0.5), kScale,
-        ctx.qCount());
-    Pipeline model1, model2;
-    model1.multiplyPlain(pt).rescale().rotate(k1, key1);
-    model2.multiplyPlain(pt).rescale().rotate(k2, key2);
-    const Pipeline *models[2] = {&model1, &model2};
+    // Two served models, rotate(rescale(x * 0.5), step) for steps 1
+    // and 2, with distinct rotation-key working sets: the batch former
+    // must group by model so the LRU residency cache serves each batch
+    // from one resident key set.
+    const auto half = graph::PlainOperand::base(
+        std::vector<double>(encoder.slotCount(), 0.5));
+    std::unique_ptr<graph::CompiledGraph> models[2];
+    for (i64 step : {1, 2}) {
+        graph::Graph g;
+        g.rotate(g.rescale(g.multiplyPlain(g.input(), half)), step);
+        graph::CompileOptions opts;
+        opts.lowering.baseScale = kScale;
+        opts.keygen = &keygen;
+        opts.schedule = graph::ScheduleKind::Fused;
+        models[step - 1] = graph::compileGraph(ctx, g, opts);
+    }
 
     // Per-(stream, request) inputs.
     Rng rng(0x5e23);
@@ -99,15 +102,14 @@ closedLoop(bench::Reporter &rep, u64 streams, u64 requests, u64 threads,
     // one-shot SwitchKey paths -- the bit-identity baseline and the
     // no-batching latency yardstick.
     setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
     std::vector<CtVec> refs(streams);
     WallTimer t_seq;
     for (u64 w = 0; w < streams; ++w) {
-        const u32 k = w % 2 ? k2 : k1;
-        const SwitchKey &key = w % 2 ? key2 : key1;
         for (u64 i = 0; i < requests; ++i)
-            refs[w].push_back(ev.rotate(
-                ev.rescale(ev.multiplyPlain(inputs[w][i], pt)), k, key));
+            refs[w].push_back(models[w % 2]
+                                  ->runSequential(nullptr, {{inputs[w][i]}})
+                                  .at(0)
+                                  .at(0));
     }
     const double seq_s = t_seq.seconds();
     const double total = static_cast<double>(streams * requests);
@@ -134,7 +136,7 @@ closedLoop(bench::Reporter &rep, u64 streams, u64 requests, u64 threads,
         for (u64 w = 0; w < streams; ++w) {
             clients.emplace_back([&, w] {
                 auto stream = engine.openStream();
-                const Pipeline &model = *models[w % 2];
+                const graph::CompiledGraph &model = *models[w % 2];
                 for (u64 i = 0; i < requests; ++i) {
                     WallTimer t_req;
                     auto fut =

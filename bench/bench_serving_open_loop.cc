@@ -18,12 +18,15 @@
  * drops below the checked-in tolerance band when one is (a 3-tenant
  * run with one starved tenant measures ~0.67).
  *
- * The cost model prices a simulated accelerator, not this host; the
- * bench calibrates ServingConfig::costScale with the measured
- * sequential latency so admission control reasons in wall-clock terms.
+ * The served model is compiled against the simulated TPUv6e, so it
+ * carries a schedule price that arms deadline admission. That price is
+ * for a simulated accelerator, not this host; the bench calibrates
+ * ServingConfig::costScale with the measured sequential latency so
+ * admission control reasons in wall-clock terms.
  *
- * Every completed result is verified bit-identical to the sequential
- * single-request evaluator before any number is reported. Emits
+ * Every completed result is verified bit-identical to the model's
+ * sequential reference (CompiledGraph::runSequential, one request at
+ * a time) before any number is reported. Emits
  * cross-bench-v1 records: serving/deadline_miss_rate,
  * serving/fairness_jain (tolerance-banded), and per-load p50/p99 /
  * throughput. Runtime config:
@@ -47,23 +50,22 @@
 #include <deque>
 #include <future>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "bench_util.h"
-#include "ckks/batch_evaluator.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
-#include "ckks/evaluator.h"
+#include "ckks/graph/compiler.h"
 #include "ckks/keys.h"
-#include "ckks/schedule.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "serving/serving.h"
-#include "tpu/sim.h"
+#include "tpu/device_config.h"
 
 namespace {
 
@@ -134,10 +136,7 @@ struct OpenLoopSetup
     CkksEncoder encoder;
     KeyGenerator keygen;
     CkksEncryptor encryptor;
-    Pipeline model;
-    u32 k;
-    SwitchKey rotKey;
-    Plaintext pt;
+    std::unique_ptr<graph::CompiledGraph> model;
     std::vector<CtVec> inputs; ///< [tenant][request]
     std::vector<CtVec> refs;   ///< sequential-reference results
     std::vector<u32> weights;  ///< per-tenant DRR weight
@@ -145,13 +144,20 @@ struct OpenLoopSetup
 
     OpenLoopSetup(u64 tenants, u64 requests)
         : ctx(CkksParams::testSet(1u << 10, 5, 2)), encoder(ctx),
-          keygen(ctx, 0x01e1), encryptor(ctx, keygen.publicKey(), 0x01e2),
-          k(encoder.rotationAutomorphism(1)), rotKey(keygen.rotationKey(k)),
-          pt(encoder.encodeReal(
-              std::vector<double>(encoder.slotCount(), 0.5), kScale,
-              ctx.qCount()))
+          keygen(ctx, 0x01e1), encryptor(ctx, keygen.publicKey(), 0x01e2)
     {
-        model.multiplyPlain(pt).rescale().rotate(k, rotKey);
+        // rotate(rescale(x * 0.5), 1), priced at batch 1 on the
+        // simulated TPUv6e (the conservative no-amortisation bound).
+        graph::Graph g;
+        const auto half = graph::PlainOperand::base(
+            std::vector<double>(encoder.slotCount(), 0.5));
+        g.rotate(g.rescale(g.multiplyPlain(g.input(), half)), 1);
+        graph::CompileOptions opts;
+        opts.lowering.baseScale = kScale;
+        opts.keygen = &keygen;
+        opts.schedule = graph::ScheduleKind::Fused;
+        opts.device = &tpu::tpuV6e();
+        model = graph::compileGraph(ctx, g, opts);
 
         // Mixed priorities: weights 4, 2, 1 cycling across tenants.
         const u32 cycle[3] = {4, 2, 1};
@@ -177,14 +183,13 @@ struct OpenLoopSetup
         // Sequential reference: the bit-identity baseline and the
         // service-rate yardstick offered load is expressed against.
         setGlobalThreadCount(1);
-        const CkksEvaluator ev(ctx);
         refs.resize(tenants);
         u64 total = 0;
         WallTimer t_seq;
         for (u64 t = 0; t < tenants; ++t) {
             for (const auto &ct : inputs[t])
-                refs[t].push_back(ev.rotate(
-                    ev.rescale(ev.multiplyPlain(ct, pt)), k, rotKey));
+                refs[t].push_back(
+                    model->runSequential(nullptr, {{ct}}).at(0).at(0));
             total += inputs[t].size();
         }
         seqPerReqUs = t_seq.micros() / static_cast<double>(total);
@@ -199,8 +204,7 @@ struct OpenLoopSetup
  */
 LoadResult
 runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
-        u64 dispatchers, u64 wait_us, u64 deadline_slack,
-        const ckks::HeOpCostModel &cost, double cost_scale)
+        u64 dispatchers, u64 wait_us, u64 deadline_slack, double cost_scale)
 {
     const u64 tenants = s.weights.size();
     double weight_sum = 0.0;
@@ -217,7 +221,6 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
     cfg.dispatchers = static_cast<u32>(dispatchers);
     cfg.maxQueueDepth = static_cast<size_t>(requests * weight_sum);
     cfg.maxBatchWaitMicros = wait_us;
-    cfg.costModel = &cost;
     cfg.costScale = cost_scale;
     serving::ServingEngine engine(s.ctx, cfg);
 
@@ -310,7 +313,7 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
                     p.hasDeadline = opts.deadlineUs != 0;
                     p.submitUs = t_load.micros();
                     p.fut =
-                        engine.submit(stream, s.model, s.inputs[t][i], opts);
+                        engine.submit(stream, *s.model, s.inputs[t][i], opts);
                     {
                         std::lock_guard<std::mutex> lock(q_m);
                         q.push_back(std::move(p));
@@ -378,14 +381,10 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
 {
     OpenLoopSetup s(tenants, requests);
 
-    // Calibrate the cost model to this host: it prices a simulated
+    // Calibrate the model's price to this host: it prices a simulated
     // accelerator, so admission control needs the measured wall-clock
     // per model-microsecond ratio to reason about real deadlines.
-    lowering::Config lcfg;
-    const ckks::HeOpCostModel cost(tpu::tpuV6e(), lcfg, s.ctx.params());
-    const size_t level = s.inputs[0][0].limbs() - 1;
-    const double model_us =
-        cost.pipelineLatencyUs(s.model.pipelineOps(), level, 1);
+    const double model_us = s.model->scheduledCostUs();
     const double cost_scale =
         model_us > 0 ? s.seqPerReqUs / model_us : 1.0;
     std::cout << "Sequential latency: " << fmtF(s.seqPerReqUs / 1e3, 2)
@@ -400,7 +399,7 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
     std::vector<std::pair<double, LoadResult>> results;
     for (const double load : loads) {
         LoadResult r = runLoad(s, load, requests, threads, dispatchers,
-                               wait_us, deadline_slack, cost, cost_scale);
+                               wait_us, deadline_slack, cost_scale);
         all_ok = all_ok && r.ok;
         t.row({fmtF(load, 2), fmtF(load / s.seqPerReqUs * 1e6, 1),
                fmtF(r.rps, 1), fmtF(r.p50_us / 1e3, 2),

@@ -132,133 +132,7 @@ Pipeline::pipelineOps() const
     return ops;
 }
 
-BatchEvaluator::CtVec
-BatchEvaluator::mapBatch(
-    size_t count,
-    const std::function<Ciphertext(const CkksEvaluator &, size_t)> &fn)
-    const
-{
-    CtVec out(count);
-    // Per-item logs: merged in item order below, so the merged log is
-    // independent of scheduling (== the sequential log).
-    std::vector<KernelLog> logs(log_ ? count : 0);
-    parallelFor(0, count, [&](size_t i) {
-        CkksEvaluator ev(ctx_, log_ ? &logs[i] : nullptr);
-        out[i] = fn(ev, i);
-    });
-    if (log_) {
-        for (const auto &l : logs)
-            log_->append(l);
-    }
-    return out;
-}
-
-std::vector<const KeySwitchPrecomp *>
-BatchEvaluator::precompPerLevel(const SwitchKey &swk,
-                                const std::vector<size_t> &levels) const
-{
-    std::vector<const KeySwitchPrecomp *> pre;
-    if (levels.empty())
-        return pre;
-    const size_t max_level =
-        *std::max_element(levels.begin(), levels.end());
-    pre.resize(max_level + 1, nullptr);
-    const CkksEvaluator ev(ctx_);
-    for (size_t level : levels) {
-        if (!pre[level])
-            pre[level] = &ev.precomputeKeySwitchCached(swk, level);
-    }
-    return pre;
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::add(const CtVec &a, const CtVec &b) const
-{
-    requireThat(a.size() == b.size(), "BatchEvaluator::add: size mismatch");
-    return mapBatch(a.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.add(a[i], b[i]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::sub(const CtVec &a, const CtVec &b) const
-{
-    requireThat(a.size() == b.size(), "BatchEvaluator::sub: size mismatch");
-    return mapBatch(a.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.sub(a[i], b[i]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::multiply(const CtVec &a, const CtVec &b,
-                         const SwitchKey &rlk) const
-{
-    requireThat(a.size() == b.size(),
-                "BatchEvaluator::multiply: size mismatch");
-    // Quiesce scope: retired precomps are reclaimed when the last
-    // in-flight reader (this call, possibly concurrent ones) drops.
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
-    std::vector<size_t> levels(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        levels[i] = std::min(a[i].limbs(), b[i].limbs()) - 1;
-    const auto pre = precompPerLevel(rlk, levels);
-    return mapBatch(a.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.multiply(a[i], b[i], *pre[levels[i]]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::rescale(const CtVec &cts) const
-{
-    return mapBatch(cts.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.rescale(cts[i]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::rescaleMulti(const CtVec &cts) const
-{
-    return mapBatch(cts.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.rescaleMulti(cts[i]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::rotate(const CtVec &cts, u32 auto_idx,
-                       const SwitchKey &rot_key) const
-{
-    checkAutomorphismIndex(ctx_, auto_idx);
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
-    std::vector<size_t> levels(cts.size());
-    for (size_t i = 0; i < cts.size(); ++i)
-        levels[i] = cts[i].limbs() - 1;
-    const auto pre = precompPerLevel(rot_key, levels);
-    if (!cts.empty()) {
-        // Warm the shared automorphism index map once per batch.
-        (void)ctx_.ring().evalAutoMap(auto_idx);
-    }
-    return mapBatch(cts.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.rotate(cts[i], auto_idx, *pre[levels[i]]);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::addPlain(const CtVec &cts, const Plaintext &pt) const
-{
-    return mapBatch(cts.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.addPlain(cts[i], pt);
-    });
-}
-
-BatchEvaluator::CtVec
-BatchEvaluator::multiplyPlain(const CtVec &cts, const Plaintext &pt) const
-{
-    return mapBatch(cts.size(), [&](const CkksEvaluator &ev, size_t i) {
-        return ev.multiplyPlain(cts[i], pt);
-    });
-}
-
-BatchEvaluator::CtVec
+CtVec
 BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
 {
     const size_t count = input.size();
@@ -431,9 +305,14 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
 
     // Stream each item through the whole pipeline: item-level
     // parallelism outside, the per-stage limb loops inside run inline
-    // on the same worker (parallel.h's nesting rule), and the merged
-    // log comes out in (item, stage) order == the sequential loop.
-    return mapBatch(count, [&](const CkksEvaluator &ev, size_t i) {
+    // on the same worker (parallel.h's nesting rule). Each item logs
+    // privately and the logs merge in item order below, so the merged
+    // log comes out in (item, stage) order == the sequential loop,
+    // independent of scheduling.
+    CtVec out(count);
+    std::vector<KernelLog> logs(log_ ? count : 0);
+    parallelFor(0, count, [&](size_t i) {
+        const CkksEvaluator ev(ctx_, log_ ? &logs[i] : nullptr);
         Ciphertext cur = input[i];
         for (size_t s = 0; s < stages.size(); ++s) {
             const auto &st = stages[s];
@@ -492,8 +371,13 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
               }
             }
         }
-        return cur;
+        out[i] = std::move(cur);
     });
+    if (log_) {
+        for (const auto &l : logs)
+            log_->append(l);
+    }
+    return out;
 }
 
 } // namespace cross::ckks

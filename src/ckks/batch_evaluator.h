@@ -14,30 +14,30 @@
  * items, while the per-item work runs across the global thread pool
  * (common/parallel.h).
  *
- * Two amortisation axes:
- *  - across *items*: one precomp serves every ciphertext of a batch
- *    (the per-operator entry points below);
- *  - across *operators*: run(Pipeline) takes a small operator
- *    sequence (e.g. Mult -> Rescale -> Rotate, the shapes the
- *    bootstrap schedule chains), prebuilds every (key, level)
- *    precomp the whole pipeline will touch, then streams each item
- *    through all stages -- no per-stage setup, no intermediate
- *    batch-wide barriers.
+ * The one entry point is run(CtVec, Pipeline). It amortises on two
+ * axes at once:
+ *  - across *items*: one precomp serves every ciphertext of the batch
+ *    (a single batched operator is a one-stage Pipeline);
+ *  - across *operators*: the pipeline is a small operator sequence
+ *    (e.g. Mult -> Rescale -> Rotate, the shapes the bootstrap
+ *    schedule chains); run() prebuilds every (key, level) precomp the
+ *    whole pipeline will touch, then streams each item through all
+ *    stages -- no per-stage setup, no intermediate batch-wide
+ *    barriers.
  *
  * Guarantees:
  *  - Results are bit-identical to looping CkksEvaluator over the
- *    items (and, for run(), over the stages), at any thread count
- *    (including 1, the default).
+ *    items and the stages, at any thread count (including 1, the
+ *    default).
  *  - The KernelLog is deterministic: each item records into a private
  *    log and the logs are merged in item order, so a parallel batched
- *    run logs exactly what a sequential run logs. For run() the
- *    per-item log covers the whole pipeline, matching the sequential
+ *    run logs exactly what a sequential run logs. The per-item log
+ *    covers the whole pipeline, matching the sequential
  *    "all stages for item 0, then item 1, ..." order, and matching
  *    enumerateKernels(pipeline.pipelineOps(), ...) stage by stage.
  */
 #pragma once
 
-#include <functional>
 #include <vector>
 
 #include "ckks/ciphertext.h"
@@ -153,7 +153,7 @@ class Pipeline
     std::vector<PipelineStage> stages_;
 };
 
-/** Applies HE operators (or whole pipelines) across ciphertext vectors. */
+/** Applies a fused pipeline across a ciphertext vector. */
 class BatchEvaluator
 {
   public:
@@ -162,24 +162,6 @@ class BatchEvaluator
         : ctx_(ctx), log_(log)
     {
     }
-
-    using CtVec = cross::ckks::CtVec;
-
-    /** @name Element-wise batched operators. @{ */
-    CtVec add(const CtVec &a, const CtVec &b) const;
-    CtVec sub(const CtVec &a, const CtVec &b) const;
-    /** a[i] * b[i] with one resident relin-key precomp per level. */
-    CtVec multiply(const CtVec &a, const CtVec &b,
-                   const SwitchKey &rlk) const;
-    CtVec rescale(const CtVec &cts) const;
-    CtVec rescaleMulti(const CtVec &cts) const;
-    /** Rotate every item by the same step (one resident key precomp +
-     *  one warm automorphism map per level). */
-    CtVec rotate(const CtVec &cts, u32 auto_idx,
-                 const SwitchKey &rot_key) const;
-    CtVec addPlain(const CtVec &cts, const Plaintext &pt) const;
-    CtVec multiplyPlain(const CtVec &cts, const Plaintext &pt) const;
-    /** @} */
 
     /**
      * Fused pipeline: apply every stage of @p pipeline to each item of
@@ -199,25 +181,6 @@ class BatchEvaluator
     const CkksContext &context() const { return ctx_; }
 
   private:
-    /**
-     * Run fn(evaluator, i) for each item with a per-item KernelLog,
-     * parallel across the global pool, then merge the logs in item
-     * order into log_.
-     */
-    CtVec mapBatch(
-        size_t count,
-        const std::function<Ciphertext(const CkksEvaluator &, size_t)>
-            &fn) const;
-
-    /**
-     * One resident KeySwitchPrecomp per distinct level in @p levels
-     * (fetched from the context cache up front, outside the parallel
-     * region; read-only afterwards). Indexed by level.
-     */
-    std::vector<const KeySwitchPrecomp *>
-    precompPerLevel(const SwitchKey &swk,
-                    const std::vector<size_t> &levels) const;
-
     const CkksContext &ctx_;
     KernelLog *log_;
 };

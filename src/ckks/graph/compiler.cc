@@ -512,10 +512,14 @@ compileGraph(const CkksContext &ctx, const Graph &g,
     if (cg->schedule_ == ScheduleKind::PerOp)
         plan = planSteps(ex, wr, /*per_op=*/true);
 
-    // Build the executable steps. Value slots are allocated once here;
-    // every stage operand pointer (rhs batches, plaintexts, keys)
-    // targets owned, address-stable storage.
-    cg->values_.resize(nodes.size());
+    // Build the executable steps. Stage operands (plaintexts, keys)
+    // point at owned, address-stable storage; Add/Mult second operands
+    // are value slots, bound per run.
+    using Slots = CompiledGraph::Slots;
+    cg->slotCount_ = nodes.size();
+    // Index of the last step reading each slot.
+    constexpr size_t kUnread = static_cast<size_t>(-1);
+    std::vector<size_t> last_read(nodes.size(), kUnread);
     for (const auto &sp : plan) {
         CompiledGraph::Step step;
         if (sp.isReduce) {
@@ -525,54 +529,81 @@ compileGraph(const CkksContext &ctx, const Graph &g,
             step.out = sp.node;
             step.reduceLimbs = wr.after[sp.node].limbs;
             step.reduceScale = wr.after[sp.node].scale;
+            last_read[step.in] = cg->steps_.size();
             cg->steps_.push_back(std::move(step));
             continue;
         }
         step.in = nodes[sp.group.front()].args[0];
         step.out = sp.group.back();
-        step.startLevel = start_level_of(sp.group.front());
-        step.pops = cg->schedule_ == ScheduleKind::Hoisted
-                        ? hoist(pops_of(sp.group))
-                        : pops_of(sp.group);
+        last_read[step.in] = cg->steps_.size();
         for (NodeId id : sp.group) {
             const Node &n = nodes[id];
             for (const GraphOp &op : wr.nodeOps[id]) {
                 switch (op.op) {
                   case HeOp::Add:
-                    step.pipe.add(cg->values_[n.args[1]]);
+                    last_read[n.args[1]] = cg->steps_.size();
+                    step.stages.push_back(
+                        [rhs = n.args[1]](Pipeline &p, const Slots &at) {
+                            p.add(*at[rhs]);
+                        });
                     break;
                   case HeOp::Mult:
-                    step.pipe.multiply(cg->values_[n.args[1]],
-                                       *cg->relinKey_);
+                    last_read[n.args[1]] = cg->steps_.size();
+                    step.stages.push_back(
+                        [rhs = n.args[1], key = cg->relinKey_](
+                            Pipeline &p, const Slots &at) {
+                            p.multiply(*at[rhs], *key);
+                        });
                     break;
                   case HeOp::Rescale:
-                    step.pipe.rescale();
+                    step.stages.push_back(
+                        [](Pipeline &p, const Slots &) { p.rescale(); });
                     break;
                   case HeOp::RescaleMulti:
-                    step.pipe.rescaleMulti();
+                    step.stages.push_back([](Pipeline &p, const Slots &) {
+                        p.rescaleMulti();
+                    });
                     break;
-                  case HeOp::Rotate:
-                    step.pipe.rotate(rot_idx.at(id),
-                                     *rot_keys.at(rot_idx.at(id)));
+                  case HeOp::Rotate: {
+                    const u32 a = rot_idx.at(id);
+                    const SwitchKey *key = rot_keys.at(a);
+                    step.stages.push_back(
+                        [a, key](Pipeline &p, const Slots &) {
+                            p.rotate(a, *key);
+                        });
                     break;
+                  }
                   case HeOp::AddPlain:
-                  case HeOp::MultiplyPlain:
+                  case HeOp::MultiplyPlain: {
                     cg->plains_.push_back(
                         enc.encodeReal(n.plain.values, wr.ptScale[id],
                                        op.level + 1));
+                    const Plaintext *pt = &cg->plains_.back();
                     if (op.op == HeOp::AddPlain)
-                        step.pipe.addPlain(cg->plains_.back());
+                        step.stages.push_back(
+                            [pt](Pipeline &p, const Slots &) {
+                                p.addPlain(*pt);
+                            });
                     else
-                        step.pipe.multiplyPlain(cg->plains_.back());
+                        step.stages.push_back(
+                            [pt](Pipeline &p, const Slots &) {
+                                p.multiplyPlain(*pt);
+                            });
                     break;
+                  }
                   case HeOp::RotateAccum: {
                     std::vector<RotateBranch> branches;
                     for (u32 a : sum_idx.at(id))
                         branches.push_back({a, rot_keys.at(a)});
-                    if (cg->schedule_ == ScheduleKind::Hoisted)
-                        step.pipe.rotateHoisted(std::move(branches));
-                    else
-                        step.pipe.rotateAccum(std::move(branches));
+                    const bool hoisted =
+                        cg->schedule_ == ScheduleKind::Hoisted;
+                    step.stages.push_back(
+                        [branches, hoisted](Pipeline &p, const Slots &) {
+                            if (hoisted)
+                                p.rotateHoisted(branches);
+                            else
+                                p.rotateAccum(branches);
+                        });
                     break;
                   }
                   case HeOp::HoistedRotations:
@@ -586,90 +617,115 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         ++cg->segments_;
         cg->steps_.push_back(std::move(step));
     }
+    // Graph inputs are the caller's and outputs are returned: a run
+    // frees neither.
+    for (NodeId id : cg->inputIds_)
+        last_read[id] = kUnread;
+    for (NodeId id : cg->outputIds_)
+        last_read[id] = kUnread;
+    for (NodeId id = 0; id < nodes.size(); ++id)
+        if (last_read[id] != kUnread)
+            cg->steps_[last_read[id]].release.push_back(id);
     return cg;
 }
 
+double
+CompiledGraph::scheduledCostUs() const
+{
+    switch (schedule_) {
+      case ScheduleKind::PerOp:
+        return perOpUs_;
+      case ScheduleKind::Hoisted:
+        return hoistedUs_;
+      default:
+        return fusedUs_;
+    }
+}
+
 void
-CompiledGraph::bindInputs(const std::vector<CtVec> &inputs)
+CompiledGraph::checkInput(size_t k, const Ciphertext &ct) const
+{
+    requireThat(k < inputSpecs_.size(),
+                "CompiledGraph: input index out of range");
+    requireThat(ct.limbs() == inputSpecs_[k].limbs,
+                "CompiledGraph: input item level does not match the "
+                "compiled ledger");
+    requireThat(ckksScalesMatch(ct.scale, inputSpecs_[k].scale),
+                "CompiledGraph: input item scale does not match the "
+                "compiled ledger");
+}
+
+std::vector<CtVec>
+CompiledGraph::execute(const std::vector<CtVec> &inputs,
+                       const SegmentRunner &segment) const
 {
     requireThat(inputs.size() == inputIds_.size(),
                 "CompiledGraph::run: input count does not match the "
                 "graph");
-    size_t count = 0;
-    bool first = true;
     for (size_t k = 0; k < inputs.size(); ++k) {
-        if (first) {
-            count = inputs[k].size();
-            first = false;
-        }
-        requireThat(inputs[k].size() == count,
+        requireThat(inputs[k].size() == inputs.front().size(),
                     "CompiledGraph::run: input batches must have the "
                     "same item count");
-        const InputSpec &spec = inputSpecs_[k];
-        for (const Ciphertext &ct : inputs[k]) {
-            requireThat(ct.limbs() == spec.limbs,
-                        "CompiledGraph::run: input item level does "
-                        "not match the compiled ledger");
-            requireThat(ckksScalesMatch(ct.scale, spec.scale),
-                        "CompiledGraph::run: input item scale does "
-                        "not match the compiled ledger");
-        }
+        for (const Ciphertext &ct : inputs[k])
+            checkInput(k, ct);
     }
-    for (size_t k = 0; k < inputs.size(); ++k)
-        values_[inputIds_[k]] = inputs[k];
-}
 
-std::vector<CtVec>
-CompiledGraph::run(const BatchEvaluator &batch,
-                   const std::vector<CtVec> &inputs)
-{
-    requireThat(&batch.context() == ctx_,
-                "CompiledGraph::run: evaluator bound to a different "
-                "context");
-    bindInputs(inputs);
+    // This run's value table: graph inputs are read in place, and
+    // every step's result lives in a slot owned by this call until
+    // its last reader has run.
+    std::vector<CtVec> owned(slotCount_);
+    Slots at(slotCount_, nullptr);
+    for (size_t k = 0; k < inputs.size(); ++k)
+        at[inputIds_[k]] = &inputs[k];
     const CkksEvaluator ev(*ctx_);
-    for (Step &st : steps_) {
+    for (const Step &st : steps_) {
+        const CtVec &in = *at[st.in];
         if (st.isReduce) {
-            const CtVec &in = values_[st.in];
             CtVec out(in.size());
             for (size_t i = 0; i < in.size(); ++i) {
                 out[i] = ev.reduceToLimbs(in[i], st.reduceLimbs);
                 out[i].scale = st.reduceScale;
             }
-            values_[st.out] = std::move(out);
+            owned[st.out] = std::move(out);
         } else {
-            values_[st.out] = batch.run(values_[st.in], st.pipe);
+            Pipeline pipe;
+            for (const StageBuilder &add_stage : st.stages)
+                add_stage(pipe, at);
+            owned[st.out] = segment(in, pipe);
         }
+        at[st.out] = &owned[st.out];
+        for (NodeId id : st.release)
+            owned[id] = CtVec();
     }
     std::vector<CtVec> res;
     res.reserve(outputIds_.size());
     for (NodeId o : outputIds_)
-        res.push_back(values_[o]);
+        res.push_back(*at[o]);
     return res;
 }
 
 std::vector<CtVec>
-CompiledGraph::runSequential(KernelLog *log,
-                             const std::vector<CtVec> &inputs)
+CompiledGraph::run(const BatchEvaluator &batch,
+                   const std::vector<CtVec> &inputs) const
 {
-    bindInputs(inputs);
+    requireThat(&batch.context() == ctx_,
+                "CompiledGraph::run: evaluator bound to a different "
+                "context");
+    return execute(inputs, [&](const CtVec &in, const Pipeline &pipe) {
+        return batch.run(in, pipe);
+    });
+}
+
+std::vector<CtVec>
+CompiledGraph::runSequential(KernelLog *log,
+                             const std::vector<CtVec> &inputs) const
+{
     const CkksEvaluator ev(*ctx_, log);
-    for (Step &st : steps_) {
-        if (st.isReduce) {
-            const CtVec &in = values_[st.in];
-            CtVec out(in.size());
-            for (size_t i = 0; i < in.size(); ++i) {
-                out[i] = ev.reduceToLimbs(in[i], st.reduceLimbs);
-                out[i].scale = st.reduceScale;
-            }
-            values_[st.out] = std::move(out);
-            continue;
-        }
-        const CtVec &in = values_[st.in];
+    return execute(inputs, [&](const CtVec &in, const Pipeline &pipe) {
         CtVec out(in.size());
         for (size_t i = 0; i < in.size(); ++i) {
             Ciphertext cur = in[i];
-            for (const PipelineStage &stage : st.pipe.stages()) {
+            for (const PipelineStage &stage : pipe.stages()) {
                 switch (stage.op) {
                   case HeOp::Add:
                     cur = ev.add(cur, (*stage.rhs)[i]);
@@ -722,13 +778,8 @@ CompiledGraph::runSequential(KernelLog *log,
             }
             out[i] = cur;
         }
-        values_[st.out] = std::move(out);
-    }
-    std::vector<CtVec> res;
-    res.reserve(outputIds_.size());
-    for (NodeId o : outputIds_)
-        res.push_back(values_[o]);
-    return res;
+        return out;
+    });
 }
 
 } // namespace cross::ckks::graph

@@ -24,12 +24,19 @@
  * a per-operator schedule by pricing both with
  * HeOpCostModel::pipelineCost on a simulated device. Either schedule
  * is bit-identical; only launch granularity differs.
+ *
+ * The compiled program is the one runtime form of a model: compiled
+ * once, then run any number of times, including concurrently.
+ * CompiledGraph::run keeps no per-run state in the object, so
+ * concurrent run() calls on one model are safe; a BatchEvaluator that
+ * carries a KernelLog must not be shared between them.
  */
 #pragma once
 
+#include <deque>
+#include <functional>
 #include <map>
 #include <memory>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -164,13 +171,17 @@ struct KeyWorkingSet
 };
 
 /**
- * A lowered, runnable graph. Owns its pipelines, plaintext operands,
- * generated keys and intermediate-value slots (stages point into the
- * owned storage, so the object is neither copyable nor movable;
- * compileGraph hands it out by unique_ptr). One run at a time: the
- * value slots are reused, so concurrent run() calls on the same
- * CompiledGraph would race (batch items inside a run parallelise as
- * usual).
+ * A lowered, runnable graph. Owns its step plan, plaintext operands and
+ * generated keys (stages point into the owned storage, so the object
+ * is neither copyable nor movable; compileGraph hands it out by
+ * unique_ptr). run() and runSequential() are const and keep no state
+ * between calls: each call reads the graph inputs in place, keeps its
+ * intermediate values in its own slot table (each freed once the last
+ * step reading it has run) and builds every segment's Pipeline against
+ * that table. Concurrent run() calls on one CompiledGraph are
+ * therefore safe, but a BatchEvaluator that carries a KernelLog must
+ * not be shared between them (the log is not synchronised); give each
+ * concurrent caller its own evaluator.
  */
 class CompiledGraph
 {
@@ -183,7 +194,7 @@ class CompiledGraph
      * runSequential at any thread count.
      */
     std::vector<CtVec> run(const BatchEvaluator &batch,
-                           const std::vector<CtVec> &inputs);
+                           const std::vector<CtVec> &inputs) const;
 
     /**
      * Sequential reference: item by item, stage by stage, one-shot
@@ -191,7 +202,17 @@ class CompiledGraph
      * for run(), and the stack's one sequential reference interpreter.
      */
     std::vector<CtVec> runSequential(KernelLog *log,
-                                     const std::vector<CtVec> &inputs);
+                                     const std::vector<CtVec> &inputs) const;
+
+    /**
+     * Fail fast unless @p ct arrives at input @p k's ledger level and
+     * scale (inputLedger()[k]): the check run() applies to every input
+     * item, exposed so a caller queueing single requests (the serving
+     * engine) rejects a mismatched one at submit time.
+     *
+     * @throws std::invalid_argument on a level or scale mismatch.
+     */
+    void checkInput(size_t k, const Ciphertext &ct) const;
 
     /** The lowered operator schedule, in program order. */
     const std::vector<GraphOp> &ops() const { return ops_; }
@@ -206,6 +227,8 @@ class CompiledGraph
     double fusedCostUs() const { return fusedUs_; }
     double perOpCostUs() const { return perOpUs_; }
     double hoistedCostUs() const { return hoistedUs_; }
+    /** Price of the resolved schedule(). */
+    double scheduledCostUs() const;
     /** @} */
 
     /** Fused pipeline segments the program executes. */
@@ -233,6 +256,15 @@ class CompiledGraph
     compileGraph(const CkksContext &ctx, const Graph &g,
                  const CompileOptions &opts);
 
+    /** A run's value table: one slot per expanded node. */
+    using Slots = std::vector<const CtVec *>;
+    /** Appends one stage to a segment's Pipeline; Add/Mult stages read
+     *  their second operand from the run's table. */
+    using StageBuilder = std::function<void(Pipeline &, const Slots &)>;
+    /** Runs one segment's Pipeline over a batch. */
+    using SegmentRunner =
+        std::function<CtVec(const CtVec &, const Pipeline &)>;
+
     /** One execution step: a fused pipeline segment, or a Reduce
      *  (level alignment between segments; runs no kernels). */
     struct Step
@@ -240,17 +272,24 @@ class CompiledGraph
         bool isReduce = false;
         NodeId in = 0;  ///< value slot feeding the step
         NodeId out = 0; ///< value slot the step writes
-        Pipeline pipe;
-        std::vector<PipelineOp> pops;
-        size_t startLevel = 0;
+        std::vector<StageBuilder> stages;
         size_t reduceLimbs = 0;  ///< Reduce: target limb count
         double reduceScale = 0;  ///< Reduce: result scale (bit-exact)
+        /** Slots this step reads last (graph inputs and outputs
+         *  excluded): freed once it has run, so a run holds only the
+         *  intermediates a later step still needs. */
+        std::vector<NodeId> release;
     };
 
-    void bindInputs(const std::vector<CtVec> &inputs);
+    /** The interpreter run() and runSequential() share: validate the
+     *  inputs, walk the steps over a fresh slot table, hand each
+     *  segment to @p segment. */
+    std::vector<CtVec> execute(const std::vector<CtVec> &inputs,
+                               const SegmentRunner &segment) const;
 
     const CkksContext *ctx_ = nullptr;
     std::vector<Step> steps_;
+    size_t slotCount_ = 0;
     std::vector<GraphOp> ops_;
     KeyWorkingSet keyPlan_;
     ScheduleKind schedule_ = ScheduleKind::Fused;
@@ -263,10 +302,6 @@ class CompiledGraph
     std::vector<NodeId> outputIds_;
     std::vector<InputSpec> inputSpecs_;
 
-    /** One value slot per expanded node; pipeline stages hold
-     *  pointers into this vector, which is sized once at compile
-     *  (stable addresses). */
-    std::vector<CtVec> values_;
     std::deque<Plaintext> plains_;
     std::map<u32, SwitchKey> ownedRotKeys_;
     std::unique_ptr<SwitchKey> ownedRelinKey_;

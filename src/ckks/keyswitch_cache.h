@@ -41,9 +41,9 @@
  *    resident set -- what future lookups can hit -- stays within
  *    budget. Retired storage is reclaimed at a *quiesce point*: every
  *    evaluation that reads cached precomps holds a ReaderGuard
- *    (BatchEvaluator takes one around each batched key-switching
- *    entry point), and when the last guard drops the retired list is
- *    freed automatically -- no reference can still point into it.
+ *    (BatchEvaluator::run takes one around the whole batch), and
+ *    when the last guard drops the retired list is freed
+ *    automatically -- no reference can still point into it.
  *    clear() and releaseRetired() reclaim immediately when the cache
  *    is quiesced, and otherwise leave the retired list for the last
  *    guard to free -- no entry point destroys storage a registered
@@ -153,9 +153,9 @@ class KeySwitchCache
      * RAII registration of an in-flight reader of cached precomps.
      * While any guard is alive, retired precomps stay allocated (their
      * references may still be read); when the last guard drops, the
-     * retired list is freed -- the quiesce point. BatchEvaluator holds
-     * one across every batched key-switching operation. Neither
-     * copyable nor movable (either would double-release).
+     * retired list is freed -- the quiesce point. BatchEvaluator::run
+     * holds one across the whole batch. Neither copyable nor movable
+     * (either would double-release).
      */
     class ReaderGuard
     {

@@ -1,12 +1,10 @@
 #include "serving/serving.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <optional>
 #include <utility>
 
-#include "ckks/schedule.h"
 #include "common/check.h"
 
 namespace cross::serving {
@@ -46,134 +44,34 @@ ServingEngine::openStream(StreamOptions opts)
     return Stream(this, nextStream_.fetch_add(1) + 1, opts.tenant);
 }
 
-ServingEngine::BatchKey
-ServingEngine::keyOf(const Request &r)
-{
-    return BatchKey{r.pipe ? static_cast<const void *>(r.pipe)
-                           : static_cast<const void *>(r.model),
-                    r.input.limbs(), std::bit_cast<u64>(r.input.scale)};
-}
-
-void
-ServingEngine::checkStream(const Stream &stream) const
+std::future<ckks::Ciphertext>
+ServingEngine::submit(Stream &stream, const graph::CompiledGraph &model,
+                      ckks::Ciphertext input, SubmitOptions opts)
 {
     requireThat(stream.engine_ == this,
                 "ServingEngine::submit: stream does not belong to this "
                 "engine (or was moved from)");
-}
-
-std::future<ckks::Ciphertext>
-ServingEngine::submit(Stream &stream, const ckks::Pipeline &pipe,
-                      ckks::Ciphertext input, SubmitOptions opts)
-{
-    checkStream(stream);
-    // Ciphertext-operand stages reference a caller-sized rhs batch;
-    // a dynamically formed batch has no matching rhs, so reject the
-    // model shape at submit time rather than failing whole batches.
-    for (const auto &st : pipe.stages())
-        requireThat(st.rhs == nullptr,
-                    "ServingEngine::submit: pipeline has a "
-                    "ciphertext-operand stage; only plaintext/rotation "
-                    "pipelines can be dynamically batched");
-    Request r;
-    r.pipe = &pipe;
-    r.input = std::move(input);
-    r.stream = stream.id_;
-    r.tenant = stream.tenant_;
-    if (opts.deadlineUs > 0) {
-        r.hasDeadline = true;
-        r.deadline =
-            Clock::now() + std::chrono::microseconds(opts.deadlineUs);
-    }
-    return enqueue(std::move(r));
-}
-
-std::future<ckks::Ciphertext>
-ServingEngine::submit(Stream &stream, graph::CompiledGraph &model,
-                      ckks::Ciphertext input, SubmitOptions opts)
-{
-    checkStream(stream);
     requireThat(model.inputCount() == 1 && model.outputCount() == 1,
                 "ServingEngine::submit: serving models must be "
                 "1-input / 1-output graphs");
+    // Every queued request of a model sits at the model's one input
+    // level and scale, so the model alone is the batch key.
+    model.checkInput(0, input);
     Request r;
     r.model = &model;
     r.input = std::move(input);
-    r.stream = stream.id_;
     r.tenant = stream.tenant_;
     if (opts.deadlineUs > 0) {
         r.hasDeadline = true;
         r.deadline =
             Clock::now() + std::chrono::microseconds(opts.deadlineUs);
     }
-    return enqueue(std::move(r));
-}
-
-double
-ServingEngine::modelEstimateUs(const Request &r) const
-{
-    if (r.input.limbs() < 1)
-        return 0.0;
-    const size_t level = r.input.limbs() - 1;
-    const void *target = r.pipe ? static_cast<const void *>(r.pipe)
-                                : static_cast<const void *>(r.model);
-    const auto key = std::make_pair(target, level);
-    {
-        std::lock_guard<std::mutex> lock(m_);
-        const auto it = estCache_.find(key);
-        if (it != estCache_.end())
-            return it->second;
-    }
-    // Pricing enumerates the whole kernel schedule -- keep it outside
-    // the engine lock and memoise per (model, level).
-    double us = 0.0;
-    if (r.pipe) {
-        if (cfg_.costModel)
-            us = cfg_.costModel->pipelineLatencyUs(r.pipe->pipelineOps(),
-                                                   level, 1);
-    } else {
-        // Compiled graphs carry their own schedule price (0 when the
-        // graph was compiled without a device).
-        switch (r.model->schedule()) {
-          case graph::ScheduleKind::PerOp:
-            us = r.model->perOpCostUs();
-            break;
-          case graph::ScheduleKind::Hoisted:
-            us = r.model->hoistedCostUs();
-            break;
-          default:
-            us = r.model->fusedCostUs();
-            break;
-        }
-    }
-    std::lock_guard<std::mutex> lock(m_);
-    estCache_.emplace(key, us);
-    return us;
-}
-
-double
-ServingEngine::estimatePipelineUs(const ckks::Pipeline &pipe,
-                                  size_t level) const
-{
-    if (!cfg_.costModel)
-        return 0.0;
-    return cfg_.costScale *
-           cfg_.costModel->pipelineLatencyUs(pipe.pipelineOps(), level, 1);
-}
-
-std::future<ckks::Ciphertext>
-ServingEngine::enqueue(Request r)
-{
-    requireThat(r.input.limbs() >= 1,
-                "ServingEngine::submit: empty input ciphertext");
     std::future<ckks::Ciphertext> fut = r.result.get_future();
-    // Admission control: a deadline the batch-latency estimate says we
-    // cannot make is shed *now*, before it occupies a queue slot the
-    // feasible requests need. Estimate outside the lock (it prices a
-    // kernel schedule on a miss).
-    double est_wall_us = 0.0;
-    if (r.hasDeadline && cfg_.costModel)
-        est_wall_us = cfg_.costScale * modelEstimateUs(r);
+    // Admission control: a deadline the model's compiled schedule cost
+    // says we cannot make is shed *now*, before it occupies a queue
+    // slot the feasible requests need.
+    const double est_wall_us =
+        r.hasDeadline ? cfg_.costScale * model.scheduledCostUs() : 0.0;
     {
         std::lock_guard<std::mutex> lock(m_);
         if (stopping_) {
@@ -194,7 +92,7 @@ ServingEngine::enqueue(Request r)
                 r.result.set_exception(
                     std::make_exception_ptr(DeadlineError(
                         "ServingEngine: deadline infeasible at submit "
-                        "(closer than the batch-latency estimate)")));
+                        "(closer than the model's scheduled cost)")));
                 return fut;
             }
         }
@@ -238,19 +136,19 @@ ServingEngine::formBatchLocked()
 {
     // The leader is the scheduler's pick: weighted DRR across tenants,
     // EDF inside the winning tenant. The rest of the batch is filled
-    // with requests sharing the leader's (model, level, scale) from
-    // any tenant -- they ride the same resident rotation-key working
-    // set, and each one is charged to its own tenant's DRR account.
+    // with requests for the leader's model from any tenant -- they
+    // ride the same resident rotation-key working set, and each one is
+    // charged to its own tenant's DRR account.
     auto leader = sched_.popNext();
     internalCheck(leader.has_value(),
                   "ServingEngine: batch forming on an empty scheduler");
     std::vector<Request> formed;
     formed.push_back(std::move(leader->payload));
-    const BatchKey key = keyOf(formed.front());
+    const graph::CompiledGraph *model = formed.front().model;
     if (formed.size() < cfg_.maxBatch) {
         auto fill = sched_.popMatching(
             [&](const DrrScheduler<Request>::Entry &e) {
-                return keyOf(e.payload) == key;
+                return e.payload.model == model;
             },
             cfg_.maxBatch - formed.size());
         for (auto &e : fill)
@@ -323,18 +221,10 @@ ServingEngine::execute(std::vector<Request> &reqs)
     for (auto &r : reqs)
         inputs.push_back(std::move(r.input));
     try {
-        ckks::CtVec out;
-        if (reqs.front().pipe) {
-            out = batch_.run(inputs, *reqs.front().pipe);
-        } else {
-            graph::CompiledGraph *model = reqs.front().model;
-            // One run at a time per model: CompiledGraph reuses its
-            // value slots across runs, so two dispatchers must not
-            // drive the same model concurrently.
-            std::lock_guard<std::mutex> lock(modelLock(model));
-            out = std::move(
-                model->run(batch_, {std::move(inputs)}).front());
-        }
+        // CompiledGraph::run is reentrant: another dispatcher may be
+        // running a batch of the same model right now.
+        ckks::CtVec out = std::move(
+            reqs.front().model->run(batch_, {std::move(inputs)}).front());
         internalCheck(out.size() == reqs.size(),
                       "ServingEngine: batch result size mismatch");
         // Count before fulfilling: a client that observed its future
@@ -348,9 +238,9 @@ ServingEngine::execute(std::vector<Request> &reqs)
         for (size_t i = 0; i < reqs.size(); ++i)
             reqs[i].result.set_value(std::move(out[i]));
     } catch (...) {
-        // The whole batch shares one failure: every member has the
-        // same (model, level, scale), so a validation error for one
-        // is a validation error for all.
+        // The whole batch shares one failure: every member runs the
+        // same model at its one input level, so a validation error
+        // for one is a validation error for all.
         const std::exception_ptr err = std::current_exception();
         {
             std::lock_guard<std::mutex> lock(m_);
@@ -359,16 +249,6 @@ ServingEngine::execute(std::vector<Request> &reqs)
         for (auto &r : reqs)
             r.result.set_exception(err);
     }
-}
-
-std::mutex &
-ServingEngine::modelLock(const void *model)
-{
-    std::lock_guard<std::mutex> lock(m_);
-    auto &slot = modelLocks_[model];
-    if (!slot)
-        slot = std::make_unique<std::mutex>();
-    return *slot;
 }
 
 void

@@ -13,10 +13,11 @@
  * runtime:
  *
  *  - submit() enqueues one encrypted request (a ciphertext plus the
- *    model to run it through -- a caller-owned fused Pipeline or a
- *    1-input/1-output graph::CompiledGraph) and returns a
- *    std::future<Ciphertext> immediately. SubmitOptions optionally
- *    attaches a per-request deadline.
+ *    model to run it through, a 1-input/1-output
+ *    graph::CompiledGraph) and returns a std::future<Ciphertext>
+ *    immediately. The ciphertext must arrive at the model's input
+ *    ledger level and scale (checked at submit). SubmitOptions
+ *    optionally attaches a per-request deadline.
  *  - Every Stream belongs to a *tenant* (StreamOptions: tenant id +
  *    scheduling weight). Pending requests live in per-tenant queues;
  *    dispatchers pick the next request by weighted deficit-round-robin
@@ -26,18 +27,19 @@
  *    load, and the most urgent request of the tenant that is up is
  *    always served first.
  *  - The chosen request leads a batch; the rest of the batch is filled
- *    with requests sharing its (model, level, scale) from any tenant
- *    (each charged to its own tenant's DRR account). The grouping key
- *    is exactly the rotation-key working set: requests sharing a model
- *    at one level touch the same (key, level) precomps, so the LRU
- *    KeySwitchCache serves the whole batch from the resident set
- *    instead of thrashing between key sets. Batches are formed from
- *    whatever is queued when a dispatcher frees up ("continuous
- *    batching"), with no artificial delay at low load.
+ *    with requests for the same model from any tenant (each charged to
+ *    its own tenant's DRR account). The model is exactly the
+ *    rotation-key working set: every request of a model arrives at its
+ *    one input level, so a batch touches the same (key, level)
+ *    precomps and the LRU KeySwitchCache serves it from the resident
+ *    set instead of thrashing between key sets. Batches are formed
+ *    from whatever is queued when a dispatcher frees up ("continuous
+ *    batching"), with no artificial delay at low load. CompiledGraph
+ *    runs are reentrant, so several dispatchers may execute batches
+ *    of one model at the same time.
  *  - Deadline-aware shedding: a submit whose deadline is provably
- *    infeasible -- already in the past, or closer than the cost
- *    model's batch-latency estimate for its model
- *    (HeOpCostModel::pipelineLatencyUs, scaled by
+ *    infeasible -- already in the past, or closer than the model's own
+ *    compiled schedule cost (CompiledGraph::scheduledCostUs, scaled by
  *    ServingConfig::costScale) -- is rejected up front with
  *    DeadlineError; a queued request whose deadline passes while it
  *    waits is shed at dispatch time instead of wasting a batch slot.
@@ -51,17 +53,16 @@
  *    reclaimed as soon as no batch is in flight -- open streams pin
  *    nothing.
  *
- * Results are bit-identical to running each request sequentially
- * through the scalar evaluator, whatever batches the dispatcher forms
- * -- that is BatchEvaluator::run's conformance guarantee, and the
+ * Results are bit-identical to running each request alone through
+ * CompiledGraph::runSequential, whatever batches the dispatchers form
+ * -- that is the compiled graph's conformance guarantee, and the
  * closed- and open-loop benches re-assert it end to end.
  *
- * Lifetime rules: the context, every submitted Pipeline / model and
- * the key material they reference must outlive the engine's last
- * in-flight request; Streams must not outlive their engine. One
- * engine per context is the intended shape (the cache residency
- * budget is context-level). See docs/SERVING.md for the full
- * semantics.
+ * Lifetime rules: the context, every submitted model and the key
+ * material it references must outlive the engine's last in-flight
+ * request; Streams must not outlive their engine. One engine per
+ * context is the intended shape (the cache residency budget is
+ * context-level). See docs/SERVING.md for the full semantics.
  */
 #pragma once
 
@@ -70,7 +71,6 @@
 #include <condition_variable>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -79,7 +79,6 @@
 #include "ckks/batch_evaluator.h"
 #include "ckks/context.h"
 #include "ckks/graph/compiler.h"
-#include "ckks/keyswitch_cache.h"
 #include "common/types.h"
 #include "serving/drr_scheduler.h"
 
@@ -111,8 +110,8 @@ class ShutdownError : public RejectedError
 
 /**
  * Load shedding: the request's deadline was infeasible at submit time
- * (past, or closer than the cost model's latency estimate), or passed
- * while the request waited in the queue.
+ * (past, or closer than the model's scheduled cost), or passed while
+ * the request waited in the queue.
  */
 class DeadlineError : public RejectedError
 {
@@ -146,27 +145,21 @@ struct ServingConfig
      *  until resume()) -- deterministic batch-forming for tests. */
     bool startPaused = false;
     /**
-     * Deadline admission control: when set, a submit carrying a
-     * deadline is rejected (DeadlineError) unless
+     * Deadline admission control: a submit carrying a deadline is
+     * rejected (DeadlineError) unless
      *
-     *     now + costScale * estimate <= deadline
+     *     now + costScale * model.scheduledCostUs() <= deadline
      *
-     * where estimate is HeOpCostModel::pipelineLatencyUs of the
-     * request's pipeline at its level (batch 1, the conservative
-     * no-amortisation bound), or the compiled graph's scheduled cost.
-     * Null (the default) disables estimate-based admission control;
-     * already-expired deadlines are still rejected, and queued
-     * requests whose deadline passes are still shed at dispatch.
-     * The model must outlive the engine.
-     */
-    const ckks::HeOpCostModel *costModel = nullptr;
-    /**
-     * Wall-clock microseconds per cost-model microsecond. The cost
-     * model prices a simulated accelerator; the host CPU running the
-     * functional stack is slower by a roughly constant factor, so
-     * calibrate with a measured ratio (the open-loop bench divides a
-     * measured sequential latency by the model estimate). 1.0 takes
-     * the model's numbers at face value.
+     * The compiled schedule cost prices a simulated accelerator at the
+     * model's planned batch, and is 0 for a model compiled without a
+     * device -- then only already-expired deadlines are rejected.
+     * Queued requests whose deadline passes are shed at dispatch
+     * either way. costScale is the wall-clock microseconds per
+     * cost-model microsecond: the host CPU running the functional
+     * stack is slower by a roughly constant factor, so calibrate with
+     * a measured ratio (the open-loop bench divides a measured
+     * sequential latency by the model's cost). 1.0 takes the model's
+     * numbers at face value.
      */
     double costScale = 1.0;
 };
@@ -283,37 +276,20 @@ class ServingEngine
     Stream openStream(StreamOptions opts = {});
 
     /**
-     * Submit one request: run @p input through the caller-owned fused
-     * @p pipe. Returns immediately; the future resolves to the result
-     * ciphertext, or to QueueFullError / ShutdownError /
-     * DeadlineError on rejection or shedding, or to the evaluation
-     * error if the batch failed. The pipeline must contain no
-     * ciphertext-operand (rhs) stages -- those are batch-shaped and
-     * cannot be re-batched dynamically -- and must outlive the
-     * future's completion.
+     * Submit one request: run @p input through @p model, a 1-input /
+     * 1-output compiled graph (requests are single ciphertexts; the
+     * engine forms the CtVec batches). Returns immediately; the future
+     * resolves to the result ciphertext, or to QueueFullError /
+     * ShutdownError / DeadlineError on rejection or shedding, or to
+     * the evaluation error if the batch failed. The model must
+     * outlive the future's completion.
      *
      * @throws std::invalid_argument on misuse detected at submit time
-     *         (foreign/moved-from stream, rhs stages, empty input).
+     *         (foreign/moved-from stream, a model that is not 1-in /
+     *         1-out, an input off the model's input ledger).
      */
     std::future<ckks::Ciphertext> submit(Stream &stream,
-                                         const ckks::Pipeline &pipe,
-                                         ckks::Ciphertext input,
-                                         SubmitOptions opts = {});
-    /** Stages hold pointers; a temporary pipeline would dangle. */
-    std::future<ckks::Ciphertext> submit(Stream &, ckks::Pipeline &&,
-                                         ckks::Ciphertext,
-                                         SubmitOptions = {}) = delete;
-
-    /**
-     * Submit against a compiled model: @p model must be a
-     * 1-input / 1-output graph (requests are single ciphertexts; the
-     * engine forms the CtVec batches). The engine serialises runs of
-     * one CompiledGraph (its value slots are reused per run), so a
-     * model shared by many streams executes its coalesced batches one
-     * after another -- which is the batching win, not a limitation.
-     */
-    std::future<ckks::Ciphertext> submit(Stream &stream,
-                                         graph::CompiledGraph &model,
+                                         const graph::CompiledGraph &model,
                                          ckks::Ciphertext input,
                                          SubmitOptions opts = {});
 
@@ -338,16 +314,6 @@ class ServingEngine
     /** Requests queued and not yet claimed by a dispatcher. */
     size_t queueDepth() const;
 
-    /**
-     * Wall-clock latency estimate (microseconds) the deadline
-     * admission control uses for @p pipe at @p level: the cost
-     * model's batch-1 pipelineLatencyUs times costScale, 0 when no
-     * cost model is configured. Exposed so clients can pick feasible
-     * deadlines from the same number the engine rejects against.
-     */
-    double estimatePipelineUs(const ckks::Pipeline &pipe,
-                              size_t level) const;
-
     const ckks::CkksContext &context() const { return ctx_; }
 
   private:
@@ -355,47 +321,22 @@ class ServingEngine
 
     struct Request
     {
-        const ckks::Pipeline *pipe = nullptr;  ///< exactly one of
-        graph::CompiledGraph *model = nullptr; ///< pipe / model set
+        const graph::CompiledGraph *model = nullptr;
         ckks::Ciphertext input;
         std::promise<ckks::Ciphertext> result;
-        u64 stream = 0;
         u64 tenant = 0;
         bool hasDeadline = false;
         Clock::time_point deadline{};
     };
 
-    /** Batch-forming key: the model identity (== its rotation-key
-     *  working set) plus the request's level and exact scale bits. */
-    struct BatchKey
-    {
-        const void *target;
-        size_t limbs;
-        u64 scaleBits;
-
-        bool operator==(const BatchKey &o) const
-        {
-            return target == o.target && limbs == o.limbs &&
-                   scaleBits == o.scaleBits;
-        }
-    };
-
-    static BatchKey keyOf(const Request &r);
-
-    void checkStream(const Stream &stream) const;
-    std::future<ckks::Ciphertext> enqueue(Request r);
-    /** Model-microseconds estimate for @p r (uncalibrated), cached by
-     *  (model identity, level); 0 when no cost model / no price. */
-    double modelEstimateUs(const Request &r) const;
     void dispatchLoop();
     /** Move every expired entry out of the scheduler into @p shed,
      *  updating the shed counters. m_ must be held; the promises are
      *  fulfilled by the caller outside the lock. */
     void collectExpiredLocked(std::vector<Request> &shed);
-    /** Form one batch: DRR/EDF leader + same-key fill. m_ held. */
+    /** Form one batch: DRR/EDF leader + same-model fill. m_ held. */
     std::vector<Request> formBatchLocked();
     void execute(std::vector<Request> &reqs);
-    std::mutex &modelLock(const void *model);
 
     const ckks::CkksContext &ctx_;
     const ServingConfig cfg_;
@@ -409,10 +350,6 @@ class ServingEngine
     bool stopping_ = false;
     ServingStats stats_;
     std::map<u64, TenantStats> tenantStats_;
-    /** Per-CompiledGraph run serialisation (value-slot reuse). */
-    std::map<const void *, std::unique_ptr<std::mutex>> modelLocks_;
-    /** (model identity, level) -> model-us estimate memo. */
-    mutable std::map<std::pair<const void *, size_t>, double> estCache_;
 
     std::atomic<u64> nextStream_{0};
     std::vector<std::thread> dispatchers_;

@@ -222,7 +222,7 @@ TEST_F(FusionFixture, MixedLevelPipelinePicksPerItemPrecomp)
 }
 
 // ---------------------------------------------------------------------
-// Mixed-level batches through the per-operator entry points
+// Mixed-level batches through one-stage pipelines
 // ---------------------------------------------------------------------
 TEST_F(FusionFixture, MixedLevelBatchMultiplyMatchesSequential)
 {
@@ -240,10 +240,12 @@ TEST_F(FusionFixture, MixedLevelBatchMultiplyMatchesSequential)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.multiply(a[i], b[i], rlk));
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     for (u32 threads : {1u, 4u}) {
         setGlobalThreadCount(threads);
         BatchEvaluator batch(ctx);
-        expectEqual(batch.multiply(a, b, rlk), seq);
+        expectEqual(batch.run(a, mult), seq);
     }
     setGlobalThreadCount(1);
 }
@@ -262,10 +264,12 @@ TEST_F(FusionFixture, MixedLevelBatchRotateMatchesSequential)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.rotate(a[i], k, rot_key));
 
+    Pipeline rot;
+    rot.rotate(k, rot_key);
     for (u32 threads : {1u, 4u}) {
         setGlobalThreadCount(threads);
         BatchEvaluator batch(ctx);
-        expectEqual(batch.rotate(a, k, rot_key), seq);
+        expectEqual(batch.run(a, rot), seq);
     }
     setGlobalThreadCount(1);
 }
@@ -284,10 +288,12 @@ TEST_F(FusionFixture, CacheSharedAcrossBatchesAndEvaluators)
     cache.resetStats();
 
     setGlobalThreadCount(1);
+    Pipeline mult;
+    mult.multiply(b, rlk);
     BatchEvaluator batch1(ctx);
     BatchEvaluator batch2(ctx);
-    const auto r1 = batch1.multiply(a, b, rlk);
-    const auto r2 = batch2.multiply(a, b, rlk);
+    const auto r1 = batch1.run(a, mult);
+    const auto r2 = batch2.run(a, mult);
     expectEqual(r1, r2);
     // One level, one key: a single build serves both evaluators.
     EXPECT_EQ(cache.misses(), 1u);
@@ -306,13 +312,15 @@ TEST_F(FusionFixture, CacheInvalidateRebuildsIdentically)
     cache.resetStats();
 
     setGlobalThreadCount(1);
+    Pipeline mult;
+    mult.multiply(b, rlk);
     BatchEvaluator batch(ctx);
-    const auto before = batch.multiply(a, b, rlk);
+    const auto before = batch.run(a, mult);
     EXPECT_EQ(cache.misses(), 1u);
 
     cache.invalidate(&rlk);
     EXPECT_EQ(cache.size(), 0u);
-    const auto after = batch.multiply(a, b, rlk);
+    const auto after = batch.run(a, mult);
     EXPECT_EQ(cache.misses(), 2u); // rebuilt once
     expectEqual(before, after);
 
@@ -522,13 +530,15 @@ TEST_F(FusionFixture, ConcurrentApplicationThreadsShareCacheSafely)
     for (size_t i = 0; i < a.size(); ++i)
         seq.push_back(ev.multiply(a[i], b[i], rlk));
 
+    Pipeline mult;
+    mult.multiply(b, rlk);
     setGlobalThreadCount(testThreads());
     std::vector<CtVec> results(2);
     std::vector<std::thread> workers;
     for (size_t w = 0; w < results.size(); ++w) {
         workers.emplace_back([&, w] {
             BatchEvaluator batch(ctx);
-            results[w] = batch.multiply(a, b, rlk);
+            results[w] = batch.run(a, mult);
         });
     }
     for (auto &t : workers)
@@ -625,16 +635,20 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
             (void)batch.run(a, p2);
             EXPECT_GT(cache.retiredBytes(), 0u);
 
-            // A prevalidation failure (pipeline drains the chain)...
+            // A failure on every item (the pipeline drains the
+            // chain)...
             Pipeline bad;
             for (int i = 0; i < 5; ++i)
                 bad.rescale();
             EXPECT_THROW(batch.run(a, bad), std::invalid_argument);
-            // ...and a mid-parallel-region failure (item 1 cannot
-            // rescale): both must unwind the engine's own reader
-            // registration, leaving only ours, and must not free
-            // retired storage our guard may still reference.
-            EXPECT_THROW(batch.rescale(drained), std::invalid_argument);
+            // ...and on one item of a batch (item 1 cannot rescale):
+            // both must unwind the engine's own reader registration,
+            // leaving only ours, and must not free retired storage our
+            // guard may still reference.
+            Pipeline rescale;
+            rescale.rescale();
+            EXPECT_THROW(batch.run(drained, rescale),
+                         std::invalid_argument);
             EXPECT_EQ(cache.activeReaders(), 1u);
             EXPECT_GT(cache.retiredBytes(), 0u);
         }

@@ -5,9 +5,10 @@
  * KernelLog) to the hand-rolled operator sequences they replace, at
  * any thread count; the level/scale ledger must fail fast at compile
  * time on misuse; the key working-set plan must match the residency
- * cache's observed footprint; and the structural enumerator used by
+ * cache's observed footprint; the structural enumerator used by
  * the workload estimators must agree with the compiled schedule (the
- * no-drift guarantee).
+ * no-drift guarantee); and concurrent runs of one compiled graph must
+ * each match its sequential reference.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L graph) exercise the compiled pipelines
@@ -15,7 +16,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -584,6 +588,58 @@ TEST_F(GraphFixture, RetiredPrecompsReclaimedWhenRunQuiesces)
     EXPECT_GT(cache.evictions(), 0u);
     EXPECT_EQ(cache.retiredBytes(), 0u);
     EXPECT_EQ(cache.activeReaders(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Reentrancy: concurrent runs of one compiled graph
+// ---------------------------------------------------------------------
+
+TEST_F(GraphFixture, ConcurrentRunsOfOneGraphMatchSequential)
+{
+    const auto rlk = keygen.relinKey();
+    const auto rot_keys = layerRotationKeys(4);
+    const auto layer = workloads::denseSquareLayerGraph(
+        layerWeights(), layerBias(), 2);
+    const auto compiled =
+        compileGraph(ctx, layer, layerOptions(rlk, rot_keys));
+
+    // Each application thread runs the shared graph on its own inputs,
+    // with its own evaluator and log (a logging evaluator must not be
+    // shared between concurrent runs).
+    const size_t callers = std::max<size_t>(2, testThreads());
+    std::vector<std::vector<CtVec>> inputs(callers);
+    std::vector<std::vector<CtVec>> want(callers);
+    std::vector<KernelLog> want_logs(callers);
+    setGlobalThreadCount(1);
+    for (size_t t = 0; t < callers; ++t) {
+        inputs[t] = {encryptBatch(2, 100 + t)};
+        want[t] = compiled->runSequential(&want_logs[t], inputs[t]);
+    }
+
+    setGlobalThreadCount(testThreads());
+    std::vector<std::vector<CtVec>> got(callers);
+    std::vector<KernelLog> logs(callers);
+    std::atomic<size_t> ready{0};
+    std::vector<std::thread> workers;
+    for (size_t t = 0; t < callers; ++t) {
+        workers.emplace_back([&, t] {
+            const BatchEvaluator batch(ctx, &logs[t]);
+            // Start together so the runs overlap step by step.
+            ++ready;
+            while (ready.load() < callers)
+                std::this_thread::yield();
+            got[t] = compiled->run(batch, inputs[t]);
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    setGlobalThreadCount(1);
+
+    for (size_t t = 0; t < callers; ++t) {
+        ASSERT_EQ(got[t].size(), 1u) << "caller " << t;
+        expectEqual(got[t][0], want[t].at(0));
+        expectSameLog(logs[t], want_logs[t]);
+    }
 }
 
 // ---------------------------------------------------------------------

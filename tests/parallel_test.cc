@@ -411,7 +411,9 @@ TEST_F(BatchConformance, MultiplyMatchesSequentialBitExactly)
     ThreadGuard guard(testThreads());
     ckks::KernelLog par_log;
     ckks::BatchEvaluator batch(ctx, &par_log);
-    const auto par = batch.multiply(a, b, rlk);
+    ckks::Pipeline mult;
+    mult.multiply(b, rlk);
+    const auto par = batch.run(a, mult);
 
     expectEqual(par, seq);
     expectSameLog(par_log, seq_log);
@@ -438,9 +440,13 @@ TEST_F(BatchConformance, AddRescaleRotateMatchSequential)
     ThreadGuard guard(testThreads());
     ckks::KernelLog par_log;
     ckks::BatchEvaluator batch(ctx, &par_log);
-    const auto par_add = batch.add(a, b);
-    const auto par_rs = batch.rescale(a);
-    const auto par_rot = batch.rotate(a, k, rot_key);
+    ckks::Pipeline add, rescale, rotate;
+    add.add(b);
+    rescale.rescale();
+    rotate.rotate(k, rot_key);
+    const auto par_add = batch.run(a, add);
+    const auto par_rs = batch.run(a, rescale);
+    const auto par_rot = batch.run(a, rotate);
 
     expectEqual(par_add, seq_add);
     expectEqual(par_rs, seq_rs);
@@ -467,7 +473,9 @@ TEST_F(BatchConformance, MixedLevelsShareOnePrecompPerLevel)
 
     ThreadGuard guard(testThreads());
     ckks::BatchEvaluator batch(ctx);
-    expectEqual(batch.multiply(a, b, rlk), seq);
+    ckks::Pipeline mult;
+    mult.multiply(b, rlk);
+    expectEqual(batch.run(a, mult), seq);
 }
 
 TEST_F(BatchConformance, PrecomputedKeySwitchEqualsDirect)
@@ -489,8 +497,12 @@ TEST_F(BatchConformance, EmptyBatchIsANoOp)
     ThreadGuard guard(testThreads());
     ckks::KernelLog log;
     ckks::BatchEvaluator batch(ctx, &log);
-    EXPECT_TRUE(batch.rescale({}).empty());
-    EXPECT_TRUE(batch.add({}, {}).empty());
+    const ckks::CtVec none;
+    ckks::Pipeline rescale, add;
+    rescale.rescale();
+    add.add(none);
+    EXPECT_TRUE(batch.run(none, rescale).empty());
+    EXPECT_TRUE(batch.run(none, add).empty());
     EXPECT_TRUE(log.calls().empty());
 }
 

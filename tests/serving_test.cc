@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the async serving engine (src/serving/): futures-based
- * submission over the batch engine must return results bit-identical
- * to the sequential per-request reference whatever batches the
- * dispatcher forms; batch forming must coalesce by (model, level,
- * scale); the bounded queue must reject-with-error past its depth;
- * shutdown must drain; and open streams must not pin retired precomp
- * storage past the batches that read it.
+ * submission of compiled models must return results bit-identical to
+ * each request's sequential reference whatever batches the dispatchers
+ * form (including batches of one model running concurrently); batch
+ * forming must coalesce by model; inputs off the model's ledger must
+ * be rejected at submit; the bounded queue must reject-with-error past
+ * its depth; shutdown must drain; and open streams must not pin
+ * retired precomp storage past the batches that read it.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L serving) drive concurrent submitter
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -27,11 +29,11 @@
 #include "ckks/evaluator.h"
 #include "ckks/graph/compiler.h"
 #include "ckks/keys.h"
-#include "ckks/schedule.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "serving/drr_scheduler.h"
 #include "serving/serving.h"
+#include "tpu/device_config.h"
 #include "workloads/ml_workloads.h"
 
 #include "test_util.h"
@@ -46,9 +48,9 @@ using ckks::Ciphertext;
 using ckks::CkksEvaluator;
 using ckks::CtVec;
 using ckks::KeySwitchCache;
-using ckks::Pipeline;
-using ckks::Plaintext;
 using ckks::SwitchKey;
+
+using Model = std::unique_ptr<graph::CompiledGraph>;
 
 class ServingFixture : public ::testing::Test
 {
@@ -90,16 +92,36 @@ class ServingFixture : public ::testing::Test
         EXPECT_DOUBLE_EQ(a.scale, b.scale);
     }
 
-    /** Sequential per-request reference for servingPipeline(),
-     *  threads=1, one-shot SwitchKey paths (no cache, no batching). */
-    Ciphertext
-    sequentialReference(const Ciphertext &ct, const Plaintext &pt, u32 k,
-                        const SwitchKey &rot_key)
+    /** The served model rotate(rescale(multiplyPlain(x, 0.5)), steps):
+     *  one fused segment, one rotation key (derived by the compiler).
+     *  With @p device the model carries a schedule price, which arms
+     *  deadline admission. */
+    Model
+    servingModel(i64 steps, const tpu::DeviceConfig *device = nullptr)
+    {
+        graph::Graph g;
+        const auto half = graph::PlainOperand::base(
+            std::vector<double>(encoder.slotCount(), 0.5));
+        g.rotate(g.rescale(g.multiplyPlain(g.input(), half)), steps);
+        graph::CompileOptions opts;
+        opts.lowering.baseScale = kScale;
+        opts.keygen = &keygen;
+        opts.schedule = graph::ScheduleKind::Fused;
+        opts.device = device;
+        return graph::compileGraph(ctx, g, opts);
+    }
+
+    /** Sequential per-request reference: the model's runSequential on
+     *  the one item, threads=1 (no cache, no batching). */
+    CtVec
+    sequentialReference(const graph::CompiledGraph &model,
+                        const CtVec &inputs)
     {
         setGlobalThreadCount(1);
-        const CkksEvaluator ev(ctx);
-        return ev.rotate(ev.rescale(ev.multiplyPlain(ct, pt)), k,
-                         rot_key);
+        CtVec refs;
+        for (const auto &ct : inputs)
+            refs.push_back(model.runSequential(nullptr, {{ct}}).at(0).at(0));
+        return refs;
     }
 
     ckks::CkksContext ctx;
@@ -111,21 +133,11 @@ class ServingFixture : public ::testing::Test
 // ---------------------------------------------------------------------
 // Bit-identity to the sequential reference (the acceptance criterion)
 // ---------------------------------------------------------------------
-TEST_F(ServingFixture, PipelineSubmitsMatchSequentialAcrossStreams)
+TEST_F(ServingFixture, SubmitsMatchSequentialAcrossStreams)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
-    const auto pt = encoder.encodeReal(
-        std::vector<double>(encoder.slotCount(), 0.5), kScale,
-        ctx.qCount());
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(12, 41);
-
-    CtVec refs;
-    for (const auto &ct : inputs)
-        refs.push_back(sequentialReference(ct, pt, k, rot_key));
-
-    Pipeline p;
-    p.multiplyPlain(pt).rescale().rotate(k, rot_key);
+    const auto refs = sequentialReference(*model, inputs);
 
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
@@ -138,8 +150,8 @@ TEST_F(ServingFixture, PipelineSubmitsMatchSequentialAcrossStreams)
 
         std::vector<std::future<Ciphertext>> futs;
         for (size_t i = 0; i < inputs.size(); ++i)
-            futs.push_back(engine.submit(streams[i % streams.size()], p,
-                                         inputs[i]));
+            futs.push_back(engine.submit(streams[i % streams.size()],
+                                         *model, inputs[i]));
         for (size_t i = 0; i < futs.size(); ++i)
             expectEqual(futs[i].get(), refs[i]);
 
@@ -176,11 +188,7 @@ TEST_F(ServingFixture, CompiledGraphSubmitMatchesSequentialReference)
     ASSERT_EQ(model->outputCount(), 1u);
 
     const auto inputs = encryptBatch(6, 42);
-    setGlobalThreadCount(1);
-    CtVec refs;
-    for (const auto &ct : inputs)
-        refs.push_back(
-            model->runSequential(nullptr, {{ct}}).front().front());
+    const auto refs = sequentialReference(*model, inputs);
 
     setGlobalThreadCount(testThreads());
     ServingEngine engine(ctx);
@@ -198,11 +206,8 @@ TEST_F(ServingFixture, CompiledGraphSubmitMatchesSequentialReference)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, PausedEngineCoalescesQueuedRequestsIntoOneBatch)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(5, 43);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
@@ -212,7 +217,7 @@ TEST_F(ServingFixture, PausedEngineCoalescesQueuedRequestsIntoOneBatch)
 
     std::vector<std::future<Ciphertext>> futs;
     for (const auto &ct : inputs)
-        futs.push_back(engine.submit(stream, p, ct));
+        futs.push_back(engine.submit(stream, *model, ct));
     EXPECT_EQ(engine.queueDepth(), inputs.size());
     EXPECT_EQ(engine.stats().batches, 0u);
 
@@ -220,39 +225,41 @@ TEST_F(ServingFixture, PausedEngineCoalescesQueuedRequestsIntoOneBatch)
     for (auto &f : futs)
         (void)f.get();
 
-    // Everything was waiting with the same (model, level, scale) key:
-    // one formed batch serves all five requests from one residency set.
+    // Everything was waiting for the same model: one formed batch
+    // serves all five requests from one residency set.
     const auto st = engine.stats();
     EXPECT_EQ(st.batches, 1u);
     EXPECT_EQ(st.batchedRequests, inputs.size());
     EXPECT_EQ(st.maxBatch, inputs.size());
 }
 
-TEST_F(ServingFixture, BatchFormingGroupsByRequestLevel)
+TEST_F(ServingFixture, BatchFormingGroupsByModel)
 {
-    const u32 k = encoder.rotationAutomorphism(2);
-    const auto rot_key = keygen.rotationKey(k);
+    // Two models with distinct rotation keys, requests interleaved.
+    const auto m1 = servingModel(1);
+    const auto m2 = servingModel(2);
+    const graph::CompiledGraph *models[2] = {m1.get(), m2.get()};
     auto inputs = encryptBatch(4, 44);
-    setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
-    // Two requests one level down: their rotation touches a different
-    // (key, level) precomp, so they must form their own batch.
-    inputs[1] = ev.rescale(inputs[1]);
-    inputs[3] = ev.rescale(inputs[3]);
     CtVec refs;
-    for (const auto &ct : inputs)
-        refs.push_back(ev.rotate(ct, k, rot_key));
+    for (size_t i = 0; i < inputs.size(); ++i)
+        refs.push_back(sequentialReference(*models[i % 2], {inputs[i]})[0]);
 
-    Pipeline p;
-    p.rotate(k, rot_key);
-
+    setGlobalThreadCount(1);
     ServingConfig cfg;
     cfg.startPaused = true;
     ServingEngine engine(ctx, cfg);
     auto stream = engine.openStream();
+
+    // A request one level down would touch a different (key, level)
+    // precomp than the model's ledger plans: rejected at submit, so it
+    // never reaches a batch.
+    const Ciphertext lower = CkksEvaluator(ctx).rescale(inputs[0]);
+    EXPECT_THROW(engine.submit(stream, *m1, lower), std::invalid_argument);
+    EXPECT_EQ(engine.queueDepth(), 0u);
+
     std::vector<std::future<Ciphertext>> futs;
-    for (const auto &ct : inputs)
-        futs.push_back(engine.submit(stream, p, ct));
+    for (size_t i = 0; i < inputs.size(); ++i)
+        futs.push_back(engine.submit(stream, *models[i % 2], inputs[i]));
 
     engine.resume();
     for (size_t i = 0; i < futs.size(); ++i)
@@ -262,15 +269,45 @@ TEST_F(ServingFixture, BatchFormingGroupsByRequestLevel)
     EXPECT_EQ(st.batches, 2u);
     EXPECT_EQ(st.batchedRequests, inputs.size());
     EXPECT_EQ(st.maxBatch, 2u);
+    EXPECT_EQ(st.rejected, 0u);
+}
+
+TEST_F(ServingFixture, DispatchersRunOneModelConcurrentlyBitIdentically)
+{
+    // One model, two dispatchers, batches of at most two: released at
+    // once, the dispatchers run batches of the same model at the same
+    // time (CompiledGraph::run is reentrant; there is no model lock).
+    const auto model = servingModel(1);
+    const auto inputs = encryptBatch(8, 57);
+    const auto refs = sequentialReference(*model, inputs);
+
+    setGlobalThreadCount(testThreads());
+    ServingConfig cfg;
+    cfg.startPaused = true;
+    cfg.dispatchers = 2;
+    cfg.maxBatch = 2;
+    ServingEngine engine(ctx, cfg);
+    auto stream = engine.openStream();
+
+    std::vector<std::future<Ciphertext>> futs;
+    for (const auto &ct : inputs)
+        futs.push_back(engine.submit(stream, *model, ct));
+    EXPECT_EQ(engine.queueDepth(), inputs.size());
+    engine.resume();
+    for (size_t i = 0; i < futs.size(); ++i)
+        expectEqual(futs[i].get(), refs[i]);
+
+    const auto st = engine.stats();
+    EXPECT_EQ(st.completed, inputs.size());
+    EXPECT_EQ(st.failed, 0u);
+    EXPECT_EQ(st.batches, inputs.size() / 2);
+    EXPECT_EQ(st.maxBatch, 2u);
 }
 
 TEST_F(ServingFixture, WaitKnobHoldsBatchOpenUntilFull)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(4, 50);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
@@ -284,13 +321,13 @@ TEST_F(ServingFixture, WaitKnobHoldsBatchOpenUntilFull)
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
-    futs.push_back(engine.submit(stream, p, inputs[0]));
+    futs.push_back(engine.submit(stream, *model, inputs[0]));
     engine.resume();
     // The dispatcher now either waits on the knob (queue below
     // maxBatch) or has not yet claimed the leader slot; either way the
     // late arrivals must join the same batch, and the fourth fills it.
     for (size_t i = 1; i < inputs.size(); ++i)
-        futs.push_back(engine.submit(stream, p, inputs[i]));
+        futs.push_back(engine.submit(stream, *model, inputs[i]));
     for (auto &f : futs)
         (void)f.get();
 
@@ -302,11 +339,8 @@ TEST_F(ServingFixture, WaitKnobHoldsBatchOpenUntilFull)
 
 TEST_F(ServingFixture, PauseAndShutdownCutTheBatchWaitShort)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(4, 51);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
@@ -317,14 +351,14 @@ TEST_F(ServingFixture, PauseAndShutdownCutTheBatchWaitShort)
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
-    futs.push_back(engine.submit(stream, p, inputs[0]));
-    futs.push_back(engine.submit(stream, p, inputs[1]));
+    futs.push_back(engine.submit(stream, *model, inputs[0]));
+    futs.push_back(engine.submit(stream, *model, inputs[1]));
     engine.resume();
     // pause() must wake a dispatcher sitting in the timed wait and
     // send it back to the gate without forming a short batch.
     engine.pause();
-    futs.push_back(engine.submit(stream, p, inputs[2]));
-    futs.push_back(engine.submit(stream, p, inputs[3]));
+    futs.push_back(engine.submit(stream, *model, inputs[2]));
+    futs.push_back(engine.submit(stream, *model, inputs[3]));
     engine.resume();
     // The queue (4) stays below maxBatch (8), so only the shutdown
     // drain ends the wait -- it must form one batch of everything
@@ -345,11 +379,8 @@ TEST_F(ServingFixture, PauseAndShutdownCutTheBatchWaitShort)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, BoundedQueueRejectsWithQueueFullError)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(4, 45);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
@@ -360,10 +391,10 @@ TEST_F(ServingFixture, BoundedQueueRejectsWithQueueFullError)
 
     std::vector<std::future<Ciphertext>> futs;
     for (int i = 0; i < 3; ++i)
-        futs.push_back(engine.submit(stream, p, inputs[i]));
+        futs.push_back(engine.submit(stream, *model, inputs[i]));
     // The queue is at depth: the fourth submit is rejected through its
     // future (the submitter is never blocked).
-    auto rejected = engine.submit(stream, p, inputs[3]);
+    auto rejected = engine.submit(stream, *model, inputs[3]);
     EXPECT_THROW(rejected.get(), QueueFullError);
     EXPECT_EQ(engine.queueDepth(), 3u);
     EXPECT_EQ(engine.stats().rejected, 1u);
@@ -376,11 +407,9 @@ TEST_F(ServingFixture, BoundedQueueRejectsWithQueueFullError)
 
 TEST_F(ServingFixture, ShutdownDrainsQueueThenRejectsNewSubmits)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(3, 46);
-    Pipeline p;
-    p.rotate(k, rot_key);
+    const auto refs = sequentialReference(*model, inputs);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
@@ -390,14 +419,14 @@ TEST_F(ServingFixture, ShutdownDrainsQueueThenRejectsNewSubmits)
 
     std::vector<std::future<Ciphertext>> futs;
     for (const auto &ct : inputs)
-        futs.push_back(engine.submit(stream, p, ct));
+        futs.push_back(engine.submit(stream, *model, ct));
 
     engine.shutdown(); // must run every already-queued request
-    for (auto &f : futs)
-        EXPECT_EQ(f.get().limbs(), inputs.front().limbs());
+    for (size_t i = 0; i < futs.size(); ++i)
+        expectEqual(futs[i].get(), refs[i]);
     EXPECT_EQ(engine.stats().completed, inputs.size());
 
-    auto late = engine.submit(stream, p, inputs[0]);
+    auto late = engine.submit(stream, *model, inputs[0]);
     EXPECT_THROW(late.get(), ShutdownError);
     engine.shutdown(); // idempotent
 }
@@ -407,33 +436,37 @@ TEST_F(ServingFixture, ShutdownDrainsQueueThenRejectsNewSubmits)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
-    const auto rlk = keygen.relinKey();
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(2, 47);
+    const Ciphertext ref = sequentialReference(*model, {inputs[0]})[0];
 
-    setGlobalThreadCount(1);
-    const Ciphertext ref = CkksEvaluator(ctx).rotate(inputs[0], k, rot_key);
     ServingEngine engine(ctx);
     auto stream = engine.openStream();
 
-    // Ciphertext-operand stages are batch-shaped; dynamic batches have
-    // no matching rhs, so the model shape is rejected up front.
-    Pipeline with_rhs;
-    with_rhs.multiply(inputs, rlk);
-    EXPECT_THROW(engine.submit(stream, with_rhs, inputs[0]),
+    // Requests are single ciphertexts: a model with two inputs cannot
+    // be served.
+    graph::Graph two_in;
+    two_in.add(two_in.input(), two_in.input());
+    graph::CompileOptions opts;
+    opts.lowering.baseScale = kScale;
+    const auto pair_model = graph::compileGraph(ctx, two_in, opts);
+    EXPECT_THROW(engine.submit(stream, *pair_model, inputs[0]),
                  std::invalid_argument);
 
-    Pipeline p;
-    p.rotate(k, rot_key);
-    EXPECT_THROW(engine.submit(stream, p, Ciphertext{}),
+    // Inputs off the model's input ledger: empty, or at another scale.
+    EXPECT_THROW(engine.submit(stream, *model, Ciphertext{}),
                  std::invalid_argument);
+    Ciphertext rescaled = inputs[0];
+    rescaled.scale *= 2;
+    EXPECT_THROW(engine.submit(stream, *model, rescaled),
+                 std::invalid_argument);
+    EXPECT_EQ(engine.stats().submitted, 0u);
 
     // A moved-from stream can no longer submit.
     auto moved = std::move(stream);
-    EXPECT_THROW(engine.submit(stream, p, inputs[0]),
+    EXPECT_THROW(engine.submit(stream, *model, inputs[0]),
                  std::invalid_argument);
-    expectEqual(engine.submit(moved, p, inputs[0]).get(), ref);
+    expectEqual(engine.submit(moved, *model, inputs[0]).get(), ref);
 }
 
 // ---------------------------------------------------------------------
@@ -441,14 +474,9 @@ TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
 {
-    const u32 k1 = encoder.rotationAutomorphism(1);
-    const u32 k2 = encoder.rotationAutomorphism(2);
-    const auto key1 = keygen.rotationKey(k1);
-    const auto key2 = keygen.rotationKey(k2);
+    const auto m1 = servingModel(1);
+    const auto m2 = servingModel(2);
     const auto inputs = encryptBatch(2, 48);
-    Pipeline p1, p2;
-    p1.rotate(k1, key1);
-    p2.rotate(k2, key2);
 
     auto &cache = ctx.keySwitchCache();
     cache.setByteBudget(0);
@@ -460,7 +488,7 @@ TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
     // (retires) the resident one.
     {
         const BatchEvaluator warm(ctx);
-        (void)warm.run(inputs, p1);
+        (void)m1->run(warm, {inputs});
     }
     cache.setByteBudget(cache.residentBytes());
     cache.releaseRetired();
@@ -468,8 +496,8 @@ TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
     ServingEngine engine(ctx);
     auto stream = engine.openStream();
     for (int round = 0; round < 2; ++round) {
-        (void)engine.submit(stream, p2, inputs[0]).get();
-        (void)engine.submit(stream, p1, inputs[1]).get();
+        (void)engine.submit(stream, *m2, inputs[0]).get();
+        (void)engine.submit(stream, *m1, inputs[1]).get();
     }
     // Every eviction retired a precomp, but each batch's own reader
     // registration ended before its future resolved: with the stream
@@ -486,26 +514,18 @@ TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
 {
-    const u32 k1 = encoder.rotationAutomorphism(1);
-    const u32 k2 = encoder.rotationAutomorphism(3);
-    const auto key1 = keygen.rotationKey(k1);
-    const auto key2 = keygen.rotationKey(k2);
-    Pipeline p1, p2;
-    p1.rotate(k1, key1);
-    p2.rotate(k2, key2);
+    const auto m1 = servingModel(1);
+    const auto m2 = servingModel(3);
 
     const size_t submitters = 4;
     const size_t per_thread = 8;
     std::vector<CtVec> inputs;
     std::vector<CtVec> refs(submitters);
-    setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
     for (size_t w = 0; w < submitters; ++w) {
         inputs.push_back(encryptBatch(per_thread, 49 + w));
         for (size_t i = 0; i < per_thread; ++i)
-            refs[w].push_back(ev.rotate(inputs[w][i],
-                                        i % 2 ? k2 : k1,
-                                        i % 2 ? key2 : key1));
+            refs[w].push_back(sequentialReference(
+                i % 2 ? *m2 : *m1, {inputs[w][i]})[0]);
     }
 
     auto &cache = ctx.keySwitchCache();
@@ -514,7 +534,7 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
     cache.resetStats();
     {
         const BatchEvaluator warm(ctx);
-        (void)warm.run(inputs[0], p1);
+        (void)m1->run(warm, {inputs[0]});
     }
     // Tight budget: the two keys' precomps keep evicting each other,
     // exercising retire/reclaim under concurrent readers.
@@ -533,7 +553,7 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
                 std::vector<std::future<Ciphertext>> futs;
                 for (size_t i = 0; i < per_thread; ++i)
                     futs.push_back(engine.submit(
-                        stream, i % 2 ? p2 : p1, inputs[w][i]));
+                        stream, i % 2 ? *m2 : *m1, inputs[w][i]));
                 for (size_t i = 0; i < per_thread; ++i)
                     expectEqual(futs[i].get(), refs[w][i]);
             });
@@ -673,30 +693,24 @@ TEST(DrrSchedulerTest, ZeroWeightIsRejected)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    // Compiled against a device, the model carries a schedule price.
+    const auto dev = tpu::tpuV6e();
+    const auto model = servingModel(1, &dev);
     const auto inputs = encryptBatch(2, 52);
-    Pipeline p;
-    p.rotate(k, rot_key);
+    const Ciphertext ref = sequentialReference(*model, {inputs[1]})[0];
 
-    setGlobalThreadCount(1);
-    const Ciphertext ref = CkksEvaluator(ctx).rotate(inputs[1], k, rot_key);
-
-    lowering::Config lcfg;
-    const ckks::HeOpCostModel cost(tpu::tpuV6e(), lcfg, ctx.params());
     ServingConfig cfg;
     cfg.startPaused = true;
-    cfg.costModel = &cost;
-    // Enormous calibration factor: every model estimate becomes far
+    // Enormous calibration factor: the model's price becomes far
     // larger than the 1 ms deadline below, so the reject is certain.
     cfg.costScale = 1e6;
     ServingEngine engine(ctx, cfg);
     auto stream = engine.openStream();
 
-    const size_t level = inputs[0].limbs() - 1;
-    EXPECT_GT(engine.estimatePipelineUs(p, level), 1e3);
+    EXPECT_GT(cfg.costScale * model->scheduledCostUs(), 1e3);
 
-    auto rejected = engine.submit(stream, p, inputs[0], {.deadlineUs = 1000});
+    auto rejected =
+        engine.submit(stream, *model, inputs[0], {.deadlineUs = 1000});
     EXPECT_THROW(rejected.get(), DeadlineError);
     auto st = engine.stats();
     EXPECT_EQ(st.submitted, 0u);
@@ -706,7 +720,7 @@ TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
 
     // Best-effort requests carry no deadline and are never rejected by
     // admission control.
-    auto ok = engine.submit(stream, p, inputs[1]);
+    auto ok = engine.submit(stream, *model, inputs[1]);
     EXPECT_EQ(engine.queueDepth(), 1u);
     engine.resume();
     expectEqual(ok.get(), ref);
@@ -715,25 +729,26 @@ TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
 
 TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1); // no price: admission only
+                                        // rejects past deadlines
     const auto inputs = encryptBatch(2, 53);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
-    cfg.startPaused = true; // no cost model: admission never rejects
+    cfg.startPaused = true;
     ServingEngine engine(ctx, cfg);
     auto stream = engine.openStream();
 
-    auto doomed = engine.submit(stream, p, inputs[0], {.deadlineUs = 1});
-    auto ok = engine.submit(stream, p, inputs[1]);
+    // The deadline is far longer than the submit path, even under a
+    // sanitizer, so admission accepts the request and it queues.
+    auto doomed =
+        engine.submit(stream, *model, inputs[0], {.deadlineUs = 20000});
+    auto ok = engine.submit(stream, *model, inputs[1]);
     EXPECT_EQ(engine.queueDepth(), 2u);
-    // Let the 1 us deadline pass while the engine is paused, then
+    // Let the 20 ms deadline pass while the engine is paused, then
     // release the dispatcher: it must shed the expired request instead
     // of spending a batch slot on it.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
     engine.resume();
 
     EXPECT_THROW(doomed.get(), DeadlineError);
@@ -751,24 +766,20 @@ TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
 // afterwards (the shared state outlives the engine).
 TEST_F(ServingFixture, ShutdownWithUnreadDeadlineRejectedFutureIsClean)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto dev = tpu::tpuV6e();
+    const auto model = servingModel(1, &dev);
     const auto inputs = encryptBatch(1, 54);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
-    lowering::Config lcfg;
-    const ckks::HeOpCostModel cost(tpu::tpuV6e(), lcfg, ctx.params());
     std::future<Ciphertext> unread;
     {
         ServingConfig cfg;
-        cfg.costModel = &cost;
         cfg.costScale = 1e6;
         cfg.maxBatchWaitMicros = 60u * 1000 * 1000; // park dispatchers
         ServingEngine engine(ctx, cfg);
         auto stream = engine.openStream();
-        unread = engine.submit(stream, p, inputs[0], {.deadlineUs = 1000});
+        unread =
+            engine.submit(stream, *model, inputs[0], {.deadlineUs = 1000});
         engine.shutdown();
     } // engine destroyed with the rejected future still unread
     EXPECT_THROW(unread.get(), DeadlineError);
@@ -779,11 +790,8 @@ TEST_F(ServingFixture, ShutdownWithUnreadDeadlineRejectedFutureIsClean)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, ZeroWaitKnobDispatchesEachRequestImmediately)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(3, 55);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingEngine engine(ctx); // maxBatchWaitMicros = 0 (default)
@@ -792,7 +800,7 @@ TEST_F(ServingFixture, ZeroWaitKnobDispatchesEachRequestImmediately)
     // coalesce: pure continuous batching must dispatch each request as
     // its own batch with no artificial delay.
     for (const auto &ct : inputs)
-        (void)engine.submit(stream, p, ct).get();
+        (void)engine.submit(stream, *model, ct).get();
 
     const auto st = engine.stats();
     EXPECT_EQ(st.completed, inputs.size());
@@ -802,11 +810,8 @@ TEST_F(ServingFixture, ZeroWaitKnobDispatchesEachRequestImmediately)
 
 TEST_F(ServingFixture, TenantStatsTrackPerTenantCounters)
 {
-    const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(5, 56);
-    Pipeline p;
-    p.rotate(k, rot_key);
 
     setGlobalThreadCount(1);
     ServingEngine engine(ctx);
@@ -819,9 +824,9 @@ TEST_F(ServingFixture, TenantStatsTrackPerTenantCounters)
 
     std::vector<std::future<Ciphertext>> futs;
     for (int i = 0; i < 3; ++i)
-        futs.push_back(engine.submit(s7, p, inputs[i]));
+        futs.push_back(engine.submit(s7, *model, inputs[i]));
     for (int i = 3; i < 5; ++i)
-        futs.push_back(engine.submit(s9, p, inputs[i]));
+        futs.push_back(engine.submit(s9, *model, inputs[i]));
     for (auto &f : futs)
         (void)f.get();
 
