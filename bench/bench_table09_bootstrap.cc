@@ -6,16 +6,19 @@
  * (the paper's own worst-case estimator).
  *
  * Part 2 (functional): the same schedule *executed* -- bootstrapGraph
- * compiled by graph::compileGraph into one fused segment on the host
- * CPU (plaintext CtS/StC stages, BSGS rotation keys served from the LRU
- * residency cache), in both kernel modes: PerOp (the Fused schedule,
- * every rotation pays its own ModUp) and Hoisted (each BSGS group
- * shares one ModUp, Halevi-Shoup style). Both runs are verified
- * bit-identical to CompiledGraph::runSequential and kernel-for-kernel
- * against their enumeration mode before any number is reported. Two
- * trajectory records are emitted: the functional-vs-estimated latency
- * ratio (estimator fidelity; the estimator prices the Hoisted schedule)
- * and the hoisted-vs-per-op wall-clock speedup. Runtime config:
+ * compiled by graph::compileGraph on the host CPU (plaintext CtS/StC
+ * stages, BSGS rotation keys served from the LRU residency cache), in
+ * both graph shapes: Hoisted (one fused segment, each BSGS group a
+ * slotSum sharing one ModUp, Halevi-Shoup style) and PerOp (each group
+ * written as explicit rotate + add nodes, so every rotation pays its
+ * own ModUp). Both run under the Fused schedule and are verified
+ * bit-identical to the per-op graph's CompiledGraph::runSequential,
+ * and kernel-for-kernel against their enumeration, before any number
+ * is reported; the per-op run must also launch exactly the hoisted
+ * run's saved ModUps more INTTs. Two trajectory records are emitted:
+ * the functional-vs-estimated latency ratio (estimator fidelity; the
+ * estimator prices the Hoisted kernel mode) and the hoisted-vs-per-op
+ * wall-clock speedup. Runtime config:
  *
  *     --threads <n>   thread-pool size for the fused run  (default 2)
  *     --batch <n>     ciphertexts bootstrapped per batch  (default 2)
@@ -58,11 +61,33 @@ uniformInputs(const ckks::CkksContext &ctx,
     return inputs;
 }
 
+bool
+sameCalls(const std::vector<ckks::KernelCall> &got,
+          const std::vector<ckks::KernelCall> &want)
+{
+    if (got.size() != want.size())
+        return false;
+    for (size_t i = 0; i < got.size(); ++i)
+        if (!got[i].sameShape(want[i]))
+            return false;
+    return true;
+}
+
+u64
+inttLaunches(const ckks::KernelLog &log)
+{
+    u64 n = 0;
+    for (const auto &k : log.calls())
+        n += k.kind == ckks::KernelKind::Intt;
+    return n;
+}
+
 /**
- * Execute the full bootstrap schedule as one compiled fused segment on
+ * Execute the full bootstrap schedule as compiled graphs on
  * test-profile parameters and report measured-vs-estimated latency.
- * Returns false when the fused result is not bit-identical to the
- * sequential reference or the kernel log diverges from the enumerator.
+ * Returns false when a result is not bit-identical to the sequential
+ * reference, a kernel log diverges from its enumeration, or the INTT
+ * difference between the two shapes is not the hoisted saves.
  */
 bool
 functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
@@ -79,35 +104,40 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     cfg.evalModIters = 1;
     cfg.plainMatrices = true;
 
-    // One graph compiled twice over identical key material: fresh
+    // The two graph shapes compiled over identical key material: fresh
     // KeyGenerators with the same seed draw the same keys in the same
-    // derivation order, so the PerOp (Fused schedule) and Hoisted runs
-    // on the same inputs can be compared bit for bit.
+    // derivation order, so the per-op and hoisted runs on the same
+    // inputs can be compared bit for bit.
     const double scale = static_cast<double>(1ULL << 26);
-    const BootstrapGraph bg = bootstrapGraph(ctx, cfg, scale, 0xb009);
-    graph::CompileOptions opts;
-    opts.lowering = bg.lowering;
+    const auto compile = [&](BootstrapKernelMode mode, KeyGenerator &kg) {
+        const BootstrapGraph bg =
+            bootstrapGraph(ctx, cfg, scale, 0xb009, mode);
+        graph::CompileOptions opts;
+        opts.lowering = bg.lowering;
+        opts.keygen = &kg;
+        opts.schedule = graph::ScheduleKind::Fused;
+        return graph::compileGraph(ctx, bg.graph, opts);
+    };
     KeyGenerator keygen(ctx, 0x7ab1e9);
-    opts.keygen = &keygen;
-    opts.schedule = graph::ScheduleKind::Fused;
-    const auto cg = graph::compileGraph(ctx, bg.graph, opts);
+    const auto cg = compile(BootstrapKernelMode::PerOp, keygen);
     KeyGenerator keygen_h(ctx, 0x7ab1e9);
-    opts.keygen = &keygen_h;
-    opts.schedule = graph::ScheduleKind::Hoisted;
-    const auto cg_h = graph::compileGraph(ctx, bg.graph, opts);
+    const auto cg_h = compile(BootstrapKernelMode::Hoisted, keygen_h);
     const auto inputs =
         uniformInputs(ctx, cg->inputLedger(), batch, 0xb00a);
-    const std::string he_ops = std::to_string(cg->ops().size());
+    const std::string he_ops =
+        std::to_string(enumerateBootstrapOps(ctx.params(), cfg).size());
 
-    // Sequential reference (one thread, one-shot keys, no log: kernel
-    // conformance is asserted on the fused runs below and logging would
-    // inflate the timed baseline).
+    // Sequential reference: the per-op graph on one thread with
+    // one-shot keys. Its log is the per-op run's reference: that graph
+    // runs segment by segment, so at a batch above 1 its log is not
+    // batch copies of the per-item enumeration.
     setGlobalThreadCount(1);
+    KernelLog seq_log;
     WallTimer t_seq;
-    const auto seq = cg->runSequential(nullptr, inputs).front();
+    const auto seq = cg->runSequential(&seq_log, inputs).front();
     const double seq_s = t_seq.seconds();
 
-    // Fused pipeline with the key-switch residency cache.
+    // The per-op graph with the key-switch residency cache.
     auto &cache = ctx.keySwitchCache();
     cache.clear();
     cache.resetStats();
@@ -118,8 +148,8 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     const auto fused = cg->run(batch_ev, inputs).front();
     const double fused_s = t_fused.seconds();
 
-    // The same schedule with Halevi-Shoup hoisting: every BSGS group
-    // shares one ModUp across its rotation fan-out.
+    // The hoisted graph: every BSGS group shares one ModUp across its
+    // rotation fan-out.
     KernelLog hoisted_log;
     BatchEvaluator batch_ev_h(ctx, &hoisted_log);
     WallTimer t_hoisted;
@@ -136,14 +166,15 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
         hoisted_identical = hoisted[i].c0 == seq[i].c0 &&
                             hoisted[i].c1 == seq[i].c1;
 
-    // Kernel-for-kernel conformance of each run against its own
-    // enumeration mode.
+    // Kernel-for-kernel conformance of each run against its
+    // enumeration: the per-op log against its sequential log (and at
+    // batch 1 against the PerOp enumeration itself), the hoisted log
+    // against batch copies of the Hoisted enumeration.
     const auto predicted = enumerateBootstrapKernels(
         ctx.params(), cfg, BootstrapKernelMode::PerOp);
-    bool log_ok = fused_log.calls().size() == batch * predicted.size();
-    for (size_t i = 0; log_ok && i < fused_log.calls().size(); ++i)
-        log_ok = fused_log.calls()[i].sameShape(
-            predicted[i % predicted.size()]);
+    const bool log_ok =
+        sameCalls(fused_log.calls(), seq_log.calls()) &&
+        (batch != 1 || sameCalls(fused_log.calls(), predicted));
     const auto predicted_h = enumerateBootstrapKernels(
         ctx.params(), cfg, BootstrapKernelMode::Hoisted);
     bool hlog_ok =
@@ -151,10 +182,14 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
     for (size_t i = 0; hlog_ok && i < hoisted_log.calls().size(); ++i)
         hlog_ok = hoisted_log.calls()[i].sameShape(
             predicted_h[i % predicted_h.size()]);
+    // Every save is one ModUp, i.e. one INTT, the per-op run launched
+    // and the hoisted run did not.
+    const bool saves_ok = inttLaunches(fused_log) ==
+        inttLaunches(hoisted_log) + hoisted_log.hoistedModUpSaves();
 
     // Estimated latency of the *same* params + config on the simulated
     // v6e (worst case, one core): the fidelity denominator. The
-    // estimator prices the Hoisted schedule, so the hoisted functional
+    // estimator prices the Hoisted kernel mode, so the hoisted functional
     // run is the fidelity numerator.
     lowering::Config lcfg;
     const auto est =
@@ -185,7 +220,10 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
               << (log_ok ? "yes" : "NO (BUG)") << ", hoisted "
               << (hlog_ok ? "yes" : "NO (BUG)")
               << "\nShared-ModUp saves (hoisted run): "
-              << hoisted_log.hoistedModUpSaves()
+              << hoisted_log.hoistedModUpSaves() << ", per-op INTTs "
+              << inttLaunches(fused_log) << " vs hoisted "
+              << inttLaunches(hoisted_log)
+              << (saves_ok ? "" : " (BUG: difference != saves)")
               << "; hoisted vs per-op speedup: " << fmtX(hoist_speedup)
               << "\nKey residency: " << cache.size() << " resident, "
               << cache.misses() << " built, " << cache.hits()
@@ -235,7 +273,8 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
              {"n", n_str},
              {"limbs", limbs_str}},
             0.0, ratio);
-    return identical && hoisted_identical && log_ok && hlog_ok;
+    return identical && hoisted_identical && log_ok && hlog_ok &&
+           saves_ok;
 }
 
 } // namespace

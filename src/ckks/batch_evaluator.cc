@@ -104,29 +104,13 @@ Pipeline::rotateAccum(std::vector<RotateBranch> branches)
     return *this;
 }
 
-Pipeline &
-Pipeline::rotateHoisted(std::vector<RotateBranch> branches)
-{
-    requireThat(!branches.empty(),
-                "Pipeline::rotateHoisted: need at least one branch");
-    for (const auto &br : branches)
-        requireThat(br.key != nullptr,
-                    "Pipeline::rotateHoisted: branch has no rotation key");
-    PipelineStage st{};
-    st.op = HeOp::HoistedRotations;
-    st.branches = std::move(branches);
-    stages_.push_back(std::move(st));
-    return *this;
-}
-
 std::vector<PipelineOp>
 Pipeline::pipelineOps() const
 {
     std::vector<PipelineOp> ops;
     ops.reserve(stages_.size());
     for (const auto &st : stages_)
-        ops.push_back({st.op, st.op == HeOp::RotateAccum ||
-                                      st.op == HeOp::HoistedRotations
+        ops.push_back({st.op, st.op == HeOp::RotateAccum
                                   ? st.branches.size()
                                   : size_t{1}});
     return ops;
@@ -262,8 +246,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             }
             break;
 
-          case HeOp::RotateAccum:
-          case HeOp::HoistedRotations: {
+          case HeOp::RotateAccum: {
             requireThat(!st.branches.empty(),
                         "BatchEvaluator::run: rotateAccum stage has no "
                         "branches");
@@ -341,22 +324,10 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                 break;
               case HeOp::RotateAccum: {
                 // Fan out from the stage input, fold partial sums back
-                // in branch order (kernels log as Rotate then Add per
-                // branch, matching the schedule enumerator).
-                Ciphertext acc = cur;
-                for (size_t b = 0; b < st.branches.size(); ++b) {
-                    Ciphertext rotated = ev.rotate(
-                        cur, st.branches[b].autoIdx, *accum_pre[s][b][i]);
-                    acc = ev.add(acc, rotated);
-                }
-                cur = acc;
-                break;
-              }
-              case HeOp::HoistedRotations: {
-                // Same fan-out/fold dataflow, but the stage input is
-                // decomposed once and every branch reuses the digits
-                // (kernels log as ModUp, then rotation block + Add per
-                // branch, matching the schedule enumerator).
+                // in branch order. The input is decomposed once and
+                // every branch reuses the digits (kernels log as ModUp,
+                // then rotation block + Add per branch, matching the
+                // schedule enumerator).
                 const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
                 Ciphertext acc = cur;
                 for (size_t b = 0; b < st.branches.size(); ++b) {

@@ -28,7 +28,9 @@
  * Guarantees:
  *  - Results are bit-identical to looping CkksEvaluator over the
  *    items and the stages, at any thread count (including 1, the
- *    default).
+ *    default). A rotateAccum fan-in stage always shares one ModUp
+ *    across its branches, so it launches fanin-1 fewer ModUps than
+ *    looping rotate + add, with the same results.
  *  - The KernelLog is deterministic: each item records into a private
  *    log and the logs are merged in item order, so a parallel batched
  *    run logs exactly what a sequential run logs. The per-item log
@@ -72,7 +74,7 @@ struct PipelineStage
     const CtVec *rhs = nullptr;   ///< Add / Mult second operand batch
     /** AddPlain / MultiplyPlain: one operand for every item. */
     const Plaintext *pt = nullptr;
-    /** RotateAccum / HoistedRotations: the fan-in branches. */
+    /** RotateAccum: the fan-in branches. */
     std::vector<RotateBranch> branches;
 };
 
@@ -114,21 +116,17 @@ class Pipeline
      * Branching-DAG stage: cur = cur + sum_j rotate(cur, branch_j) --
      * the rotate-and-accumulate fan-in of a slot-summation rotation
      * tree. Every branch rotates the stage *input* (not the running
-     * sum), and the partial sums fold back in branch order, exactly
-     * like the sequential loop
+     * sum), and the partial sums fold back in branch order, with
+     * results bit-identical to the sequential loop
      *
      *     acc = cur; for b: acc = add(acc, rotate(cur, k_b)); cur = acc
+     *
+     * The stage always hoists (Halevi-Shoup): it computes one ModUp of
+     * the stage input and shares the decomposition across every
+     * branch, so a fan-in of N pays N-1 fewer ModUps than that loop
+     * (credited to KernelLog::hoistedModUpSaves).
      */
     Pipeline &rotateAccum(std::vector<RotateBranch> branches);
-
-    /**
-     * Halevi-Shoup hoisted form of rotateAccum: identical dataflow and
-     * bit-identical results, but the stage computes one ModUp of the
-     * stage input and shares the decomposition across every branch, so
-     * a fan-in of N pays N-1 fewer ModUps (credited to
-     * KernelLog::hoistedModUpSaves).
-     */
-    Pipeline &rotateHoisted(std::vector<RotateBranch> branches);
 
     /** @name Stages hold pointers; temporaries would dangle by run().
      *  Deleted so the misuse is a compile error, not a use-after-free.

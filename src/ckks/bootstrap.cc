@@ -105,16 +105,18 @@ enumerateBootstrapKernels(const CkksParams &p, const BootstrapConfig &cfg,
                           BootstrapKernelMode mode)
 {
     // Both modes expand the same op walk through the structural
-    // enumerator; Hoisted only swaps the fan-in form, so the schedules
-    // differ by exactly (fanin - 1) ModUps per rotation group.
+    // enumerator; PerOp only unrolls each rotation group, so the
+    // schedules differ by exactly (fanin - 1) ModUps per group.
     std::vector<KernelCall> v;
     for (const auto &bop : enumerateBootstrapOps(p, cfg)) {
-        const HeOp op = mode == BootstrapKernelMode::Hoisted &&
-                bop.op == HeOp::RotateAccum
-            ? HeOp::HoistedRotations
-            : bop.op;
-        const auto k =
-            enumerateKernels({PipelineOp{op, bop.fanin}}, p, bop.level);
+        std::vector<PipelineOp> pops{{bop.op, bop.fanin}};
+        if (mode == BootstrapKernelMode::PerOp &&
+            bop.op == HeOp::RotateAccum) {
+            pops.clear();
+            for (size_t b = 0; b < bop.fanin; ++b)
+                pops.insert(pops.end(), {{HeOp::Rotate}, {HeOp::Add}});
+        }
+        const auto k = enumerateKernels(pops, p, bop.level);
         v.insert(v.end(), k.begin(), k.end());
     }
     return v;
@@ -122,7 +124,7 @@ enumerateBootstrapKernels(const CkksParams &p, const BootstrapConfig &cfg,
 
 BootstrapGraph
 bootstrapGraph(const CkksContext &ctx, const BootstrapConfig &cfg,
-               double scale, u64 seed)
+               double scale, u64 seed, BootstrapKernelMode mode)
 {
     const std::vector<BootstrapOp> ops =
         enumerateBootstrapOps(ctx.params(), cfg);
@@ -198,7 +200,16 @@ bootstrapGraph(const CkksContext &ctx, const BootstrapConfig &cfg,
             std::vector<i64> steps(ops[i].fanin);
             for (size_t b = 0; b < steps.size(); ++b)
                 steps[b] = static_cast<i64>(b + 1);
-            x = g.slotSum(x, std::move(steps));
+            if (mode == BootstrapKernelMode::Hoisted) {
+                x = g.slotSum(x, std::move(steps));
+                break;
+            }
+            // The rotated term is the Add's primary operand, so each
+            // Rotate + Add pair fuses into one segment.
+            graph::NodeId acc = x;
+            for (i64 k : steps)
+                acc = g.add(g.rotate(x, k), acc);
+            x = acc;
             break;
           }
           default:

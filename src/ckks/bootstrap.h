@@ -45,15 +45,15 @@ struct BootstrapConfig
 };
 
 /**
- * Which kernel expansion enumerateBootstrapKernels returns. Both modes
- * are *executable*: the compiled bootstrapGraph() runs PerOp under
- * graph::ScheduleKind::Fused and Hoisted under ScheduleKind::Hoisted,
- * and its merged KernelLog matches the enumeration kernel-for-kernel.
- *  - Hoisted: the rotations of each BSGS group share one ModUp
- *    (Halevi-Shoup hoisting; the group runs as a HoistedRotations
- *    stage) -- the schedule estimateBootstrap() prices.
- *  - PerOp: each BSGS group runs as a RotateAccum stage whose branches
- *    pay their own ModUp (fanin x (Rotate + Add)).
+ * How the BSGS rotation groups of the bootstrap execute: the graph
+ * shape bootstrapGraph() emits and the kernel expansion
+ * enumerateBootstrapKernels() returns for it.
+ *  - Hoisted: each group is one slotSum (a RotateAccum stage), so its
+ *    rotations share one ModUp (Halevi-Shoup hoisting) -- the
+ *    schedule estimateBootstrap() prices.
+ *  - PerOp: each group is written as explicit rotate + add nodes, so
+ *    every rotation pays its own ModUp (fanin x (Rotate + Add)); the
+ *    reference the hoisted form is compared against.
  * Results are bit-identical between the modes at any thread count;
  * Hoisted launches exactly sum(fanin - 1) fewer ModUps.
  */
@@ -104,11 +104,12 @@ enumerateBootstrapOps(const CkksParams &params, const BootstrapConfig &cfg);
 /**
  * Full kernel schedule of the pipeline: every enumerateBootstrapOps
  * entry expanded through the structural enumerateKernels(PipelineOp)
- * overload -- in Hoisted mode the RotateAccum groups expand as
- * HoistedRotations (one shared ModUp per group). Both modes expand the
- * same op walk, so they can never drift apart on op counts or level
- * evolution, and both match the corresponding compiled
- * bootstrapGraph() run's merged KernelLog kernel-for-kernel.
+ * overload -- in Hoisted mode each RotateAccum group expands with one
+ * shared ModUp, in PerOp mode as fanin x (Rotate + Add). Both modes
+ * expand the same op walk, so they can never drift apart on op counts
+ * or level evolution. Each matches the per-item KernelLog of the
+ * bootstrapGraph() compiled in the same mode (at batch 1 for PerOp,
+ * whose graph runs segment by segment).
  */
 std::vector<KernelCall>
 enumerateBootstrapKernels(const CkksParams &params,
@@ -128,12 +129,16 @@ struct BootstrapGraph
 };
 
 /**
- * The enumerateBootstrapOps schedule as one chain of graph nodes, so
- * graph::compileGraph lowers it to a single fused segment whose ops()
- * equal the enumeration. Each BSGS group becomes a slotSum over the
- * rotation pool (steps 1..2 ceil(sqrt(rho)), cycled), plaintext matrix
- * rows and constants become multiplyPlain / addPlain nodes, and each
- * Add / Mult operand becomes one more graph input.
+ * The enumerateBootstrapOps schedule as graph nodes. In Hoisted
+ * @p mode it is one chain, so graph::compileGraph lowers it to a
+ * single fused segment whose ops() equal the enumeration: each BSGS
+ * group becomes a slotSum over the rotation pool (steps
+ * 1..2 ceil(sqrt(rho)), cycled). In PerOp mode each group instead
+ * becomes acc = add(rotate(in, k), acc) per step k, so its rotations
+ * fan out from the group input and the program compiles to several
+ * segments. Either way plaintext matrix rows and constants become
+ * multiplyPlain / addPlain nodes, and each Add / Mult operand becomes
+ * one more graph input (the same inputs in both modes).
  *
  * Operand values are synthesized from @p seed: the object under test
  * is the schedule execution (kernel sequence, level/scale evolution,
@@ -149,7 +154,9 @@ struct BootstrapGraph
  */
 BootstrapGraph bootstrapGraph(const CkksContext &ctx,
                               const BootstrapConfig &cfg, double scale,
-                              u64 seed);
+                              u64 seed,
+                              BootstrapKernelMode mode =
+                                  BootstrapKernelMode::Hoisted);
 
 /** Price the pipeline on one tensor core of @p dev. */
 BootstrapEstimate estimateBootstrap(const tpu::DeviceConfig &dev,

@@ -438,15 +438,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
                 pops.push_back({op.op, op.fanin});
         return pops;
     };
-    // The Hoisted plan is the fused segmentation with every fan-out
-    // sharing its ModUp; it is priced (and run) with the RotateAccum
-    // stages swapped for HoistedRotations.
-    const auto hoist = [](std::vector<PipelineOp> pops) {
-        for (PipelineOp &p : pops)
-            if (p.op == HeOp::RotateAccum)
-                p.op = HeOp::HoistedRotations;
-        return pops;
-    };
     const auto start_level_of = [&](NodeId first) {
         return wr.after[nodes[first].args[0]].limbs - 1;
     };
@@ -465,13 +456,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
                                     start_level_of(sp.group.front())),
                                 opts.plannedBatch)
                     .totalUs;
-            cg->hoistedUs_ +=
-                tpu::runBatched(*opts.device,
-                                model.pipelineCost(
-                                    hoist(pops_of(sp.group)),
-                                    start_level_of(sp.group.front())),
-                                opts.plannedBatch)
-                    .totalUs;
             for (NodeId id : sp.group) {
                 cg->perOpUs_ +=
                     tpu::runBatched(*opts.device,
@@ -483,32 +467,12 @@ compileGraph(const CkksContext &ctx, const Graph &g,
             }
         }
     }
-    switch (opts.schedule) {
-      case ScheduleKind::Fused:
-        cg->schedule_ = ScheduleKind::Fused;
-        break;
-      case ScheduleKind::PerOp:
-        cg->schedule_ = ScheduleKind::PerOp;
-        break;
-      case ScheduleKind::Hoisted:
-        cg->schedule_ = ScheduleKind::Hoisted;
-        break;
-      case ScheduleKind::Auto:
-        // Cheapest wins; ties keep Fused, and Hoisted must be
-        // *strictly* cheaper, so a fan-out-free graph (where hoisting
-        // changes nothing) resolves to the plain Fused plan.
-        cg->schedule_ = ScheduleKind::Fused;
-        if (opts.device) {
-            double best = cg->fusedUs_;
-            if (cg->perOpUs_ < best) {
-                best = cg->perOpUs_;
-                cg->schedule_ = ScheduleKind::PerOp;
-            }
-            if (cg->hoistedUs_ < best)
-                cg->schedule_ = ScheduleKind::Hoisted;
-        }
-        break;
-    }
+    // Auto: the cheaper plan wins; ties (and unpriced compiles, where
+    // both prices are 0) keep Fused.
+    cg->schedule_ = opts.schedule;
+    if (opts.schedule == ScheduleKind::Auto)
+        cg->schedule_ = cg->perOpUs_ < cg->fusedUs_ ? ScheduleKind::PerOp
+                                                    : ScheduleKind::Fused;
     if (cg->schedule_ == ScheduleKind::PerOp)
         plan = planSteps(ex, wr, /*per_op=*/true);
 
@@ -595,22 +559,12 @@ compileGraph(const CkksContext &ctx, const Graph &g,
                     std::vector<RotateBranch> branches;
                     for (u32 a : sum_idx.at(id))
                         branches.push_back({a, rot_keys.at(a)});
-                    const bool hoisted =
-                        cg->schedule_ == ScheduleKind::Hoisted;
                     step.stages.push_back(
-                        [branches, hoisted](Pipeline &p, const Slots &) {
-                            if (hoisted)
-                                p.rotateHoisted(branches);
-                            else
-                                p.rotateAccum(branches);
+                        [branches](Pipeline &p, const Slots &) {
+                            p.rotateAccum(branches);
                         });
                     break;
                   }
-                  case HeOp::HoistedRotations:
-                    internalCheck(false,
-                                  "graph: the ledger walk never emits "
-                                  "HoistedRotations");
-                    break;
                 }
             }
         }
@@ -632,14 +586,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
 double
 CompiledGraph::scheduledCostUs() const
 {
-    switch (schedule_) {
-      case ScheduleKind::PerOp:
-        return perOpUs_;
-      case ScheduleKind::Hoisted:
-        return hoistedUs_;
-      default:
-        return fusedUs_;
-    }
+    return schedule_ == ScheduleKind::PerOp ? perOpUs_ : fusedUs_;
 }
 
 void
@@ -754,16 +701,6 @@ CompiledGraph::runSequential(KernelLog *log,
                                                 cur.limbs() - 1));
                     break;
                   case HeOp::RotateAccum: {
-                    Ciphertext acc = cur;
-                    for (const RotateBranch &br : stage.branches) {
-                        const Ciphertext rotated =
-                            ev.rotate(cur, br.autoIdx, *br.key);
-                        acc = ev.add(acc, rotated);
-                    }
-                    cur = acc;
-                    break;
-                  }
-                  case HeOp::HoistedRotations: {
                     const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
                     Ciphertext acc = cur;
                     for (const RotateBranch &br : stage.branches)

@@ -99,24 +99,21 @@ std::vector<GraphOp> enumerateGraphOps(const Graph &g,
                                        const CkksParams &params,
                                        const LoweringOptions &opts = {});
 
-/** Launch granularity of the compiled program. */
+/** Launch granularity of the compiled program. Every schedule runs a
+ *  slotSum fan-in as one RotateAccum stage whose branches share one
+ *  ModUp (Halevi-Shoup hoisting); the schedules differ only in where
+ *  the batch barriers fall. */
 enum class ScheduleKind
 {
-    /** Price Fused, PerOp and Hoisted with HeOpCostModel::pipelineCost
-     *  and pick the cheapest -- Hoisted only when strictly cheaper
-     *  than Fused, so fan-out-free graphs keep the Fused plan
-     *  (requires CompileOptions::device; Fused otherwise). */
+    /** Price Fused and PerOp with HeOpCostModel::pipelineCost and pick
+     *  the cheaper, ties keeping Fused (requires
+     *  CompileOptions::device; Fused otherwise). */
     Auto,
     /** Maximal fused segments, one BatchEvaluator::run each. */
     Fused,
     /** One pipeline per graph operator (a batch barrier between ops;
      *  an auto-inserted rescale stays with its producer). */
     PerOp,
-    /** Fused segmentation with every RotateAccum fan-out executed as
-     *  a HoistedRotations stage: the branches share one ModUp
-     *  (Halevi-Shoup hoisting). Bit-identical to Fused/PerOp; a
-     *  matVec diagonal fan-out pays fanin-1 fewer ModUps. */
-    Hoisted,
 };
 
 /** Key material and scheduling knobs for compileGraph. */
@@ -220,13 +217,12 @@ class CompiledGraph
     /** The planned key working set vs the cache budget. */
     const KeyWorkingSet &keyPlan() const { return keyPlan_; }
 
-    /** Resolved schedule (Fused, PerOp or Hoisted, never Auto). */
+    /** Resolved schedule (Fused or PerOp, never Auto). */
     ScheduleKind schedule() const { return schedule_; }
 
     /** @name Schedule prices (0 when no device was given). @{ */
     double fusedCostUs() const { return fusedUs_; }
     double perOpCostUs() const { return perOpUs_; }
-    double hoistedCostUs() const { return hoistedUs_; }
     /** Price of the resolved schedule(). */
     double scheduledCostUs() const;
     /** @} */
@@ -295,7 +291,6 @@ class CompiledGraph
     ScheduleKind schedule_ = ScheduleKind::Fused;
     double fusedUs_ = 0;
     double perOpUs_ = 0;
-    double hoistedUs_ = 0;
     size_t segments_ = 0;
 
     std::vector<NodeId> inputIds_;

@@ -30,19 +30,15 @@ enum class HeOp
     MultiplyPlain,
     /**
      * Branching-DAG stage: out = in + sum_j rotate(in, k_j) -- the
-     * rotate-and-accumulate fan-in of a slot-summation tree. The
-     * branch count (fan-in) lives in PipelineOp / PipelineStage; as a
-     * bare HeOp it means one branch.
+     * rotate-and-accumulate fan-in of a slot-summation tree. All
+     * branches share one ModUp of the input (Halevi-Shoup hoisting):
+     * each rotation permutes the decomposed digits and pays only its
+     * inner product + ModDown. Bit-identical to per-branch rotate +
+     * add at any thread count; fanin-1 fewer ModUps. The branch count
+     * (fan-in) lives in PipelineOp / PipelineStage; as a bare HeOp it
+     * means one branch, i.e. exactly Rotate + Add.
      */
     RotateAccum,
-    /**
-     * The Halevi-Shoup hoisted form of RotateAccum: same dataflow
-     * (out = in + sum_j rotate(in, k_j)), but all branches share one
-     * ModUp of the input -- each rotation permutes the decomposed
-     * digits and pays only its inner product + ModDown. Bit-identical
-     * to RotateAccum at any thread count; fanin-1 fewer ModUps.
-     */
-    HoistedRotations,
 };
 
 inline const char *
@@ -57,7 +53,6 @@ heOpName(HeOp op)
       case HeOp::AddPlain: return "HE-Add-Plain";
       case HeOp::MultiplyPlain: return "HE-Mult-Plain";
       case HeOp::RotateAccum: return "RotateAccum";
-      case HeOp::HoistedRotations: return "HoistedRotations";
     }
     return "?";
 }
@@ -65,8 +60,7 @@ heOpName(HeOp op)
 /**
  * One operator of a fused pipeline as the schedule enumerator / cost
  * model sees it: the op plus its structural arity. fanin is the number
- * of rotate branches of a RotateAccum / HoistedRotations stage (1 for
- * every other op).
+ * of rotate branches of a RotateAccum stage (1 for every other op).
  */
 struct PipelineOp
 {

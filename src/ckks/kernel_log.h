@@ -88,8 +88,9 @@ class KernelLog
     void noteHoistedModUpSaves(u64 saves) { hoistedModUpSaves_ += saves; }
 
     /** Total ModUps elided by hoisted rotation fan-outs: exactly the
-     *  number of Intt launches (and per-digit BConv/NTT blocks) a
-     *  PerOp execution of the same schedule would add. */
+     *  number of Intt launches (and per-digit BConv/NTT blocks) that
+     *  running every fan-in branch as its own rotate + add (the
+     *  BootstrapKernelMode::PerOp graph shape) would add. */
     u64 hoistedModUpSaves() const { return hoistedModUpSaves_; }
 
     /** Total wall seconds attributed to @p kind. */

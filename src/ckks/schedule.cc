@@ -168,26 +168,11 @@ enumerateKernels(HeOp op, const CkksParams &p, size_t level)
         push(v, KernelKind::VecModMulConst, n, 2 * limbs);
         break;
 
-      case HeOp::RotateAccum: {
+      case HeOp::RotateAccum:
         // One branch: rotate(in, k) then add back into the running
-        // accumulator. Multi-branch fan-in goes through the PipelineOp
-        // overload.
-        auto rot = enumerateKernels(HeOp::Rotate, p, level);
-        v.insert(v.end(), rot.begin(), rot.end());
-        auto add = enumerateKernels(HeOp::Add, p, level);
-        v.insert(v.end(), add.begin(), add.end());
-        break;
-      }
-
-      case HeOp::HoistedRotations: {
-        // One branch of the hoisted form; the shared ModUp appears
-        // once however many branches the PipelineOp overload adds.
-        appendModUp(v, p, level);
-        appendHoistedRotBlock(v, p, level);
-        auto add = enumerateKernels(HeOp::Add, p, level);
-        v.insert(v.end(), add.begin(), add.end());
-        break;
-      }
+        // accumulator -- the fan-in expansion at fanin 1, which is
+        // exactly Rotate + Add.
+        return enumerateKernels({PipelineOp{op, 1}}, p, level);
     }
     return v;
 }
@@ -202,7 +187,6 @@ heOpNextLevel(HeOp op, const CkksParams &p, size_t level)
       case HeOp::AddPlain:
       case HeOp::MultiplyPlain:
       case HeOp::RotateAccum:
-      case HeOp::HoistedRotations:
         return level;
       case HeOp::Rescale:
         requireThat(level >= 1, "heOpNextLevel: rescale needs >= 2 limbs");
@@ -223,10 +207,10 @@ enumerateKernels(const std::vector<PipelineOp> &pipeline,
 {
     std::vector<KernelCall> v;
     for (const auto &st : pipeline) {
-        if (st.op == HeOp::HoistedRotations) {
+        if (st.op == HeOp::RotateAccum) {
             // One shared ModUp for the whole fan-out, then one
             // rotation block + accumulate per branch: the hoisting
-            // contract (fanin-1 ModUps cheaper than RotateAccum).
+            // contract (fanin-1 ModUps fewer than per-branch Rotate).
             appendModUp(v, p, level);
             const auto add = enumerateKernels(HeOp::Add, p, level);
             for (size_t b = 0; b < st.fanin; ++b) {
@@ -234,12 +218,8 @@ enumerateKernels(const std::vector<PipelineOp> &pipeline,
                 v.insert(v.end(), add.begin(), add.end());
             }
         } else {
-            const size_t reps =
-                st.op == HeOp::RotateAccum ? st.fanin : 1;
-            for (size_t b = 0; b < reps; ++b) {
-                const auto one = enumerateKernels(st.op, p, level);
-                v.insert(v.end(), one.begin(), one.end());
-            }
+            const auto one = enumerateKernels(st.op, p, level);
+            v.insert(v.end(), one.begin(), one.end());
         }
         level = heOpNextLevel(st.op, p, level);
     }
@@ -297,8 +277,7 @@ HeOpCostModel::pipelineCost(const std::vector<PipelineOp> &pipeline,
         if (i)
             name += " > ";
         name += heOpName(pipeline[i].op);
-        if (pipeline[i].op == HeOp::RotateAccum ||
-            pipeline[i].op == HeOp::HoistedRotations) {
+        if (pipeline[i].op == HeOp::RotateAccum) {
             name += "x";
             name += std::to_string(pipeline[i].fanin);
         }

@@ -29,14 +29,13 @@ std::vector<KernelCall> enumerateKernels(HeOp op, const CkksParams &params,
 /**
  * Kernel schedule of a fused operator pipeline starting at @p level:
  * the concatenation of each stage's schedule with the level evolving
- * between stages (heOpNextLevel). A RotateAccum entry expands to
- * fanin x (Rotate schedule + Add schedule) -- the rotate-and-accumulate
- * fan-in the DAG stage executes per branch -- and a HoistedRotations
- * entry to one shared ModUp plus fanin x (rotation block + Add
- * schedule), the Halevi-Shoup hoisted execution that pays the
- * decomposition once per stage. Mirrors BatchEvaluator::run's per-item
- * KernelLog exactly, so schedule-conformance tests can assert
- * evaluator-log == enumerator for whole pipelines.
+ * between stages (heOpNextLevel). A RotateAccum entry expands to one
+ * shared ModUp plus fanin x (rotation block + Add schedule), the
+ * Halevi-Shoup hoisted fan-in that pays the decomposition once per
+ * stage; at fanin 1 that is exactly the Rotate + Add schedule.
+ * Mirrors BatchEvaluator::run's per-item KernelLog exactly, so
+ * schedule-conformance tests can assert evaluator-log == enumerator
+ * for whole pipelines.
  */
 std::vector<KernelCall>
 enumerateKernels(const std::vector<PipelineOp> &pipeline,
@@ -71,8 +70,8 @@ class HeOpCostModel
     /**
      * Fused cost of a whole operator pipeline starting at @p level:
      * one launch covering every stage, pricing exactly the kernels
-     * BatchEvaluator::run executes per item (RotateAccum fan-in priced
-     * per branch).
+     * BatchEvaluator::run executes per item (a RotateAccum fan-in
+     * priced with its one shared ModUp).
      */
     tpu::KernelCost pipelineCost(const std::vector<PipelineOp> &pipeline,
                                  size_t level) const;

@@ -126,6 +126,7 @@ ServingEngine::collectExpiredLocked(std::vector<Request> &shed)
     for (auto &e : sched_.popExpired(Clock::now())) {
         ++stats_.failed;
         ++stats_.deadlineShed;
+        ++tenantStats_[e.tenant].failed;
         ++tenantStats_[e.tenant].shed;
         shed.push_back(std::move(e.payload));
     }
@@ -245,6 +246,8 @@ ServingEngine::execute(std::vector<Request> &reqs)
         {
             std::lock_guard<std::mutex> lock(m_);
             stats_.failed += reqs.size();
+            for (const auto &r : reqs)
+                ++tenantStats_[r.tenant].failed;
         }
         for (auto &r : reqs)
             r.result.set_exception(err);

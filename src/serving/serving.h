@@ -196,6 +196,7 @@ struct TenantStats
     u64 submitted = 0; ///< requests admitted to this tenant's queue
     u64 rejected = 0;  ///< backpressure + shutdown + infeasible-deadline
     u64 completed = 0; ///< futures fulfilled with a result
+    u64 failed = 0;    ///< futures fulfilled with an exception
     u64 shed = 0;      ///< deadline passed while queued (subset of failed)
 };
 

@@ -5,13 +5,15 @@
  * schedule -- under either plainMatrices setting -- to one fused
  * segment whose ops() equal the enumeration, whose run() is
  * bit-identical to runSequential at any thread count, and whose merged
- * KernelLog equals enumerateBootstrapKernels kernel for kernel in both
- * BootstrapKernelModes (PerOp compiled as ScheduleKind::Fused, Hoisted
- * as ScheduleKind::Hoisted). Also covers the branching-DAG RotateAccum
- * stage (slot-summation rotation tree, checked semantically against a
- * decrypted slot sum), the LRU-bounded key residency under the
- * bootstrap's many-(key, level) working set, and the pipeline's
- * fail-fast plaintext operand guards.
+ * KernelLog equals enumerateBootstrapKernels(Hoisted) kernel for
+ * kernel. The PerOp graph (each BSGS group written as explicit rotate
+ * + add nodes) is the per-op reference: bit-identical results, its
+ * own enumeration, and exactly the hoisted run's saved ModUps more.
+ * Also covers the branching-DAG RotateAccum stage (slot-summation
+ * rotation tree, checked semantically against a decrypted slot sum,
+ * and a fan-in checked against the per-op rotate + add loop), the
+ * LRU-bounded key residency under the bootstrap's many-(key, level)
+ * working set, and the pipeline's fail-fast plaintext operand guards.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job (ctest -L bootstrap) exercises the bounded cache's eviction
@@ -84,6 +86,27 @@ expectSameCalls(const std::vector<KernelCall> &got,
     }
 }
 
+u64
+countKind(const std::vector<KernelCall> &calls, KernelKind kind)
+{
+    u64 c = 0;
+    for (const auto &k : calls)
+        c += k.kind == kind;
+    return c;
+}
+
+/** Shared-ModUp saves of one bootstrap item: sum(fanin - 1) over the
+ *  BSGS groups. */
+u64
+bootstrapSaves(const CkksParams &params, const BootstrapConfig &cfg)
+{
+    u64 saves = 0;
+    for (const auto &bop : enumerateBootstrapOps(params, cfg))
+        if (bop.op == HeOp::RotateAccum)
+            saves += bop.fanin - 1;
+    return saves;
+}
+
 /** @p copies back-to-back copies of the per-item kernel schedule. */
 std::vector<KernelCall>
 repeated(const std::vector<KernelCall> &per_item, size_t copies)
@@ -134,18 +157,17 @@ class BootstrapGraphFixture : public ::testing::Test
         ctx.keySwitchCache().setByteBudget(0);
     }
 
-    /** The bootstrap graph compiled in @p mode's schedule. */
+    /** The bootstrap graph of @p mode's shape, compiled Fused. */
     std::unique_ptr<graph::CompiledGraph>
     compileBootstrap(const BootstrapConfig &cfg, BootstrapKernelMode mode,
                      KeyGenerator &kg, u64 seed)
     {
-        const BootstrapGraph bg = bootstrapGraph(ctx, cfg, kScale, seed);
+        const BootstrapGraph bg =
+            bootstrapGraph(ctx, cfg, kScale, seed, mode);
         graph::CompileOptions opts;
         opts.lowering = bg.lowering;
         opts.keygen = &kg;
-        opts.schedule = mode == BootstrapKernelMode::Hoisted
-                            ? graph::ScheduleKind::Hoisted
-                            : graph::ScheduleKind::Fused;
+        opts.schedule = graph::ScheduleKind::Fused;
         return graph::compileGraph(ctx, bg.graph, opts);
     }
 
@@ -162,7 +184,7 @@ TEST_F(BootstrapGraphFixture,
     for (bool plain : {true, false}) {
         SCOPED_TRACE(plain ? "plaintext matrices" : "ciphertext matrices");
         const auto cfg = smallBootstrapConfig(plain);
-        const auto cg = compileBootstrap(cfg, BootstrapKernelMode::PerOp,
+        const auto cg = compileBootstrap(cfg, BootstrapKernelMode::Hoisted,
                                          keygen, 0xb1);
         const auto inputs =
             uniformInputs(ctx, cg->inputLedger(), kBatch, 0xb2);
@@ -178,17 +200,21 @@ TEST_F(BootstrapGraphFixture,
                 << "op " << i;
         }
 
-        // Per-item kernels == the PerOp bootstrap enumeration; the
-        // sequential log is batch-many copies of it.
+        // Per-item kernels == the Hoisted bootstrap enumeration; the
+        // sequential log is batch-many copies of it. Every BSGS group
+        // shares one ModUp, and the save counter accounts for each.
+        const u64 saves = kBatch * bootstrapSaves(ctx.params(), cfg);
+        ASSERT_GT(saves, 0u);
         setGlobalThreadCount(1);
         KernelLog seq_log;
         const auto seq = cg->runSequential(&seq_log, inputs);
         ASSERT_EQ(seq.size(), 1u);
         const auto expected = repeated(
             enumerateBootstrapKernels(ctx.params(), cfg,
-                                      BootstrapKernelMode::PerOp),
+                                      BootstrapKernelMode::Hoisted),
             kBatch);
         expectSameCalls(seq_log.calls(), expected, "sequential");
+        EXPECT_EQ(seq_log.hoistedModUpSaves(), saves);
 
         for (u32 threads : {1u, testThreads()}) {
             setGlobalThreadCount(threads);
@@ -198,16 +224,16 @@ TEST_F(BootstrapGraphFixture,
             ASSERT_EQ(fused.size(), 1u);
             expectEqual(fused[0], seq[0]);
             expectSameCalls(fused_log.calls(), expected, "fused");
+            EXPECT_EQ(fused_log.hoistedModUpSaves(), saves);
         }
         setGlobalThreadCount(1);
     }
 }
 
 // ---------------------------------------------------------------------
-// Hoisted execution: same results, enumerated-schedule log, fewer ModUps
+// Per-op reference: same results, its own enumeration, more ModUps
 // ---------------------------------------------------------------------
-TEST_F(BootstrapGraphFixture,
-       HoistedScheduleMatchesEnumerationAndPerOpBitIdentically)
+TEST_F(BootstrapGraphFixture, PerOpGraphMatchesHoistedBitIdentically)
 {
     for (bool plain : {true, false}) {
         SCOPED_TRACE(plain ? "plaintext matrices" : "ciphertext matrices");
@@ -221,54 +247,47 @@ TEST_F(BootstrapGraphFixture,
                                           kg_per, 0xb7);
         const auto hoist = compileBootstrap(
             cfg, BootstrapKernelMode::Hoisted, kg_hoist, 0xb7);
-        EXPECT_EQ(hoist->schedule(), graph::ScheduleKind::Hoisted);
-        EXPECT_EQ(hoist->segmentCount(), 1u);
+        // The per-op rotations fan out from each group input, so the
+        // graph splits into segments; its inputs are the hoisted one's.
+        EXPECT_GT(per->segmentCount(), hoist->segmentCount());
+        ASSERT_EQ(per->inputLedger().size(), hoist->inputLedger().size());
+
+        // A single item runs the PerOp enumeration itself.
+        setGlobalThreadCount(1);
+        KernelLog item_log;
+        (void)per->runSequential(
+            &item_log, uniformInputs(ctx, per->inputLedger(), 1, 0xb9));
+        expectSameCalls(item_log.calls(),
+                        enumerateBootstrapKernels(
+                            ctx.params(), cfg, BootstrapKernelMode::PerOp),
+                        "per-op item");
+
+        // A batch runs segment by segment, so the sequential log (not
+        // batch copies of the enumeration) is the batched run's
+        // reference.
         const auto inputs =
             uniformInputs(ctx, per->inputLedger(), kBatch, 0xb8);
-
-        // One op schedule, two kernel expansions.
-        u64 expected_saves = 0;
-        for (const auto &bop : enumerateBootstrapOps(ctx.params(), cfg))
-            if (bop.op == HeOp::RotateAccum)
-                expected_saves += bop.fanin - 1;
-        ASSERT_GT(expected_saves, 0u);
-        const auto expected = repeated(
-            enumerateBootstrapKernels(ctx.params(), cfg,
-                                      BootstrapKernelMode::Hoisted),
-            kBatch);
-
-        setGlobalThreadCount(1);
-        KernelLog per_log;
-        BatchEvaluator per_batch(ctx, &per_log);
-        const auto per_out = per->run(per_batch, inputs)[0];
-        EXPECT_EQ(per_log.hoistedModUpSaves(), 0u);
-        u64 per_intt = 0;
-        for (const auto &k : per_log.calls())
-            per_intt += k.kind == KernelKind::Intt;
-
-        // The sequential reference executes the hoisted stages too.
         KernelLog seq_log;
-        const auto seq = hoist->runSequential(&seq_log, inputs)[0];
-        expectEqual(seq, per_out);
-        expectSameCalls(seq_log.calls(), expected, "hoisted sequential");
-
+        const auto seq = per->runSequential(&seq_log, inputs)[0];
         for (u32 threads : {1u, testThreads()}) {
             setGlobalThreadCount(threads);
             KernelLog log;
             BatchEvaluator batch(ctx, &log);
-            const auto out = hoist->run(batch, inputs)[0];
-            // Bit-identical to the PerOp run's results, log equal to
-            // the Hoisted enumeration, at every thread count.
-            expectEqual(out, per_out);
-            expectSameCalls(log.calls(), expected, "hoisted fused");
-            // Exactly fanin-1 fewer ModUps per group per item, and the
-            // log's save counter accounts for every one of them.
-            EXPECT_EQ(log.hoistedModUpSaves(), kBatch * expected_saves);
-            u64 hoist_intt = 0;
-            for (const auto &k : log.calls())
-                hoist_intt += k.kind == KernelKind::Intt;
-            EXPECT_EQ(per_intt - hoist_intt, log.hoistedModUpSaves());
+            expectEqual(per->run(batch, inputs)[0], seq);
+            expectSameCalls(log.calls(), seq_log.calls(), "per-op fused");
+            EXPECT_EQ(log.hoistedModUpSaves(), 0u);
         }
+
+        // The hoisted graph: bit-identical, launching exactly the saved
+        // ModUps fewer.
+        KernelLog log;
+        BatchEvaluator batch(ctx, &log);
+        expectEqual(hoist->run(batch, inputs)[0], seq);
+        EXPECT_EQ(log.hoistedModUpSaves(),
+                  kBatch * bootstrapSaves(ctx.params(), cfg));
+        EXPECT_EQ(countKind(seq_log.calls(), KernelKind::Intt) -
+                      countKind(log.calls(), KernelKind::Intt),
+                  log.hoistedModUpSaves());
         setGlobalThreadCount(1);
     }
 }
@@ -293,7 +312,7 @@ TEST_F(BootstrapGraphFixture, RejectsChainWhoseLevelGuardsBind)
 TEST_F(BootstrapGraphFixture, ResidencyStaysWithinByteBudget)
 {
     const auto cg = compileBootstrap(smallBootstrapConfig(),
-                                     BootstrapKernelMode::PerOp, keygen,
+                                     BootstrapKernelMode::Hoisted, keygen,
                                      0xb2);
     const auto inputs = uniformInputs(ctx, cg->inputLedger(), kBatch, 0xb3);
     auto &cache = ctx.keySwitchCache();
@@ -435,6 +454,8 @@ TEST_F(BootstrapGraphFixture, RotateAccumFanInMatchesSequential)
     Pipeline p;
     p.rotateAccum({{k1, &key1}, {k2, &key2}, {k3, &key3}});
 
+    // The per-op reference: every branch rotates (its own ModUp) and
+    // folds back in branch order.
     setGlobalThreadCount(1);
     KernelLog seq_log;
     CkksEvaluator ev(small, &seq_log);
@@ -447,24 +468,25 @@ TEST_F(BootstrapGraphFixture, RotateAccumFanInMatchesSequential)
         seq.push_back(acc);
     }
 
+    // The stage shares one ModUp across its three branches: per item
+    // its log is the enumerated fan-in, with two INTT launches (and
+    // two shared-ModUp saves) fewer than the loop's.
+    EXPECT_EQ(p.pipelineOps()[0].fanin, 3u);
+    const auto stage = enumerateKernels(p.pipelineOps(), small.params(),
+                                        small.qCount() - 1);
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
         KernelLog log;
         BatchEvaluator batch(small, &log);
         expectEqual(batch.run(input, p), seq);
-        expectSameCalls(log.calls(), seq_log.calls(), "fanin");
+        expectSameCalls(log.calls(), repeated(stage, input.size()),
+                        "fanin");
+        EXPECT_EQ(countKind(log.calls(), KernelKind::Intt) +
+                      2 * input.size(),
+                  countKind(seq_log.calls(), KernelKind::Intt));
+        EXPECT_EQ(log.hoistedModUpSaves(), 2 * input.size());
     }
     setGlobalThreadCount(1);
-
-    // The fan-in arity is priced per branch: 3 branches cost what
-    // three single-branch stages cost.
-    EXPECT_EQ(p.pipelineOps()[0].fanin, 3u);
-    const auto three = enumerateKernels(p.pipelineOps(), small.params(),
-                                        small.qCount() - 1);
-    const auto one = enumerateKernels(
-        {PipelineOp{HeOp::RotateAccum, 1}}, small.params(),
-        small.qCount() - 1);
-    EXPECT_EQ(three.size(), 3 * one.size());
 }
 
 // ---------------------------------------------------------------------
@@ -524,15 +546,8 @@ TEST_F(BootstrapGraphFixture, PlainMatricesShrinkKeySwitchWork)
 
     // Plaintext matrices skip the relinearisation key switch, so the
     // BConv count must drop strictly.
-    const auto count = [](const std::vector<KernelCall> &ks,
-                          KernelKind kind) {
-        u64 c = 0;
-        for (const auto &k : ks)
-            c += k.kind == kind;
-        return c;
-    };
-    EXPECT_LT(count(pt_kernels, KernelKind::BConv),
-              count(ct_kernels, KernelKind::BConv));
+    EXPECT_LT(countKind(pt_kernels, KernelKind::BConv),
+              countKind(ct_kernels, KernelKind::BConv));
 }
 
 } // namespace

@@ -397,10 +397,6 @@ TEST_P(ScheduleMatch, EnumeratorPredictsEvaluatorKernels)
         // One fan-in branch: rotate the input, fold it back in.
         (void)ev.add(ca, ev.rotate(ca, k, rot_key));
         break;
-      case HeOp::HoistedRotations:
-        // One hoisted branch: shared ModUp, rotation block, fold.
-        (void)ev.add(ca, ev.rotateHoisted(ca, {{k, &rot_key}}).front());
-        break;
     }
 
     const auto predicted =
@@ -421,8 +417,7 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ScheduleMatch,
                                            HeOp::Rescale, HeOp::Rotate,
                                            HeOp::AddPlain,
                                            HeOp::MultiplyPlain,
-                                           HeOp::RotateAccum,
-                                           HeOp::HoistedRotations));
+                                           HeOp::RotateAccum));
 
 // Conformance at *every* level -- not just the top spot-check above --
 // including the double-rescale operator (rescaleSplit = 2).
@@ -445,8 +440,7 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
 
     for (HeOp op : {HeOp::Add, HeOp::Mult, HeOp::Rescale, HeOp::Rotate,
                     HeOp::RescaleMulti, HeOp::AddPlain,
-                    HeOp::MultiplyPlain, HeOp::RotateAccum,
-                    HeOp::HoistedRotations}) {
+                    HeOp::MultiplyPlain, HeOp::RotateAccum}) {
         for (size_t level = 0; level < ctx.qCount(); ++level) {
             const size_t min_level = op == HeOp::Rescale ? 1
                 : op == HeOp::RescaleMulti ? params.rescaleSplit
@@ -481,10 +475,6 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
                 break;
               case HeOp::RotateAccum:
                 (void)ev.add(ct, ev.rotate(ct, k, rot_key));
-                break;
-              case HeOp::HoistedRotations:
-                (void)ev.add(
-                    ct, ev.rotateHoisted(ct, {{k, &rot_key}}).front());
                 break;
             }
 

@@ -205,6 +205,28 @@ class GraphFixture : public ::testing::Test
                                   g.scale, g.limbs()));
     }
 
+    static std::vector<double>
+    dotWeights()
+    {
+        return {0.5, -0.1, 0.2, 0.3, 0.5, -0.1, 0.2, 0.3};
+    }
+
+    /** One matVec-style diagonal dot product: weight the input, then a
+     *  slot-sum fan-in over rotations by 1, 2 and 3, then a rescale.
+     *  The SlotSum lowers to one RotateAccum with fanin 3, the shape
+     *  whose branches share one ModUp. */
+    static Graph
+    dotProductGraph()
+    {
+        Graph g;
+        const auto x = g.input();
+        const auto m = g.multiplyPlain(
+            x, PlainOperand::base(dotWeights()), "weights");
+        const auto s = g.slotSum(m, {1, 2, 3}, "dot");
+        g.rescale(s);
+        return g;
+    }
+
     CompileOptions
     layerOptions(const SwitchKey &rlk,
                  const std::map<u32, SwitchKey> &rot_keys)
@@ -484,39 +506,67 @@ TEST_F(GraphFixture, AutoScheduleFusesAndPerOpStaysBitIdentical)
 TEST_F(GraphFixture, StructuralEnumerationMatchesCompiledSchedule)
 {
     const auto rlk = keygen.relinKey();
-    const auto rot_keys = layerRotationKeys(4);
-    const auto layer = workloads::denseSquareLayerGraph(
-        layerWeights(), layerBias(), 2);
-    const auto compiled =
-        compileGraph(ctx, layer, layerOptions(rlk, rot_keys));
+    auto rot_keys = layerRotationKeys(4);
+    const u32 g_rep = encoder.rotationAutomorphism(-4);
+    rot_keys.emplace(g_rep, keygen.rotationKey(g_rep));
 
-    LoweringOptions lopts;
-    lopts.baseScale = kScale;
-    const auto structural =
-        enumerateGraphOps(layer, ctx.params(), lopts);
-    ASSERT_EQ(structural.size(), compiled->ops().size());
-    for (size_t i = 0; i < structural.size(); ++i) {
-        EXPECT_EQ(structural[i].op, compiled->ops()[i].op) << i;
-        EXPECT_EQ(structural[i].level, compiled->ops()[i].level) << i;
-        EXPECT_EQ(structural[i].fanin, compiled->ops()[i].fanin) << i;
-    }
+    // The two-layer MLP shape the Set-B benchmark serves: its one
+    // fan-in, slotSum({-4}), has a single branch, so it runs as
+    // Rotate + Add with no shared-ModUp save.
+    const auto w = layerWeights();
+    Graph mlp;
+    const auto h = mlp.rescale(mlp.matVec(mlp.input(), w, 2));
+    const auto sq = mlp.rescale(mlp.multiply(h, h));
+    mlp.rescale(mlp.matVec(mlp.slotSum(sq, {-4}), w, 2));
 
-    // Concatenating the kernel enumerator over the lowered ops
-    // predicts the compiled run's KernelLog exactly.
-    std::vector<KernelCall> want;
-    for (const auto &op : compiled->ops()) {
-        const auto calls = enumerateKernels(
-            std::vector<PipelineOp>{{op.op, op.fanin}}, ctx.params(),
-            op.level);
-        want.insert(want.end(), calls.begin(), calls.end());
+    const struct
+    {
+        const char *name;
+        Graph graph;
+        u64 saves; ///< shared-ModUp saves of one item
+    } cases[] = {
+        {"dense layer",
+         workloads::denseSquareLayerGraph(layerWeights(), layerBias(), 2),
+         0},
+        {"mlp", mlp, 0},
+        {"fanin-3 dot product", dotProductGraph(), 2},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.name);
+        auto opts = layerOptions(rlk, rot_keys);
+        opts.schedule = ScheduleKind::Fused;
+        const auto compiled = compileGraph(ctx, c.graph, opts);
+
+        LoweringOptions lopts;
+        lopts.baseScale = kScale;
+        const auto structural =
+            enumerateGraphOps(c.graph, ctx.params(), lopts);
+        ASSERT_EQ(structural.size(), compiled->ops().size());
+        for (size_t i = 0; i < structural.size(); ++i) {
+            EXPECT_EQ(structural[i].op, compiled->ops()[i].op) << i;
+            EXPECT_EQ(structural[i].level, compiled->ops()[i].level) << i;
+            EXPECT_EQ(structural[i].fanin, compiled->ops()[i].fanin) << i;
+        }
+
+        // Concatenating the kernel enumerator over the lowered ops
+        // predicts the compiled run's KernelLog exactly.
+        std::vector<KernelCall> want;
+        for (const auto &op : compiled->ops()) {
+            const auto calls = enumerateKernels(
+                std::vector<PipelineOp>{{op.op, op.fanin}}, ctx.params(),
+                op.level);
+            want.insert(want.end(), calls.begin(), calls.end());
+        }
+        setGlobalThreadCount(1);
+        KernelLog log;
+        const BatchEvaluator batch(ctx, &log);
+        (void)compiled->run(batch, {encryptBatch(1, 11)});
+        ASSERT_EQ(log.calls().size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_TRUE(log.calls()[i].sameShape(want[i]))
+                << "call " << i;
+        EXPECT_EQ(log.hoistedModUpSaves(), c.saves);
     }
-    setGlobalThreadCount(1);
-    KernelLog log;
-    const BatchEvaluator batch(ctx, &log);
-    (void)compiled->run(batch, {encryptBatch(1, 11)});
-    ASSERT_EQ(log.calls().size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i)
-        EXPECT_TRUE(log.calls()[i].sameShape(want[i])) << "call " << i;
 }
 
 TEST_F(GraphFixture, WorkloadEstimatorsDeriveFromTheGraphs)
@@ -643,122 +693,77 @@ TEST_F(GraphFixture, ConcurrentRunsOfOneGraphMatchSequential)
 }
 
 // ---------------------------------------------------------------------
-// Hoisted schedule (Halevi-Shoup rotation fan-outs)
+// Fan-in: every schedule shares one ModUp per slotSum (Halevi-Shoup)
 // ---------------------------------------------------------------------
 
-class HoistedGraphFixture : public GraphFixture
-{
-  protected:
-    /** One matVec-style diagonal dot product: weight the input, then a
-     *  slot-sum fan-out over three rotations, then a rescale. The
-     *  SlotSum lowers to one RotateAccum with fanin 3, exactly the
-     *  shape Halevi-Shoup hoisting amortises. */
-    static Graph
-    dotProductGraph()
-    {
-        Graph g;
-        const auto x = g.input();
-        const auto m = g.multiplyPlain(
-            x,
-            PlainOperand::base({0.5, -0.1, 0.2, 0.3, 0.5, -0.1, 0.2,
-                                0.3}),
-            "weights");
-        const auto s = g.slotSum(m, {1, 2, 3}, "dot");
-        g.rescale(s);
-        return g;
-    }
-};
-
-TEST_F(HoistedGraphFixture, AutoSchedulePicksHoistedForSlotSumFanOut)
+TEST_F(GraphFixture, EveryScheduleSharesOneModUpPerFanIn)
 {
     const auto rlk = keygen.relinKey();
     const auto rot_keys = layerRotationKeys(4);
     const auto g = dotProductGraph();
-
-    const auto dev = tpu::tpuV6e();
-    auto opts = layerOptions(rlk, rot_keys);
-    opts.device = &dev;
-    opts.plannedBatch = 8;
-    const auto hoisted = compileGraph(ctx, g, opts);
-
-    // A fan-out of 3 shares one ModUp instead of paying three: the
-    // hoisted schedule is strictly cheaper and Auto resolves to it.
-    EXPECT_GT(hoisted->hoistedCostUs(), 0.0);
-    EXPECT_LT(hoisted->hoistedCostUs(), hoisted->fusedCostUs());
-    EXPECT_EQ(hoisted->schedule(), ScheduleKind::Hoisted);
-
-    // The lowered operator schedule itself is schedule-independent:
-    // the ledger walk still records the RotateAccum fan-out; only the
-    // kernel expansion is hoisted.
-    bool saw_fan_out = false;
-    for (const auto &op : hoisted->ops())
-        if (op.op == HeOp::RotateAccum) {
-            EXPECT_EQ(op.fanin, 3u);
-            saw_fan_out = true;
-        }
-    EXPECT_TRUE(saw_fan_out);
 
     auto fused_opts = layerOptions(rlk, rot_keys);
     fused_opts.schedule = ScheduleKind::Fused;
-    const auto fused = compileGraph(ctx, g, fused_opts);
     auto per_op_opts = layerOptions(rlk, rot_keys);
     per_op_opts.schedule = ScheduleKind::PerOp;
+    const auto dev = tpu::tpuV6e();
+    auto auto_opts = layerOptions(rlk, rot_keys);
+    auto_opts.device = &dev;
+    auto_opts.plannedBatch = 8;
+    const auto fused = compileGraph(ctx, g, fused_opts);
     const auto per_op = compileGraph(ctx, g, per_op_opts);
+    const auto autod = compileGraph(ctx, g, auto_opts);
+    EXPECT_GT(per_op->segmentCount(), fused->segmentCount());
+    EXPECT_GT(autod->fusedCostUs(), 0.0);
 
-    // Hoisting must not change a single bit, at any thread count.
+    // The ledger walk records the fan-in once, whatever the schedule.
+    size_t fan_ins = 0;
+    for (const auto &op : fused->ops())
+        if (op.op == HeOp::RotateAccum) {
+            EXPECT_EQ(op.fanin, 3u);
+            ++fan_ins;
+        }
+    EXPECT_EQ(fan_ins, 1u);
+
+    // The per-op reference: every branch rotates with its own ModUp
+    // and folds back in branch order.
     const auto input = encryptBatch(3, 13);
     setGlobalThreadCount(1);
-    const BatchEvaluator ref_batch(ctx);
-    const auto want_fused = fused->run(ref_batch, {input});
-    const auto want_per_op = per_op->run(ref_batch, {input});
-    expectEqual(want_fused.at(0), want_per_op.at(0));
+    KernelLog ref_log;
+    const CkksEvaluator ev(ctx, &ref_log);
+    const auto pt = encoder.encodeReal(dotWeights(), kScale, ctx.qCount());
+    CtVec want;
+    for (const auto &ct : input) {
+        const auto m = ev.multiplyPlain(ct, pt);
+        Ciphertext acc = m;
+        for (i64 step : {1, 2, 3}) {
+            const u32 a = encoder.rotationAutomorphism(step);
+            acc = ev.add(acc, ev.rotate(m, a, rot_keys.at(a)));
+        }
+        want.push_back(ev.rescale(acc));
+    }
 
-    // One RotateAccum stage of fanin 3 -> 2 shared-ModUp saves per
-    // batch item.
-    const u64 expected_saves = 2 * input.size();
+    // Every schedule is bit-identical to it at any thread count, and
+    // its one RotateAccum of fanin 3 launches 2 ModUps (INTTs) fewer
+    // per batch item, each credited as a shared-ModUp save.
+    const auto intts = [](const KernelLog &log) {
+        size_t n = 0;
+        for (const KernelCall &k : log.calls())
+            n += k.kind == KernelKind::Intt;
+        return n;
+    };
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
-        KernelLog log;
-        const BatchEvaluator batch(ctx, &log);
-        const auto outs = hoisted->run(batch, {input});
-        expectEqual(outs.at(0), want_fused.at(0));
-        EXPECT_EQ(log.hoistedModUpSaves(), expected_saves);
+        for (const CompiledGraph *cg :
+             {fused.get(), per_op.get(), autod.get()}) {
+            KernelLog log;
+            const BatchEvaluator batch(ctx, &log);
+            const auto outs = cg->run(batch, {input});
+            expectEqual(outs.at(0), want);
+            EXPECT_EQ(log.hoistedModUpSaves(), 2 * input.size());
+            EXPECT_EQ(intts(log) + 2 * input.size(), intts(ref_log));
+        }
     }
-}
-
-TEST_F(HoistedGraphFixture, HoistedCompiledRunMatchesStructuralEnumeration)
-{
-    const auto rlk = keygen.relinKey();
-    const auto rot_keys = layerRotationKeys(4);
-    const auto g = dotProductGraph();
-
-    auto opts = layerOptions(rlk, rot_keys);
-    opts.schedule = ScheduleKind::Hoisted;
-    const auto compiled = compileGraph(ctx, g, opts);
-    EXPECT_EQ(compiled->schedule(), ScheduleKind::Hoisted);
-
-    // Structural prediction of the hoisted run: enumerate the lowered
-    // ops with every RotateAccum mapped to HoistedRotations -- the
-    // same mapping the schedule applies at step-building time.
-    std::vector<KernelCall> want;
-    for (const auto &op : compiled->ops()) {
-        const HeOp mapped = op.op == HeOp::RotateAccum
-                                ? HeOp::HoistedRotations
-                                : op.op;
-        const auto calls = enumerateKernels(
-            std::vector<PipelineOp>{{mapped, op.fanin}}, ctx.params(),
-            op.level);
-        want.insert(want.end(), calls.begin(), calls.end());
-    }
-
-    setGlobalThreadCount(1);
-    KernelLog log;
-    const BatchEvaluator batch(ctx, &log);
-    (void)compiled->run(batch, {encryptBatch(1, 17)});
-    ASSERT_EQ(log.calls().size(), want.size());
-    for (size_t i = 0; i < want.size(); ++i)
-        EXPECT_TRUE(log.calls()[i].sameShape(want[i])) << "call " << i;
-    EXPECT_EQ(log.hoistedModUpSaves(), 2u);
 }
 
 } // namespace

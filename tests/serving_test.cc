@@ -19,6 +19,7 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -759,6 +760,7 @@ TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
     EXPECT_EQ(st.deadlineShed, 1u);
     EXPECT_EQ(st.batchedRequests, 1u);
     EXPECT_EQ(engine.tenantStats().at(0).shed, 1u);
+    EXPECT_EQ(engine.tenantStats().at(0).failed, 1u);
 }
 
 // The PR 8 timed-wait edge the issue calls out: a deadline-rejected
@@ -837,6 +839,57 @@ TEST_F(ServingFixture, TenantStatsTrackPerTenantCounters)
     EXPECT_EQ(ts.at(9).submitted, 2u);
     EXPECT_EQ(ts.at(9).completed, 2u);
     EXPECT_EQ(ts.at(7).rejected + ts.at(9).rejected, 0u);
+}
+
+TEST_F(ServingFixture, FailedBatchIsCountedPerTenant)
+{
+    // Compiled against a second context with the same params, the
+    // model passes submit's ledger check but throws inside
+    // CompiledGraph::run, whose evaluator is bound to the engine's
+    // context: the dispatcher's execution-failure path.
+    ckks::CkksContext other(ctx.params());
+    ckks::KeyGenerator other_keygen(other, 0x60);
+    graph::Graph g;
+    g.rotate(g.input(), 1);
+    graph::CompileOptions opts;
+    opts.lowering.baseScale = kScale;
+    opts.keygen = &other_keygen;
+    const auto model = graph::compileGraph(other, g, opts);
+    const auto inputs = encryptBatch(3, 57);
+
+    setGlobalThreadCount(1);
+    ServingConfig cfg;
+    cfg.startPaused = true;
+    ServingEngine engine(ctx, cfg);
+    auto s7 = engine.openStream({.tenant = 7});
+    auto s9 = engine.openStream({.tenant = 9});
+    std::vector<std::future<Ciphertext>> futs;
+    futs.push_back(engine.submit(s7, *model, inputs[0]));
+    futs.push_back(engine.submit(s7, *model, inputs[1]));
+    futs.push_back(engine.submit(s9, *model, inputs[2]));
+    engine.resume();
+    for (auto &f : futs) {
+        try {
+            (void)f.get();
+            ADD_FAILURE() << "a request on a foreign-context model ran";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("different context"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    engine.shutdown();
+
+    const auto st = engine.stats();
+    EXPECT_EQ(st.failed, futs.size());
+    EXPECT_EQ(st.submitted, st.completed + st.failed);
+    const auto ts = engine.tenantStats();
+    EXPECT_EQ(ts.at(7).failed, 2u);
+    EXPECT_EQ(ts.at(9).failed, 1u);
+    for (const auto &[tenant, t] : ts) {
+        EXPECT_EQ(t.submitted, t.completed + t.failed) << tenant;
+        EXPECT_EQ(t.shed, 0u) << tenant;
+    }
 }
 
 } // namespace
