@@ -7,101 +7,132 @@
 
 namespace cross::ckks {
 
+namespace {
+
 // Fail-fast (run validates before any parallel work): an operand whose
 // chain is shorter than the ciphertext's is the caller's bug, mirrored
-// on the scalar paths' precomp-level-style checks.
+// on the scalar paths' precomp-level-style checks. Shared by the
+// prevalidation walk and applyStage, so the checks cannot diverge.
 const Plaintext &
-pipelineStagePlain(const PipelineStage &st, size_t level)
+pipelineStagePlain(const Plaintext &pt, size_t level)
 {
-    requireThat(st.pt->poly.limbCount() >= level + 1,
+    requireThat(pt.poly.limbCount() >= level + 1,
                 "BatchEvaluator::run: plaintext operand level below "
                 "item level");
-    return *st.pt;
+    return pt;
+}
+
+Ciphertext
+linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
+                    const Ciphertext &in,
+                    const std::vector<const KeySwitchPrecomp *> *pre)
+{
+    // Kernels log in the schedule enumerator's order: ModUp, the
+    // identity term, then rotation block [+ weight] + Add per branch.
+    const size_t level = in.limbs() - 1;
+    const auto weigh = [&](Ciphertext t, const Plaintext *pt) {
+        if (pt)
+            t = ev.multiplyPlain(t, pipelineStagePlain(*pt, level));
+        return t;
+    };
+    HoistedDecomp dec;
+    if (!st.branches.empty())
+        dec = ev.hoistedModUp(in.c1);
+    Ciphertext acc = weigh(in, st.pt);
+    for (size_t b = 0; b < st.branches.size(); ++b) {
+        const RotateBranch &br = st.branches[b];
+        const Ciphertext rot =
+            pre ? ev.applyHoistedRotation(in, dec, br.autoIdx, *pre->at(b))
+                : ev.applyHoistedRotation(in, dec, br.autoIdx, *br.key);
+        acc = ev.add(acc, weigh(rot, br.pt));
+    }
+    ev.noteHoistedSaves(st.branches.size());
+    return acc;
+}
+
+} // namespace
+
+Ciphertext
+applyStage(const CkksEvaluator &ev, const PipelineStage &st,
+           const Ciphertext &cur, size_t i,
+           const std::vector<const KeySwitchPrecomp *> *pre)
+{
+    switch (st.op) {
+      case HeOp::Add:
+        return ev.add(cur, (*st.rhs)[i]);
+      case HeOp::Mult:
+        return pre ? ev.multiply(cur, (*st.rhs)[i], *pre->at(0))
+                   : ev.multiply(cur, (*st.rhs)[i], *st.key);
+      case HeOp::Rescale:
+        return ev.rescale(cur);
+      case HeOp::RescaleMulti:
+        return ev.rescaleMulti(cur);
+      case HeOp::Rotate:
+        return pre ? ev.rotate(cur, st.autoIdx, *pre->at(0))
+                   : ev.rotate(cur, st.autoIdx, *st.key);
+      case HeOp::AddPlain:
+        return ev.addPlain(cur, pipelineStagePlain(*st.pt, cur.limbs() - 1));
+      case HeOp::MultiplyPlain:
+        return ev.multiplyPlain(cur,
+                                pipelineStagePlain(*st.pt, cur.limbs() - 1));
+      case HeOp::LinearTransform:
+        return linearTransformItem(ev, st, cur, pre);
+    }
+    internalCheck(false, "applyStage: unknown op");
+    return cur;
 }
 
 Pipeline &
 Pipeline::add(const CtVec &rhs)
 {
-    PipelineStage st{};
-    st.op = HeOp::Add;
-    st.rhs = &rhs;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::Add, .rhs = &rhs});
 }
 
 Pipeline &
 Pipeline::multiply(const CtVec &rhs, const SwitchKey &rlk)
 {
-    PipelineStage st{};
-    st.op = HeOp::Mult;
-    st.key = &rlk;
-    st.rhs = &rhs;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::Mult, .key = &rlk, .rhs = &rhs});
 }
 
 Pipeline &
 Pipeline::rescale()
 {
-    PipelineStage st{};
-    st.op = HeOp::Rescale;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::Rescale});
 }
 
 Pipeline &
 Pipeline::rescaleMulti()
 {
-    PipelineStage st{};
-    st.op = HeOp::RescaleMulti;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::RescaleMulti});
 }
 
 Pipeline &
 Pipeline::rotate(u32 auto_idx, const SwitchKey &rot_key)
 {
-    PipelineStage st{};
-    st.op = HeOp::Rotate;
-    st.autoIdx = auto_idx;
-    st.key = &rot_key;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::Rotate, .autoIdx = auto_idx, .key = &rot_key});
 }
 
 Pipeline &
 Pipeline::addPlain(const Plaintext &pt)
 {
-    PipelineStage st{};
-    st.op = HeOp::AddPlain;
-    st.pt = &pt;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::AddPlain, .pt = &pt});
 }
 
 Pipeline &
 Pipeline::multiplyPlain(const Plaintext &pt)
 {
-    PipelineStage st{};
-    st.op = HeOp::MultiplyPlain;
-    st.pt = &pt;
-    stages_.push_back(std::move(st));
-    return *this;
+    return push({.op = HeOp::MultiplyPlain, .pt = &pt});
 }
 
 Pipeline &
-Pipeline::rotateAccum(std::vector<RotateBranch> branches)
+Pipeline::linearTransform(std::vector<RotateBranch> branches,
+                          const Plaintext *identity)
 {
-    requireThat(!branches.empty(),
-                "Pipeline::rotateAccum: need at least one branch");
     for (const auto &br : branches)
         requireThat(br.key != nullptr,
-                    "Pipeline::rotateAccum: branch has no rotation key");
-    PipelineStage st{};
-    st.op = HeOp::RotateAccum;
-    st.branches = std::move(branches);
-    stages_.push_back(std::move(st));
-    return *this;
+                    "Pipeline::linearTransform: branch has no rotation key");
+    return push({.op = HeOp::LinearTransform, .pt = identity,
+                 .branches = std::move(branches)});
 }
 
 std::vector<PipelineOp>
@@ -109,10 +140,11 @@ Pipeline::pipelineOps() const
 {
     std::vector<PipelineOp> ops;
     ops.reserve(stages_.size());
-    for (const auto &st : stages_)
-        ops.push_back({st.op, st.op == HeOp::RotateAccum
-                                  ? st.branches.size()
-                                  : size_t{1}});
+    for (const auto &st : stages_) {
+        const bool lt = st.op == HeOp::LinearTransform;
+        ops.push_back({st.op, lt ? st.branches.size() : size_t{1},
+                       lt && st.pt != nullptr});
+    }
     return ops;
 }
 
@@ -138,20 +170,17 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     // floating-point updates, so its checks accept precisely the
     // batches the per-item execution would accept.
     //
-    // stage_pre[s][i] is the precomp item i uses at stage s (null for
-    // keyless stages); accum_pre[s][b][i] the same for branch b of a
-    // RotateAccum stage.
+    // pre[s][i] holds the precomps item i uses at stage s: the
+    // Mult/Rotate key's, one per LinearTransform branch, or none.
     std::vector<size_t> limbs(count);
     std::vector<double> scale(count);
     for (size_t i = 0; i < count; ++i) {
         limbs[i] = input[i].limbs();
         scale[i] = input[i].scale;
     }
-    std::vector<std::vector<const KeySwitchPrecomp *>> stage_pre(
+    std::vector<std::vector<std::vector<const KeySwitchPrecomp *>>> pre(
         stages.size(),
-        std::vector<const KeySwitchPrecomp *>(count, nullptr));
-    std::vector<std::vector<std::vector<const KeySwitchPrecomp *>>>
-        accum_pre(stages.size());
+        std::vector<std::vector<const KeySwitchPrecomp *>>(count));
     const CkksEvaluator builder(ctx_);
     for (size_t s = 0; s < stages.size(); ++s) {
         const auto &st = stages[s];
@@ -181,9 +210,8 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: relinearisation key "
                             "does not cover the item level");
-                stage_pre[s][i] =
-                    &builder.precomputeKeySwitchCached(*st.key,
-                                                       limbs[i] - 1);
+                pre[s][i] = {&builder.precomputeKeySwitchCached(
+                    *st.key, limbs[i] - 1)};
             }
             break;
 
@@ -224,15 +252,15 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: rotation key does "
                             "not cover the item level");
-                stage_pre[s][i] =
-                    &builder.precomputeKeySwitchCached(*st.key,
-                                                       limbs[i] - 1);
+                pre[s][i] = {&builder.precomputeKeySwitchCached(
+                    *st.key, limbs[i] - 1)};
             }
             break;
 
           case HeOp::AddPlain:
             for (size_t i = 0; i < count; ++i) {
-                const Plaintext &pt = pipelineStagePlain(st, limbs[i] - 1);
+                const Plaintext &pt =
+                    pipelineStagePlain(*st.pt, limbs[i] - 1);
                 requireThat(ckksScalesMatch(scale[i], pt.scale),
                             "BatchEvaluator::run: addPlain stage "
                             "scales do not match");
@@ -241,44 +269,55 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
 
           case HeOp::MultiplyPlain:
             for (size_t i = 0; i < count; ++i) {
-                const Plaintext &pt = pipelineStagePlain(st, limbs[i] - 1);
+                const Plaintext &pt =
+                    pipelineStagePlain(*st.pt, limbs[i] - 1);
                 scale[i] = scale[i] * pt.scale;
             }
             break;
 
-          case HeOp::RotateAccum: {
-            requireThat(!st.branches.empty(),
-                        "BatchEvaluator::run: rotateAccum stage has no "
-                        "branches");
-            // Validate *every* branch key (identity and level
-            // coverage) before building a single precomp: a bad
-            // branch must fail the run up front, the way a bad
-            // plaintext row does, not after sibling branches already
-            // populated the cache or parallel work started.
-            for (const auto &br : st.branches) {
-                requireThat(br.key != nullptr,
-                            "BatchEvaluator::run: rotateAccum branch "
-                            "has no rotation key");
-                checkAutomorphismIndex(ctx_, br.autoIdx);
-                for (size_t i = 0; i < count; ++i) {
-                    requireThat(ctx_.activeDigits(limbs[i] - 1) <=
-                                    br.key->digits.size(),
-                                "BatchEvaluator::run: rotateAccum "
-                                "branch key does not cover the item "
+          case HeOp::LinearTransform: {
+            // Validate *every* term (key identity and level coverage,
+            // plaintext presence, level and scale) before building a
+            // single precomp: a bad term must fail the run up front,
+            // not after sibling branches populated the cache or
+            // parallel work started. Each term must meet the identity
+            // term's scale at its add.
+            const bool weighted = st.pt != nullptr;
+            for (size_t i = 0; i < count; ++i) {
+                const size_t level = limbs[i] - 1;
+                const double acc_scale =
+                    weighted
+                        ? scale[i] * pipelineStagePlain(*st.pt, level).scale
+                        : scale[i];
+                for (const auto &br : st.branches) {
+                    requireThat(br.key != nullptr &&
+                                    ctx_.activeDigits(level) <=
+                                        br.key->digits.size(),
+                                "BatchEvaluator::run: linearTransform "
+                                "branch key missing or below the item "
                                 "level");
+                    checkAutomorphismIndex(ctx_, br.autoIdx);
+                    requireThat((br.pt != nullptr) == weighted,
+                                "BatchEvaluator::run: linearTransform "
+                                "mixes weighted and unweighted terms");
+                    requireThat(
+                        !weighted ||
+                            ckksScalesMatch(
+                                acc_scale,
+                                scale[i] *
+                                    pipelineStagePlain(*br.pt, level).scale),
+                        "BatchEvaluator::run: linearTransform term "
+                        "scales do not match");
                 }
+                scale[i] = acc_scale;
             }
-            accum_pre[s].assign(
-                st.branches.size(),
-                std::vector<const KeySwitchPrecomp *>(count, nullptr));
-            for (size_t b = 0; b < st.branches.size(); ++b) {
-                const auto &br = st.branches[b];
+            for (const auto &br : st.branches) {
                 if (count > 0)
                     (void)ctx_.ring().evalAutoMap(br.autoIdx);
                 for (size_t i = 0; i < count; ++i) {
-                    accum_pre[s][b][i] =
+                    pre[s][i].push_back(
                         &builder.precomputeKeySwitchCached(
-                            *br.key, limbs[i] - 1);
+                            *br.key, limbs[i] - 1));
                 }
             }
             break;
@@ -297,51 +336,8 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     parallelFor(0, count, [&](size_t i) {
         const CkksEvaluator ev(ctx_, log_ ? &logs[i] : nullptr);
         Ciphertext cur = input[i];
-        for (size_t s = 0; s < stages.size(); ++s) {
-            const auto &st = stages[s];
-            switch (st.op) {
-              case HeOp::Add:
-                cur = ev.add(cur, (*st.rhs)[i]);
-                break;
-              case HeOp::Mult:
-                cur = ev.multiply(cur, (*st.rhs)[i], *stage_pre[s][i]);
-                break;
-              case HeOp::Rescale:
-                cur = ev.rescale(cur);
-                break;
-              case HeOp::RescaleMulti:
-                cur = ev.rescaleMulti(cur);
-                break;
-              case HeOp::Rotate:
-                cur = ev.rotate(cur, st.autoIdx, *stage_pre[s][i]);
-                break;
-              case HeOp::AddPlain:
-                cur = ev.addPlain(cur, pipelineStagePlain(st, cur.limbs() - 1));
-                break;
-              case HeOp::MultiplyPlain:
-                cur = ev.multiplyPlain(cur,
-                                       pipelineStagePlain(st, cur.limbs() - 1));
-                break;
-              case HeOp::RotateAccum: {
-                // Fan out from the stage input, fold partial sums back
-                // in branch order. The input is decomposed once and
-                // every branch reuses the digits (kernels log as ModUp,
-                // then rotation block + Add per branch, matching the
-                // schedule enumerator).
-                const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
-                Ciphertext acc = cur;
-                for (size_t b = 0; b < st.branches.size(); ++b) {
-                    Ciphertext rotated = ev.applyHoistedRotation(
-                        cur, dec, st.branches[b].autoIdx,
-                        *accum_pre[s][b][i]);
-                    acc = ev.add(acc, rotated);
-                }
-                ev.noteHoistedSaves(st.branches.size());
-                cur = acc;
-                break;
-              }
-            }
-        }
+        for (size_t s = 0; s < stages.size(); ++s)
+            cur = applyStage(ev, stages[s], cur, i, &pre[s][i]);
         out[i] = std::move(cur);
     });
     if (log_) {

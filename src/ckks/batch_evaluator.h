@@ -28,9 +28,10 @@
  * Guarantees:
  *  - Results are bit-identical to looping CkksEvaluator over the
  *    items and the stages, at any thread count (including 1, the
- *    default). A rotateAccum fan-in stage always shares one ModUp
- *    across its branches, so it launches fanin-1 fewer ModUps than
- *    looping rotate + add, with the same results.
+ *    default). A linearTransform stage always shares one ModUp
+ *    across its rotation branches, so it launches fanin-1 fewer
+ *    ModUps than looping rotate + multiplyPlain + add, with the same
+ *    results.
  *  - The KernelLog is deterministic: each item records into a private
  *    log and the logs are merged in item order, so a parallel batched
  *    run logs exactly what a sequential run logs. The per-item log
@@ -54,11 +55,12 @@ namespace cross::ckks {
 /** A batch of ciphertexts, one slot vector each. */
 using CtVec = std::vector<Ciphertext>;
 
-/** One rotate branch of a RotateAccum (fan-in) stage. */
+/** One term [pt *] rotate(in, autoIdx) of a LinearTransform stage. */
 struct RotateBranch
 {
     u32 autoIdx = 0;               ///< Galois element of this branch
     const SwitchKey *key = nullptr; ///< its rotation key
+    const Plaintext *pt = nullptr;  ///< weighted stage: its plaintext
 };
 
 /**
@@ -72,20 +74,27 @@ struct PipelineStage
     u32 autoIdx = 0;              ///< Rotate: Galois element
     const SwitchKey *key = nullptr; ///< Mult (relin) / Rotate key
     const CtVec *rhs = nullptr;   ///< Add / Mult second operand batch
-    /** AddPlain / MultiplyPlain: one operand for every item. */
+    /** AddPlain / MultiplyPlain: one operand for every item;
+     *  weighted LinearTransform: the identity term's plaintext. */
     const Plaintext *pt = nullptr;
-    /** RotateAccum: the fan-in branches. */
-    std::vector<RotateBranch> branches;
+    /** LinearTransform: the rotation branches. */
+    std::vector<RotateBranch> branches{};
 };
 
 /**
- * Plaintext operand of an AddPlain/MultiplyPlain stage for an item at
- * @p level. Validates that its chain covers level+1 limbs and throws
- * std::invalid_argument otherwise. Shared by BatchEvaluator::run's
- * prevalidation walk, its execution loop and the sequential reference
- * interpreter, so the checks cannot diverge.
+ * One item through one stage, shared by BatchEvaluator::run and the
+ * sequential reference interpreter (CompiledGraph::runSequential), so
+ * both execute every stage the same way. @p i picks the item's
+ * Add/Mult operand. @p pre holds the precomps the stage needs at the
+ * item's level, as run's walk gathers them (the Mult/Rotate key's, or
+ * one per LinearTransform branch); null takes the one-shot SwitchKey
+ * paths instead, which build each precomp where the evaluator keys
+ * (no residency cache).
  */
-const Plaintext &pipelineStagePlain(const PipelineStage &st, size_t level);
+Ciphertext applyStage(const CkksEvaluator &ev, const PipelineStage &st,
+                      const Ciphertext &cur, size_t i,
+                      const std::vector<const KeySwitchPrecomp *> *pre =
+                          nullptr);
 
 /**
  * A small operator sequence applied item-wise by BatchEvaluator::run.
@@ -113,20 +122,23 @@ class Pipeline
     /** @} */
 
     /**
-     * Branching-DAG stage: cur = cur + sum_j rotate(cur, branch_j) --
-     * the rotate-and-accumulate fan-in of a slot-summation rotation
-     * tree. Every branch rotates the stage *input* (not the running
-     * sum), and the partial sums fold back in branch order, with
-     * results bit-identical to the sequential loop
+     * Linear transform: cur = [identity *] cur + sum_b [b.pt *]
+     * rotate(cur, b.autoIdx). Either @p identity and every branch
+     * carry a plaintext (weighted: matVec) or none does (a slot-sum
+     * fan-in or BSGS group); run() rejects a mix. Results are
+     * bit-identical to the sequential loop
      *
-     *     acc = cur; for b: acc = add(acc, rotate(cur, k_b)); cur = acc
+     *     acc = identity ? multiplyPlain(cur, identity) : cur
+     *     for b: t = rotate(cur, k_b)
+     *            acc = add(acc, b.pt ? multiplyPlain(t, b.pt) : t)
      *
-     * The stage always hoists (Halevi-Shoup): it computes one ModUp of
-     * the stage input and shares the decomposition across every
-     * branch, so a fan-in of N pays N-1 fewer ModUps than that loop
-     * (credited to KernelLog::hoistedModUpSaves).
+     * but the stage always hoists (Halevi-Shoup): one ModUp of the
+     * stage input serves every branch, so N branches pay N-1 fewer
+     * ModUps (credited to KernelLog::hoistedModUpSaves) and a stage
+     * without branches pays none.
      */
-    Pipeline &rotateAccum(std::vector<RotateBranch> branches);
+    Pipeline &linearTransform(std::vector<RotateBranch> branches,
+                              const Plaintext *identity = nullptr);
 
     /** @name Stages hold pointers; temporaries would dangle by run().
      *  Deleted so the misuse is a compile error, not a use-after-free.
@@ -143,11 +155,18 @@ class Pipeline
     const std::vector<PipelineStage> &stages() const { return stages_; }
     bool empty() const { return stages_.empty(); }
 
-    /** Op + fan-in per stage: the shape enumerateKernels and
-     *  HeOpCostModel::pipelineCost price. */
+    /** Op + fan-in + weighted bit per stage: the shape
+     *  enumerateKernels and HeOpCostModel::pipelineCost price. */
     std::vector<PipelineOp> pipelineOps() const;
 
   private:
+    Pipeline &
+    push(PipelineStage st)
+    {
+        stages_.push_back(std::move(st));
+        return *this;
+    }
+
     std::vector<PipelineStage> stages_;
 };
 

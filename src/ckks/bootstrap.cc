@@ -94,7 +94,7 @@ enumerateBootstrapOps(const CkksParams &p, const BootstrapConfig &cfg)
     walkBootstrap(
         p, cfg,
         [&](size_t nrot, size_t level) {
-            ops.push_back({HeOp::RotateAccum, level, nrot});
+            ops.push_back({HeOp::LinearTransform, level, nrot});
         },
         [&](HeOp op, size_t level) { ops.push_back({op, level, 1}); });
     return ops;
@@ -111,7 +111,7 @@ enumerateBootstrapKernels(const CkksParams &p, const BootstrapConfig &cfg,
     for (const auto &bop : enumerateBootstrapOps(p, cfg)) {
         std::vector<PipelineOp> pops{{bop.op, bop.fanin}};
         if (mode == BootstrapKernelMode::PerOp &&
-            bop.op == HeOp::RotateAccum) {
+            bop.op == HeOp::LinearTransform) {
             pops.clear();
             for (size_t b = 0; b < bop.fanin; ++b)
                 pops.insert(pops.end(), {{HeOp::Rotate}, {HeOp::Add}});
@@ -194,7 +194,7 @@ bootstrapGraph(const CkksContext &ctx, const BootstrapConfig &cfg,
             cur = cur / static_cast<double>(ctx.qModulus(limbs - 1));
             --limbs;
             break;
-          case HeOp::RotateAccum: {
+          case HeOp::LinearTransform: {
             // Every BSGS group is as wide as the rotation pool, so
             // cycling the pool gives each group the steps 1..fanin.
             std::vector<i64> steps(ops[i].fanin);

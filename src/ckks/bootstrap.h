@@ -48,8 +48,8 @@ struct BootstrapConfig
  * How the BSGS rotation groups of the bootstrap execute: the graph
  * shape bootstrapGraph() emits and the kernel expansion
  * enumerateBootstrapKernels() returns for it.
- *  - Hoisted: each group is one slotSum (a RotateAccum stage), so its
- *    rotations share one ModUp (Halevi-Shoup hoisting) -- the
+ *  - Hoisted: each group is one slotSum (a LinearTransform stage), so
+ *    its rotations share one ModUp (Halevi-Shoup hoisting) -- the
  *    schedule estimateBootstrap() prices.
  *  - PerOp: each group is written as explicit rotate + add nodes, so
  *    every rotation pays its own ModUp (fanin x (Rotate + Add)); the
@@ -82,7 +82,7 @@ struct BootstrapEstimate
 /**
  * One operator of the bootstrap pipeline: the op, the level it runs at
  * (levels consume downward from the top of the modulus chain) and, for
- * the BSGS rotation groups (RotateAccum), the branch fan-in.
+ * the BSGS rotation groups (LinearTransform), the branch fan-in.
  */
 struct BootstrapOp
 {
@@ -95,7 +95,7 @@ struct BootstrapOp
 
 /**
  * Enumerate the bootstrap pipeline as (op, level, fanin) entries. Each
- * BSGS rotation group appears as a single RotateAccum entry whose
+ * BSGS rotation group appears as a single LinearTransform entry whose
  * fanin is the group's rotation count.
  */
 std::vector<BootstrapOp>
@@ -104,8 +104,8 @@ enumerateBootstrapOps(const CkksParams &params, const BootstrapConfig &cfg);
 /**
  * Full kernel schedule of the pipeline: every enumerateBootstrapOps
  * entry expanded through the structural enumerateKernels(PipelineOp)
- * overload -- in Hoisted mode each RotateAccum group expands with one
- * shared ModUp, in PerOp mode as fanin x (Rotate + Add). Both modes
+ * overload -- in Hoisted mode each LinearTransform group expands with
+ * one shared ModUp, in PerOp mode as fanin x (Rotate + Add). Both modes
  * expand the same op walk, so they can never drift apart on op counts
  * or level evolution. Each matches the per-item KernelLog of the
  * bootstrapGraph() compiled in the same mode (at batch 1 for PerOp,

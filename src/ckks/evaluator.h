@@ -151,8 +151,8 @@ class CkksEvaluator
 
     /** Credit a fan-out of @p fanout rotations sharing one ModUp to
      *  the log's shared-ModUp save counter (fanout-1 saves; no-op
-     *  without a log or for fanout <= 1). The RotateAccum pipeline
-     *  stage calls this directly because it drives
+     *  without a log or for fanout <= 1). The LinearTransform
+     *  pipeline stage calls this directly because it drives
      *  applyHoistedRotation itself. */
     void noteHoistedSaves(size_t fanout) const;
     /** @} */

@@ -99,11 +99,12 @@ walkGraph(const Graph &ex, const CkksParams &params,
             cur = wr.after[n.args[0]];
 
         const auto emit = [&](HeOp op, size_t fanin, size_t level,
-                              bool synthetic) {
+                              bool synthetic, bool weighted = false) {
             GraphOp gop;
             gop.node = id;
             gop.op = op;
             gop.fanin = fanin;
+            gop.weighted = weighted;
             gop.level = level;
             gop.repeat = n.repeat;
             gop.label = n.label;
@@ -172,10 +173,26 @@ walkGraph(const Graph &ex, const CkksParams &params,
           case NodeKind::Rotate:
             emit(HeOp::Rotate, 1, cur.limbs - 1, false);
             break;
-          case NodeKind::SlotSum:
-            emit(HeOp::RotateAccum, n.sumSteps.size(), cur.limbs - 1,
-                 false);
+          case NodeKind::LinearTransform: {
+            const bool weighted = !n.weights.empty();
+            // The diagonal method reads slot i + d < 2 dim as
+            // x[(i + d) % dim]: only a replicated block, or one that
+            // spans every slot, wraps that way.
+            if (weighted && !n.branchSteps.empty() && n.replicate < 2 &&
+                n.weights.size() != params.n / 2)
+                failAt(id, n,
+                       "matVec needs replicate >= 2 unless its "
+                       "dimension equals the slot count (rotations "
+                       "would not wrap within the block)");
+            emit(HeOp::LinearTransform, n.branchSteps.size(),
+                 cur.limbs - 1, false, weighted);
+            if (weighted) {
+                wr.ptScale[id] = base;
+                cur.scale *= base;
+                maybeAutoRescale();
+            }
             break;
+          }
           case NodeKind::Rescale:
             if (cur.limbs < 2)
                 failAt(id, n, "rescale has no limb left to drop");
@@ -203,7 +220,6 @@ walkGraph(const Graph &ex, const CkksParams &params,
                 cur.scale = ref.scale;
             break;
           }
-          case NodeKind::MatVec:
           case NodeKind::Polynomial:
             failAt(id, n,
                    "macro node reached the lowering walk (expand "
@@ -333,21 +349,20 @@ compileGraph(const CkksContext &ctx, const Graph &g,
     cg->outputIds_ = wr.outputs;
     cg->inputSpecs_ = wr.inputSpecs;
 
-    // Galois elements of every rotation the lowered program performs.
+    // Galois elements of every rotation the lowered program performs:
+    // one per Rotate node, one per LinearTransform branch.
     const CkksEncoder enc(ctx);
-    std::map<NodeId, u32> rot_idx;
-    std::map<NodeId, std::vector<u32>> sum_idx;
+    std::map<NodeId, std::vector<u32>> rot_idx;
     std::set<u32> galois;
     bool need_relin = false;
     for (NodeId id = 0; id < nodes.size(); ++id) {
         const Node &n = nodes[id];
-        if (n.kind == NodeKind::Rotate) {
-            const u32 a = enc.rotationAutomorphism(n.steps);
-            rot_idx[id] = a;
-            galois.insert(a);
-        } else if (n.kind == NodeKind::SlotSum) {
-            auto &v = sum_idx[id];
-            for (i64 s : n.sumSteps) {
+        if (n.kind == NodeKind::Rotate ||
+            n.kind == NodeKind::LinearTransform) {
+            auto &v = rot_idx[id];
+            for (i64 s : n.kind == NodeKind::Rotate
+                             ? std::vector<i64>{n.steps}
+                             : n.branchSteps) {
                 v.push_back(enc.rotationAutomorphism(s));
                 galois.insert(v.back());
             }
@@ -417,10 +432,9 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         };
         if (op.op == HeOp::Mult)
             add_entry(true, 0, op.level);
-        else if (op.op == HeOp::Rotate)
-            add_entry(false, rot_idx.at(op.node), op.level);
-        else if (op.op == HeOp::RotateAccum)
-            for (u32 a : sum_idx.at(op.node))
+        else if (op.op == HeOp::Rotate ||
+                 op.op == HeOp::LinearTransform)
+            for (u32 a : rot_idx.at(op.node))
                 add_entry(false, a, op.level);
     }
     cg->keyPlan_.budgetBytes = ctx.keySwitchCache().byteBudget();
@@ -435,7 +449,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         std::vector<PipelineOp> pops;
         for (NodeId id : group)
             for (const GraphOp &op : wr.nodeOps[id])
-                pops.push_back({op.op, op.fanin});
+                pops.push_back({op.op, op.fanin, op.weighted});
         return pops;
     };
     const auto start_level_of = [&](NodeId first) {
@@ -529,7 +543,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
                     });
                     break;
                   case HeOp::Rotate: {
-                    const u32 a = rot_idx.at(id);
+                    const u32 a = rot_idx.at(id).front();
                     const SwitchKey *key = rot_keys.at(a);
                     step.stages.push_back(
                         [a, key](Pipeline &p, const Slots &) {
@@ -555,13 +569,25 @@ compileGraph(const CkksContext &ctx, const Graph &g,
                             });
                     break;
                   }
-                  case HeOp::RotateAccum: {
+                  case HeOp::LinearTransform: {
+                    // Weighted terms encode at the stage's level,
+                    // identity term first.
+                    const auto &idx = rot_idx.at(id);
+                    std::vector<const Plaintext *> pts(idx.size() + 1,
+                                                       nullptr);
+                    for (size_t t = 0; t < n.weights.size(); ++t) {
+                        cg->plains_.push_back(enc.encodeReal(
+                            n.weights[t], wr.ptScale[id], op.level + 1));
+                        pts[t] = &cg->plains_.back();
+                    }
                     std::vector<RotateBranch> branches;
-                    for (u32 a : sum_idx.at(id))
-                        branches.push_back({a, rot_keys.at(a)});
+                    for (size_t b = 0; b < idx.size(); ++b)
+                        branches.push_back(
+                            {idx[b], rot_keys.at(idx[b]), pts[b + 1]});
                     step.stages.push_back(
-                        [branches](Pipeline &p, const Slots &) {
-                            p.rotateAccum(branches);
+                        [branches, identity = pts[0]](Pipeline &p,
+                                                      const Slots &) {
+                            p.linearTransform(branches, identity);
                         });
                     break;
                   }
@@ -672,47 +698,8 @@ CompiledGraph::runSequential(KernelLog *log,
         CtVec out(in.size());
         for (size_t i = 0; i < in.size(); ++i) {
             Ciphertext cur = in[i];
-            for (const PipelineStage &stage : pipe.stages()) {
-                switch (stage.op) {
-                  case HeOp::Add:
-                    cur = ev.add(cur, (*stage.rhs)[i]);
-                    break;
-                  case HeOp::Mult:
-                    cur = ev.multiply(cur, (*stage.rhs)[i],
-                                      *stage.key);
-                    break;
-                  case HeOp::Rescale:
-                    cur = ev.rescale(cur);
-                    break;
-                  case HeOp::RescaleMulti:
-                    cur = ev.rescaleMulti(cur);
-                    break;
-                  case HeOp::Rotate:
-                    cur = ev.rotate(cur, stage.autoIdx, *stage.key);
-                    break;
-                  case HeOp::AddPlain:
-                    cur = ev.addPlain(
-                        cur, pipelineStagePlain(stage,
-                                                cur.limbs() - 1));
-                    break;
-                  case HeOp::MultiplyPlain:
-                    cur = ev.multiplyPlain(
-                        cur, pipelineStagePlain(stage,
-                                                cur.limbs() - 1));
-                    break;
-                  case HeOp::RotateAccum: {
-                    const HoistedDecomp dec = ev.hoistedModUp(cur.c1);
-                    Ciphertext acc = cur;
-                    for (const RotateBranch &br : stage.branches)
-                        acc = ev.add(
-                            acc, ev.applyHoistedRotation(
-                                     cur, dec, br.autoIdx, *br.key));
-                    ev.noteHoistedSaves(stage.branches.size());
-                    cur = acc;
-                    break;
-                  }
-                }
-            }
+            for (const PipelineStage &stage : pipe.stages())
+                cur = applyStage(ev, stage, cur, i);
             out[i] = cur;
         }
         return out;

@@ -74,14 +74,15 @@ struct LoweringOptions
  * One lowered HE operator: what the compiled program executes, in
  * program order. Reduce nodes lower to no operator (reduceToLimbs runs
  * no kernels); auto-inserted rescales appear with synthetic = true.
- * Concatenating enumerateKernels({op, fanin}, params, level) over the
- * list predicts a sequential run's KernelLog exactly.
+ * Concatenating enumerateKernels({op, fanin, weighted}, params, level)
+ * over the list predicts a sequential run's KernelLog exactly.
  */
 struct GraphOp
 {
     NodeId node = 0;   ///< expanded-graph node this op came from
     HeOp op = HeOp::Add;
-    size_t fanin = 1;  ///< RotateAccum branch count (1 otherwise)
+    size_t fanin = 1;  ///< LinearTransform branch count (1 otherwise)
+    bool weighted = false; ///< LinearTransform built by matVec
     size_t level = 0;  ///< level the op executes at
     u64 repeat = 1;    ///< estimator multiplicity (node's repeat)
     std::string label; ///< node's stage label
@@ -100,9 +101,9 @@ std::vector<GraphOp> enumerateGraphOps(const Graph &g,
                                        const LoweringOptions &opts = {});
 
 /** Launch granularity of the compiled program. Every schedule runs a
- *  slotSum fan-in as one RotateAccum stage whose branches share one
- *  ModUp (Halevi-Shoup hoisting); the schedules differ only in where
- *  the batch barriers fall. */
+ *  matVec or slotSum as one LinearTransform stage whose rotations
+ *  share one ModUp (Halevi-Shoup hoisting); the schedules differ only
+ *  in where the batch barriers fall. */
 enum class ScheduleKind
 {
     /** Price Fused and PerOp with HeOpCostModel::pipelineCost and pick
@@ -194,9 +195,15 @@ class CompiledGraph
                            const std::vector<CtVec> &inputs) const;
 
     /**
-     * Sequential reference: item by item, stage by stage, one-shot
-     * SwitchKey paths (no residency cache). The conformance baseline
-     * for run(), and the stack's one sequential reference interpreter.
+     * Sequential reference: item by item, stage by stage, each stage
+     * through applyStage on the one-shot SwitchKey paths (no residency
+     * cache, no prevalidation walk, no batch-level parallelism; the
+     * kernels still use the global thread pool). The conformance
+     * baseline for run()'s caching, prevalidation and threading, and
+     * the stack's one sequential reference interpreter. Because run()
+     * executes the same applyStage, what a stage computes is checked
+     * against hand-rolled per-op CkksEvaluator loops, not against
+     * this.
      */
     std::vector<CtVec> runSequential(KernelLog *log,
                                      const std::vector<CtVec> &inputs) const;

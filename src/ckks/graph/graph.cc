@@ -16,11 +16,10 @@ nodeKindName(NodeKind kind)
       case NodeKind::AddPlain: return "AddPlain";
       case NodeKind::MultiplyPlain: return "MultiplyPlain";
       case NodeKind::Rotate: return "Rotate";
-      case NodeKind::SlotSum: return "SlotSum";
+      case NodeKind::LinearTransform: return "LinearTransform";
       case NodeKind::Rescale: return "Rescale";
       case NodeKind::RescaleMulti: return "RescaleMulti";
       case NodeKind::Reduce: return "Reduce";
-      case NodeKind::MatVec: return "MatVec";
       case NodeKind::Polynomial: return "Polynomial";
     }
     return "?";
@@ -149,9 +148,9 @@ Graph::slotSum(NodeId a, std::vector<i64> steps, std::string label)
     checkArg(a, "Graph::slotSum: bad operand id");
     requireThat(!steps.empty(), "Graph::slotSum: need at least one step");
     Node n;
-    n.kind = NodeKind::SlotSum;
+    n.kind = NodeKind::LinearTransform;
     n.args = {a};
-    n.sumSteps = std::move(steps);
+    n.branchSteps = std::move(steps);
     n.label = std::move(label);
     return push(std::move(n));
 }
@@ -202,9 +201,19 @@ Graph::matVec(NodeId x, std::vector<std::vector<double>> w,
                     "Graph::matVec: matrix must be square");
     requireThat(replicate >= 1, "Graph::matVec: replicate must be >= 1");
     Node n;
-    n.kind = NodeKind::MatVec;
+    n.kind = NodeKind::LinearTransform;
     n.args = {x};
-    n.matrix = std::move(w);
+    const size_t dim = w.size();
+    for (size_t d = 0; d < dim; ++d) {
+        // diag_d over dim * replicate slots, zero beyond the first
+        // block: the replicated copies only feed the rotations.
+        std::vector<double> diag(dim * replicate, 0.0);
+        for (size_t i = 0; i < dim; ++i)
+            diag[i] = w[i][(i + d) % dim];
+        n.weights.push_back(std::move(diag));
+        if (d > 0)
+            n.branchSteps.push_back(static_cast<i64>(d));
+    }
     n.replicate = replicate;
     n.label = std::move(label);
     return push(std::move(n));
@@ -248,16 +257,6 @@ Graph::markOutput(NodeId n)
     outputs_.push_back(n);
 }
 
-bool
-Graph::hasMacros() const
-{
-    for (const auto &n : nodes_) {
-        if (n.kind == NodeKind::MatVec || n.kind == NodeKind::Polynomial)
-            return true;
-    }
-    return false;
-}
-
 namespace {
 
 /** Expansion context: the target graph plus the old->new id map. */
@@ -268,42 +267,6 @@ struct Expansion
 
     NodeId at(NodeId old) const { return map[old]; }
 };
-
-/** diag_d of W on a block of dim * replicate slots (zeros beyond the
- *  first block: the replicated copies only feed the rotations). */
-std::vector<double>
-diagonal(const std::vector<std::vector<double>> &w, size_t d,
-         size_t replicate)
-{
-    const size_t dim = w.size();
-    std::vector<double> diag(dim * replicate, 0.0);
-    for (size_t i = 0; i < dim; ++i)
-        diag[i] = w[i][(i + d) % dim];
-    return diag;
-}
-
-NodeId
-expandMatVec(Expansion &e, const Node &n)
-{
-    const NodeId x = e.at(n.args[0]);
-    const size_t dim = n.matrix.size();
-    NodeId acc = e.out.multiplyPlain(
-        x, PlainOperand::base(diagonal(n.matrix, 0, n.replicate)),
-        n.label);
-    e.out.setRepeat(acc, n.repeat);
-    for (size_t d = 1; d < dim; ++d) {
-        const NodeId rot =
-            e.out.rotate(x, static_cast<i64>(d), n.label);
-        const NodeId term = e.out.multiplyPlain(
-            rot, PlainOperand::base(diagonal(n.matrix, d, n.replicate)),
-            n.label);
-        acc = e.out.add(acc, term, n.label);
-        e.out.setRepeat(rot, n.repeat);
-        e.out.setRepeat(term, n.repeat);
-        e.out.setRepeat(acc, n.repeat);
-    }
-    return acc;
-}
 
 NodeId
 expandPolynomial(Expansion &e, const Node &n)
@@ -377,9 +340,6 @@ Graph::expanded() const
     for (NodeId id = 0; id < nodes_.size(); ++id) {
         const Node &n = nodes_[id];
         switch (n.kind) {
-          case NodeKind::MatVec:
-            e.map[id] = expandMatVec(e, n);
-            break;
           case NodeKind::Polynomial:
             e.map[id] = expandPolynomial(e, n);
             break;

@@ -12,13 +12,20 @@
  * cannot drift.
  *
  * Two node tiers:
- *  - primitives map 1:1 onto CkksEvaluator operators (Add, Multiply,
- *    AddPlain, MultiplyPlain, Rotate, SlotSum = rotate-accumulate
- *    fan-in, Rescale, RescaleMulti, Reduce = level alignment);
- *  - macros (MatVec, Polynomial) expand deterministically into the
- *    exact primitive sequences the hand-written examples used -- the
+ *  - primitives map 1:1 onto pipeline stages (Add, Multiply,
+ *    AddPlain, MultiplyPlain, Rotate, Rescale, RescaleMulti, Reduce =
+ *    level alignment, and LinearTransform = sum_j [pt_j *] rotate(x,
+ *    k_j), the one hoisted stage that matVec and slotSum both build);
+ *  - the Polynomial macro expands deterministically into the exact
+ *    primitive sequence the hand-written HELR example used -- the
  *    expansion order is part of the contract, asserted bit-identical
  *    and kernel-log-equal by graph_test.
+ *
+ * matVec is not a macro over rotate nodes: it is one LinearTransform
+ * node whose rotations share a single ModUp of x. Its results stay
+ * bit-identical to the hand-rolled rotate + multiplyPlain + add loop,
+ * but its per-item KernelLog is the schedule enumerator's (one ModUp,
+ * then a rotation block per diagonal), not that loop's.
  *
  * Plaintext operands carry their *values* plus a scale policy, not an
  * encoded Plaintext: the compiler encodes them at lowering time against
@@ -38,7 +45,7 @@ namespace cross::ckks::graph {
 /** Node handle: index into Graph::nodes(). */
 using NodeId = u32;
 
-/** Operator kinds. MatVec and Polynomial are macros (see expanded()). */
+/** Operator kinds. Polynomial is a macro (see expanded()). */
 enum class NodeKind
 {
     Input,
@@ -47,7 +54,9 @@ enum class NodeKind
     AddPlain,      ///< ct + pt
     MultiplyPlain, ///< ct * pt (no key switch)
     Rotate,        ///< slot rotation by a fixed step
-    SlotSum,       ///< rotate-accumulate fan-in (RotateAccum stage)
+    /** x + sum_j rotate(x, k_j) (slotSum) or sum_d diag_d *
+     *  rotate(x, d) (matVec): one hoisted LinearTransform stage. */
+    LinearTransform,
     Rescale,
     RescaleMulti,
     /** Truncate to a reference node's limb count (reduceToLimbs; logs
@@ -55,7 +64,6 @@ enum class NodeKind
      *  ledger scale -- the explicit `lin.scale = cub.scale` level
      *  alignment the HELR example performed. */
     Reduce,
-    MatVec,     ///< macro: diagonal-method matrix-vector product
     Polynomial, ///< macro: degree <= 3 polynomial in one ciphertext
 };
 
@@ -105,10 +113,15 @@ struct Node
 
     PlainOperand plain;         ///< AddPlain / MultiplyPlain
     i64 steps = 0;              ///< Rotate: left-rotation step
-    std::vector<i64> sumSteps;  ///< SlotSum branch steps, in order
+    /** LinearTransform: rotation step of each branch, in fold order
+     *  (the identity term comes first and has no step). */
+    std::vector<i64> branchSteps;
+    /** Weighted LinearTransform (matVec): one plaintext per term,
+     *  identity first, encoded at the base scale; empty when the
+     *  transform is unweighted (slotSum). */
+    std::vector<std::vector<double>> weights;
+    size_t replicate = 1;       ///< matVec: input packing replication
     bool adoptScale = false;    ///< Reduce: copy reference's scale
-    std::vector<std::vector<double>> matrix; ///< MatVec: square W
-    size_t replicate = 1;       ///< MatVec: input packing replication
     std::vector<double> coeffs; ///< Polynomial: c0..c3, low to high
     size_t polySlots = 0;       ///< Polynomial: slots the constants fill
 };
@@ -130,7 +143,8 @@ class Graph
     NodeId multiplyPlain(NodeId a, PlainOperand pt,
                          std::string label = "");
     NodeId rotate(NodeId a, i64 steps, std::string label = "");
-    /** Rotate-accumulate fan-in: a + sum_j rotate(a, steps[j]). */
+    /** Rotate-accumulate fan-in a + sum_j rotate(a, steps[j]): an
+     *  unweighted LinearTransform node. */
     NodeId slotSum(NodeId a, std::vector<i64> steps,
                    std::string label = "");
     NodeId rescale(NodeId a, std::string label = "");
@@ -141,16 +155,20 @@ class Graph
                     std::string label = "");
 
     /**
-     * Diagonal-method matrix-vector macro: y = W x for square W over an
-     * input packed with @p replicate adjacent copies of x (so rotations
-     * wrap within the block). Expands to
+     * Diagonal-method matrix-vector product y = W x for square W over
+     * an input packed with @p replicate adjacent copies of x (so
+     * rotations wrap within the block): one weighted LinearTransform
+     * node computing
      *
      *     acc = multiplyPlain(x, diag_0)
      *     for d = 1..dim-1:
      *         acc = add(acc, multiplyPlain(rotate(x, d), diag_d))
      *
      * with diag_d[i] = W[i][(i + d) % dim] on the first block and zero
-     * elsewhere -- the exact sequence examples/private_inference ran.
+     * elsewhere -- bit-identical to the loop examples/private_inference
+     * runs, with every rotation sharing one ModUp of x. For dim >= 2,
+     * compiling fails unless replicate >= 2 or dim equals the slot
+     * count: otherwise rotate(x, d) does not wrap within the block.
      */
     NodeId matVec(NodeId x, std::vector<std::vector<double>> w,
                   size_t replicate, std::string label = "");
@@ -179,10 +197,8 @@ class Graph
      *  the last node. */
     const std::vector<NodeId> &outputs() const { return outputs_; }
 
-    bool hasMacros() const;
-
     /**
-     * Macro-free copy: every MatVec / Polynomial node replaced by its
+     * Macro-free copy: every Polynomial node replaced by its
      * primitive expansion (in place, preserving program order), all
      * references remapped, macro labels and repeat counts inherited by
      * the expansion. Primitive-only graphs round-trip unchanged.

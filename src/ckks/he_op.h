@@ -14,7 +14,7 @@
 namespace cross::ckks {
 
 /** The backbone HE operators of Table VIII, plus the plaintext-operand
- *  and fan-in forms the bootstrap pipeline chains. */
+ *  and linear-transform forms that matVec and the bootstrap chain. */
 enum class HeOp
 {
     Add,
@@ -29,16 +29,14 @@ enum class HeOp
     /** ct * pt: no key switch, no relinearisation. */
     MultiplyPlain,
     /**
-     * Branching-DAG stage: out = in + sum_j rotate(in, k_j) -- the
-     * rotate-and-accumulate fan-in of a slot-summation tree. All
-     * branches share one ModUp of the input (Halevi-Shoup hoisting):
-     * each rotation permutes the decomposed digits and pays only its
-     * inner product + ModDown. Bit-identical to per-branch rotate +
-     * add at any thread count; fanin-1 fewer ModUps. The branch count
-     * (fan-in) lives in PipelineOp / PipelineStage; as a bare HeOp it
-     * means one branch, i.e. exactly Rotate + Add.
+     * out = [pt_0 *] in + sum_j [pt_j *] rotate(in, k_j): matVec
+     * (weighted) or a slot-sum fan-in / BSGS group (unweighted). All
+     * branches share one ModUp of the input (Halevi-Shoup hoisting)
+     * and plaintexts apply after ModDown, so results are bit-identical
+     * to the per-op loop with fanin-1 fewer ModUps. As a bare HeOp it
+     * means one unweighted branch, i.e. exactly Rotate + Add.
      */
-    RotateAccum,
+    LinearTransform,
 };
 
 inline const char *
@@ -52,20 +50,22 @@ heOpName(HeOp op)
       case HeOp::RescaleMulti: return "RescaleMulti";
       case HeOp::AddPlain: return "HE-Add-Plain";
       case HeOp::MultiplyPlain: return "HE-Mult-Plain";
-      case HeOp::RotateAccum: return "RotateAccum";
+      case HeOp::LinearTransform: return "LinearTransform";
     }
     return "?";
 }
 
 /**
  * One operator of a fused pipeline as the schedule enumerator / cost
- * model sees it: the op plus its structural arity. fanin is the number
- * of rotate branches of a RotateAccum stage (1 for every other op).
+ * model sees it: the op plus its structural shape. fanin is the number
+ * of rotation branches of a LinearTransform stage (1 for every other
+ * op); weighted marks a LinearTransform whose terms carry plaintexts.
  */
 struct PipelineOp
 {
     HeOp op;
     size_t fanin = 1;
+    bool weighted = false;
 };
 
 } // namespace cross::ckks

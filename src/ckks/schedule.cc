@@ -168,10 +168,9 @@ enumerateKernels(HeOp op, const CkksParams &p, size_t level)
         push(v, KernelKind::VecModMulConst, n, 2 * limbs);
         break;
 
-      case HeOp::RotateAccum:
-        // One branch: rotate(in, k) then add back into the running
-        // accumulator -- the fan-in expansion at fanin 1, which is
-        // exactly Rotate + Add.
+      case HeOp::LinearTransform:
+        // One unweighted branch: the transform's expansion at fanin 1
+        // is exactly Rotate + Add.
         return enumerateKernels({PipelineOp{op, 1}}, p, level);
     }
     return v;
@@ -186,7 +185,7 @@ heOpNextLevel(HeOp op, const CkksParams &p, size_t level)
       case HeOp::Rotate:
       case HeOp::AddPlain:
       case HeOp::MultiplyPlain:
-      case HeOp::RotateAccum:
+      case HeOp::LinearTransform:
         return level;
       case HeOp::Rescale:
         requireThat(level >= 1, "heOpNextLevel: rescale needs >= 2 limbs");
@@ -207,14 +206,21 @@ enumerateKernels(const std::vector<PipelineOp> &pipeline,
 {
     std::vector<KernelCall> v;
     for (const auto &st : pipeline) {
-        if (st.op == HeOp::RotateAccum) {
-            // One shared ModUp for the whole fan-out, then one
-            // rotation block + accumulate per branch: the hoisting
-            // contract (fanin-1 ModUps fewer than per-branch Rotate).
-            appendModUp(v, p, level);
+        if (st.op == HeOp::LinearTransform) {
+            // One shared ModUp for the whole fan-out, the identity
+            // term, then per branch one rotation block [+ weight] +
+            // accumulate: the hoisting contract (fanin-1 ModUps fewer
+            // than per-branch Rotate).
+            const auto weigh =
+                st.weighted ? enumerateKernels(HeOp::MultiplyPlain, p, level)
+                            : std::vector<KernelCall>{};
             const auto add = enumerateKernels(HeOp::Add, p, level);
+            if (st.fanin > 0)
+                appendModUp(v, p, level);
+            v.insert(v.end(), weigh.begin(), weigh.end());
             for (size_t b = 0; b < st.fanin; ++b) {
                 appendHoistedRotBlock(v, p, level);
+                v.insert(v.end(), weigh.begin(), weigh.end());
                 v.insert(v.end(), add.begin(), add.end());
             }
         } else {
@@ -277,9 +283,11 @@ HeOpCostModel::pipelineCost(const std::vector<PipelineOp> &pipeline,
         if (i)
             name += " > ";
         name += heOpName(pipeline[i].op);
-        if (pipeline[i].op == HeOp::RotateAccum) {
+        if (pipeline[i].op == HeOp::LinearTransform) {
             name += "x";
             name += std::to_string(pipeline[i].fanin);
+            if (pipeline[i].weighted)
+                name += "w";
         }
     }
     total.name = name + "]";

@@ -29,10 +29,12 @@ std::vector<KernelCall> enumerateKernels(HeOp op, const CkksParams &params,
 /**
  * Kernel schedule of a fused operator pipeline starting at @p level:
  * the concatenation of each stage's schedule with the level evolving
- * between stages (heOpNextLevel). A RotateAccum entry expands to one
- * shared ModUp plus fanin x (rotation block + Add schedule), the
- * Halevi-Shoup hoisted fan-in that pays the decomposition once per
- * stage; at fanin 1 that is exactly the Rotate + Add schedule.
+ * between stages (heOpNextLevel). A LinearTransform entry expands to
+ * one shared ModUp (none at fanin 0), the identity term's
+ * MultiplyPlain when weighted, then per branch a rotation block
+ * [+ MultiplyPlain] + Add: the Halevi-Shoup hoisted transform that
+ * pays the decomposition once per stage. Unweighted at fanin 1 that is
+ * exactly the Rotate + Add schedule.
  * Mirrors BatchEvaluator::run's per-item KernelLog exactly, so
  * schedule-conformance tests can assert evaluator-log == enumerator
  * for whole pipelines.
@@ -70,7 +72,7 @@ class HeOpCostModel
     /**
      * Fused cost of a whole operator pipeline starting at @p level:
      * one launch covering every stage, pricing exactly the kernels
-     * BatchEvaluator::run executes per item (a RotateAccum fan-in
+     * BatchEvaluator::run executes per item (a LinearTransform
      * priced with its one shared ModUp).
      */
     tpu::KernelCost pipelineCost(const std::vector<PipelineOp> &pipeline,

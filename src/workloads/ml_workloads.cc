@@ -166,10 +166,14 @@ workloadFromGraph(const GraphWorkload &gw)
          ckks::graph::enumerateGraphOps(gw.graph, gw.params,
                                         gw.lowering)) {
         const std::string stage = op.label.empty() ? "op" : op.label;
-        if (op.op == HeOp::RotateAccum) {
-            // The fan-in stage runs one rotate + one accumulate add per
-            // branch, per repetition.
+        if (op.op == HeOp::LinearTransform) {
+            // The transform runs one rotate [+ multiplyPlain] + one
+            // accumulate add per branch, plus the identity term's
+            // multiplyPlain when weighted, per repetition.
             push(stage, HeOp::Rotate, op.level, op.fanin * op.repeat);
+            if (op.weighted)
+                push(stage, HeOp::MultiplyPlain, op.level,
+                     (op.fanin + 1) * op.repeat);
             push(stage, HeOp::Add, op.level, op.fanin * op.repeat);
         } else {
             push(stage, op.op, op.level, op.repeat);

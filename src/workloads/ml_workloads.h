@@ -68,12 +68,12 @@ GraphWorkload mnistInferenceGraph();
 /**
  * Lower a graph workload to the estimator's operator groups: one
  * OpGroup per lowered operator (node repeat counts become invocation
- * counts, SlotSum fan-in expands to its rotate + add pairs),
- * consecutive identical (stage, op, level) groups merged. Each fan-in
- * branch is priced as a full Rotate + Add -- the paper's per-op
- * estimator methodology -- even though the compiled RotateAccum stage
- * shares one ModUp across its branches, so the estimated workload
- * records do not depend on the hoisted execution.
+ * counts, a LinearTransform expands to its rotate [+ multiplyPlain] +
+ * add terms), consecutive identical (stage, op, level) groups merged.
+ * Each branch is priced as a full Rotate -- the paper's per-op
+ * estimator methodology -- even though the compiled LinearTransform
+ * stage shares one ModUp across its branches, so the estimated
+ * workload records do not depend on the hoisted execution.
  */
 Workload workloadFromGraph(const GraphWorkload &gw);
 

@@ -9,7 +9,7 @@
  * kernel. The PerOp graph (each BSGS group written as explicit rotate
  * + add nodes) is the per-op reference: bit-identical results, its
  * own enumeration, and exactly the hoisted run's saved ModUps more.
- * Also covers the branching-DAG RotateAccum stage (slot-summation
+ * Also covers the unweighted LinearTransform stage (slot-summation
  * rotation tree, checked semantically against a decrypted slot sum,
  * and a fan-in checked against the per-op rotate + add loop), the
  * LRU-bounded key residency under the bootstrap's many-(key, level)
@@ -102,7 +102,7 @@ bootstrapSaves(const CkksParams &params, const BootstrapConfig &cfg)
 {
     u64 saves = 0;
     for (const auto &bop : enumerateBootstrapOps(params, cfg))
-        if (bop.op == HeOp::RotateAccum)
+        if (bop.op == HeOp::LinearTransform)
             saves += bop.fanin - 1;
     return saves;
 }
@@ -363,7 +363,7 @@ TEST_F(BootstrapGraphFixture, ResidencyStaysWithinByteBudget)
 // ---------------------------------------------------------------------
 // Branching-DAG stage: slot-summation rotation tree
 // ---------------------------------------------------------------------
-TEST_F(BootstrapGraphFixture, RotateAccumTreeSumsSlots)
+TEST_F(BootstrapGraphFixture, LinearTransformTreeSumsSlots)
 {
     CkksContext small(CkksParams::testSet(1 << 8, 3, 2));
     CkksEncoder encoder(small);
@@ -388,7 +388,7 @@ TEST_F(BootstrapGraphFixture, RotateAccumTreeSumsSlots)
     Pipeline tree;
     for (u32 k : ks) {
         keys.push_back(kg.rotationKey(k));
-        tree.rotateAccum({{k, &keys.back()}});
+        tree.linearTransform({{k, &keys.back()}});
     }
 
     // Sequential reference (one-shot keys) for bit-identity + log.
@@ -421,7 +421,7 @@ TEST_F(BootstrapGraphFixture, RotateAccumTreeSumsSlots)
     const auto specs = tree.pipelineOps();
     ASSERT_EQ(specs.size(), ks.size());
     for (const auto &spec : specs) {
-        EXPECT_EQ(spec.op, HeOp::RotateAccum);
+        EXPECT_EQ(spec.op, HeOp::LinearTransform);
         EXPECT_EQ(spec.fanin, 1u);
     }
     const auto predicted =
@@ -429,7 +429,7 @@ TEST_F(BootstrapGraphFixture, RotateAccumTreeSumsSlots)
     expectSameCalls(seq_log.calls(), predicted, "enumerator");
 }
 
-TEST_F(BootstrapGraphFixture, RotateAccumFanInMatchesSequential)
+TEST_F(BootstrapGraphFixture, LinearTransformFanInMatchesSequential)
 {
     CkksContext small(CkksParams::testSet(1 << 8, 3, 2));
     CkksEncoder encoder(small);
@@ -452,7 +452,7 @@ TEST_F(BootstrapGraphFixture, RotateAccumFanInMatchesSequential)
     const auto key2 = kg.rotationKey(k2);
     const auto key3 = kg.rotationKey(k3);
     Pipeline p;
-    p.rotateAccum({{k1, &key1}, {k2, &key2}, {k3, &key3}});
+    p.linearTransform({{k1, &key1}, {k2, &key2}, {k3, &key3}});
 
     // The per-op reference: every branch rotates (its own ModUp) and
     // folds back in branch order.

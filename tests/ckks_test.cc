@@ -393,8 +393,8 @@ TEST_P(ScheduleMatch, EnumeratorPredictsEvaluatorKernels)
       case HeOp::MultiplyPlain:
         (void)ev.multiplyPlain(ca, pt);
         break;
-      case HeOp::RotateAccum:
-        // One fan-in branch: rotate the input, fold it back in.
+      case HeOp::LinearTransform:
+        // One unweighted branch: rotate the input, fold it back in.
         (void)ev.add(ca, ev.rotate(ca, k, rot_key));
         break;
     }
@@ -417,7 +417,7 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ScheduleMatch,
                                            HeOp::Rescale, HeOp::Rotate,
                                            HeOp::AddPlain,
                                            HeOp::MultiplyPlain,
-                                           HeOp::RotateAccum));
+                                           HeOp::LinearTransform));
 
 // Conformance at *every* level -- not just the top spot-check above --
 // including the double-rescale operator (rescaleSplit = 2).
@@ -440,7 +440,7 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
 
     for (HeOp op : {HeOp::Add, HeOp::Mult, HeOp::Rescale, HeOp::Rotate,
                     HeOp::RescaleMulti, HeOp::AddPlain,
-                    HeOp::MultiplyPlain, HeOp::RotateAccum}) {
+                    HeOp::MultiplyPlain, HeOp::LinearTransform}) {
         for (size_t level = 0; level < ctx.qCount(); ++level) {
             const size_t min_level = op == HeOp::Rescale ? 1
                 : op == HeOp::RescaleMulti ? params.rescaleSplit
@@ -473,7 +473,7 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
               case HeOp::MultiplyPlain:
                 (void)ev.multiplyPlain(ct, pt);
                 break;
-              case HeOp::RotateAccum:
+              case HeOp::LinearTransform:
                 (void)ev.add(ct, ev.rotate(ct, k, rot_key));
                 break;
             }

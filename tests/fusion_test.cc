@@ -663,38 +663,74 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
     cache.clear();
 }
 
-TEST_F(FusionFixture, RotateAccumValidatesBranchKeysBeforeAnyWork)
+TEST_F(FusionFixture, LinearTransformValidatesTermsBeforeAnyWork)
 {
     const u32 k1 = encoder.rotationAutomorphism(1);
     const u32 k2 = encoder.rotationAutomorphism(2);
     const auto key1 = keygen.rotationKey(k1);
+    const auto key2 = keygen.rotationKey(k2);
     const auto a = encryptBatch(2, 32);
     setGlobalThreadCount(1);
     BatchEvaluator batch(ctx);
+    auto &cache = ctx.keySwitchCache();
 
     // A null branch key is rejected at the builder.
     Pipeline null_key;
-    EXPECT_THROW(null_key.rotateAccum({{k1, &key1}, {k2, nullptr}}),
+    EXPECT_THROW(null_key.linearTransform({{k1, &key1}, {k2, nullptr}}),
                  std::invalid_argument);
 
-    // A wrong-level branch key -- digits that cannot cover the items'
-    // level -- fails the prevalidation walk before any precomp is
-    // prefetched or parallel work starts.
+    // Every other malformed term fails the prevalidation walk before
+    // any precomp is prefetched or parallel work starts.
+    const auto expectFailsUpFront = [&](const Pipeline &p,
+                                        const char *what) {
+        cache.clear();
+        cache.resetStats();
+        EXPECT_THROW(batch.run(a, p), std::invalid_argument) << what;
+        EXPECT_EQ(cache.misses(), 0u) << what; // nothing prefetched
+        EXPECT_EQ(cache.activeReaders(), 0u) << what;
+    };
+
+    // A wrong-level branch key: digits that cannot cover the items'
+    // level.
     auto bad = keygen.rotationKey(k2);
     bad.digits.resize(1);
     Pipeline wrong_level;
-    wrong_level.rotateAccum({{k1, &key1}, {k2, &bad}});
-    auto &cache = ctx.keySwitchCache();
-    cache.clear();
-    cache.resetStats();
-    EXPECT_THROW(batch.run(a, wrong_level), std::invalid_argument);
-    EXPECT_EQ(cache.misses(), 0u); // fail-fast: nothing was prefetched
-    EXPECT_EQ(cache.activeReaders(), 0u);
+    wrong_level.linearTransform({{k1, &key1}, {k2, &bad}});
+    expectFailsUpFront(wrong_level, "wrong-level key");
+
+    // Weighted stages: a plaintext one limb short of the items, an
+    // unweighted term among weighted ones (either way round), and a
+    // term whose scale does not match the identity term's.
+    const std::vector<double> w(encoder.slotCount(), 0.5);
+    const auto pt = encoder.encodeReal(w, kScale, ctx.qCount());
+    const auto short_pt = encoder.encodeReal(w, kScale, ctx.qCount() - 1);
+    const auto other_scale =
+        encoder.encodeReal(w, kScale * 4, ctx.qCount());
+    Pipeline short_plain;
+    short_plain.linearTransform({{k1, &key1, &pt}, {k2, &key2, &short_pt}},
+                                &pt);
+    expectFailsUpFront(short_plain, "short plaintext");
+    Pipeline unweighted_term;
+    unweighted_term.linearTransform({{k1, &key1, &pt}, {k2, &key2}}, &pt);
+    expectFailsUpFront(unweighted_term, "unweighted term");
+    Pipeline weighted_term;
+    weighted_term.linearTransform({{k1, &key1, &pt}});
+    expectFailsUpFront(weighted_term, "weighted term, unweighted stage");
+    Pipeline mismatched;
+    mismatched.linearTransform(
+        {{k1, &key1, &pt}, {k2, &key2, &other_scale}}, &pt);
+    expectFailsUpFront(mismatched, "term scales");
 
     // The same wrong-level key through the single-rotate stage.
     Pipeline rot;
     rot.rotate(k2, bad);
     EXPECT_THROW(batch.run(a, rot), std::invalid_argument);
+
+    // The well-formed weighted stage runs.
+    Pipeline good;
+    good.linearTransform({{k1, &key1, &pt}, {k2, &key2, &pt}}, &pt);
+    EXPECT_EQ(batch.run(a, good).size(), a.size());
+    cache.clear();
 }
 
 } // namespace

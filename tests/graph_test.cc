@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for the operator-graph IR and its compiler (src/ckks/graph/):
- * graph-compiled workloads must be bit-identical (results and merged
- * KernelLog) to the hand-rolled operator sequences they replace, at
- * any thread count; the level/scale ledger must fail fast at compile
+ * graph-compiled workloads must be bit-identical to the hand-rolled
+ * operator sequences they replace, at any thread count, with merged
+ * KernelLogs equal to those sequences' (or, where a matVec's rotations
+ * share one ModUp, to the schedule enumerator's, d - 2 INTTs short of
+ * the per-op loop); the level/scale ledger must fail fast at compile
  * time on misuse; the key working-set plan must match the residency
  * cache's observed footprint; the structural enumerator used by
  * the workload estimators must agree with the compiled schedule (the
@@ -143,8 +145,24 @@ class GraphFixture : public ::testing::Test
     {
         setGlobalThreadCount(1);
         const CkksEvaluator ev(ctx, log);
-        const auto w = layerWeights();
         const auto bias = layerBias();
+        Ciphertext acc = ev.rescale(handRolledMatVec(ev, ct, rot_keys));
+        std::vector<double> bias_packed;
+        for (int rep = 0; rep < 2; ++rep)
+            bias_packed.insert(bias_packed.end(), bias.begin(),
+                               bias.end());
+        acc = ev.addPlain(acc, encoder.encodeReal(bias_packed, acc.scale,
+                                                  acc.limbs()));
+        return ev.rescale(ev.multiply(acc, acc, rlk));
+    }
+
+    /** The layer's W x by the diagonal method at replicate 2, per op:
+     *  multiplyPlain + rotate (each with its own ModUp) + add. */
+    Ciphertext
+    handRolledMatVec(const CkksEvaluator &ev, const Ciphertext &ct,
+                     const std::map<u32, SwitchKey> &rot_keys)
+    {
+        const auto w = layerWeights();
         const size_t dim = w.size();
         Ciphertext acc;
         for (size_t d = 0; d < dim; ++d) {
@@ -164,14 +182,7 @@ class GraphFixture : public ::testing::Test
             }
             acc = d == 0 ? term : ev.add(acc, term);
         }
-        acc = ev.rescale(acc);
-        std::vector<double> bias_packed;
-        for (int rep = 0; rep < 2; ++rep)
-            bias_packed.insert(bias_packed.end(), bias.begin(),
-                               bias.end());
-        acc = ev.addPlain(acc, encoder.encodeReal(bias_packed, acc.scale,
-                                                  acc.limbs()));
-        return ev.rescale(ev.multiply(acc, acc, rlk));
+        return acc;
     }
 
     /** Hand-rolled HELR gradient g = 0.5 - 0.197 yz + 0.004 (yz)^3. */
@@ -213,8 +224,8 @@ class GraphFixture : public ::testing::Test
 
     /** One matVec-style diagonal dot product: weight the input, then a
      *  slot-sum fan-in over rotations by 1, 2 and 3, then a rescale.
-     *  The SlotSum lowers to one RotateAccum with fanin 3, the shape
-     *  whose branches share one ModUp. */
+     *  The slotSum lowers to one unweighted LinearTransform with fanin
+     *  3, the shape whose branches share one ModUp. */
     static Graph
     dotProductGraph()
     {
@@ -225,6 +236,30 @@ class GraphFixture : public ::testing::Test
         const auto s = g.slotSum(m, {1, 2, 3}, "dot");
         g.rescale(s);
         return g;
+    }
+
+    /** One item's KernelLog as the schedule enumerator predicts it:
+     *  enumerateKernels concatenated over the lowered ops. */
+    std::vector<KernelCall>
+    enumeratedLog(const CompiledGraph &cg) const
+    {
+        std::vector<KernelCall> want;
+        for (const auto &op : cg.ops()) {
+            const auto calls = enumerateKernels(
+                std::vector<PipelineOp>{{op.op, op.fanin, op.weighted}},
+                ctx.params(), op.level);
+            want.insert(want.end(), calls.begin(), calls.end());
+        }
+        return want;
+    }
+
+    static size_t
+    inttCount(const std::vector<KernelCall> &calls)
+    {
+        size_t n = 0;
+        for (const KernelCall &k : calls)
+            n += k.kind == KernelKind::Intt;
+        return n;
     }
 
     CompileOptions
@@ -264,6 +299,13 @@ TEST_F(GraphFixture, DenseLayerMatchesHandRolledAtAnyThreadCount)
     const auto compiled =
         compileGraph(ctx, layer, layerOptions(rlk, rot_keys));
 
+    // The loop stays the results reference; the log is the
+    // enumerator's, whose matVec shares one ModUp across its d - 1
+    // rotations: d - 2 INTTs fewer than the loop, each a credited save.
+    KernelLog want;
+    for (const KernelCall &k : enumeratedLog(*compiled))
+        want.add(k.kind, k.n, k.limbs, k.limbsOut);
+    const size_t d = layerWeights().size();
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
         KernelLog log;
@@ -271,7 +313,10 @@ TEST_F(GraphFixture, DenseLayerMatchesHandRolledAtAnyThreadCount)
         const auto outs = compiled->run(batch, {{ct}});
         ASSERT_EQ(outs.size(), 1u);
         expectEqual(outs[0], {ref});
-        expectSameLog(log, ref_log);
+        expectSameLog(log, want);
+        EXPECT_EQ(log.hoistedModUpSaves(), d - 2);
+        EXPECT_EQ(inttCount(log.calls()) + (d - 2),
+                  inttCount(ref_log.calls()));
     }
 }
 
@@ -369,6 +414,41 @@ TEST_F(GraphFixture, LedgerRejectsRescalePastTheChain)
                  std::invalid_argument);
 }
 
+TEST_F(GraphFixture, MatVecRejectsUnreplicatedBlockBelowTheSlotCount)
+{
+    // At N = 2^9 a d = 4 block is far below the 256 slots: without a
+    // replicated copy rotate(x, d) does not wrap within the block and
+    // the product comes out silently wrong, so the compile fails and
+    // names the node.
+    const auto rlk = keygen.relinKey();
+    const auto rot_keys = layerRotationKeys(4);
+    Graph g;
+    g.matVec(g.input(), layerWeights(), 1, "layer1");
+    try {
+        (void)compileGraph(ctx, g, layerOptions(rlk, rot_keys));
+        FAIL() << "matVec with replicate = 1 below the slot count must "
+                  "throw";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("replicate"), std::string::npos) << what;
+        EXPECT_NE(what.find("node #1 (LinearTransform, layer1)"),
+                  std::string::npos)
+            << what;
+    }
+
+    // A block that spans every slot wraps by itself (structural walk at
+    // a four-slot ring), and replicate = 2 compiles at this ring.
+    LoweringOptions lopts;
+    lopts.baseScale = kScale;
+    CkksParams four_slots = ctx.params();
+    four_slots.n = 8;
+    EXPECT_NO_THROW((void)enumerateGraphOps(g, four_slots, lopts));
+    Graph replicated;
+    replicated.matVec(replicated.input(), layerWeights(), 2, "layer1");
+    EXPECT_NO_THROW((void)compileGraph(ctx, replicated,
+                                       layerOptions(rlk, rot_keys)));
+}
+
 TEST_F(GraphFixture, CompileRejectsMissingKeys)
 {
     const auto rlk = keygen.relinKey();
@@ -428,6 +508,24 @@ TEST_F(GraphFixture, AutoRescaleInsertsTheSyntheticOp)
     const BatchEvaluator batch(ctx);
     const auto outs = compiled->run(batch, {{ct}});
     expectEqual(outs.at(0), {want});
+
+    // A matVec is one weighted LinearTransform stage, so it takes one
+    // synthetic rescale after the summed diagonal products, not one
+    // per product.
+    const auto rot_keys = layerRotationKeys(4);
+    Graph mv;
+    mv.matVec(mv.input(), layerWeights(), 2);
+    CompileOptions mv_opts = layerOptions(rlk, rot_keys);
+    mv_opts.lowering.autoRescaleAbove = kScale * 1.5;
+    const auto mv_compiled = compileGraph(ctx, mv, mv_opts);
+    ASSERT_EQ(mv_compiled->ops().size(), 2u);
+    EXPECT_EQ(mv_compiled->ops()[0].op, HeOp::LinearTransform);
+    EXPECT_EQ(mv_compiled->ops()[0].fanin, 3u);
+    EXPECT_TRUE(mv_compiled->ops()[0].weighted);
+    EXPECT_EQ(mv_compiled->ops()[1].op, HeOp::Rescale);
+    EXPECT_TRUE(mv_compiled->ops()[1].synthetic);
+    expectEqual(mv_compiled->run(batch, {{ct}}).at(0),
+                {ev.rescale(handRolledMatVec(ev, ct, rot_keys))});
 }
 
 // ---------------------------------------------------------------------
@@ -510,9 +608,10 @@ TEST_F(GraphFixture, StructuralEnumerationMatchesCompiledSchedule)
     const u32 g_rep = encoder.rotationAutomorphism(-4);
     rot_keys.emplace(g_rep, keygen.rotationKey(g_rep));
 
-    // The two-layer MLP shape the Set-B benchmark serves: its one
-    // fan-in, slotSum({-4}), has a single branch, so it runs as
-    // Rotate + Add with no shared-ModUp save.
+    // The two-layer MLP shape the Set-B benchmark serves: each d = 4
+    // matVec shares one ModUp across its 3 rotations (2 saves), and its
+    // slotSum({-4}) has a single branch, so it saves nothing; the
+    // square's two uses of one value split it into 2 segments.
     const auto w = layerWeights();
     Graph mlp;
     const auto h = mlp.rescale(mlp.matVec(mlp.input(), w, 2));
@@ -523,13 +622,14 @@ TEST_F(GraphFixture, StructuralEnumerationMatchesCompiledSchedule)
     {
         const char *name;
         Graph graph;
-        u64 saves; ///< shared-ModUp saves of one item
+        u64 saves;       ///< shared-ModUp saves of one item
+        size_t segments; ///< fused segments under Fused
     } cases[] = {
         {"dense layer",
          workloads::denseSquareLayerGraph(layerWeights(), layerBias(), 2),
-         0},
-        {"mlp", mlp, 0},
-        {"fanin-3 dot product", dotProductGraph(), 2},
+         2, 2},
+        {"mlp", mlp, 4, 2},
+        {"fanin-3 dot product", dotProductGraph(), 2, 1},
     };
     for (const auto &c : cases) {
         SCOPED_TRACE(c.name);
@@ -546,17 +646,14 @@ TEST_F(GraphFixture, StructuralEnumerationMatchesCompiledSchedule)
             EXPECT_EQ(structural[i].op, compiled->ops()[i].op) << i;
             EXPECT_EQ(structural[i].level, compiled->ops()[i].level) << i;
             EXPECT_EQ(structural[i].fanin, compiled->ops()[i].fanin) << i;
+            EXPECT_EQ(structural[i].weighted, compiled->ops()[i].weighted)
+                << i;
         }
+        EXPECT_EQ(compiled->segmentCount(), c.segments);
 
         // Concatenating the kernel enumerator over the lowered ops
         // predicts the compiled run's KernelLog exactly.
-        std::vector<KernelCall> want;
-        for (const auto &op : compiled->ops()) {
-            const auto calls = enumerateKernels(
-                std::vector<PipelineOp>{{op.op, op.fanin}}, ctx.params(),
-                op.level);
-            want.insert(want.end(), calls.begin(), calls.end());
-        }
+        const std::vector<KernelCall> want = enumeratedLog(*compiled);
         setGlobalThreadCount(1);
         KernelLog log;
         const BatchEvaluator batch(ctx, &log);
@@ -719,7 +816,7 @@ TEST_F(GraphFixture, EveryScheduleSharesOneModUpPerFanIn)
     // The ledger walk records the fan-in once, whatever the schedule.
     size_t fan_ins = 0;
     for (const auto &op : fused->ops())
-        if (op.op == HeOp::RotateAccum) {
+        if (op.op == HeOp::LinearTransform) {
             EXPECT_EQ(op.fanin, 3u);
             ++fan_ins;
         }
@@ -744,14 +841,8 @@ TEST_F(GraphFixture, EveryScheduleSharesOneModUpPerFanIn)
     }
 
     // Every schedule is bit-identical to it at any thread count, and
-    // its one RotateAccum of fanin 3 launches 2 ModUps (INTTs) fewer
+    // its one LinearTransform of fanin 3 launches 2 ModUps (INTTs) fewer
     // per batch item, each credited as a shared-ModUp save.
-    const auto intts = [](const KernelLog &log) {
-        size_t n = 0;
-        for (const KernelCall &k : log.calls())
-            n += k.kind == KernelKind::Intt;
-        return n;
-    };
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
         for (const CompiledGraph *cg :
@@ -761,7 +852,8 @@ TEST_F(GraphFixture, EveryScheduleSharesOneModUpPerFanIn)
             const auto outs = cg->run(batch, {input});
             expectEqual(outs.at(0), want);
             EXPECT_EQ(log.hoistedModUpSaves(), 2 * input.size());
-            EXPECT_EQ(intts(log) + 2 * input.size(), intts(ref_log));
+            EXPECT_EQ(inttCount(log.calls()) + 2 * input.size(),
+                      inttCount(ref_log.calls()));
         }
     }
 }

@@ -1,12 +1,14 @@
 /**
  * @file
  * Randomized property tests for Halevi-Shoup hoisted rotations
- * (CkksEvaluator::rotateHoisted and the three-phase key-switch split):
- * over a sweep of random rotation-index fan-outs, mixed ciphertext
- * levels and thread counts, the hoisted fan-out must be bit-identical
- * to the same rotations executed independently, while performing
- * exactly fanout-1 fewer ModUps (observed as the INTT-launch delta and
- * as KernelLog::hoistedModUpSaves).
+ * (CkksEvaluator::rotateHoisted, the three-phase key-switch split and
+ * the batch engine's LinearTransform stage): over a sweep of random
+ * rotation-index fan-outs, weighted and unweighted terms, mixed
+ * ciphertext levels, batch sizes and thread counts, the hoisted
+ * fan-out must be bit-identical to the same rotations executed
+ * independently, while performing exactly fanout-1 fewer ModUps
+ * (observed as the INTT-launch delta and as
+ * KernelLog::hoistedModUpSaves).
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L hoisting) exercise the shared
@@ -14,16 +16,20 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "ckks/batch_evaluator.h"
 #include "ckks/context.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "ckks/graph/compiler.h"
 #include "ckks/kernel_log.h"
 #include "ckks/keys.h"
+#include "ckks/schedule.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 
@@ -190,6 +196,137 @@ TEST_F(HoistingFixture, RotateHoistedRejectsMisuse)
     EXPECT_THROW((void)ev.rotateHoisted(
                      ct, {{encoder.rotationAutomorphism(1), nullptr}}),
                  std::invalid_argument);
+}
+
+TEST_F(HoistingFixture, LinearTransformStageMatchesPerOpLoopBitIdentically)
+{
+    // Random sweep over the one hoisted stage: 0-5 rotation terms,
+    // weighted or unweighted (each count runs both ways), on batches of
+    // 1-3 items at mixed levels (a one-item batch runs the kernels'
+    // inner parallel loops, a larger one runs items in parallel). The
+    // per-op loop -- rotate, multiplyPlain, add, each rotation with its
+    // own ModUp -- is the reference, computed once at 1 thread.
+    Rng rng(0x11ea7);
+    for (size_t trial = 0; trial < 12; ++trial) {
+        const size_t terms = trial % 6;
+        const bool weighted = (trial + trial / 6) % 2 == 0;
+        SCOPED_TRACE(testing::Message() << "trial " << trial << ": "
+                                        << terms << " terms, "
+                                        << (weighted ? "" : "un")
+                                        << "weighted");
+        std::vector<u32> idx;
+        std::vector<const SwitchKey *> key;
+        while (idx.size() < terms) {
+            const i64 s = static_cast<i64>(
+                rng.range(1, encoder.slotCount() - 1));
+            const u32 g = encoder.rotationAutomorphism(s);
+            if (std::find(idx.begin(), idx.end(), g) != idx.end())
+                continue;
+            idx.push_back(g);
+            key.push_back(&keyForStep(s));
+        }
+        // One plaintext per term, identity first, at the top level so
+        // it covers every item's level.
+        std::vector<Plaintext> pts;
+        for (size_t t = 0; weighted && t <= terms; ++t) {
+            std::vector<double> v(encoder.slotCount());
+            for (auto &x : v)
+                x = rng.real() * 2 - 1;
+            pts.push_back(encoder.encodeReal(v, kScale, ctx.qCount()));
+        }
+        const auto pt = [&](size_t t) {
+            return weighted ? &pts[t] : nullptr;
+        };
+
+        setGlobalThreadCount(1);
+        const CkksEvaluator plain_ev(ctx);
+        CtVec items;
+        for (size_t i = 0; i <= trial % 3; ++i)
+            items.push_back(plain_ev.reduceToLimbs(
+                encryptRandom(rng), rng.range(2, ctx.qCount())));
+
+        KernelLog per_log;
+        CtVec want;
+        std::vector<KernelCall> enumerated;
+        Pipeline p;
+        std::vector<RotateBranch> branches;
+        for (size_t b = 0; b < terms; ++b)
+            branches.push_back({idx[b], key[b], pt(b + 1)});
+        p.linearTransform(branches, pt(0));
+        {
+            const CkksEvaluator ev(ctx, &per_log);
+            for (const Ciphertext &ct : items) {
+                Ciphertext acc = weighted ? ev.multiplyPlain(ct, pts[0])
+                                          : ct;
+                for (size_t b = 0; b < terms; ++b) {
+                    Ciphertext t = ev.rotate(ct, idx[b], *key[b]);
+                    if (weighted)
+                        t = ev.multiplyPlain(t, pts[b + 1]);
+                    acc = ev.add(acc, t);
+                }
+                want.push_back(acc);
+                const auto calls = enumerateKernels(
+                    p.pipelineOps(), ctx.params(), ct.limbs() - 1);
+                enumerated.insert(enumerated.end(), calls.begin(),
+                                  calls.end());
+            }
+        }
+
+        const size_t saves = terms > 0 ? terms - 1 : 0;
+        for (u32 threads : {1u, testThreads()}) {
+            setGlobalThreadCount(threads);
+            auto &cache = ctx.keySwitchCache();
+            cache.clear();
+            cache.resetStats();
+            KernelLog log;
+            const BatchEvaluator batch(ctx, &log);
+            const CtVec got = batch.run(items, p);
+            ASSERT_EQ(got.size(), want.size());
+            for (size_t i = 0; i < got.size(); ++i)
+                expectBitIdentical(got[i], want[i], "stage output");
+
+            ASSERT_EQ(log.calls().size(), enumerated.size());
+            for (size_t c = 0; c < enumerated.size(); ++c)
+                EXPECT_TRUE(log.calls()[c].sameShape(enumerated[c]))
+                    << "call " << c;
+            EXPECT_EQ(log.hoistedModUpSaves(), saves * items.size());
+            EXPECT_EQ(inttCount(per_log) - inttCount(log),
+                      log.hoistedModUpSaves());
+            if (terms == 0) {
+                // Only the identity term: no ModUp, no key precomp.
+                EXPECT_EQ(inttCount(log), 0u);
+                EXPECT_EQ(cache.misses(), 0u);
+            }
+        }
+    }
+    setGlobalThreadCount(1);
+}
+
+TEST_F(HoistingFixture, OneByOneMatVecCompilesWithoutRotationKeys)
+{
+    // A 1 x 1 matVec is a LinearTransform with only its identity term:
+    // it compiles with no rotation key source at all, launches no
+    // ModUp and equals one multiplyPlain.
+    graph::Graph g;
+    g.matVec(g.input(), {{0.75}}, 1);
+    graph::CompileOptions opts;
+    opts.lowering.baseScale = kScale;
+    const auto compiled = graph::compileGraph(ctx, g, opts);
+    EXPECT_TRUE(compiled->keyPlan().entries.empty());
+
+    Rng rng(0x1b1);
+    const Ciphertext ct = encryptRandom(rng);
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
+    const auto want = ev.multiplyPlain(
+        ct, encoder.encodeReal(std::vector<double>{0.75}, kScale,
+                               ctx.qCount()));
+    KernelLog log;
+    const BatchEvaluator batch(ctx, &log);
+    const auto got = compiled->run(batch, {{ct}});
+    expectBitIdentical(got.at(0).at(0), want, "1 x 1 matVec");
+    EXPECT_EQ(inttCount(log), 0u);
+    EXPECT_EQ(log.hoistedModUpSaves(), 0u);
 }
 
 } // namespace

@@ -270,7 +270,7 @@ TEST(CostModelIntegration, BootstrapKernelsMatchOpEnumeration)
     u64 op_rotations = 0;
     for (const auto &bop : ops)
         op_rotations +=
-            bop.op == HeOp::RotateAccum ? bop.fanin
+            bop.op == HeOp::LinearTransform ? bop.fanin
             : bop.op == HeOp::Rotate    ? u64{1}
                                         : u64{0};
     u64 hoisted_autos = 0, per_op_autos = 0;
@@ -285,7 +285,7 @@ TEST(CostModelIntegration, BootstrapKernelsMatchOpEnumeration)
     // fewer INTT launches, and strictly less NTT limb-work.
     u64 expected_saves = 0;
     for (const auto &bop : ops)
-        if (bop.op == HeOp::RotateAccum)
+        if (bop.op == HeOp::LinearTransform)
             expected_saves += bop.fanin - 1;
     u64 hoisted_intt = 0, per_op_intt = 0;
     u64 hoisted_ntt = 0, per_op_ntt = 0;
