@@ -81,7 +81,6 @@ closedLoop(bench::Reporter &rep, u64 streams, u64 requests, u64 threads,
         graph::CompileOptions opts;
         opts.lowering.baseScale = kScale;
         opts.keygen = &keygen;
-        opts.schedule = graph::ScheduleKind::Fused;
         models[step - 1] = graph::compileGraph(ctx, g, opts);
     }
 

@@ -18,11 +18,10 @@
  * drops below the checked-in tolerance band when one is (a 3-tenant
  * run with one starved tenant measures ~0.67).
  *
- * The served model is compiled against the simulated TPUv6e, so it
- * carries a schedule price that arms deadline admission. That price is
- * for a simulated accelerator, not this host; the bench calibrates
- * ServingConfig::costScale with the measured sequential latency so
- * admission control reasons in wall-clock terms.
+ * Deadline admission reads the served model's fastest measured run
+ * (CompiledGraph::fastestRunMicros), which the engine's first
+ * completed batch sets, so admission reasons in this host's wall-clock
+ * terms with nothing to calibrate.
  *
  * Every completed result is verified bit-identical to the model's
  * sequential reference (CompiledGraph::runSequential, one request at
@@ -65,7 +64,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "serving/serving.h"
-#include "tpu/device_config.h"
 
 namespace {
 
@@ -146,8 +144,7 @@ struct OpenLoopSetup
         : ctx(CkksParams::testSet(1u << 10, 5, 2)), encoder(ctx),
           keygen(ctx, 0x01e1), encryptor(ctx, keygen.publicKey(), 0x01e2)
     {
-        // rotate(rescale(x * 0.5), 1), priced at batch 1 on the
-        // simulated TPUv6e (the conservative no-amortisation bound).
+        // rotate(rescale(x * 0.5), 1).
         graph::Graph g;
         const auto half = graph::PlainOperand::base(
             std::vector<double>(encoder.slotCount(), 0.5));
@@ -155,8 +152,6 @@ struct OpenLoopSetup
         graph::CompileOptions opts;
         opts.lowering.baseScale = kScale;
         opts.keygen = &keygen;
-        opts.schedule = graph::ScheduleKind::Fused;
-        opts.device = &tpu::tpuV6e();
         model = graph::compileGraph(ctx, g, opts);
 
         // Mixed priorities: weights 4, 2, 1 cycling across tenants.
@@ -204,7 +199,7 @@ struct OpenLoopSetup
  */
 LoadResult
 runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
-        u64 dispatchers, u64 wait_us, u64 deadline_slack, double cost_scale)
+        u64 dispatchers, u64 wait_us, u64 deadline_slack)
 {
     const u64 tenants = s.weights.size();
     double weight_sum = 0.0;
@@ -221,7 +216,6 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
     cfg.dispatchers = static_cast<u32>(dispatchers);
     cfg.maxQueueDepth = static_cast<size_t>(requests * weight_sum);
     cfg.maxBatchWaitMicros = wait_us;
-    cfg.costScale = cost_scale;
     serving::ServingEngine engine(s.ctx, cfg);
 
     struct Pending
@@ -380,16 +374,8 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
          u64 deadline_slack)
 {
     OpenLoopSetup s(tenants, requests);
-
-    // Calibrate the model's price to this host: it prices a simulated
-    // accelerator, so admission control needs the measured wall-clock
-    // per model-microsecond ratio to reason about real deadlines.
-    const double model_us = s.model->scheduledCostUs();
-    const double cost_scale =
-        model_us > 0 ? s.seqPerReqUs / model_us : 1.0;
     std::cout << "Sequential latency: " << fmtF(s.seqPerReqUs / 1e3, 2)
-              << " ms/request; cost-model estimate " << fmtF(model_us, 1)
-              << " us (costScale " << fmtF(cost_scale, 1) << ")\n";
+              << " ms/request\n";
 
     TablePrinter t("Open-loop multi-tenant serving (host CPU)");
     t.header({"Load", "Offered r/s", "Done r/s", "p50 ms", "p99 ms",
@@ -399,7 +385,7 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
     std::vector<std::pair<double, LoadResult>> results;
     for (const double load : loads) {
         LoadResult r = runLoad(s, load, requests, threads, dispatchers,
-                               wait_us, deadline_slack, cost_scale);
+                               wait_us, deadline_slack);
         all_ok = all_ok && r.ok;
         t.row({fmtF(load, 2), fmtF(load / s.seqPerReqUs * 1e6, 1),
                fmtF(r.rps, 1), fmtF(r.p50_us / 1e3, 2),
@@ -408,6 +394,10 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
         results.emplace_back(load, r);
     }
     t.print(std::cout);
+    std::cout << "Fastest measured model run (admission bound): "
+              << fmtF(static_cast<double>(s.model->fastestRunMicros()) / 1e3,
+                      2)
+              << " ms\n";
     std::cout << "Bit-identical to sequential: "
               << (all_ok ? "yes" : "NO (BUG)") << "\n";
     if (!all_ok)

@@ -115,7 +115,6 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
         graph::CompileOptions opts;
         opts.lowering = bg.lowering;
         opts.keygen = &kg;
-        opts.schedule = graph::ScheduleKind::Fused;
         return graph::compileGraph(ctx, bg.graph, opts);
     };
     KeyGenerator keygen(ctx, 0x7ab1e9);

@@ -154,12 +154,9 @@ main()
     // ---- The same computation as an operator graph: label-mask
     // multiply + the degree-3 Polynomial macro. ----
     const auto grad_graph = workloads::helrGradientGraph(y_slots);
-    const auto dev = tpu::tpuV6e();
     graph::CompileOptions copts;
     copts.lowering.baseScale = scale;
     copts.relinKey = &rlk;
-    copts.device = &dev;
-    copts.plannedBatch = 1;
     const auto compiled = graph::compileGraph(ctx, grad_graph, copts);
 
     KernelLog graph_log;

@@ -176,13 +176,10 @@ main()
     // ---- The same layer as an operator graph, compiled to fused
     // batch pipelines. ----
     const auto layer = workloads::denseSquareLayerGraph(w, bias, 2);
-    const auto dev = tpu::tpuV6e();
     graph::CompileOptions copts;
     copts.lowering.baseScale = scale;
     copts.relinKey = &rlk;
     copts.rotationKeys = &rot_keys;
-    copts.device = &dev;
-    copts.plannedBatch = 1;
     const auto compiled = graph::compileGraph(ctx, layer, copts);
 
     // The compiled graph must reproduce the hand-rolled loop's
@@ -221,11 +218,8 @@ main()
 
     const auto &plan = compiled->keyPlan();
     std::printf("graph-compiled y = square(Wx + b): %zu ops, %zu fused "
-                "segment(s), %s schedule\n",
-                compiled->ops().size(), compiled->segmentCount(),
-                compiled->schedule() == graph::ScheduleKind::Fused
-                    ? "fused"
-                    : "per-op");
+                "segment(s)\n",
+                compiled->ops().size(), compiled->segmentCount());
     std::printf("key working set: %zu precomp(s), %.1f KiB%s\n",
                 plan.entries.size(),
                 static_cast<double>(plan.totalBytes) / 1024.0,

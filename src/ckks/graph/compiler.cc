@@ -10,6 +10,7 @@
 #include "ckks/encoder.h"
 #include "ckks/evaluator.h"
 #include "common/check.h"
+#include "common/timer.h"
 
 namespace cross::ckks::graph {
 
@@ -53,9 +54,9 @@ resolvePlainScale(const PlainOperand &p, double cur_scale, double base)
 /** Everything the ledger walk learns about an expanded graph. */
 struct WalkResult
 {
-    std::vector<GraphOp> ops;                  ///< flat, program order
-    std::vector<std::vector<GraphOp>> nodeOps; ///< per node (+synthetic)
-    std::vector<Ledger> after;                 ///< ledger after node
+    std::vector<GraphOp> ops;     ///< flat, program order
+    std::vector<GraphOp> nodeOp;  ///< per node (unset: Input, Reduce)
+    std::vector<Ledger> after;    ///< ledger after node
     std::vector<double> ptScale;  ///< resolved plaintext operand scale
     std::vector<InputSpec> inputSpecs; ///< resolved per input
     std::vector<NodeId> outputs;       ///< effective outputs
@@ -87,7 +88,7 @@ walkGraph(const Graph &ex, const CkksParams &params,
 
     const auto &nodes = ex.nodes();
     WalkResult wr;
-    wr.nodeOps.resize(nodes.size());
+    wr.nodeOp.resize(nodes.size());
     wr.after.resize(nodes.size());
     wr.ptScale.assign(nodes.size(), 0.0);
 
@@ -98,27 +99,18 @@ walkGraph(const Graph &ex, const CkksParams &params,
         if (n.kind != NodeKind::Input)
             cur = wr.after[n.args[0]];
 
-        const auto emit = [&](HeOp op, size_t fanin, size_t level,
-                              bool synthetic, bool weighted = false) {
-            GraphOp gop;
+        // The node's one operator, at the level it executes at.
+        const auto emit = [&](HeOp op, size_t fanin = 1,
+                              bool weighted = false) {
+            GraphOp &gop = wr.nodeOp[id];
             gop.node = id;
             gop.op = op;
             gop.fanin = fanin;
             gop.weighted = weighted;
-            gop.level = level;
+            gop.level = cur.limbs - 1;
             gop.repeat = n.repeat;
             gop.label = n.label;
-            gop.synthetic = synthetic;
-            wr.nodeOps[id].push_back(gop);
-            wr.ops.push_back(std::move(gop));
-        };
-        const auto maybeAutoRescale = [&] {
-            while (opts.autoRescaleAbove > 0 &&
-                   cur.scale > opts.autoRescaleAbove && cur.limbs >= 2) {
-                emit(HeOp::Rescale, 1, cur.limbs - 1, true);
-                cur.scale /= q_at(cur.limbs - 1);
-                --cur.limbs;
-            }
+            wr.ops.push_back(gop);
         };
 
         switch (n.kind) {
@@ -139,15 +131,14 @@ walkGraph(const Graph &ex, const CkksParams &params,
             if (exact && !ckksScalesMatch(cur.scale, rhs.scale))
                 failAt(id, n, "add operand scales do not match");
             cur.limbs = std::min(cur.limbs, rhs.limbs);
-            emit(HeOp::Add, 1, cur.limbs - 1, false);
+            emit(HeOp::Add);
             break;
           }
           case NodeKind::Multiply: {
             const Ledger &rhs = wr.after[n.args[1]];
             cur.limbs = std::min(cur.limbs, rhs.limbs);
-            emit(HeOp::Mult, 1, cur.limbs - 1, false);
+            emit(HeOp::Mult);
             cur.scale = cur.scale * rhs.scale;
-            maybeAutoRescale();
             break;
           }
           case NodeKind::AddPlain: {
@@ -158,20 +149,19 @@ walkGraph(const Graph &ex, const CkksParams &params,
                 failAt(id, n,
                        "addPlain operand scale does not match the "
                        "ciphertext scale");
-            emit(HeOp::AddPlain, 1, cur.limbs - 1, false);
+            emit(HeOp::AddPlain);
             break;
           }
           case NodeKind::MultiplyPlain: {
             const double pts =
                 resolvePlainScale(n.plain, cur.scale, base);
             wr.ptScale[id] = pts;
-            emit(HeOp::MultiplyPlain, 1, cur.limbs - 1, false);
+            emit(HeOp::MultiplyPlain);
             cur.scale *= pts;
-            maybeAutoRescale();
             break;
           }
           case NodeKind::Rotate:
-            emit(HeOp::Rotate, 1, cur.limbs - 1, false);
+            emit(HeOp::Rotate);
             break;
           case NodeKind::LinearTransform: {
             const bool weighted = !n.weights.empty();
@@ -184,26 +174,24 @@ walkGraph(const Graph &ex, const CkksParams &params,
                        "matVec needs replicate >= 2 unless its "
                        "dimension equals the slot count (rotations "
                        "would not wrap within the block)");
-            emit(HeOp::LinearTransform, n.branchSteps.size(),
-                 cur.limbs - 1, false, weighted);
+            emit(HeOp::LinearTransform, n.branchSteps.size(), weighted);
             if (weighted) {
                 wr.ptScale[id] = base;
                 cur.scale *= base;
-                maybeAutoRescale();
             }
             break;
           }
           case NodeKind::Rescale:
             if (cur.limbs < 2)
                 failAt(id, n, "rescale has no limb left to drop");
-            emit(HeOp::Rescale, 1, cur.limbs - 1, false);
+            emit(HeOp::Rescale);
             cur.scale /= q_at(cur.limbs - 1);
             --cur.limbs;
             break;
           case NodeKind::RescaleMulti:
             if (cur.limbs <= params.rescaleSplit)
                 failAt(id, n, "not enough limbs for a double rescale");
-            emit(HeOp::RescaleMulti, 1, cur.limbs - 1, false);
+            emit(HeOp::RescaleMulti);
             for (u32 r = 0; r < params.rescaleSplit; ++r) {
                 cur.scale /= q_at(cur.limbs - 1);
                 --cur.limbs;
@@ -248,12 +236,12 @@ struct StepPlan
  * pure chain -- the new node's primary input is the segment's last
  * node, that value has no other consumer (and is not a graph output,
  * which must be materialized), and every secondary operand is already
- * materialized. Reduce nodes and @p per_op force a segment boundary.
- * Execution order is program order either way, so results and
- * per-item kernel sequences are schedule-independent.
+ * materialized. Reduce nodes force a segment boundary. Execution order
+ * is program order, so results and per-item kernel sequences do not
+ * depend on where the segment boundaries fall.
  */
 std::vector<StepPlan>
-planSteps(const Graph &ex, const WalkResult &wr, bool per_op)
+planSteps(const Graph &ex, const WalkResult &wr)
 {
     const auto &nodes = ex.nodes();
     std::vector<u32> uses(nodes.size(), 0);
@@ -316,8 +304,6 @@ planSteps(const Graph &ex, const WalkResult &wr, bool per_op)
                               "materialized");
         }
         group.push_back(id);
-        if (per_op)
-            close();
     }
     close();
     return plan;
@@ -442,54 +428,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         cg->keyPlan_.budgetBytes == 0 ||
         cg->keyPlan_.totalBytes <= cg->keyPlan_.budgetBytes;
 
-    // Schedule choice: price the maximal fused segments against a
-    // per-operator launch granularity and keep the cheaper plan.
-    auto plan = planSteps(ex, wr, /*per_op=*/false);
-    const auto pops_of = [&](const std::vector<NodeId> &group) {
-        std::vector<PipelineOp> pops;
-        for (NodeId id : group)
-            for (const GraphOp &op : wr.nodeOps[id])
-                pops.push_back({op.op, op.fanin, op.weighted});
-        return pops;
-    };
-    const auto start_level_of = [&](NodeId first) {
-        return wr.after[nodes[first].args[0]].limbs - 1;
-    };
-    if (opts.device) {
-        requireThat(opts.plannedBatch >= 1,
-                    "graph compile: plannedBatch must be >= 1");
-        const HeOpCostModel model(*opts.device, opts.costConfig,
-                                  params);
-        for (const auto &sp : plan) {
-            if (sp.isReduce)
-                continue;
-            cg->fusedUs_ +=
-                tpu::runBatched(*opts.device,
-                                model.pipelineCost(
-                                    pops_of(sp.group),
-                                    start_level_of(sp.group.front())),
-                                opts.plannedBatch)
-                    .totalUs;
-            for (NodeId id : sp.group) {
-                cg->perOpUs_ +=
-                    tpu::runBatched(*opts.device,
-                                    model.pipelineCost(
-                                        pops_of({id}),
-                                        start_level_of(id)),
-                                    opts.plannedBatch)
-                        .totalUs;
-            }
-        }
-    }
-    // Auto: the cheaper plan wins; ties (and unpriced compiles, where
-    // both prices are 0) keep Fused.
-    cg->schedule_ = opts.schedule;
-    if (opts.schedule == ScheduleKind::Auto)
-        cg->schedule_ = cg->perOpUs_ < cg->fusedUs_ ? ScheduleKind::PerOp
-                                                    : ScheduleKind::Fused;
-    if (cg->schedule_ == ScheduleKind::PerOp)
-        plan = planSteps(ex, wr, /*per_op=*/true);
-
     // Build the executable steps. Stage operands (plaintexts, keys)
     // point at owned, address-stable storage; Add/Mult second operands
     // are value slots, bound per run.
@@ -498,7 +436,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
     // Index of the last step reading each slot.
     constexpr size_t kUnread = static_cast<size_t>(-1);
     std::vector<size_t> last_read(nodes.size(), kUnread);
-    for (const auto &sp : plan) {
+    for (const auto &sp : planSteps(ex, wr)) {
         CompiledGraph::Step step;
         if (sp.isReduce) {
             const Node &n = nodes[sp.node];
@@ -516,82 +454,77 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         last_read[step.in] = cg->steps_.size();
         for (NodeId id : sp.group) {
             const Node &n = nodes[id];
-            for (const GraphOp &op : wr.nodeOps[id]) {
-                switch (op.op) {
-                  case HeOp::Add:
-                    last_read[n.args[1]] = cg->steps_.size();
-                    step.stages.push_back(
-                        [rhs = n.args[1]](Pipeline &p, const Slots &at) {
-                            p.add(*at[rhs]);
-                        });
-                    break;
-                  case HeOp::Mult:
-                    last_read[n.args[1]] = cg->steps_.size();
-                    step.stages.push_back(
-                        [rhs = n.args[1], key = cg->relinKey_](
-                            Pipeline &p, const Slots &at) {
-                            p.multiply(*at[rhs], *key);
-                        });
-                    break;
-                  case HeOp::Rescale:
-                    step.stages.push_back(
-                        [](Pipeline &p, const Slots &) { p.rescale(); });
-                    break;
-                  case HeOp::RescaleMulti:
-                    step.stages.push_back([](Pipeline &p, const Slots &) {
-                        p.rescaleMulti();
+            const GraphOp &op = wr.nodeOp[id];
+            switch (op.op) {
+              case HeOp::Add:
+                last_read[n.args[1]] = cg->steps_.size();
+                step.stages.push_back(
+                    [rhs = n.args[1]](Pipeline &p, const Slots &at) {
+                        p.add(*at[rhs]);
                     });
-                    break;
-                  case HeOp::Rotate: {
-                    const u32 a = rot_idx.at(id).front();
-                    const SwitchKey *key = rot_keys.at(a);
+                break;
+              case HeOp::Mult:
+                last_read[n.args[1]] = cg->steps_.size();
+                step.stages.push_back(
+                    [rhs = n.args[1], key = cg->relinKey_](
+                        Pipeline &p, const Slots &at) {
+                        p.multiply(*at[rhs], *key);
+                    });
+                break;
+              case HeOp::Rescale:
+                step.stages.push_back(
+                    [](Pipeline &p, const Slots &) { p.rescale(); });
+                break;
+              case HeOp::RescaleMulti:
+                step.stages.push_back([](Pipeline &p, const Slots &) {
+                    p.rescaleMulti();
+                });
+                break;
+              case HeOp::Rotate: {
+                const u32 a = rot_idx.at(id).front();
+                const SwitchKey *key = rot_keys.at(a);
+                step.stages.push_back([a, key](Pipeline &p, const Slots &) {
+                    p.rotate(a, *key);
+                });
+                break;
+              }
+              case HeOp::AddPlain:
+              case HeOp::MultiplyPlain: {
+                cg->plains_.push_back(enc.encodeReal(
+                    n.plain.values, wr.ptScale[id], op.level + 1));
+                const Plaintext *pt = &cg->plains_.back();
+                if (op.op == HeOp::AddPlain)
                     step.stages.push_back(
-                        [a, key](Pipeline &p, const Slots &) {
-                            p.rotate(a, *key);
+                        [pt](Pipeline &p, const Slots &) {
+                            p.addPlain(*pt);
                         });
-                    break;
-                  }
-                  case HeOp::AddPlain:
-                  case HeOp::MultiplyPlain: {
-                    cg->plains_.push_back(
-                        enc.encodeReal(n.plain.values, wr.ptScale[id],
-                                       op.level + 1));
-                    const Plaintext *pt = &cg->plains_.back();
-                    if (op.op == HeOp::AddPlain)
-                        step.stages.push_back(
-                            [pt](Pipeline &p, const Slots &) {
-                                p.addPlain(*pt);
-                            });
-                    else
-                        step.stages.push_back(
-                            [pt](Pipeline &p, const Slots &) {
-                                p.multiplyPlain(*pt);
-                            });
-                    break;
-                  }
-                  case HeOp::LinearTransform: {
-                    // Weighted terms encode at the stage's level,
-                    // identity term first.
-                    const auto &idx = rot_idx.at(id);
-                    std::vector<const Plaintext *> pts(idx.size() + 1,
-                                                       nullptr);
-                    for (size_t t = 0; t < n.weights.size(); ++t) {
-                        cg->plains_.push_back(enc.encodeReal(
-                            n.weights[t], wr.ptScale[id], op.level + 1));
-                        pts[t] = &cg->plains_.back();
-                    }
-                    std::vector<RotateBranch> branches;
-                    for (size_t b = 0; b < idx.size(); ++b)
-                        branches.push_back(
-                            {idx[b], rot_keys.at(idx[b]), pts[b + 1]});
+                else
                     step.stages.push_back(
-                        [branches, identity = pts[0]](Pipeline &p,
-                                                      const Slots &) {
-                            p.linearTransform(branches, identity);
+                        [pt](Pipeline &p, const Slots &) {
+                            p.multiplyPlain(*pt);
                         });
-                    break;
-                  }
+                break;
+              }
+              case HeOp::LinearTransform: {
+                // Weighted terms encode at the stage's level, identity
+                // term first.
+                const auto &idx = rot_idx.at(id);
+                std::vector<const Plaintext *> pts(idx.size() + 1, nullptr);
+                for (size_t t = 0; t < n.weights.size(); ++t) {
+                    cg->plains_.push_back(enc.encodeReal(
+                        n.weights[t], wr.ptScale[id], op.level + 1));
+                    pts[t] = &cg->plains_.back();
                 }
+                std::vector<RotateBranch> branches;
+                for (size_t b = 0; b < idx.size(); ++b)
+                    branches.push_back(
+                        {idx[b], rot_keys.at(idx[b]), pts[b + 1]});
+                step.stages.push_back(
+                    [branches, identity = pts[0]](Pipeline &p, const Slots &) {
+                        p.linearTransform(branches, identity);
+                    });
+                break;
+              }
             }
         }
         ++cg->segments_;
@@ -607,12 +540,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         if (last_read[id] != kUnread)
             cg->steps_[last_read[id]].release.push_back(id);
     return cg;
-}
-
-double
-CompiledGraph::scheduledCostUs() const
-{
-    return schedule_ == ScheduleKind::PerOp ? perOpUs_ : fusedUs_;
 }
 
 void
@@ -684,9 +611,18 @@ CompiledGraph::run(const BatchEvaluator &batch,
     requireThat(&batch.context() == ctx_,
                 "CompiledGraph::run: evaluator bound to a different "
                 "context");
-    return execute(inputs, [&](const CtVec &in, const Pipeline &pipe) {
+    const WallTimer timer;
+    auto out = execute(inputs, [&](const CtVec &in, const Pipeline &pipe) {
         return batch.run(in, pipe);
     });
+    // Keep the fastest completed run; 0 stays reserved for "never run".
+    const u64 us = std::max<u64>(1, static_cast<u64>(timer.micros()));
+    u64 fastest = fastestRunUs_.load(std::memory_order_relaxed);
+    while ((fastest == 0 || us < fastest) &&
+           !fastestRunUs_.compare_exchange_weak(fastest, us,
+                                                std::memory_order_relaxed))
+        ;
+    return out;
 }
 
 std::vector<CtVec>

@@ -12,27 +12,27 @@
  * divides by the real q_l, and plaintext operands are encoded at the
  * ledger's (limbs, scale) -- so a graph that compiles executes without
  * a single scale or level surprise, and a malformed one fails at
- * compile time with the node that broke. Optionally the compiler
- * inserts rescales automatically after multiplies whose result scale
- * exceeds a threshold.
+ * compile time with the node that broke.
  *
  * The compiler also plans the rotation/relinearisation key working set
  * against the context's KeySwitchCache byte budget (KeyWorkingSet: the
  * distinct (key, level) precomps the compiled program touches and
- * whether they fit residency), and chooses between the fused schedule
- * (maximal pipeline segments, one BatchEvaluator::run per segment) and
- * a per-operator schedule by pricing both with
- * HeOpCostModel::pipelineCost on a simulated device. Either schedule
- * is bit-identical; only launch granularity differs.
+ * whether they fit residency), and fuses maximal pure chains into
+ * pipeline segments, one BatchEvaluator::run per segment. Pricing a
+ * graph on the simulated device is the estimator's job
+ * (enumerateGraphOps + HeOpCostModel), not the compiler's.
  *
  * The compiled program is the one runtime form of a model: compiled
  * once, then run any number of times, including concurrently.
- * CompiledGraph::run keeps no per-run state in the object, so
- * concurrent run() calls on one model are safe; a BatchEvaluator that
- * carries a KernelLog must not be shared between them.
+ * CompiledGraph::run keeps no per-run state in the object -- its one
+ * cross-run statistic is the fastest completed run time
+ * (fastestRunMicros, a relaxed atomic) -- so concurrent run() calls on
+ * one model are safe; a BatchEvaluator that carries a KernelLog must
+ * not be shared between them.
  */
 #pragma once
 
+#include <atomic>
 #include <deque>
 #include <functional>
 #include <map>
@@ -42,8 +42,8 @@
 
 #include "ckks/batch_evaluator.h"
 #include "ckks/graph/graph.h"
+#include "ckks/he_op.h"
 #include "ckks/keys.h"
-#include "ckks/schedule.h"
 
 namespace cross::ckks::graph {
 
@@ -62,18 +62,14 @@ struct LoweringOptions
     /** Scale of Base-policy plaintext operands and default input
      *  scale; 0 = 2^params.scaleBits. */
     double baseScale = 0.0;
-    /** When > 0: auto-insert a Rescale after any (plaintext) multiply
-     *  whose result scale exceeds this threshold (0 = off; the graph
-     *  must then manage levels explicitly). */
-    double autoRescaleAbove = 0.0;
     /** Per-input levels/scales; empty = all defaults. */
     std::vector<InputSpec> inputs;
 };
 
 /**
  * One lowered HE operator: what the compiled program executes, in
- * program order. Reduce nodes lower to no operator (reduceToLimbs runs
- * no kernels); auto-inserted rescales appear with synthetic = true.
+ * program order. Every other node lowers to exactly one operator;
+ * Reduce nodes lower to none (reduceToLimbs runs no kernels).
  * Concatenating enumerateKernels({op, fanin, weighted}, params, level)
  * over the list predicts a sequential run's KernelLog exactly.
  */
@@ -86,7 +82,6 @@ struct GraphOp
     size_t level = 0;  ///< level the op executes at
     u64 repeat = 1;    ///< estimator multiplicity (node's repeat)
     std::string label; ///< node's stage label
-    bool synthetic = false; ///< auto-inserted rescale
 };
 
 /**
@@ -100,24 +95,17 @@ std::vector<GraphOp> enumerateGraphOps(const Graph &g,
                                        const CkksParams &params,
                                        const LoweringOptions &opts = {});
 
-/** Launch granularity of the compiled program. Every schedule runs a
+/** Launch granularity of the compiled program. The one schedule runs
+ *  maximal fused segments, one BatchEvaluator::run each, with every
  *  matVec or slotSum as one LinearTransform stage whose rotations
- *  share one ModUp (Halevi-Shoup hoisting); the schedules differ only
- *  in where the batch barriers fall. */
+ *  share one ModUp (Halevi-Shoup hoisting). The option stays because
+ *  the Set-B benchmark (setbench/) names it. */
 enum class ScheduleKind
 {
-    /** Price Fused and PerOp with HeOpCostModel::pipelineCost and pick
-     *  the cheaper, ties keeping Fused (requires
-     *  CompileOptions::device; Fused otherwise). */
-    Auto,
-    /** Maximal fused segments, one BatchEvaluator::run each. */
     Fused,
-    /** One pipeline per graph operator (a batch barrier between ops;
-     *  an auto-inserted rescale stays with its producer). */
-    PerOp,
 };
 
-/** Key material and scheduling knobs for compileGraph. */
+/** Key material and lowering knobs for compileGraph. */
 struct CompileOptions
 {
     LoweringOptions lowering;
@@ -134,12 +122,7 @@ struct CompileOptions
     const std::map<u32, SwitchKey> *rotationKeys = nullptr;
     /** @} */
 
-    ScheduleKind schedule = ScheduleKind::Auto;
-    /** Device for the Auto schedule choice and the cost report. */
-    const tpu::DeviceConfig *device = nullptr;
-    lowering::Config costConfig{};
-    /** Batch size the schedule choice amortises over. */
-    u64 plannedBatch = 1;
+    ScheduleKind schedule = ScheduleKind::Fused;
 };
 
 /**
@@ -172,14 +155,15 @@ struct KeyWorkingSet
  * A lowered, runnable graph. Owns its step plan, plaintext operands and
  * generated keys (stages point into the owned storage, so the object
  * is neither copyable nor movable; compileGraph hands it out by
- * unique_ptr). run() and runSequential() are const and keep no state
- * between calls: each call reads the graph inputs in place, keeps its
+ * unique_ptr). run() and runSequential() are const and keep no
+ * per-run state: each call reads the graph inputs in place, keeps its
  * intermediate values in its own slot table (each freed once the last
  * step reading it has run) and builds every segment's Pipeline against
- * that table. Concurrent run() calls on one CompiledGraph are
- * therefore safe, but a BatchEvaluator that carries a KernelLog must
- * not be shared between them (the log is not synchronised); give each
- * concurrent caller its own evaluator.
+ * that table; across runs only fastestRunMicros() is kept. Concurrent
+ * run() calls on one CompiledGraph are therefore safe, but a
+ * BatchEvaluator that carries a KernelLog must not be shared between
+ * them (the log is not synchronised); give each concurrent caller its
+ * own evaluator.
  */
 class CompiledGraph
 {
@@ -189,7 +173,8 @@ class CompiledGraph
      * the same item count), each item at its input's ledger level and
      * scale (validated fail-fast). Returns one CtVec per graph
      * output. Results and the merged KernelLog are bit-identical to
-     * runSequential at any thread count.
+     * runSequential at any thread count. A completed run records its
+     * wall time in fastestRunMicros().
      */
     std::vector<CtVec> run(const BatchEvaluator &batch,
                            const std::vector<CtVec> &inputs) const;
@@ -203,7 +188,8 @@ class CompiledGraph
      * the stack's one sequential reference interpreter. Because run()
      * executes the same applyStage, what a stage computes is checked
      * against hand-rolled per-op CkksEvaluator loops, not against
-     * this.
+     * this. A reference run is not a measurement: it leaves
+     * fastestRunMicros() alone.
      */
     std::vector<CtVec> runSequential(KernelLog *log,
                                      const std::vector<CtVec> &inputs) const;
@@ -224,15 +210,17 @@ class CompiledGraph
     /** The planned key working set vs the cache budget. */
     const KeyWorkingSet &keyPlan() const { return keyPlan_; }
 
-    /** Resolved schedule (Fused or PerOp, never Auto). */
-    ScheduleKind schedule() const { return schedule_; }
-
-    /** @name Schedule prices (0 when no device was given). @{ */
-    double fusedCostUs() const { return fusedUs_; }
-    double perOpCostUs() const { return perOpUs_; }
-    /** Price of the resolved schedule(). */
-    double scheduledCostUs() const;
-    /** @} */
+    /**
+     * Wall time of the fastest completed run() so far, in microseconds
+     * (at least 1), or 0 before the first one. No request served
+     * through this model is expected to finish sooner on this host,
+     * whatever its batch; the serving engine's deadline admission
+     * reads it.
+     */
+    u64 fastestRunMicros() const
+    {
+        return fastestRunUs_.load(std::memory_order_relaxed);
+    }
 
     /** Fused pipeline segments the program executes. */
     size_t segmentCount() const { return segments_; }
@@ -295,10 +283,8 @@ class CompiledGraph
     size_t slotCount_ = 0;
     std::vector<GraphOp> ops_;
     KeyWorkingSet keyPlan_;
-    ScheduleKind schedule_ = ScheduleKind::Fused;
-    double fusedUs_ = 0;
-    double perOpUs_ = 0;
     size_t segments_ = 0;
+    mutable std::atomic<u64> fastestRunUs_{0};
 
     std::vector<NodeId> inputIds_;
     std::vector<NodeId> outputIds_;
@@ -312,9 +298,9 @@ class CompiledGraph
 
 /**
  * Compile @p g for @p ctx: expand macros, run the exact ledger walk
- * (fail-fast on level/scale misuse, auto-rescale if configured),
- * encode plaintext operands, materialise keys, plan the key working
- * set, choose the schedule and build the executable steps.
+ * (fail-fast on level/scale misuse), encode plaintext operands,
+ * materialise keys, plan the key working set and build the executable
+ * fused steps.
  *
  * @throws std::invalid_argument on ledger violations, missing keys or
  *         malformed inputs.

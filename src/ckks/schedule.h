@@ -82,9 +82,8 @@ class HeOpCostModel
     double opLatencyUs(HeOp op, size_t level, u64 batch = 1) const;
 
     /** Amortised per-item latency of a fused pipeline in
-     *  microseconds -- the shape Pipeline::pipelineOps() reports,
-     *  which is what the serving engine's deadline admission control
-     *  queries. */
+     *  microseconds, for the shape Pipeline::pipelineOps() reports
+     *  (Table VIII's pipeline rows). */
     double pipelineLatencyUs(const std::vector<PipelineOp> &pipeline,
                              size_t level, u64 batch = 1) const;
 

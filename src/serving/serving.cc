@@ -19,9 +19,8 @@ ServingEngine::ServingEngine(const ckks::CkksContext &ctx,
                 "ServingEngine: maxBatch must be positive");
     requireThat(cfg_.dispatchers > 0,
                 "ServingEngine: need at least one dispatcher");
-    requireThat(cfg_.costScale > 0,
-                "ServingEngine: costScale must be positive");
-    paused_ = cfg_.startPaused;
+    requireThat(cfg_.maxBatchWaitMicros <= kMaxWaitMicros,
+                "ServingEngine: maxBatchWaitMicros above one year");
     dispatchers_.reserve(cfg_.dispatchers);
     for (u32 i = 0; i < cfg_.dispatchers; ++i)
         dispatchers_.emplace_back([this] { dispatchLoop(); });
@@ -57,21 +56,16 @@ ServingEngine::submit(Stream &stream, const graph::CompiledGraph &model,
     // Every queued request of a model sits at the model's one input
     // level and scale, so the model alone is the batch key.
     model.checkInput(0, input);
+    requireThat(opts.deadlineUs <= kMaxWaitMicros,
+                "ServingEngine::submit: deadline above one year");
     Request r;
     r.model = &model;
     r.input = std::move(input);
     r.tenant = stream.tenant_;
-    if (opts.deadlineUs > 0) {
-        r.hasDeadline = true;
-        r.deadline =
-            Clock::now() + std::chrono::microseconds(opts.deadlineUs);
-    }
+    std::optional<Clock::time_point> deadline;
+    if (opts.deadlineUs > 0)
+        deadline = Clock::now() + std::chrono::microseconds(opts.deadlineUs);
     std::future<ckks::Ciphertext> fut = r.result.get_future();
-    // Admission control: a deadline the model's compiled schedule cost
-    // says we cannot make is shed *now*, before it occupies a queue
-    // slot the feasible requests need.
-    const double est_wall_us =
-        r.hasDeadline ? cfg_.costScale * model.scheduledCostUs() : 0.0;
     {
         std::lock_guard<std::mutex> lock(m_);
         if (stopping_) {
@@ -81,18 +75,22 @@ ServingEngine::submit(Stream &stream, const graph::CompiledGraph &model,
                 "ServingEngine: engine is shutting down")));
             return fut;
         }
-        if (r.hasDeadline) {
+        if (deadline) {
+            // Admission control: a deadline closer than the model's
+            // fastest measured run cannot be made, so it is shed *now*,
+            // before it occupies a queue slot the feasible requests
+            // need.
             const auto earliest_finish =
-                Clock::now() + std::chrono::microseconds(
-                                   static_cast<u64>(est_wall_us));
-            if (r.deadline < earliest_finish) {
+                Clock::now() +
+                std::chrono::microseconds(model.fastestRunMicros());
+            if (*deadline < earliest_finish) {
                 ++stats_.rejected;
                 ++stats_.deadlineRejected;
                 ++tenantStats_[r.tenant].rejected;
                 r.result.set_exception(
                     std::make_exception_ptr(DeadlineError(
                         "ServingEngine: deadline infeasible at submit "
-                        "(closer than the model's scheduled cost)")));
+                        "(closer than the model's fastest run)")));
                 return fut;
             }
         }
@@ -109,9 +107,6 @@ ServingEngine::submit(Stream &stream, const graph::CompiledGraph &model,
         ++stats_.submitted;
         ++tenantStats_[r.tenant].submitted;
         const u64 tenant = r.tenant;
-        std::optional<Clock::time_point> deadline;
-        if (r.hasDeadline)
-            deadline = r.deadline;
         sched_.push(tenant, deadline, std::move(r));
     }
     cv_.notify_one();

@@ -37,10 +37,10 @@
  *    batching"), with no artificial delay at low load. CompiledGraph
  *    runs are reentrant, so several dispatchers may execute batches
  *    of one model at the same time.
- *  - Deadline-aware shedding: a submit whose deadline is provably
- *    infeasible -- already in the past, or closer than the model's own
- *    compiled schedule cost (CompiledGraph::scheduledCostUs, scaled by
- *    ServingConfig::costScale) -- is rejected up front with
+ *  - Deadline-aware shedding: a submit whose deadline is infeasible --
+ *    already in the past, or closer than the model's fastest measured
+ *    run on this host (CompiledGraph::fastestRunMicros; 0, so no
+ *    bound, until the model first runs) -- is rejected up front with
  *    DeadlineError; a queued request whose deadline passes while it
  *    waits is shed at dispatch time instead of wasting a batch slot.
  *    Both land in ServingStats (deadlineRejected / deadlineShed).
@@ -110,14 +110,22 @@ class ShutdownError : public RejectedError
 
 /**
  * Load shedding: the request's deadline was infeasible at submit time
- * (past, or closer than the model's scheduled cost), or passed while
- * the request waited in the queue.
+ * (past, or closer than the model's fastest measured run), or passed
+ * while the request waited in the queue.
  */
 class DeadlineError : public RejectedError
 {
   public:
     using RejectedError::RejectedError;
 };
+
+/**
+ * Longest deadline (SubmitOptions::deadlineUs) and batch wait
+ * (ServingConfig::maxBatchWaitMicros) the engine accepts: one year, in
+ * microseconds. Anything longer is rejected as misuse, because
+ * steady_clock arithmetic in nanoseconds overflows from about 2^53 us.
+ */
+inline constexpr u64 kMaxWaitMicros = 365ull * 24 * 3600 * 1000 * 1000;
 
 /** Admission, batch-forming and scheduling knobs. */
 struct ServingConfig
@@ -133,7 +141,8 @@ struct ServingConfig
      * keeps pure continuous batching -- no artificial delay. Under low
      * open-loop load a small wait trades that latency for larger
      * batches, i.e. more key-operand amortisation per launch. pause(),
-     * resume() and shutdown() all cut the wait short.
+     * resume() and shutdown() all cut the wait short. At most
+     * kMaxWaitMicros.
      */
     u64 maxBatchWaitMicros = 0;
     /** Batch-forming/executing threads. Each executes one batch at a
@@ -141,27 +150,6 @@ struct ServingConfig
      *  already saturates the pool; more overlap batch forming with
      *  execution. */
     u32 dispatchers = 1;
-    /** Start with dispatch paused (requests queue but do not run
-     *  until resume()) -- deterministic batch-forming for tests. */
-    bool startPaused = false;
-    /**
-     * Deadline admission control: a submit carrying a deadline is
-     * rejected (DeadlineError) unless
-     *
-     *     now + costScale * model.scheduledCostUs() <= deadline
-     *
-     * The compiled schedule cost prices a simulated accelerator at the
-     * model's planned batch, and is 0 for a model compiled without a
-     * device -- then only already-expired deadlines are rejected.
-     * Queued requests whose deadline passes are shed at dispatch
-     * either way. costScale is the wall-clock microseconds per
-     * cost-model microsecond: the host CPU running the functional
-     * stack is slower by a roughly constant factor, so calibrate with
-     * a measured ratio (the open-loop bench divides a measured
-     * sequential latency by the model's cost). 1.0 takes the model's
-     * numbers at face value.
-     */
-    double costScale = 1.0;
 };
 
 /** Tenant identity and scheduling share of one stream. */
@@ -183,9 +171,14 @@ struct StreamOptions
 struct SubmitOptions
 {
     /**
-     * Deadline, microseconds from submit time; 0 (the default) means
-     * best-effort (no deadline -- scheduled after the tenant's
-     * deadline-bearing requests, FIFO among themselves, never shed).
+     * Deadline, microseconds from submit time, at most kMaxWaitMicros;
+     * 0 (the default) means best-effort (no deadline -- scheduled
+     * after the tenant's deadline-bearing requests, FIFO among
+     * themselves, never shed). Admission rejects (DeadlineError) a
+     * deadline closer than model.fastestRunMicros(), the model's
+     * fastest measured run: a model that has not run yet admits every
+     * future deadline. Queued requests whose deadline passes are shed
+     * at dispatch either way.
      */
     u64 deadlineUs = 0;
 };
@@ -287,7 +280,8 @@ class ServingEngine
      *
      * @throws std::invalid_argument on misuse detected at submit time
      *         (foreign/moved-from stream, a model that is not 1-in /
-     *         1-out, an input off the model's input ledger).
+     *         1-out, an input off the model's input ledger, a
+     *         deadline above kMaxWaitMicros).
      */
     std::future<ckks::Ciphertext> submit(Stream &stream,
                                          const graph::CompiledGraph &model,
@@ -296,7 +290,9 @@ class ServingEngine
 
     /** @name Dispatch gate. pause() lets requests accumulate (they
      *  still count against the queue bound); resume() releases the
-     *  dispatchers. @{ */
+     *  dispatchers. Pausing right after construction, before the first
+     *  submit, holds every request until resume() -- deterministic
+     *  batch forming. @{ */
     void pause();
     void resume();
     /** @} */
@@ -326,8 +322,6 @@ class ServingEngine
         ckks::Ciphertext input;
         std::promise<ckks::Ciphertext> result;
         u64 tenant = 0;
-        bool hasDeadline = false;
-        Clock::time_point deadline{};
     };
 
     void dispatchLoop();

@@ -167,7 +167,6 @@ class BootstrapGraphFixture : public ::testing::Test
         graph::CompileOptions opts;
         opts.lowering = bg.lowering;
         opts.keygen = &kg;
-        opts.schedule = graph::ScheduleKind::Fused;
         return graph::compileGraph(ctx, bg.graph, opts);
     }
 

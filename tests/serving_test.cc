@@ -5,7 +5,8 @@
  * each request's sequential reference whatever batches the dispatchers
  * form (including batches of one model running concurrently); batch
  * forming must coalesce by model; inputs off the model's ledger must
- * be rejected at submit; the bounded queue must reject-with-error past
+ * be rejected at submit; deadline admission must read the model's
+ * measured run time; the bounded queue must reject-with-error past
  * its depth; shutdown must drain; and open streams must not pin
  * retired precomp storage past the batches that read it.
  *
@@ -16,7 +17,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -34,7 +37,6 @@
 #include "common/rng.h"
 #include "serving/drr_scheduler.h"
 #include "serving/serving.h"
-#include "tpu/device_config.h"
 #include "workloads/ml_workloads.h"
 
 #include "test_util.h"
@@ -94,11 +96,9 @@ class ServingFixture : public ::testing::Test
     }
 
     /** The served model rotate(rescale(multiplyPlain(x, 0.5)), steps):
-     *  one fused segment, one rotation key (derived by the compiler).
-     *  With @p device the model carries a schedule price, which arms
-     *  deadline admission. */
+     *  one fused segment, one rotation key (derived by the compiler). */
     Model
-    servingModel(i64 steps, const tpu::DeviceConfig *device = nullptr)
+    servingModel(i64 steps)
     {
         graph::Graph g;
         const auto half = graph::PlainOperand::base(
@@ -107,9 +107,16 @@ class ServingFixture : public ::testing::Test
         graph::CompileOptions opts;
         opts.lowering.baseScale = kScale;
         opts.keygen = &keygen;
-        opts.schedule = graph::ScheduleKind::Fused;
-        opts.device = device;
         return graph::compileGraph(ctx, g, opts);
+    }
+
+    /** One run of @p model on @p ct: its measured wall time arms the
+     *  engine's deadline admission (fastestRunMicros). */
+    void
+    runOnce(const graph::CompiledGraph &model, const Ciphertext &ct)
+    {
+        const BatchEvaluator batch(ctx);
+        (void)model.run(batch, {{ct}});
     }
 
     /** Sequential per-request reference: the model's runSequential on
@@ -211,9 +218,8 @@ TEST_F(ServingFixture, PausedEngineCoalescesQueuedRequestsIntoOneBatch)
     const auto inputs = encryptBatch(5, 43);
 
     setGlobalThreadCount(1);
-    ServingConfig cfg;
-    cfg.startPaused = true;
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause();
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -246,9 +252,8 @@ TEST_F(ServingFixture, BatchFormingGroupsByModel)
         refs.push_back(sequentialReference(*models[i % 2], {inputs[i]})[0]);
 
     setGlobalThreadCount(1);
-    ServingConfig cfg;
-    cfg.startPaused = true;
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause();
     auto stream = engine.openStream();
 
     // A request one level down would touch a different (key, level)
@@ -284,10 +289,10 @@ TEST_F(ServingFixture, DispatchersRunOneModelConcurrentlyBitIdentically)
 
     setGlobalThreadCount(testThreads());
     ServingConfig cfg;
-    cfg.startPaused = true;
     cfg.dispatchers = 2;
     cfg.maxBatch = 2;
     ServingEngine engine(ctx, cfg);
+    engine.pause();
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -312,13 +317,13 @@ TEST_F(ServingFixture, WaitKnobHoldsBatchOpenUntilFull)
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
-    cfg.startPaused = true;
     cfg.maxBatch = 4;
     // Generous patience: the dispatcher must hold the batch open until
     // it reaches maxBatch, whatever the thread interleaving -- the
     // deadline only matters if the batch never fills.
     cfg.maxBatchWaitMicros = 60u * 1000 * 1000;
     ServingEngine engine(ctx, cfg);
+    engine.pause();
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -345,10 +350,10 @@ TEST_F(ServingFixture, PauseAndShutdownCutTheBatchWaitShort)
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
-    cfg.startPaused = true;
     cfg.maxBatch = 8; // never fills: only pause/shutdown end the wait
     cfg.maxBatchWaitMicros = 60u * 1000 * 1000;
     ServingEngine engine(ctx, cfg);
+    engine.pause();
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -385,9 +390,9 @@ TEST_F(ServingFixture, BoundedQueueRejectsWithQueueFullError)
 
     setGlobalThreadCount(1);
     ServingConfig cfg;
-    cfg.startPaused = true;
     cfg.maxQueueDepth = 3;
     ServingEngine engine(ctx, cfg);
+    engine.pause();
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -413,9 +418,8 @@ TEST_F(ServingFixture, ShutdownDrainsQueueThenRejectsNewSubmits)
     const auto refs = sequentialReference(*model, inputs);
 
     setGlobalThreadCount(1);
-    ServingConfig cfg;
-    cfg.startPaused = true; // requests queue up before shutdown
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause(); // requests queue up before shutdown
     auto stream = engine.openStream();
 
     std::vector<std::future<Ciphertext>> futs;
@@ -694,24 +698,23 @@ TEST(DrrSchedulerTest, ZeroWeightIsRejected)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
 {
-    // Compiled against a device, the model carries a schedule price.
-    const auto dev = tpu::tpuV6e();
-    const auto model = servingModel(1, &dev);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(2, 52);
     const Ciphertext ref = sequentialReference(*model, {inputs[1]})[0];
+    // One run measures the model: no request can finish sooner.
+    runOnce(*model, inputs[0]);
+    const u64 fastest = model->fastestRunMicros();
+    ASSERT_GT(fastest, 0u);
 
-    ServingConfig cfg;
-    cfg.startPaused = true;
-    // Enormous calibration factor: the model's price becomes far
-    // larger than the 1 ms deadline below, so the reject is certain.
-    cfg.costScale = 1e6;
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause();
     auto stream = engine.openStream();
 
-    EXPECT_GT(cfg.costScale * model->scheduledCostUs(), 1e3);
-
-    auto rejected =
-        engine.submit(stream, *model, inputs[0], {.deadlineUs = 1000});
+    // Still ahead, but closer than the fastest run: rejection is
+    // certain.
+    auto rejected = engine.submit(
+        stream, *model, inputs[0],
+        {.deadlineUs = std::max<u64>(1, fastest / 2)});
     EXPECT_THROW(rejected.get(), DeadlineError);
     auto st = engine.stats();
     EXPECT_EQ(st.submitted, 0u);
@@ -730,14 +733,13 @@ TEST_F(ServingFixture, InfeasibleDeadlineRejectedAtSubmitTime)
 
 TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
 {
-    const auto model = servingModel(1); // no price: admission only
+    const auto model = servingModel(1); // never run: admission only
                                         // rejects past deadlines
     const auto inputs = encryptBatch(2, 53);
 
     setGlobalThreadCount(1);
-    ServingConfig cfg;
-    cfg.startPaused = true;
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause();
     auto stream = engine.openStream();
 
     // The deadline is far longer than the submit path, even under a
@@ -763,28 +765,117 @@ TEST_F(ServingFixture, QueuedRequestPastDeadlineIsShedAtDispatch)
     EXPECT_EQ(engine.tenantStats().at(0).failed, 1u);
 }
 
-// The PR 8 timed-wait edge the issue calls out: a deadline-rejected
-// future still unread when the engine shuts down must stay readable
-// afterwards (the shared state outlives the engine).
+// A deadline-rejected future still unread when the engine shuts down
+// must stay readable afterwards (the shared state outlives the
+// engine), also with the dispatchers parked in the batch-growing wait.
 TEST_F(ServingFixture, ShutdownWithUnreadDeadlineRejectedFutureIsClean)
 {
-    const auto dev = tpu::tpuV6e();
-    const auto model = servingModel(1, &dev);
+    const auto model = servingModel(1);
     const auto inputs = encryptBatch(1, 54);
 
     setGlobalThreadCount(1);
+    runOnce(*model, inputs[0]); // arms admission
+    const u64 fastest = model->fastestRunMicros();
+    ASSERT_GT(fastest, 0u);
     std::future<Ciphertext> unread;
     {
         ServingConfig cfg;
-        cfg.costScale = 1e6;
         cfg.maxBatchWaitMicros = 60u * 1000 * 1000; // park dispatchers
         ServingEngine engine(ctx, cfg);
         auto stream = engine.openStream();
-        unread =
-            engine.submit(stream, *model, inputs[0], {.deadlineUs = 1000});
+        unread = engine.submit(
+            stream, *model, inputs[0],
+            {.deadlineUs = std::max<u64>(1, fastest / 2)});
         engine.shutdown();
     } // engine destroyed with the rejected future still unread
     EXPECT_THROW(unread.get(), DeadlineError);
+}
+
+TEST_F(ServingFixture, DeadlineAdmissionReadsTheMeasuredRunTime)
+{
+    const auto fresh = servingModel(1);
+    const auto model = servingModel(1);
+    const auto inputs = encryptBatch(3, 58);
+    // The sequential reference is not a measurement.
+    const Ciphertext ref = sequentialReference(*model, {inputs[2]})[0];
+    EXPECT_EQ(model->fastestRunMicros(), 0u);
+
+    setGlobalThreadCount(1);
+    {
+        // A model that has never run has no measured bound: a 20 ms
+        // deadline is admitted and queues.
+        EXPECT_EQ(fresh->fastestRunMicros(), 0u);
+        ServingEngine engine(ctx);
+        engine.pause();
+        auto stream = engine.openStream();
+        auto admitted = engine.submit(stream, *fresh, inputs[0],
+                                      {.deadlineUs = 20000});
+        EXPECT_EQ(engine.queueDepth(), 1u);
+        const auto st = engine.stats();
+        EXPECT_EQ(st.submitted, 1u);
+        EXPECT_EQ(st.deadlineRejected, 0u);
+        // Drained at shutdown: it runs, or is shed if its deadline
+        // passed first; either way the future resolves.
+        engine.shutdown();
+        const auto done = engine.stats();
+        EXPECT_EQ(done.submitted, done.completed + done.failed);
+    }
+
+    // One run measures the model.
+    runOnce(*model, inputs[0]);
+    EXPECT_GT(model->fastestRunMicros(), 0u);
+
+    ServingEngine engine(ctx);
+    engine.pause();
+    auto stream = engine.openStream();
+    // 1 us is closer than any run: rejected at submit, nothing queued.
+    auto rejected =
+        engine.submit(stream, *model, inputs[1], {.deadlineUs = 1});
+    EXPECT_THROW(rejected.get(), DeadlineError);
+    auto st = engine.stats();
+    EXPECT_EQ(st.deadlineRejected, 1u);
+    EXPECT_EQ(st.submitted, 0u);
+    EXPECT_EQ(engine.queueDepth(), 0u);
+
+    // 10 s is admitted and resolves bit-identical to the reference.
+    auto ok = engine.submit(stream, *model, inputs[2],
+                            {.deadlineUs = 10u * 1000 * 1000});
+    EXPECT_EQ(engine.queueDepth(), 1u);
+    engine.resume();
+    expectEqual(ok.get(), ref);
+    st = engine.stats();
+    EXPECT_EQ(st.completed, 1u);
+    EXPECT_EQ(st.deadlineRejected, 1u);
+}
+
+TEST_F(ServingFixture, DeadlinesAndBatchWaitsAboveOneYearAreMisuse)
+{
+    const auto model = servingModel(1);
+    const auto inputs = encryptBatch(1, 59);
+
+    // Past the cap the clock arithmetic would overflow (2^62 us) or
+    // wrap negative (UINT64_MAX): both fail at the call site.
+    ServingEngine engine(ctx);
+    engine.pause();
+    auto stream = engine.openStream();
+    for (const u64 us : {u64{1} << 62, u64{UINT64_MAX}, kMaxWaitMicros + 1})
+        EXPECT_THROW(
+            engine.submit(stream, *model, inputs[0], {.deadlineUs = us}),
+            std::invalid_argument)
+            << us;
+    EXPECT_EQ(engine.queueDepth(), 0u);
+    EXPECT_EQ(engine.stats().rejected, 0u);
+
+    // The cap itself is a valid, effectively unbounded deadline.
+    auto ok = engine.submit(stream, *model, inputs[0],
+                            {.deadlineUs = kMaxWaitMicros});
+    EXPECT_EQ(engine.queueDepth(), 1u);
+    engine.resume();
+    (void)ok.get();
+
+    ServingConfig cfg;
+    cfg.maxBatchWaitMicros = u64{1} << 62;
+    EXPECT_THROW({ ServingEngine bad(ctx, cfg); }, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
@@ -858,9 +949,8 @@ TEST_F(ServingFixture, FailedBatchIsCountedPerTenant)
     const auto inputs = encryptBatch(3, 57);
 
     setGlobalThreadCount(1);
-    ServingConfig cfg;
-    cfg.startPaused = true;
-    ServingEngine engine(ctx, cfg);
+    ServingEngine engine(ctx);
+    engine.pause();
     auto s7 = engine.openStream({.tenant = 7});
     auto s9 = engine.openStream({.tenant = 9});
     std::vector<std::future<Ciphertext>> futs;
