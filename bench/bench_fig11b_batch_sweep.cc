@@ -8,8 +8,9 @@
  *
  * Part 2 (functional): the same batching idea executed for real by the
  * BatchEvaluator on the host CPU: HE-Mult over a vector of ciphertexts
- * with one key-switch precomputation per batch and the limb-wise hot
- * loops spread across the thread pool, versus the sequential
+ * with one key-switch precomputation per batch and the batch items
+ * spread across the thread pool (each item's kernels run as plain limb
+ * loops on its own thread), versus the sequential
  * one-ciphertext-at-a-time evaluator. The batched run is swept over
  * thread counts {1, 2, 4} (plus --threads when different) against one
  * shared sequential baseline, so the JSON carries the host scaling

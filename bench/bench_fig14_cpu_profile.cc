@@ -17,7 +17,6 @@
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "ckks/keys.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 
 namespace {
@@ -52,17 +51,12 @@ aggregate(const KernelLog &log)
 int
 main(int argc, char **argv)
 {
-    const u64 threads =
-        cross::bench::consumeUintFlag(argc, argv, "threads", 1);
     bench::Reporter rep(argc, argv, "fig14_cpu_profile");
     bench::banner("Figure 14 (appendix F)",
                   "CPU latency profile of HE operators by kernel",
                   "host CPU, this library's functional CKKS backend");
-    // Kernel shares shift with intra-op threading; default 1 matches
-    // the paper's single-threaded OpenFHE profile.
-    setGlobalThreadCount(static_cast<u32>(threads == 0 ? 1 : threads));
-    std::cout << "Threads: " << globalThreadCount() << "\n";
-
+    // One operator on one ciphertext runs on this thread, matching the
+    // paper's single-threaded OpenFHE profile.
     CkksContext ctx(CkksParams::testSet(1 << 13, 12, 3));
     CkksEncoder encoder(ctx);
     KeyGenerator keygen(ctx, 1);

@@ -325,9 +325,10 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
         }
     }
 
-    // Stream each item through the whole pipeline: item-level
-    // parallelism outside, the per-stage limb loops inside run inline
-    // on the same worker (parallel.h's nesting rule). Each item logs
+    // Stream each item through the whole pipeline. The items are the
+    // pool's units of work, and an item's kernels run as plain limb
+    // loops on the thread that runs it; a batch of one runs on the
+    // caller's thread. Each item logs
     // privately and the logs merge in item order below, so the merged
     // log comes out in (item, stage) order == the sequential loop,
     // independent of scheduling.

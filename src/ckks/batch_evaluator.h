@@ -11,8 +11,9 @@
  * precomputation -- the KeySwitchPrecomp operands, the warm basis
  * conversion caches, the automorphism index maps -- is built at most
  * once per context via the context's KeySwitchCache and shared by all
- * items, while the per-item work runs across the global thread pool
- * (common/parallel.h).
+ * items. The items are spread over the global thread pool
+ * (common/parallel.h), the library's only parallel work; the kernels
+ * inside an item run as plain limb loops on the thread that runs it.
  *
  * The one entry point is run(CtVec, Pipeline). It amortises on two
  * axes at once:

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 #include "nt/modops.h"
 #include "nt/modvec.h"
@@ -152,56 +151,32 @@ CkksEvaluator::rescale(const Ciphertext &ct) const
         poly::inverseInPlace(last.data(), ctx_.ring().tables(l));
         logCall(KernelKind::Intt, 1, 0, ti.seconds());
 
-        // The per-limb fold is independent across target limbs. Run the
-        // lifts over the 2-D (limb x coefficient-range) split, batch
-        // the NTTs so the pool can also split inside a limb, then fold
-        // through the dispatched vector lanes; the kernel log is
-        // emitted afterwards in limb order with even per-limb time
-        // shares, keeping its shape deterministic under any thread
-        // count.
-        WallTimer tn;
-        std::vector<std::vector<u32>> lifted(l);
-        for (size_t i = 0; i < l; ++i)
-            lifted[i].resize(last.size());
-        parallelFor2D(l, last.size(),
-                      [&](size_t i, size_t lo, size_t hi) {
+        // Fold the dropped limb into each remaining limb i:
+        // c_i = (c_i - NTT(lift_i(last))) * q_l^-1 mod q_i.
+        const size_t n = last.size();
+        std::vector<u32> lifted(n);
+        for (size_t i = 0; i < l; ++i) {
             const u64 q_i = ctx_.qModulus(i);
+            WallTimer tn;
             // Exact centered lift of [c]_{q_l} into q_i.
-            for (size_t n = lo; n < hi; ++n) {
-                const u64 v = last[n];
-                lifted[i][n] = static_cast<u32>(
+            for (size_t k = 0; k < n; ++k) {
+                const u64 v = last[k];
+                lifted[k] = static_cast<u32>(
                     v > q_l / 2 ? q_i - ((q_l - v) % q_i) : v % q_i);
             }
-        });
-        std::vector<u32 *> polys(l);
-        std::vector<const poly::NttTables *> tabs(l);
-        for (size_t i = 0; i < l; ++i) {
-            polys[i] = lifted[i].data();
-            tabs[i] = &ctx_.ring().tables(i);
-        }
-        poly::forwardInPlaceMany(polys.data(), tabs.data(), l);
-        const double ntt_share = l ? tn.seconds() / l : 0.0;
+            poly::forwardInPlace(lifted.data(), ctx_.ring().tables(i));
+            logCall(KernelKind::Ntt, 1, 0, tn.seconds());
 
-        WallTimer tv;
-        std::vector<nt::ShoupConst> inv(l);
-        for (size_t i = 0; i < l; ++i) {
-            inv[i] = nt::shoupPrecompute(
-                static_cast<u32>(ctx_.qInvModQ(l, i)),
-                static_cast<u32>(ctx_.qModulus(i)));
-        }
-        parallelFor2D(l, last.size(),
-                      [&](size_t i, size_t lo, size_t hi) {
-            const u32 q = static_cast<u32>(ctx_.qModulus(i));
+            WallTimer tv;
+            const u32 q = static_cast<u32>(q_i);
             u32 *dst = comp->limb(i).data();
-            nt::subModVec(dst + lo, dst + lo, lifted[i].data() + lo,
-                          hi - lo, q);
-            nt::mulShoupVec(dst + lo, dst + lo, inv[i], hi - lo, q);
-        });
-        const double vec_share = l ? tv.seconds() / l : 0.0;
-        for (size_t i = 0; i < l; ++i) {
-            logCall(KernelKind::Ntt, 1, 0, ntt_share);
+            nt::subModVec(dst, dst, lifted.data(), n, q);
+            nt::mulShoupVec(dst, dst,
+                            nt::shoupPrecompute(
+                                static_cast<u32>(ctx_.qInvModQ(l, i)), q),
+                            n, q);
             logCall(KernelKind::VecModSub, 1, 0, 0.0);
-            logCall(KernelKind::VecModMulConst, 1, 0, vec_share);
+            logCall(KernelKind::VecModMulConst, 1, 0, tv.seconds());
         }
         comp->dropLastLimb();
     }
@@ -532,8 +507,7 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
 
         // Assemble the extended-basis digit polynomial in eval domain:
         // digit limbs come straight from c (already NTT'd), converted
-        // limbs are transformed limb-parallel after a sequential
-        // assignment pass (the conv_pos order is data-dependent).
+        // limbs are transformed after the assignment pass.
         RnsPoly up(ctx_.ring(), ext_slots, true);
         std::vector<size_t> conv_limbs;
         size_t conv_pos = 0;
@@ -551,15 +525,9 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
         }
         internalCheck(conv_pos == out.size(), "keySwitch: modup mismatch");
         WallTimer tn;
-        std::vector<u32 *> polys(conv_limbs.size());
-        std::vector<const poly::NttTables *> tabs(conv_limbs.size());
-        for (size_t ci = 0; ci < conv_limbs.size(); ++ci) {
-            const size_t pos = conv_limbs[ci];
-            polys[ci] = up.limb(pos).data();
-            tabs[ci] = &ctx_.ring().tables(ext_slots[pos]);
-        }
-        poly::forwardInPlaceMany(polys.data(), tabs.data(),
-                                 conv_limbs.size());
+        for (size_t pos : conv_limbs)
+            poly::forwardInPlace(up.limb(pos).data(),
+                                 ctx_.ring().tables(ext_slots[pos]));
         logCall(KernelKind::Ntt, static_cast<u32>(conv_limbs.size()), 0,
                 tn.seconds());
         digits.push_back(std::move(up));
@@ -575,15 +543,11 @@ CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
 
     WallTimer ti2;
     rns::LimbMatrix p_part(ctx_.pCount());
-    std::vector<u32 *> ppolys(ctx_.pCount());
-    std::vector<const poly::NttTables *> ptabs(ctx_.pCount());
     for (size_t jj = 0; jj < ctx_.pCount(); ++jj) {
         p_part[jj] = acc.limb(level + 1 + jj);
-        ppolys[jj] = p_part[jj].data();
-        ptabs[jj] = &ctx_.ring().tables(ctx_.pSlot(jj));
+        poly::inverseInPlace(p_part[jj].data(),
+                             ctx_.ring().tables(ctx_.pSlot(jj)));
     }
-    poly::inverseInPlaceMany(ppolys.data(), ptabs.data(),
-                             ctx_.pCount());
     logCall(KernelKind::Intt, static_cast<u32>(ctx_.pCount()), 0,
             ti2.seconds());
 
@@ -595,22 +559,17 @@ CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
 
     WallTimer tn2;
     RnsPoly conv_q(ctx_.ring(), level + 1, true);
-    std::vector<u32 *> qpolys(level + 1);
-    std::vector<const poly::NttTables *> qtabs(level + 1);
     for (size_t i = 0; i <= level; ++i) {
         conv_q.limb(i) = std::move(conv_out[i]);
-        qpolys[i] = conv_q.limb(i).data();
-        qtabs[i] = &ctx_.ring().tables(i);
+        poly::forwardInPlace(conv_q.limb(i).data(), ctx_.ring().tables(i));
     }
-    poly::forwardInPlaceMany(qpolys.data(), qtabs.data(), level + 1);
     logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0,
             tn2.seconds());
 
     WallTimer tv;
     RnsPoly res(ctx_.ring(), level + 1, true);
-    parallelFor(0, level + 1, [&](size_t i) {
+    for (size_t i = 0; i <= level; ++i)
         res.limb(i) = acc.limb(i);
-    });
     res.subInPlace(conv_q);
     std::vector<u64> pinv(level + 1);
     for (size_t i = 0; i <= level; ++i)

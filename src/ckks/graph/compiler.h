@@ -182,8 +182,8 @@ class CompiledGraph
     /**
      * Sequential reference: item by item, stage by stage, each stage
      * through applyStage on the one-shot SwitchKey paths (no residency
-     * cache, no prevalidation walk, no batch-level parallelism; the
-     * kernels still use the global thread pool). The conformance
+     * cache, no prevalidation walk, no thread pool: everything runs on
+     * the caller's thread). The conformance
      * baseline for run()'s caching, prevalidation and threading, and
      * the stack's one sequential reference interpreter. Because run()
      * executes the same applyStage, what a stage computes is checked

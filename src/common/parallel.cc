@@ -180,8 +180,8 @@ namespace {
 
 std::mutex g_pool_mutex;
 std::unique_ptr<ThreadPool> g_pool;
-// Read on every parallelFor (i.e. every limb-wise op): atomic, not
-// mutex-guarded, so the default threads==1 fast path stays lock-free.
+// Read on every parallelFor: atomic, not mutex-guarded, so the default
+// threads==1 fast path stays lock-free.
 std::atomic<u32> g_threads{1};
 
 } // namespace
@@ -292,51 +292,6 @@ parallelFor(size_t begin, size_t end,
     parallelForRange(begin, end, [&](size_t lo, size_t hi) {
         for (size_t i = lo; i < hi; ++i)
             body(i);
-    });
-}
-
-void
-parallelFor2D(size_t outerCount, size_t innerCount,
-              const std::function<void(size_t, size_t, size_t)> &body,
-              size_t minInnerChunk)
-{
-    if (outerCount == 0 || innerCount == 0)
-        return;
-    const size_t total = outerCount * innerCount;
-    const u32 threads = inParallelRegion() ? 1 : globalThreadCount();
-    // Work-size heuristic: cap the part count so each part covers at
-    // least minInnerChunk flattened elements; a split below that would
-    // spend more on fork/join than the rows cost.
-    const size_t max_parts =
-        std::max<size_t>(1, total / std::max<size_t>(1, minInnerChunk));
-    const u32 parts = static_cast<u32>(
-        std::min<size_t>({threads, total, max_parts}));
-    // Every part covers whole rows already (or no split is worth it):
-    // fall back to the 1-D row split, which also handles threads == 1
-    // with the plain inline loop.
-    if (parts <= 1 || parts <= outerCount) {
-        parallelForRange(0, outerCount, [&](size_t lo, size_t hi) {
-            for (size_t i = lo; i < hi; ++i)
-                body(i, 0, innerCount);
-        });
-        return;
-    }
-    ThreadPool &pool = acquireGlobalPoolForJob();
-    JobRelease release;
-    pool.run(parts, [&](u32 p) {
-        // Deterministic static split of the flattened index space
-        // [0, outer*inner); each chunk is walked row by row.
-        const size_t flat_lo = total * p / parts;
-        const size_t flat_hi = total * (p + 1) / parts;
-        size_t pos = flat_lo;
-        while (pos < flat_hi) {
-            const size_t row = pos / innerCount;
-            const size_t lo = pos % innerCount;
-            const size_t hi =
-                std::min(innerCount, lo + (flat_hi - pos));
-            body(row, lo, hi);
-            pos += hi - lo;
-        }
     });
 }
 

@@ -2,22 +2,23 @@
  * @file
  * Work-stealing-free thread pool and parallel_for.
  *
- * The batched evaluation engine (ckks/batch_evaluator.h) and the
- * limb-wise hot loops in poly/rns/ckks parallelise through this single
- * global pool. Design constraints, in order:
+ * One parallel granularity: the batched evaluation engine
+ * (ckks/batch_evaluator.h) spreads the items of a batch over this
+ * single global pool, and every kernel inside an item (NTT, BConv,
+ * limb-wise vector arithmetic) is a plain loop over its limbs on the
+ * thread that runs the item. Design constraints, in order:
  *
  *  1. Bit-exactness: iterations are partitioned into contiguous,
- *     disjoint index ranges (static split, no stealing), so any HE
- *     kernel parallelised here writes exactly the bytes the sequential
- *     loop writes. threads == 1 (the default) runs the plain loop
- *     inline -- byte-identical to the pre-parallel code path.
- *  2. Determinism of the KernelLog: parallelism lives *inside* one
- *     logged kernel (or uses per-task logs merged in order, see
- *     BatchEvaluator); the pool itself never reorders observable work.
- *  3. No oversubscription: a parallelFor issued from inside a pool
- *     worker executes inline, so batch-level parallelism (outer) and
- *     limb-level parallelism (inner) compose without spawning
- *     threads^2 workers.
+ *     disjoint index ranges (static split, no stealing), so a loop run
+ *     here writes exactly the bytes the sequential loop writes.
+ *     threads == 1 (the default) runs the plain loop inline.
+ *  2. Determinism of the KernelLog: each task logs privately and the
+ *     logs merge in task order (see BatchEvaluator); the pool itself
+ *     never reorders observable work.
+ *  3. The pool is entered once per batch; a nested call still runs
+ *     inline as a safety rule (no deadlock, no threads^2 workers).
+ *     A one-item range never touches the pool, so a batch of one runs
+ *     on its caller's thread without waiting for the pool.
  */
 #pragma once
 
@@ -81,7 +82,7 @@ bool inParallelRegion();
  * Top-level pool jobs currently in flight across all threads. Used by
  * runtime-configuration setters (setGlobalThreadCount, the SIMD
  * dispatch override in nt/simd_dispatch.h) to refuse a reconfiguration
- * that would race an active parallel kernel.
+ * that would race an active pool job.
  */
 u32 activeParallelJobs();
 
@@ -97,30 +98,5 @@ void parallelForRange(size_t begin, size_t end,
 /** Run body(i) for every i in [begin, end) (chunked as above). */
 void parallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)> &body);
-
-/**
- * 2-D (outer x inner) work split: run body(outer, lo, hi) over tiles
- * covering every (outer row, inner index) pair exactly once. The outer
- * dimension is typically RNS limbs and the inner dimension
- * coefficients, so a kernel with fewer limbs than threads still keeps
- * every thread busy by splitting rows along the coefficient range.
- *
- * Guarantees, matching parallelForRange:
- *  - every (row, index) pair is covered by exactly one tile; tiles are
- *    contiguous inner ranges within one row;
- *  - the tiling depends only on (outerCount, innerCount, thread count,
- *    minInnerChunk), never on scheduling -- deterministic assignment;
- *  - with 1 thread (or inside a parallel region) the body runs inline
- *    as body(row, 0, innerCount) for row = 0..outerCount-1, i.e. the
- *    exact sequential loop -- bit-identical to the pre-parallel code.
- *
- * Rows are only split when the flattened work is large enough that
- * each part still gets at least @p minInnerChunk elements (the
- * work-size heuristic: tiny polynomials stay on one thread where the
- * fork/join overhead would dominate).
- */
-void parallelFor2D(size_t outerCount, size_t innerCount,
-                   const std::function<void(size_t, size_t, size_t)> &body,
-                   size_t minInnerChunk = 1024);
 
 } // namespace cross

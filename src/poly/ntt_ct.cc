@@ -1,9 +1,6 @@
 #include "poly/ntt_ct.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "common/parallel.h"
 #include "nt/modops.h"
 #include "nt/modvec.h"
 #include "poly/ntt_kernels.h"
@@ -155,191 +152,6 @@ inverseInPlace(u32 *a, const NttTables &tab)
     }
     nt::mulShoupVec(a, a, tab.nInv(), n, q);
     CROSS_NTT_CHECK_RANGE(a, n, q, "NTT inverse: canonical output");
-}
-
-namespace {
-
-/** Coefficient ranges below this stay on one thread (fork/join would
- *  dominate the butterfly work). */
-constexpr u32 kMinChunkLen = 512;
-
-/**
- * Per-polynomial coefficient-split factor: the largest power of two P
- * such that count * P parts still fit the thread budget and each of
- * the P chunks keeps at least kMinChunkLen coefficients.
- */
-u32
-coeffSplitParts(size_t count, u32 n, u32 threads)
-{
-    u32 p = 1;
-    while (2 * p * count <= threads && n / (2 * p) >= kMinChunkLen)
-        p *= 2;
-    return p;
-}
-
-} // namespace
-
-void
-forwardInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
-                   size_t count)
-{
-    if (count == 0)
-        return;
-    const u32 n = tabs[0]->degree();
-    const u32 threads = inParallelRegion() ? 1 : globalThreadCount();
-    bool all_lazy = true;
-    for (size_t i = 0; i < count; ++i) {
-        internalCheck(tabs[i]->degree() == n,
-                      "forwardInPlaceMany: degree mismatch");
-        all_lazy = all_lazy && lazyEligible(tabs[i]->modulus());
-    }
-    // The coefficient split rides on the lazy kernels; wide moduli (or
-    // enough limbs to keep every thread busy) use the per-poly split.
-    const u32 parts =
-        all_lazy ? coeffSplitParts(count, n, threads) : 1;
-    if (parts <= 1) {
-        parallelFor(0, count, [&](size_t i) {
-            forwardInPlace(polys[i], *tabs[i]);
-        });
-        return;
-    }
-    const auto &ker = detail::activeNttKernels();
-    const size_t half = n / 2;
-    // Head stages (m < parts): blocks span chunk boundaries, so split
-    // each stage's independent butterflies across threads -- one
-    // barrier per stage, log2(parts) barriers total. The flat index
-    // maps to (poly, block, offset); a range never crosses a poly
-    // because blocks tile each poly's half-length exactly.
-    u32 t = n;
-    for (u32 m = 1; m < parts; m <<= 1) {
-        t >>= 1;
-        parallelForRange(0, count * half, [&](size_t lo, size_t hi) {
-            size_t f = lo;
-            while (f < hi) {
-                const size_t poly = f / half;
-                const size_t rem = f % half;
-                const u32 i = static_cast<u32>(rem / t);
-                const u32 off = static_cast<u32>(rem % t);
-                const u32 len = static_cast<u32>(
-                    std::min<size_t>(t - off, hi - f));
-                u32 *base = polys[poly] + 2 * i * t;
-                ker.fwdButterflyLazy(base + off, base + off + t, len,
-                                     tabs[poly]->psiBr(m + i),
-                                     tabs[poly]->modulus());
-                f += len;
-            }
-        });
-    }
-    // Tail stages (m >= parts): block spans divide the chunk length,
-    // so every (poly, chunk) pair runs its remaining stages and the
-    // canonical fold independently -- no further barriers.
-    const u32 chunk_len = n / parts;
-    parallelFor(0, count * parts, [&](size_t w) {
-        const size_t poly = w / parts;
-        const u32 chunk = static_cast<u32>(w % parts);
-        u32 *a = polys[poly];
-        const NttTables &tab = *tabs[poly];
-        const u32 q = tab.modulus();
-        const u32 c0 = chunk * chunk_len;
-        u32 tt = chunk_len;
-        for (u32 m = parts; m < n; m <<= 1) {
-            tt >>= 1;
-            const u32 i0 = c0 / (2 * tt);
-            const u32 i1 = (c0 + chunk_len) / (2 * tt);
-            for (u32 i = i0; i < i1; ++i) {
-                const u32 j1 = 2 * i * tt;
-                ker.fwdButterflyLazy(a + j1, a + j1 + tt, tt,
-                                     tab.psiBr(m + i), q);
-            }
-        }
-        ker.fold4q(a + c0, chunk_len, q);
-    });
-}
-
-void
-inverseInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
-                   size_t count)
-{
-    if (count == 0)
-        return;
-    const u32 n = tabs[0]->degree();
-    const u32 threads = inParallelRegion() ? 1 : globalThreadCount();
-    bool all_lazy = true;
-    for (size_t i = 0; i < count; ++i) {
-        internalCheck(tabs[i]->degree() == n,
-                      "inverseInPlaceMany: degree mismatch");
-        all_lazy = all_lazy && lazyEligible(tabs[i]->modulus());
-    }
-    const u32 parts =
-        all_lazy ? coeffSplitParts(count, n, threads) : 1;
-    if (parts <= 1) {
-        parallelFor(0, count, [&](size_t i) {
-            inverseInPlace(polys[i], *tabs[i]);
-        });
-        return;
-    }
-    const auto &ker = detail::activeNttKernels();
-    const size_t half = n / 2;
-    const u32 chunk_len = n / parts;
-    // Mirror image of the forward split: the early GS stages have
-    // small blocks local to one chunk (m >= 2*parts), the last
-    // log2(parts) stages span chunks and go stage-parallel.
-    parallelFor(0, count * parts, [&](size_t w) {
-        const size_t poly = w / parts;
-        const u32 chunk = static_cast<u32>(w % parts);
-        u32 *a = polys[poly];
-        const NttTables &tab = *tabs[poly];
-        const u32 q = tab.modulus();
-        const u32 c0 = chunk * chunk_len;
-        u32 t = 1;
-        for (u32 m = n; m >= 2 * parts; m >>= 1) {
-            const u32 h = m >> 1;
-            const u32 i0 = c0 / (2 * t);
-            const u32 i1 = (c0 + chunk_len) / (2 * t);
-            for (u32 i = i0; i < i1; ++i) {
-                const u32 j1 = 2 * i * t;
-                ker.invButterflyLazy(a + j1, a + j1 + t, t,
-                                     tab.psiInvBr(h + i), q);
-            }
-            t <<= 1;
-        }
-    });
-    u32 t = chunk_len;
-    for (u32 m = parts; m > 1; m >>= 1) {
-        const u32 h = m >> 1;
-        parallelForRange(0, count * half, [&](size_t lo, size_t hi) {
-            size_t f = lo;
-            while (f < hi) {
-                const size_t poly = f / half;
-                const size_t rem = f % half;
-                const u32 i = static_cast<u32>(rem / t);
-                const u32 off = static_cast<u32>(rem % t);
-                const u32 len = static_cast<u32>(
-                    std::min<size_t>(t - off, hi - f));
-                u32 *base = polys[poly] + 2 * i * t;
-                ker.invButterflyLazy(base + off, base + off + t, len,
-                                     tabs[poly]->psiInvBr(h + i),
-                                     tabs[poly]->modulus());
-                f += len;
-            }
-        });
-        t <<= 1;
-    }
-    // Final N^-1 scaling, flat across all polys' coefficients.
-    parallelForRange(0, count * static_cast<size_t>(n),
-                     [&](size_t lo, size_t hi) {
-        size_t f = lo;
-        while (f < hi) {
-            const size_t poly = f / n;
-            const u32 off = static_cast<u32>(f % n);
-            const u32 len = static_cast<u32>(
-                std::min<size_t>(n - off, hi - f));
-            nt::mulShoupVec(polys[poly] + off, polys[poly] + off,
-                            tabs[poly]->nInv(), len,
-                            tabs[poly]->modulus());
-            f += len;
-        }
-    });
 }
 
 } // namespace cross::poly

@@ -14,6 +14,10 @@
  *
  * Canonical evaluation order: after forwardInPlace, element m holds
  * a(psi^(2*bitrev(m)+1)).
+ *
+ * Each call transforms one limb on the calling thread. A multi-limb
+ * transform is a plain loop of these calls; the only parallel work is
+ * the batch item (ckks/batch_evaluator.h), never a split inside a limb.
  */
 #pragma once
 
@@ -27,22 +31,5 @@ void forwardInPlace(u32 *a, const NttTables &t);
 
 /** Inverse negacyclic NTT (including N^-1); a has length N, values < q. */
 void inverseInPlace(u32 *a, const NttTables &t);
-
-/**
- * Forward NTT over `count` polynomials (tabs[i] transforms polys[i];
- * all tables must share one degree). Parallelises across BOTH the
- * polynomial (limb) dimension and coefficient ranges: when there are
- * fewer limbs than threads, each transform is split into 2^k
- * contiguous chunks -- the first k Cooley-Tukey stages run
- * stage-parallel (their blocks span chunks), the remaining stages run
- * chunk-local with no barriers. Bit-identical to calling
- * forwardInPlace per polynomial for every thread count.
- */
-void forwardInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
-                        size_t count);
-
-/** Inverse counterpart of forwardInPlaceMany (includes N^-1). */
-void inverseInPlaceMany(u32 *const *polys, const NttTables *const *tabs,
-                        size_t count);
 
 } // namespace cross::poly

@@ -4,7 +4,6 @@
 
 #include "common/bitops.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "nt/modops.h"
 #include "nt/modvec.h"
 #include "poly/ntt_ct.h"
@@ -163,12 +162,10 @@ RnsPoly::addInPlace(const RnsPoly &o)
                   "RnsPoly::add: domain/limb mismatch");
     for (size_t i = 0; i < limbs_.size(); ++i)
         internalCheck(slots_[i] == o.slots_[i], "RnsPoly::add: slots");
-    parallelFor2D(limbs_.size(), ring_->degree(),
-                  [&](size_t i, size_t lo, size_t hi) {
-        const u32 q = static_cast<u32>(limbModulus(i));
-        nt::addModVec(limbs_[i].data() + lo, limbs_[i].data() + lo,
-                      o.limbs_[i].data() + lo, hi - lo, q);
-    });
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        nt::addModVec(limbs_[i].data(), limbs_[i].data(),
+                      o.limbs_[i].data(), ring_->degree(),
+                      static_cast<u32>(limbModulus(i)));
 }
 
 void
@@ -178,23 +175,18 @@ RnsPoly::subInPlace(const RnsPoly &o)
                   "RnsPoly::sub: domain/limb mismatch");
     for (size_t i = 0; i < limbs_.size(); ++i)
         internalCheck(slots_[i] == o.slots_[i], "RnsPoly::sub: slots");
-    parallelFor2D(limbs_.size(), ring_->degree(),
-                  [&](size_t i, size_t lo, size_t hi) {
-        const u32 q = static_cast<u32>(limbModulus(i));
-        nt::subModVec(limbs_[i].data() + lo, limbs_[i].data() + lo,
-                      o.limbs_[i].data() + lo, hi - lo, q);
-    });
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        nt::subModVec(limbs_[i].data(), limbs_[i].data(),
+                      o.limbs_[i].data(), ring_->degree(),
+                      static_cast<u32>(limbModulus(i)));
 }
 
 void
 RnsPoly::negateInPlace()
 {
-    parallelFor2D(limbs_.size(), ring_->degree(),
-                  [&](size_t i, size_t lo, size_t hi) {
-        const u32 q = static_cast<u32>(limbModulus(i));
-        nt::negModVec(limbs_[i].data() + lo, limbs_[i].data() + lo,
-                      hi - lo, q);
-    });
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        nt::negModVec(limbs_[i].data(), limbs_[i].data(), ring_->degree(),
+                      static_cast<u32>(limbModulus(i)));
 }
 
 void
@@ -205,12 +197,10 @@ RnsPoly::mulPointwiseInPlace(const RnsPoly &o)
                   "mulPointwise: limb mismatch");
     for (size_t i = 0; i < limbs_.size(); ++i)
         internalCheck(slots_[i] == o.slots_[i], "mulPointwise: slots");
-    parallelFor2D(limbs_.size(), ring_->degree(),
-                  [&](size_t i, size_t lo, size_t hi) {
-        const auto &mont = ring_->basis().mont(slots_[i]);
-        nt::mulMontVec(limbs_[i].data() + lo, limbs_[i].data() + lo,
-                       o.limbs_[i].data() + lo, hi - lo, mont);
-    });
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        nt::mulMontVec(limbs_[i].data(), limbs_[i].data(),
+                       o.limbs_[i].data(), ring_->degree(),
+                       ring_->basis().mont(slots_[i]));
 }
 
 void
@@ -218,19 +208,13 @@ RnsPoly::mulScalarPerLimbInPlace(const std::vector<u64> &scalars)
 {
     internalCheck(scalars.size() >= limbs_.size(),
                   "mulScalarPerLimb: scalar count");
-    // Precompute the Shoup constants once per limb, outside the 2-D
-    // split -- chunks of the same limb share them.
-    std::vector<nt::ShoupConst> cs(limbs_.size());
     for (size_t i = 0; i < limbs_.size(); ++i) {
         const u32 q = static_cast<u32>(limbModulus(i));
-        cs[i] = nt::shoupPrecompute(static_cast<u32>(scalars[i] % q), q);
+        nt::mulShoupVec(
+            limbs_[i].data(), limbs_[i].data(),
+            nt::shoupPrecompute(static_cast<u32>(scalars[i] % q), q),
+            ring_->degree(), q);
     }
-    parallelFor2D(limbs_.size(), ring_->degree(),
-                  [&](size_t i, size_t lo, size_t hi) {
-        const u32 q = static_cast<u32>(limbModulus(i));
-        nt::mulShoupVec(limbs_[i].data() + lo, limbs_[i].data() + lo,
-                        cs[i], hi - lo, q);
-    });
 }
 
 void
@@ -246,13 +230,8 @@ void
 RnsPoly::toEval()
 {
     internalCheck(!eval_, "toEval: already in eval domain");
-    std::vector<u32 *> polys(limbs_.size());
-    std::vector<const NttTables *> tabs(limbs_.size());
-    for (size_t i = 0; i < limbs_.size(); ++i) {
-        polys[i] = limbs_[i].data();
-        tabs[i] = &ring_->tables(slots_[i]);
-    }
-    forwardInPlaceMany(polys.data(), tabs.data(), limbs_.size());
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        forwardInPlace(limbs_[i].data(), ring_->tables(slots_[i]));
     eval_ = true;
 }
 
@@ -260,13 +239,8 @@ void
 RnsPoly::toCoeff()
 {
     internalCheck(eval_, "toCoeff: already in coeff domain");
-    std::vector<u32 *> polys(limbs_.size());
-    std::vector<const NttTables *> tabs(limbs_.size());
-    for (size_t i = 0; i < limbs_.size(); ++i) {
-        polys[i] = limbs_[i].data();
-        tabs[i] = &ring_->tables(slots_[i]);
-    }
-    inverseInPlaceMany(polys.data(), tabs.data(), limbs_.size());
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        inverseInPlace(limbs_[i].data(), ring_->tables(slots_[i]));
     eval_ = false;
 }
 
@@ -277,25 +251,20 @@ RnsPoly::automorphism(u32 k) const
     const u32 n = ring_->degree();
     if (eval_) {
         const auto &map = ring_->evalAutoMap(k);
-        parallelFor2D(limbs_.size(), n,
-                      [&](size_t i, size_t lo, size_t hi) {
-            for (size_t m = lo; m < hi; ++m)
+        for (size_t i = 0; i < limbs_.size(); ++i)
+            for (u32 m = 0; m < n; ++m)
                 out.limbs_[i][m] = limbs_[i][map[m]];
-        });
     } else {
         const auto &map = ring_->coeffAutoMap(k);
-        // Source-index split: writes stay disjoint because map.target
-        // is a permutation of [0, n).
-        parallelFor2D(limbs_.size(), n,
-                      [&](size_t i, size_t lo, size_t hi) {
+        for (size_t i = 0; i < limbs_.size(); ++i) {
             const u64 q = limbModulus(i);
-            for (size_t j = lo; j < hi; ++j) {
+            for (u32 j = 0; j < n; ++j) {
                 const u32 v = limbs_[i][j];
                 out.limbs_[i][map.target[j]] = map.negate[j]
                     ? static_cast<u32>(nt::negMod(v, q))
                     : v;
             }
-        });
+        }
     }
     return out;
 }

@@ -4,7 +4,6 @@
 
 #include "common/bitops.h"
 #include "common/check.h"
-#include "common/parallel.h"
 #include "nt/modvec.h"
 
 namespace cross::rns {
@@ -46,13 +45,9 @@ BasisConversion::step1(const LimbMatrix &in, LimbMatrix &out) const
     for (size_t i = 0; i < in.size(); ++i) {
         requireThat(in[i].size() == n_coef, "BConv step1: ragged limbs");
         out[i].resize(n_coef);
+        nt::mulShoupVec(out[i].data(), in[i].data(), qHatInvShoup_[i],
+                        n_coef, static_cast<u32>(from_.modulus(i)));
     }
-    parallelFor2D(in.size(), n_coef,
-                  [&](size_t i, size_t lo, size_t hi) {
-        const u32 q = static_cast<u32>(from_.modulus(i));
-        nt::mulShoupVec(out[i].data() + lo, in[i].data() + lo,
-                        qHatInvShoup_[i], hi - lo, q);
-    });
 }
 
 void
@@ -60,29 +55,27 @@ BasisConversion::step2(const LimbMatrix &b, LimbMatrix &out) const
 {
     requireThat(b.size() == from_.size(), "BConv step2: limb count");
     const size_t n_coef = b.empty() ? 0 : b[0].size();
+    for (const auto &limb : b)
+        requireThat(limb.size() == n_coef, "BConv step2: ragged limbs");
     out.assign(to_.size(), std::vector<u32>(n_coef, 0));
 
-    // The (N, L, L') MatModMul: independent per (target limb j,
-    // coefficient range). Accumulate a whole coefficient strip at once
-    // through the dispatched vector lanes; the mid-chain reductions hit
-    // every coefficient at the same source-limb prefix as the original
-    // per-coefficient loop, so results are bit-identical.
-    parallelFor2D(to_.size(), n_coef,
-                  [&](size_t j, size_t lo, size_t hi) {
+    // The (N, L, L') MatModMul, one target limb j at a time: accumulate
+    // the whole limb through the dispatched vector lanes, folding the
+    // u64 accumulator every reduceEvery_ source limbs.
+    std::vector<u64> acc(n_coef);
+    for (size_t j = 0; j < to_.size(); ++j) {
         const auto &bar = to_.barrett(j);
-        const size_t len = hi - lo;
-        std::vector<u64> acc(len, 0);
+        std::fill(acc.begin(), acc.end(), 0);
         size_t window = 0;
         for (size_t i = 0; i < from_.size(); ++i) {
-            nt::accumMulVec(acc.data(), b[i].data() + lo, table_[i][j],
-                            len);
+            nt::accumMulVec(acc.data(), b[i].data(), table_[i][j], n_coef);
             if (++window == reduceEvery_) {
-                nt::reduceWideInPlaceVec(acc.data(), len, bar);
+                nt::reduceWideInPlaceVec(acc.data(), n_coef, bar);
                 window = 0;
             }
         }
-        nt::reduceWideVec(out[j].data() + lo, acc.data(), len, bar);
-    });
+        nt::reduceWideVec(out[j].data(), acc.data(), n_coef, bar);
+    }
 }
 
 void

@@ -36,7 +36,11 @@ class BasisConversion
     const RnsBasis &from() const { return from_; }
     const RnsBasis &to() const { return to_; }
 
-    /** Step 1: b_i = a_i * qHatInv_i mod q_i (per-limb VecModMul). */
+    /**
+     * Step 1: b_i = a_i * qHatInv_i mod q_i (per-limb VecModMul). Both
+     * steps throw std::invalid_argument on a wrong limb count or on
+     * limbs of unequal length.
+     */
     void step1(const LimbMatrix &in, LimbMatrix &out) const;
 
     /** Step 2: c_j = sum_i b_i * [Q/q_i]_{p_j} mod p_j. */

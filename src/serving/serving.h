@@ -146,9 +146,11 @@ struct ServingConfig
      */
     u64 maxBatchWaitMicros = 0;
     /** Batch-forming/executing threads. Each executes one batch at a
-     *  time through the shared global thread pool, so 1 (the default)
-     *  already saturates the pool; more overlap batch forming with
-     *  execution. */
+     *  time: the batch's items are spread over the shared global thread
+     *  pool, so 1 (the default) already saturates the pool with
+     *  multi-item batches, and a batch of one runs on its dispatcher's
+     *  own thread without entering the pool. More dispatchers overlap
+     *  batch forming with execution. */
     u32 dispatchers = 1;
 };
 

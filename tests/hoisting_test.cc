@@ -202,8 +202,8 @@ TEST_F(HoistingFixture, LinearTransformStageMatchesPerOpLoopBitIdentically)
 {
     // Random sweep over the one hoisted stage: 0-5 rotation terms,
     // weighted or unweighted (each count runs both ways), on batches of
-    // 1-3 items at mixed levels (a one-item batch runs the kernels'
-    // inner parallel loops, a larger one runs items in parallel). The
+    // 1-3 items at mixed levels (a one-item batch runs on the caller's
+    // thread, a larger one runs items in parallel). The
     // per-op loop -- rotate, multiplyPlain, add, each rotation with its
     // own ModUp -- is the reference, computed once at 1 thread.
     Rng rng(0x11ea7);

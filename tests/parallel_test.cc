@@ -1,10 +1,10 @@
 /**
  * @file
  * Tests for the parallel execution layer: the work-stealing-free
- * thread pool, parallelFor, bit-exactness of the parallelised limb
- * loops versus single-threaded execution, and the BatchEvaluator's
- * conformance contract -- batched parallel results and the merged
- * KernelLog must be bit-identical to a sequential run.
+ * thread pool, parallelFor, kernel results that do not depend on the
+ * pool size, and the BatchEvaluator's conformance contract -- batched
+ * parallel results and the merged KernelLog must be bit-identical to a
+ * sequential run, and a batch of one never waits for the pool.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job can run this suite with real concurrency: every assertion
@@ -14,7 +14,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -129,89 +131,6 @@ TEST(ParallelFor, EmptyAndSingleRanges)
     EXPECT_EQ(hits, 1);
 }
 
-// ---------------------------------------------------------------------
-// parallelFor2D
-// ---------------------------------------------------------------------
-
-/** Mark every (row, inner) cell visited by the tiles; expect each once. */
-void
-expectFullTiling(size_t rows, size_t inner)
-{
-    std::vector<std::atomic<int>> hits(rows * inner);
-    for (auto &h : hits)
-        h = 0;
-    parallelFor2D(rows, inner, [&](size_t r, size_t lo, size_t hi) {
-        ASSERT_LT(r, rows);
-        ASSERT_LE(lo, hi);
-        ASSERT_LE(hi, inner);
-        for (size_t j = lo; j < hi; ++j)
-            ++hits[r * inner + j];
-    });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor2D, TilesCoverEveryCellExactlyOnce)
-{
-    ThreadGuard guard(testThreads());
-    // Fewer rows than threads (the case the 2-D split exists for),
-    // more rows than threads, and a degenerate single row.
-    expectFullTiling(2, 4096);
-    expectFullTiling(testThreads() * 2 + 1, 100);
-    expectFullTiling(1, 5000);
-}
-
-TEST(ParallelFor2D, EmptyDimensionsRunNothing)
-{
-    ThreadGuard guard(testThreads());
-    int hits = 0;
-    parallelFor2D(0, 128, [&](size_t, size_t, size_t) { ++hits; });
-    parallelFor2D(3, 0, [&](size_t, size_t lo, size_t hi) {
-        EXPECT_EQ(lo, hi);
-        ++hits;
-    });
-    EXPECT_EQ(hits, 0);
-}
-
-TEST(ParallelFor2D, RespectsMinInnerChunk)
-{
-    ThreadGuard guard(testThreads());
-    // With inner below minInnerChunk the split must stay row-wise:
-    // every row arrives as one whole [0, inner) range.
-    std::vector<int> whole(4, 0);
-    parallelFor2D(
-        4, 64,
-        [&](size_t r, size_t lo, size_t hi) {
-            EXPECT_EQ(lo, 0u);
-            EXPECT_EQ(hi, 64u);
-            ++whole[r];
-        },
-        1024);
-    for (int c : whole)
-        EXPECT_EQ(c, 1);
-}
-
-TEST(ParallelFor2D, MatchesSerialResult)
-{
-    const size_t rows = 3, inner = 2048;
-    std::vector<u32> serial(rows * inner), par(rows * inner);
-    for (size_t i = 0; i < serial.size(); ++i)
-        serial[i] = static_cast<u32>(i * 2654435761u);
-    par = serial;
-    auto bump = [](std::vector<u32> &v, size_t r, size_t lo, size_t hi,
-                   size_t inner_n) {
-        for (size_t j = lo; j < hi; ++j)
-            v[r * inner_n + j] += static_cast<u32>(r + 1);
-    };
-    for (size_t r = 0; r < rows; ++r)
-        bump(serial, r, 0, inner, inner);
-    ThreadGuard guard(testThreads());
-    parallelFor2D(rows, inner, [&](size_t r, size_t lo, size_t hi) {
-        bump(par, r, lo, hi, inner);
-    });
-    EXPECT_EQ(par, serial);
-}
-
 TEST(GlobalThreadCount, RoundTrips)
 {
     setGlobalThreadCount(3);
@@ -278,7 +197,7 @@ TEST(GlobalThreadCount, RejectsResizeWhileJobActiveOnAnotherThread)
 }
 
 // ---------------------------------------------------------------------
-// Parallel limb loops are bit-identical to threads=1
+// Kernel results do not depend on the pool size
 // ---------------------------------------------------------------------
 TEST(ParallelExactness, RnsPolyOpsMatchSingleThread)
 {
@@ -490,6 +409,59 @@ TEST_F(BatchConformance, PrecomputedKeySwitchEqualsDirect)
     const auto via_pre = ev.multiply(a, a, pre);
     EXPECT_TRUE(direct.c0 == via_pre.c0);
     EXPECT_TRUE(direct.c1 == via_pre.c1);
+}
+
+TEST_F(BatchConformance, BatchOfOneNeverWaitsForThePool)
+{
+    // The batch item is the only unit of parallel work, so a one-item
+    // run stays on its caller's thread and must finish while another
+    // thread's job holds the pool.
+    const auto a = encryptBatch(1, 8);
+    const u32 k = encoder.rotationAutomorphism(1);
+    const auto rot_key = keygen.rotationKey(k);
+    setGlobalThreadCount(1);
+    const auto want = ckks::CkksEvaluator(ctx).rotate(a[0], k, rot_key);
+
+    ThreadGuard guard(std::max(2u, testThreads()));
+    std::atomic<bool> holding{false};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        parallelFor(0, 2, [&](size_t i) {
+            if (i == 0) {
+                holding.store(true);
+                while (!release.load())
+                    std::this_thread::yield();
+            }
+        });
+    });
+    while (!holding.load())
+        std::this_thread::yield();
+
+    ckks::Pipeline rotate;
+    rotate.rotate(k, rot_key);
+    std::promise<ckks::CtVec> done;
+    auto got = done.get_future();
+    std::thread runner([&] {
+        try {
+            done.set_value(ckks::BatchEvaluator(ctx).run(a, rotate));
+        } catch (...) {
+            done.set_exception(std::current_exception());
+        }
+    });
+    const bool finished = got.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::ready;
+    // Release the pool either way, so a regression fails instead of
+    // hanging.
+    release.store(true);
+    holder.join();
+    runner.join();
+
+    EXPECT_TRUE(finished) << "a batch of one waited for the pool";
+    const auto out = got.get();
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_TRUE(out[0].c0 == want.c0);
+    EXPECT_TRUE(out[0].c1 == want.c1);
+    EXPECT_DOUBLE_EQ(out[0].scale, want.scale);
 }
 
 TEST_F(BatchConformance, EmptyBatchIsANoOp)

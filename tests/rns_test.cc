@@ -226,5 +226,19 @@ TEST(BConv, IdentityConversionOnSameSizedValues)
             EXPECT_EQ(v, 0u);
 }
 
+TEST(BConv, RejectsRaggedLimbs)
+{
+    // A short middle limb must throw, not read past its end.
+    const auto from_m = testPrimes(28, 3, 1 << 12);
+    const auto to_m = testPrimes(28, 2, 1 << 12, from_m);
+    BasisConversion conv{RnsBasis(from_m), RnsBasis(to_m)};
+    LimbMatrix ragged{std::vector<u32>(1024, 1), std::vector<u32>(16, 1),
+                      std::vector<u32>(1024, 1)};
+    LimbMatrix out;
+    EXPECT_THROW(conv.step1(ragged, out), std::invalid_argument);
+    EXPECT_THROW(conv.step2(ragged, out), std::invalid_argument);
+    EXPECT_THROW(conv.apply(ragged, out), std::invalid_argument);
+}
+
 } // namespace
 } // namespace cross::rns

@@ -8,10 +8,10 @@
  * ISA choice is a pure speed choice, never a numerics choice. Each
  * conformance test draws random moduli across the supported bit range
  * (20..31 bits; below 2^30 exercises the lazy Harvey path, 30/31-bit
- * moduli the strict fallback), random lengths that cover both the
- * vector body and the scalar tails, and runs at thread counts 1 and
- * CROSS_TEST_THREADS (default 4) so the suite doubles as a data-race
- * probe under the TSan CI shard.
+ * moduli the strict fallback) and random lengths that cover both the
+ * vector body and the scalar tails. The dispatch-misuse guard runs
+ * under a CROSS_TEST_THREADS (default 4) pool, so the suite doubles as
+ * a data-race probe under the TSan CI shard.
  *
  * Paths not compiled in or not supported by the host are skipped with
  * a notice (GTEST_SKIP), never silently passed.
@@ -236,43 +236,28 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
 }
 
 // ---------------------------------------------------------------------
-// NTT conformance: lazy + strict paths, single and batched, threaded
+// NTT conformance: lazy + strict paths, every ISA
 // ---------------------------------------------------------------------
 
 /**
- * Forward+inverse under the active dispatch for `count` random polys;
+ * Forward+inverse under the active dispatch for each random poly;
  * returns the forward images followed by the roundtripped inputs.
  */
 std::vector<std::vector<u32>>
-runNtt(const std::vector<std::vector<u32>> &in, const poly::NttTables &tab,
-       bool batched)
+runNtt(const std::vector<std::vector<u32>> &in, const poly::NttTables &tab)
 {
-    const size_t count = in.size();
-    std::vector<std::vector<u32>> fwd = in, rt;
-    std::vector<u32 *> ptrs(count);
-    std::vector<const poly::NttTables *> tabs(count, &tab);
-    for (size_t i = 0; i < count; ++i)
-        ptrs[i] = fwd[i].data();
-    if (batched)
-        poly::forwardInPlaceMany(ptrs.data(), tabs.data(), count);
-    else
-        for (size_t i = 0; i < count; ++i)
-            poly::forwardInPlace(fwd[i].data(), tab);
-    rt = fwd;
-    for (size_t i = 0; i < count; ++i)
-        ptrs[i] = rt[i].data();
-    if (batched)
-        poly::inverseInPlaceMany(ptrs.data(), tabs.data(), count);
-    else
-        for (size_t i = 0; i < count; ++i)
-            poly::inverseInPlace(rt[i].data(), tab);
-    std::vector<std::vector<u32>> out = std::move(fwd);
-    for (auto &v : rt)
+    std::vector<std::vector<u32>> fwd = in;
+    for (auto &v : fwd)
+        poly::forwardInPlace(v.data(), tab);
+    std::vector<std::vector<u32>> out = fwd;
+    for (auto &v : fwd) {
+        poly::inverseInPlace(v.data(), tab);
         out.push_back(std::move(v));
+    }
     return out;
 }
 
-TEST(SimdConformance, NttBitIdenticalAcrossIsasAndThreads)
+TEST(SimdConformance, NttBitIdenticalAcrossIsas)
 {
     Rng rng(97);
     // 20..29-bit moduli take the lazy Harvey path (q < 2^30); 30/31-bit
@@ -289,7 +274,7 @@ TEST(SimdConformance, NttBitIdenticalAcrossIsasAndThreads)
             std::vector<std::vector<u32>> ref;
             {
                 IsaGuard g(nt::SimdIsa::Scalar);
-                ref = runNtt(in, tab, false);
+                ref = runNtt(in, tab);
             }
             // Roundtrip sanity on the scalar reference itself.
             for (size_t i = 0; i < in.size(); ++i)
@@ -301,16 +286,9 @@ TEST(SimdConformance, NttBitIdenticalAcrossIsasAndThreads)
                 if (!nt::simdIsaAvailable(isa))
                     continue;
                 IsaGuard g(isa);
-                EXPECT_EQ(runNtt(in, tab, false), ref)
-                    << "per-poly isa=" << nt::simdIsaName(isa)
-                    << " bits=" << bits << " n=" << n;
-                for (u32 threads : {1u, testThreads()}) {
-                    ThreadGuard tg(threads);
-                    EXPECT_EQ(runNtt(in, tab, true), ref)
-                        << "batched isa=" << nt::simdIsaName(isa)
-                        << " bits=" << bits << " n=" << n
-                        << " threads=" << threads;
-                }
+                EXPECT_EQ(runNtt(in, tab), ref)
+                    << "isa=" << nt::simdIsaName(isa) << " bits=" << bits
+                    << " n=" << n;
             }
         }
     }
