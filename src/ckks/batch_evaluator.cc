@@ -25,7 +25,7 @@ pipelineStagePlain(const Plaintext &pt, size_t level)
 Ciphertext
 linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
                     const Ciphertext &in,
-                    const std::vector<const KeySwitchPrecomp *> *pre)
+                    const std::vector<KeySwitchCache::Shared> *pre)
 {
     // Kernels log in the schedule enumerator's order: ModUp, the
     // identity term, then rotation block [+ weight] + Add per branch.
@@ -55,7 +55,7 @@ linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
 Ciphertext
 applyStage(const CkksEvaluator &ev, const PipelineStage &st,
            const Ciphertext &cur, size_t i,
-           const std::vector<const KeySwitchPrecomp *> *pre)
+           const std::vector<KeySwitchCache::Shared> *pre)
 {
     switch (st.op) {
       case HeOp::Add:
@@ -154,23 +154,20 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     const size_t count = input.size();
     const auto &stages = pipeline.stages();
 
-    // Quiesce scope for the whole pipeline: precomp references fetched
-    // below stay valid across eviction while any run is in flight, and
-    // the last run to finish reclaims the retired storage.
-    const KeySwitchCache::ReaderGuard guard(ctx_.keySwitchCache());
-
     // Walk every item's (limb count, scale) through the stages to
     // discover the exact set of (key, level) precomps the pipeline
-    // needs, fetch each from the context's residency cache exactly
-    // once (sequential prefetch: the parallel region below only
-    // reads), warm the shared automorphism maps, and fail fast on
-    // malformed operands -- level/scale-mismatched plaintext operands,
-    // short rhs batches, drained modulus chains -- before any parallel
-    // work starts. The scale walk replays the evaluator's exact
-    // floating-point updates, so its checks accept precisely the
-    // batches the per-item execution would accept.
+    // needs, fetch each from the context's residency cache up front
+    // (sequential prefetch: the parallel region below only reads),
+    // warm the shared automorphism maps, and fail fast on malformed
+    // operands -- level/scale-mismatched plaintext operands, short rhs
+    // batches, drained modulus chains -- before any parallel work
+    // starts. The run owns every fetched precomp until it returns, so
+    // an eviction by a concurrent run, invalidate() or clear() cannot
+    // free one an item still reads. The scale walk replays the
+    // evaluator's exact floating-point updates, so its checks accept
+    // precisely the batches the per-item execution would accept.
     //
-    // pre[s][i] holds the precomps item i uses at stage s: the
+    // pre[s][i] owns the precomps item i uses at stage s: the
     // Mult/Rotate key's, one per LinearTransform branch, or none.
     std::vector<size_t> limbs(count);
     std::vector<double> scale(count);
@@ -178,9 +175,9 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
         limbs[i] = input[i].limbs();
         scale[i] = input[i].scale;
     }
-    std::vector<std::vector<std::vector<const KeySwitchPrecomp *>>> pre(
+    std::vector<std::vector<std::vector<KeySwitchCache::Shared>>> pre(
         stages.size(),
-        std::vector<std::vector<const KeySwitchPrecomp *>>(count));
+        std::vector<std::vector<KeySwitchCache::Shared>>(count));
     const CkksEvaluator builder(ctx_);
     for (size_t s = 0; s < stages.size(); ++s) {
         const auto &st = stages[s];
@@ -210,7 +207,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: relinearisation key "
                             "does not cover the item level");
-                pre[s][i] = {&builder.precomputeKeySwitchCached(
+                pre[s][i] = {builder.precomputeKeySwitchShared(
                     *st.key, limbs[i] - 1)};
             }
             break;
@@ -252,7 +249,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: rotation key does "
                             "not cover the item level");
-                pre[s][i] = {&builder.precomputeKeySwitchCached(
+                pre[s][i] = {builder.precomputeKeySwitchShared(
                     *st.key, limbs[i] - 1)};
             }
             break;
@@ -315,9 +312,8 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                 if (count > 0)
                     (void)ctx_.ring().evalAutoMap(br.autoIdx);
                 for (size_t i = 0; i < count; ++i) {
-                    pre[s][i].push_back(
-                        &builder.precomputeKeySwitchCached(
-                            *br.key, limbs[i] - 1));
+                    pre[s][i].push_back(builder.precomputeKeySwitchShared(
+                        *br.key, limbs[i] - 1));
                 }
             }
             break;

@@ -94,7 +94,7 @@ struct PipelineStage
  */
 Ciphertext applyStage(const CkksEvaluator &ev, const PipelineStage &st,
                       const Ciphertext &cur, size_t i,
-                      const std::vector<const KeySwitchPrecomp *> *pre =
+                      const std::vector<KeySwitchCache::Shared> *pre =
                           nullptr);
 
 /**

@@ -45,8 +45,6 @@ CkksContext::CkksContext(CkksParams params) : params_(params)
             qInvModQ_[l][i] =
                 nt::invMod(qModulus(l) % qModulus(i), qModulus(i));
     }
-
-    ksCache_.setByteBudget(params_.keyCacheBudgetBytes);
 }
 
 u64

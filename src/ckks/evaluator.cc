@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -380,6 +381,10 @@ CkksEvaluator::reduceToLimbs(const Ciphertext &ct, size_t limbs) const
 KeySwitchPrecomp
 CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
 {
+    requireThat(level < ctx_.qCount(),
+                "precomputeKeySwitch: level " + std::to_string(level) +
+                    " is beyond the modulus chain (top level " +
+                    std::to_string(ctx_.qCount() - 1) + ")");
     const size_t d = ctx_.activeDigits(level);
     requireThat(d <= swk.digits.size(),
                 "precomputeKeySwitch: not enough digits");
@@ -431,13 +436,20 @@ switchKeyFingerprint(const SwitchKey &swk)
 
 } // namespace
 
-const KeySwitchPrecomp &
-CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
+KeySwitchCache::Shared
+CkksEvaluator::precomputeKeySwitchShared(const SwitchKey &swk,
                                          size_t level) const
 {
     return ctx_.keySwitchCache().get(
         &swk, switchKeyFingerprint(swk), level,
         [&] { return precomputeKeySwitch(swk, level); });
+}
+
+const KeySwitchPrecomp &
+CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
+                                         size_t level) const
+{
+    return *precomputeKeySwitchShared(swk, level);
 }
 
 std::pair<RnsPoly, RnsPoly>

@@ -186,8 +186,18 @@ class CkksEvaluator
     /**
      * Like precomputeKeySwitch, but resident: served from the
      * context's KeySwitchCache, building at most once per
-     * (key identity, level) for the context's lifetime. The reference
-     * stays valid until the entry is invalidated (keyswitch_cache.h).
+     * (key identity, level) while the entry stays resident. The
+     * returned owner keeps the precomp valid after an eviction,
+     * invalidate() or clear() (keyswitch_cache.h); BatchEvaluator::run
+     * holds every precomp it fetches this way until it returns.
+     */
+    KeySwitchCache::Shared
+    precomputeKeySwitchShared(const SwitchKey &swk, size_t level) const;
+
+    /**
+     * precomputeKeySwitchShared without the owner: the reference is
+     * valid only while the entry stays resident, i.e. until an LRU
+     * eviction, invalidate() or clear() drops it.
      */
     const KeySwitchPrecomp &
     precomputeKeySwitchCached(const SwitchKey &swk, size_t level) const;

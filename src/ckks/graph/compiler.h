@@ -204,6 +204,10 @@ class CompiledGraph
      */
     void checkInput(size_t k, const Ciphertext &ct) const;
 
+    /** The context the graph was compiled for; run() accepts only an
+     *  evaluator bound to it. */
+    const CkksContext &context() const { return *ctx_; }
+
     /** The lowered operator schedule, in program order. */
     const std::vector<GraphOp> &ops() const { return ops_; }
 

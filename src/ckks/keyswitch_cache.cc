@@ -1,7 +1,5 @@
 #include "ckks/keyswitch_cache.h"
 
-#include "common/check.h"
-
 namespace cross::ckks {
 
 size_t
@@ -17,52 +15,37 @@ KeySwitchPrecomp::paramBytes() const
     return bytes;
 }
 
-const KeySwitchPrecomp &
+KeySwitchCache::Shared
 KeySwitchCache::get(const void *key_id, u64 fingerprint, size_t level,
                     const Builder &build) const
 {
-    // Map nodes are address-stable, so the returned reference outlives
-    // the lock; the build itself is serialised (same discipline as the
-    // context's basis-conversion caches).
+    // The build is serialised under the lock (same discipline as the
+    // context's basis-conversion caches); the caller's copy of the
+    // owner keeps the precomp alive once it leaves the resident set.
     std::lock_guard<std::mutex> lock(m_);
     const auto key = std::make_pair(key_id, level);
     auto it = entries_.find(key);
-    if (it != entries_.end()) {
+    if (it != entries_.end() && it->second.fingerprint == fingerprint) {
         it->second.lastUse = ++tick_;
-        if (it->second.fingerprint == fingerprint) {
-            ++hits_;
-            return *it->second.pre;
-        }
-        // Same address, different key contents: the SwitchKey died and
-        // its address was re-used. Build the replacement *first* (a
-        // throwing build must leave the resident entry and the byte
-        // ledger untouched), then retire the old precomp (readers may
-        // still hold references into it) and swap in the fresh one.
-        ++misses_;
-        auto fresh = std::make_unique<KeySwitchPrecomp>(build());
-        residentBytes_ -= it->second.bytes;
-        retired_.push_back(std::move(it->second.pre));
-        it->second.fingerprint = fingerprint;
-        it->second.bytes = fresh->paramBytes();
-        it->second.pre = std::move(fresh);
-        residentBytes_ += it->second.bytes;
-        enforceBudgetLocked(key_id, level);
-        return *it->second.pre;
+        ++hits_;
+        return it->second.pre;
     }
+    // A first request, or the same address with different key contents
+    // (the SwitchKey died and its address was re-used). Build first: a
+    // throwing build (or map insert) must leave the resident entries
+    // and the byte ledger untouched.
     ++misses_;
-    Entry e;
-    e.fingerprint = fingerprint;
-    e.lastUse = ++tick_;
-    e.pre = std::make_unique<KeySwitchPrecomp>(build());
-    e.bytes = e.pre->paramBytes();
-    // Insert before touching the byte ledger: a throwing map insert
-    // (allocation failure) must not leave residentBytes_ accounting
-    // for an entry that never landed.
-    auto it2 = entries_.emplace(key, std::move(e)).first;
-    residentBytes_ += it2->second.bytes;
-    const KeySwitchPrecomp &ref = *it2->second.pre;
+    Shared fresh = std::make_shared<const KeySwitchPrecomp>(build());
+    if (it == entries_.end())
+        it = entries_.emplace(key, Entry{}).first;
+    residentBytes_ -= it->second.bytes;
+    it->second.fingerprint = fingerprint;
+    it->second.lastUse = ++tick_;
+    it->second.bytes = fresh->paramBytes();
+    it->second.pre = std::move(fresh);
+    residentBytes_ += it->second.bytes;
     enforceBudgetLocked(key_id, level);
-    return ref;
+    return it->second.pre;
 }
 
 void
@@ -73,8 +56,8 @@ KeySwitchCache::enforceBudgetLocked(const void *keep_key,
         return;
     while (residentBytes_ > budget_ && entries_.size() > 1) {
         // Strict LRU: evict the entry with the oldest use tick, never
-        // the one being served right now (its reference is live in the
-        // caller even if it alone exceeds the budget).
+        // the one being served right now (the caller is about to
+        // receive it, even if it alone exceeds the budget).
         auto victim = entries_.end();
         for (auto it = entries_.begin(); it != entries_.end(); ++it) {
             if (it->first.first == keep_key &&
@@ -87,7 +70,6 @@ KeySwitchCache::enforceBudgetLocked(const void *keep_key,
         if (victim == entries_.end())
             break;
         residentBytes_ -= victim->second.bytes;
-        retired_.push_back(std::move(victim->second.pre));
         entries_.erase(victim);
         ++evictions_;
     }
@@ -96,34 +78,23 @@ KeySwitchCache::enforceBudgetLocked(const void *keep_key,
 void
 KeySwitchCache::invalidate(const void *key_id)
 {
-    // Retire, don't destroy: an in-flight evaluation may still read
-    // the displaced precomps through references it fetched earlier.
-    // The quiesce point -- the last ReaderGuard dropping -- reclaims
-    // them; with no readers the reclamation happens right here.
     std::lock_guard<std::mutex> lock(m_);
     for (auto it = entries_.begin(); it != entries_.end();) {
         if (it->first.first == key_id) {
             residentBytes_ -= it->second.bytes;
-            retired_.push_back(std::move(it->second.pre));
             it = entries_.erase(it);
         } else {
             ++it;
         }
     }
-    if (activeReaders_ == 0)
-        retired_.clear();
 }
 
 void
 KeySwitchCache::clear()
 {
     std::lock_guard<std::mutex> lock(m_);
-    for (auto &entry : entries_)
-        retired_.push_back(std::move(entry.second.pre));
     entries_.clear();
     residentBytes_ = 0;
-    if (activeReaders_ == 0)
-        retired_.clear();
 }
 
 void
@@ -179,16 +150,6 @@ KeySwitchCache::residentBytes() const
     return residentBytes_;
 }
 
-size_t
-KeySwitchCache::retiredBytes() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    size_t bytes = 0;
-    for (const auto &pre : retired_)
-        bytes += pre->paramBytes();
-    return bytes;
-}
-
 void
 KeySwitchCache::resetStats()
 {
@@ -196,38 +157,6 @@ KeySwitchCache::resetStats()
     hits_ = 0;
     misses_ = 0;
     evictions_ = 0;
-}
-
-void
-KeySwitchCache::releaseRetired()
-{
-    std::lock_guard<std::mutex> lock(m_);
-    if (activeReaders_ == 0)
-        retired_.clear();
-}
-
-void
-KeySwitchCache::retainReader() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    ++activeReaders_;
-}
-
-void
-KeySwitchCache::releaseReader() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    internalCheck(activeReaders_ > 0,
-                  "KeySwitchCache: reader underflow");
-    if (--activeReaders_ == 0)
-        retired_.clear();
-}
-
-u64
-KeySwitchCache::activeReaders() const
-{
-    std::lock_guard<std::mutex> lock(m_);
-    return activeReaders_;
 }
 
 } // namespace cross::ckks

@@ -20,13 +20,13 @@
  *    dead key's address (temporaries, reallocated containers) is
  *    detected and served correctly rather than silently handed the
  *    stale operands.
- *  - get() is thread-safe; builds are serialised under the cache lock
- *    and the returned reference is address-stable until the retired
- *    list is reclaimed at a quiesce point -- a fingerprint-mismatch
- *    rebuild, an LRU eviction, invalidate() and clear() all *retire*
- *    the displaced precomp instead of destroying it (std::map nodes
- *    never move), so references fetched under a live ReaderGuard stay
- *    valid across every one of them.
+ *  - get() is thread-safe; builds are serialised under the cache lock.
+ *    Precomps are shared-owned: get() hands out a reference-counted
+ *    owner, and a fingerprint-mismatch rebuild, an LRU eviction,
+ *    invalidate() and clear() only drop the cache's own reference. A
+ *    displaced precomp therefore stays valid for every caller still
+ *    holding it (BatchEvaluator::run holds the ones it fetched until
+ *    it returns) and is freed when the last of them lets go.
  *
  * Residency bound (the Fig. 11b VMEM roll-off, functionally):
  *  - setByteBudget(b) bounds the *resident* set by the summed
@@ -36,18 +36,9 @@
  *    switching key that rolled out of VMEM must be re-streamed. Set-D
  *    style many-level rotation-key sets therefore degrade
  *    deterministically instead of growing without bound.
- *  - An eviction moves the precomp to the retired list (the "host
- *    copy"): references already handed out stay valid, while the
- *    resident set -- what future lookups can hit -- stays within
- *    budget. Retired storage is reclaimed at a *quiesce point*: every
- *    evaluation that reads cached precomps holds a ReaderGuard
- *    (BatchEvaluator::run takes one around the whole batch), and
- *    when the last guard drops the retired list is freed
- *    automatically -- no reference can still point into it.
- *    clear() and releaseRetired() reclaim immediately when the cache
- *    is quiesced, and otherwise leave the retired list for the last
- *    guard to free -- no entry point destroys storage a registered
- *    reader might still dereference.
+ *  - Beyond the resident set, memory holds only the evicted precomps
+ *    that in-flight readers still own -- at most each running batch's
+ *    own working set -- however many batches overlap.
  *  - A single precomp larger than the whole budget is still served
  *    (the alternative is livelock); it is evicted as soon as the next
  *    entry lands.
@@ -93,26 +84,23 @@ class KeySwitchCache
 {
   public:
     using Builder = std::function<KeySwitchPrecomp()>;
+    using Shared = std::shared_ptr<const KeySwitchPrecomp>;
 
     /**
      * Return the resident precomp for (@p key_id, @p level), invoking
      * @p build under the cache lock on the first request or when the
      * resident entry's @p fingerprint disagrees (address re-used by a
      * different key). Counts as a use for LRU purposes and may evict
-     * other entries when a byte budget is set.
+     * other entries when a byte budget is set. The returned owner
+     * keeps the precomp alive after it leaves the resident set.
      */
-    const KeySwitchPrecomp &get(const void *key_id, u64 fingerprint,
-                                size_t level,
-                                const Builder &build) const;
+    Shared get(const void *key_id, u64 fingerprint, size_t level,
+               const Builder &build) const;
 
-    /** Drop every level cached for @p key_id from the resident set.
-     *  The displaced precomps are retired, not destroyed, while any
-     *  ReaderGuard is registered (reclaimed at quiesce). */
+    /** Drop every level cached for @p key_id from the resident set. */
     void invalidate(const void *key_id);
 
-    /** Drop every resident entry. Retired storage (including the
-     *  entries just displaced) is freed immediately when no reader is
-     *  registered, and at the quiesce point otherwise. */
+    /** Drop every resident entry. */
     void clear();
 
     /**
@@ -135,59 +123,17 @@ class KeySwitchCache
     /** Summed paramBytes of the resident entries (<= byteBudget()
      *  whenever a budget is set and more than one entry ever fit). */
     size_t residentBytes() const;
-    /** Bytes parked on the retired list awaiting releaseRetired(). */
-    size_t retiredBytes() const;
     /** Zero the hit/miss/eviction counters; resident entries stay. */
     void resetStats();
     /** @} */
 
-    /**
-     * Free retired precomps (from evictions, fingerprint rebuilds,
-     * invalidate() and clear()) if the cache is quiesced; a no-op
-     * while any ReaderGuard is registered (the last guard to drop
-     * reclaims automatically, so nothing is leaked by the no-op).
-     */
-    void releaseRetired();
-
-    /**
-     * RAII registration of an in-flight reader of cached precomps.
-     * While any guard is alive, retired precomps stay allocated (their
-     * references may still be read); when the last guard drops, the
-     * retired list is freed -- the quiesce point. BatchEvaluator::run
-     * holds one across the whole batch. Neither copyable nor movable
-     * (either would double-release).
-     */
-    class ReaderGuard
-    {
-      public:
-        explicit ReaderGuard(const KeySwitchCache &cache) : cache_(cache)
-        {
-            cache_.retainReader();
-        }
-        ~ReaderGuard() { cache_.releaseReader(); }
-        ReaderGuard(const ReaderGuard &) = delete;
-        ReaderGuard &operator=(const ReaderGuard &) = delete;
-
-      private:
-        const KeySwitchCache &cache_;
-    };
-
-    /** In-flight ReaderGuard count (0 = quiesced). */
-    u64 activeReaders() const;
-
   private:
-    friend class ReaderGuard;
-
-    void retainReader() const;
-    /** Drops a reader; the last one out frees retired storage. */
-    void releaseReader() const;
-
     struct Entry
     {
         u64 fingerprint = 0;
         u64 lastUse = 0;  ///< LRU tick of the most recent get()
         size_t bytes = 0; ///< pre->paramBytes(), cached
-        std::unique_ptr<KeySwitchPrecomp> pre;
+        Shared pre;
     };
 
     /** Evict LRU entries until the budget holds; m_ must be held.
@@ -196,13 +142,8 @@ class KeySwitchCache
 
     mutable std::mutex m_;
     mutable std::map<std::pair<const void *, size_t>, Entry> entries_;
-    /** Precomps displaced by evictions or fingerprint-mismatch
-     *  rebuilds: kept alive (address-stable) for readers that grabbed
-     *  them pre-displacement. */
-    mutable std::vector<std::unique_ptr<KeySwitchPrecomp>> retired_;
     mutable size_t budget_ = 0;
     mutable size_t residentBytes_ = 0;
-    mutable u64 activeReaders_ = 0;
     mutable u64 tick_ = 0;
     mutable u64 hits_ = 0;
     mutable u64 misses_ = 0;

@@ -62,15 +62,6 @@ struct CkksParams
     /** Sub-moduli dropped per logical level (1 = ordinary rescaling). */
     u32 rescaleSplit = 1;
 
-    /**
-     * Byte budget of the context's key-switch residency cache
-     * (KeySwitchCache::setByteBudget); 0 = unbounded. Bounding it
-     * mirrors the VMEM-residency roll-off of Fig. 11b: Set-D-style
-     * many-level rotation-key sets evict in LRU order instead of
-     * growing without bound.
-     */
-    size_t keyCacheBudgetBytes = 0;
-
     std::string describe() const;
 };
 

@@ -50,6 +50,9 @@ ServingEngine::submit(Stream &stream, const graph::CompiledGraph &model,
     requireThat(stream.engine_ == this,
                 "ServingEngine::submit: stream does not belong to this "
                 "engine (or was moved from)");
+    requireThat(&model.context() == &ctx_,
+                "ServingEngine::submit: model compiled for a different "
+                "context");
     requireThat(model.inputCount() == 1 && model.outputCount() == 1,
                 "ServingEngine::submit: serving models must be "
                 "1-input / 1-output graphs");

@@ -15,8 +15,9 @@
  *  - submit() enqueues one encrypted request (a ciphertext plus the
  *    model to run it through, a 1-input/1-output
  *    graph::CompiledGraph) and returns a std::future<Ciphertext>
- *    immediately. The ciphertext must arrive at the model's input
- *    ledger level and scale (checked at submit). SubmitOptions
+ *    immediately. The model must be compiled for the engine's
+ *    context, and the ciphertext must arrive at the model's input
+ *    ledger level and scale (both checked at submit). SubmitOptions
  *    optionally attaches a per-request deadline.
  *  - Every Stream belongs to a *tenant* (StreamOptions: tenant id +
  *    scheduling weight). Pending requests live in per-tenant queues;
@@ -47,10 +48,12 @@
  *  - The queue is bounded: a submit() past maxQueueDepth is rejected
  *    with QueueFullError delivered through the returned future (the
  *    backpressure signal; the engine never blocks a submitter).
- *  - Requests read cached precomps only inside BatchEvaluator::run,
- *    whose own KeySwitchCache::ReaderGuard spans the batch, so
- *    retired precomp storage (LRU evictions under a byte budget) is
- *    reclaimed as soon as no batch is in flight -- open streams pin
+ *  - Memory: requests read cached precomps only inside
+ *    BatchEvaluator::run, which owns the ones it fetched until it
+ *    returns. A precomp the LRU byte budget evicts is freed when the
+ *    last batch reading it finishes, however many dispatchers keep
+ *    batches in flight, so key memory stays within the budget plus
+ *    the running batches' own working sets -- open streams pin
  *    nothing.
  *
  * Results are bit-identical to running each request alone through
@@ -281,9 +284,10 @@ class ServingEngine
      * outlive the future's completion.
      *
      * @throws std::invalid_argument on misuse detected at submit time
-     *         (foreign/moved-from stream, a model that is not 1-in /
-     *         1-out, an input off the model's input ledger, a
-     *         deadline above kMaxWaitMicros).
+     *         (foreign/moved-from stream, a model compiled for
+     *         another context or that is not 1-in / 1-out, an input
+     *         off the model's input ledger, a deadline above
+     *         kMaxWaitMicros).
      */
     std::future<ckks::Ciphertext> submit(Stream &stream,
                                          const graph::CompiledGraph &model,

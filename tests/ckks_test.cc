@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <complex>
+#include <string>
 
 #include "ckks/bootstrap.h"
 #include "ckks/context.h"
@@ -317,6 +318,26 @@ TEST_F(CkksFixture, MismatchedPrecompLevelThrows)
     const auto fresh =
         evaluator.precomputeKeySwitch(rlk, ct.limbs() - 1);
     EXPECT_NO_THROW(evaluator.multiply(ct, ct, fresh));
+
+    // A level beyond the modulus chain is named as such, not as a
+    // basis or digit fault further down, whatever the chain length.
+    for (size_t limbs : {5u, 6u, 7u}) {
+        const CkksContext other(CkksParams::testSet(1 << 9, limbs, 2));
+        KeyGenerator other_keygen(other, 0x71);
+        const auto other_rlk = other_keygen.relinKey();
+        const size_t level = other.qCount();
+        try {
+            (void)CkksEvaluator(other).precomputeKeySwitch(other_rlk,
+                                                           level);
+            ADD_FAILURE() << "level " << level << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("level " + std::to_string(level) +
+                                " is beyond the modulus chain"),
+                      std::string::npos)
+                << what;
+        }
+    }
 }
 
 TEST_F(CkksFixture, RotateRejectsNonUnitAutomorphismIndices)

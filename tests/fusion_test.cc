@@ -16,7 +16,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "ckks/batch_evaluator.h"
@@ -341,18 +344,17 @@ TEST_F(FusionFixture, CacheDetectsAddressReuseByFingerprint)
     KeySwitchPrecomp second;
     second.level = 9;
 
-    const auto &a =
-        cache.get(&dummy, 0x1111, 0, [&] { return first; });
-    EXPECT_EQ(a.level, 7u);
+    const auto a = cache.get(&dummy, 0x1111, 0, [&] { return first; });
+    EXPECT_EQ(a->level, 7u);
     EXPECT_EQ(cache.misses(), 1u);
 
     // Same address + same fingerprint: resident.
-    EXPECT_EQ(cache.get(&dummy, 0x1111, 0, [&] { return second; }).level,
+    EXPECT_EQ(cache.get(&dummy, 0x1111, 0, [&] { return second; })->level,
               7u);
     EXPECT_EQ(cache.hits(), 1u);
 
     // Same address, different fingerprint: rebuilt in place.
-    EXPECT_EQ(cache.get(&dummy, 0x2222, 0, [&] { return second; }).level,
+    EXPECT_EQ(cache.get(&dummy, 0x2222, 0, [&] { return second; })->level,
               9u);
     EXPECT_EQ(cache.misses(), 2u);
     EXPECT_EQ(cache.size(), 1u);
@@ -387,7 +389,7 @@ TEST_F(FusionFixture, CacheLruEvictsOldestAndAccountsBytes)
     // Touch a: b becomes the LRU victim when c lands.
     EXPECT_EQ(cache.get(&a, 1, 0, [] {
                           return syntheticPrecomp(9, 400);
-                      }).level,
+                      })->level,
               1u);
     EXPECT_EQ(cache.hits(), 1u);
 
@@ -399,12 +401,12 @@ TEST_F(FusionFixture, CacheLruEvictsOldestAndAccountsBytes)
     // a survived (resident hit); b was evicted and must rebuild.
     EXPECT_EQ(cache.get(&a, 1, 0, [] {
                           return syntheticPrecomp(9, 400);
-                      }).level,
+                      })->level,
               1u);
     const u64 misses_before = cache.misses();
     EXPECT_EQ(cache.get(&b, 2, 0, [] {
                           return syntheticPrecomp(5, 400);
-                      }).level,
+                      })->level,
               5u);
     EXPECT_EQ(cache.misses(), misses_before + 1); // re-build after evict
     EXPECT_EQ(cache.evictions(), 2u); // c was the LRU this time
@@ -427,25 +429,63 @@ TEST_F(FusionFixture, CacheBudgetShrinkAndOversizeEntryBehave)
     // The survivor is the most recently used: c.
     EXPECT_EQ(cache.get(&c, 3, 0, [] {
                           return syntheticPrecomp(9, 400);
-                      }).level,
+                      })->level,
               3u);
 
     // A single entry larger than the whole budget is still served
     // (never evicted while it is the only entry)...
     const int big = 0;
-    const auto &served = cache.get(
+    const auto served = cache.get(
         &big, 4, 0, [] { return syntheticPrecomp(7, 4000); });
-    EXPECT_EQ(served.level, 7u);
+    EXPECT_EQ(served->level, 7u);
     EXPECT_EQ(cache.size(), 1u);
     // ...and rolls out as soon as the next entry lands.
     (void)cache.get(&a, 1, 0, [] { return syntheticPrecomp(1, 400); });
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_LE(cache.residentBytes(), 500u);
 
-    // Retired storage is reclaimable once no readers are in flight.
-    EXPECT_GT(cache.retiredBytes(), 0u);
-    cache.releaseRetired();
-    EXPECT_EQ(cache.retiredBytes(), 0u);
+    // The rolled-out entry is no longer the cache's, but its holder
+    // still reads it.
+    EXPECT_EQ(served.use_count(), 1);
+    EXPECT_EQ(served->level, 7u);
+    EXPECT_EQ(served->paramBytes(), 4000u);
+}
+
+TEST_F(FusionFixture, EvictedPrecompsAreFreedAtOnceWhileAnotherIsHeld)
+{
+    // An eviction drops only the cache's reference. A precomp that no
+    // reader holds is freed by the fetch that evicts it, even while
+    // another precomp is held (as a running batch holds the ones it
+    // fetched); the held one stays readable after its own eviction
+    // and is freed when its holder lets go.
+    KeySwitchCache cache;
+    cache.setByteBudget(400); // room for one 400-byte precomp
+    const int a = 0, b = 0, c = 0;
+    KeySwitchCache::Shared held =
+        cache.get(&a, 1, 0, [] { return syntheticPrecomp(1, 400); });
+    const std::weak_ptr<const KeySwitchPrecomp> held_weak = held;
+
+    // Fetch b, c, b, c, ... in turn: each fetch evicts the last one.
+    std::weak_ptr<const KeySwitchPrecomp> previous;
+    constexpr size_t kFetches = 6;
+    for (size_t f = 0; f < kFetches; ++f) {
+        const int *key = f % 2 ? &c : &b;
+        const std::weak_ptr<const KeySwitchPrecomp> fetched =
+            cache.get(key, f % 2 ? 3 : 2, 0,
+                      [f] { return syntheticPrecomp(10 + f, 400); });
+        EXPECT_EQ(fetched.use_count(), 1) << f; // only the cache's
+        EXPECT_TRUE(previous.expired()) << f;   // the evicted one: freed
+        previous = fetched;
+        EXPECT_EQ(cache.size(), 1u);
+        EXPECT_LE(cache.residentBytes(), 400u);
+        // a rolled out on the first fetch; its holder still reads it.
+        EXPECT_EQ(held.use_count(), 1) << f;
+        EXPECT_EQ(held->level, 1u) << f;
+    }
+    EXPECT_EQ(cache.evictions(), kFetches);
+    EXPECT_EQ(cache.misses(), kFetches + 1);
+    held.reset();
+    EXPECT_TRUE(held_weak.expired());
 }
 
 TEST_F(FusionFixture, CacheFingerprintGuardFiresAfterEvictedSlotReuse)
@@ -469,12 +509,12 @@ TEST_F(FusionFixture, CacheFingerprintGuardFiresAfterEvictedSlotReuse)
     // rebuild serves the new contents, not a stale entry.
     EXPECT_EQ(cache.get(&addr, 0xcccc, 0, [] {
                           return syntheticPrecomp(4, 400);
-                      }).level,
+                      })->level,
               4u);
     // And the in-place fingerprint guard still fires on that slot.
     EXPECT_EQ(cache.get(&addr, 0xdddd, 0, [] {
                           return syntheticPrecomp(5, 400);
-                      }).level,
+                      })->level,
               5u);
 }
 
@@ -517,9 +557,11 @@ TEST_F(FusionFixture, BoundedCacheKeepsBatchResultsBitIdentical)
 TEST_F(FusionFixture, ConcurrentApplicationThreadsShareCacheSafely)
 {
     // Two independent application threads hammer the same context's
-    // residency cache (and the serialised global pool) concurrently;
-    // under TSan this probes the cache lock and the read-only sharing
-    // of resident precomps.
+    // residency cache (and the serialised global pool) concurrently,
+    // while a third drops the cache's entries under them with clear()
+    // and invalidate(); under TSan and ASan this probes the cache lock,
+    // the read-only sharing of precomps and their shared ownership (a
+    // run's precomps must outlive the cache's reference).
     const auto rlk = keygen.relinKey();
     const auto a = encryptBatch(4, 14);
     const auto b = encryptBatch(4, 15);
@@ -533,20 +575,36 @@ TEST_F(FusionFixture, ConcurrentApplicationThreadsShareCacheSafely)
     Pipeline mult;
     mult.multiply(b, rlk);
     setGlobalThreadCount(testThreads());
-    std::vector<CtVec> results(2);
+    constexpr size_t kRuns = 3;
+    std::vector<std::vector<CtVec>> results(2);
+    std::atomic<bool> done{false};
+    std::thread dropper([&] {
+        auto &cache = ctx.keySwitchCache();
+        while (!done.load()) {
+            cache.clear();
+            cache.invalidate(&rlk);
+            std::this_thread::yield();
+        }
+    });
     std::vector<std::thread> workers;
     for (size_t w = 0; w < results.size(); ++w) {
         workers.emplace_back([&, w] {
             BatchEvaluator batch(ctx);
-            results[w] = batch.run(a, mult);
+            for (size_t r = 0; r < kRuns; ++r)
+                results[w].push_back(batch.run(a, mult));
         });
     }
     for (auto &t : workers)
         t.join();
+    done = true;
+    dropper.join();
     setGlobalThreadCount(1);
 
-    for (const auto &r : results)
-        expectEqual(r, seq);
+    for (const auto &runs : results) {
+        ASSERT_EQ(runs.size(), kRuns);
+        for (const auto &r : runs)
+            expectEqual(r, seq);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -597,15 +655,16 @@ TEST_F(FusionFixture, PipelineRejectsBadShapes)
 }
 
 // ---------------------------------------------------------------------
-// ReaderGuard quiesce under throwing stages (serving regressions)
+// Precomp ownership under throwing stages (serving regressions)
 // ---------------------------------------------------------------------
-TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
+TEST_F(FusionFixture, ThrowingRunsReleaseTheirPrecomps)
 {
     const u32 k1 = encoder.rotationAutomorphism(1);
     const u32 k2 = encoder.rotationAutomorphism(2);
     const auto key1 = keygen.rotationKey(k1);
     const auto key2 = keygen.rotationKey(k2);
     const auto a = encryptBatch(4, 31);
+    const size_t top = ctx.qCount() - 1;
 
     Pipeline p1, p2;
     p1.rotate(k1, key1);
@@ -616,6 +675,8 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
     CtVec want1;
     for (const auto &ct : a)
         want1.push_back(ev.rotate(ct, k1, key1));
+    CtVec off_scale = a;
+    off_scale[1].scale *= 2; // item 1 cannot be added to a's
     CtVec drained = a;
     for (int i = 0; i < 4; ++i)
         drained[1] = ev.rescale(drained[1]); // down to 1 limb
@@ -628,33 +689,47 @@ TEST_F(FusionFixture, ThrowingStageLeavesCacheQuiescedAndReclaimable)
         cache.clear();
         cache.resetStats();
         expectEqual(batch.run(a, p1), want1);
-        // Budget sized to one precomp: serving key2 retires key1's.
+        // Budget sized to one precomp: serving key2 evicts key1's.
         cache.setByteBudget(cache.residentBytes());
         {
-            KeySwitchCache::ReaderGuard reader(cache);
+            // Held the way a running batch holds its precomps.
+            const auto held = ev.precomputeKeySwitchShared(key1, top);
             (void)batch.run(a, p2);
-            EXPECT_GT(cache.retiredBytes(), 0u);
+            EXPECT_EQ(held.use_count(), 1); // evicted, still ours
+            EXPECT_EQ(held->level, top);
 
-            // A failure on every item (the pipeline drains the
-            // chain)...
+            // A failure on every item (the pipeline drains the chain
+            // after its rotation fetched key2's precomp)...
             Pipeline bad;
+            bad.rotate(k2, key2);
             for (int i = 0; i < 5; ++i)
                 bad.rescale();
             EXPECT_THROW(batch.run(a, bad), std::invalid_argument);
-            // ...and on one item of a batch (item 1 cannot rescale):
-            // both must unwind the engine's own reader registration,
-            // leaving only ours, and must not free retired storage our
-            // guard may still reference.
-            Pipeline rescale;
-            rescale.rescale();
-            EXPECT_THROW(batch.run(drained, rescale),
-                         std::invalid_argument);
-            EXPECT_EQ(cache.activeReaders(), 1u);
-            EXPECT_GT(cache.retiredBytes(), 0u);
+            // ...and on one item of a batch (item 1's add operand is
+            // at another scale; item 1 alone cannot rescale): each
+            // must release what it fetched, leaving the cache the only
+            // owner of key2's precomp.
+            Pipeline add_off;
+            add_off.rotate(k2, key2).add(off_scale);
+            EXPECT_THROW(batch.run(a, add_off), std::invalid_argument);
+            Pipeline rot_rescale;
+            rot_rescale.rotate(k2, key2).rescale();
+            try {
+                (void)batch.run(drained, rot_rescale);
+                ADD_FAILURE() << "a drained item was rescaled";
+            } catch (const std::invalid_argument &e) {
+                // The walk names it, before any item runs.
+                EXPECT_NE(std::string(e.what()).find(
+                              "BatchEvaluator::run: rescale"),
+                          std::string::npos)
+                    << e.what();
+            }
+            const std::weak_ptr<const KeySwitchPrecomp> pre2 =
+                ev.precomputeKeySwitchShared(key2, top);
+            EXPECT_EQ(pre2.use_count(), 1);
+            EXPECT_EQ(held.use_count(), 1);
+            EXPECT_EQ(held->level, top);
         }
-        // The guard dropping is the quiesce point.
-        EXPECT_EQ(cache.activeReaders(), 0u);
-        EXPECT_EQ(cache.retiredBytes(), 0u);
         // The engine still runs bit-identically after the failures.
         expectEqual(batch.run(a, p1), want1);
     }
@@ -687,7 +762,6 @@ TEST_F(FusionFixture, LinearTransformValidatesTermsBeforeAnyWork)
         cache.resetStats();
         EXPECT_THROW(batch.run(a, p), std::invalid_argument) << what;
         EXPECT_EQ(cache.misses(), 0u) << what; // nothing prefetched
-        EXPECT_EQ(cache.activeReaders(), 0u) << what;
     };
 
     // A wrong-level branch key: digits that cannot cover the items'

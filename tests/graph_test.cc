@@ -599,17 +599,17 @@ TEST_F(GraphFixture, WorkloadEstimatorsDeriveFromTheGraphs)
 }
 
 // ---------------------------------------------------------------------
-// Residency-cache quiesce (retired storage reclaimed after run)
+// A run that evicts its own precomps (1-byte residency budget)
 // ---------------------------------------------------------------------
 
-TEST_F(GraphFixture, RetiredPrecompsReclaimedWhenRunQuiesces)
+TEST_F(GraphFixture, EvictingRunMatchesSequential)
 {
     // A context whose key-cache budget forces evictions mid-pipeline:
-    // the evicted precomps are retired (their references stay valid for
-    // the in-flight run) and reclaimed at the run's quiesce point.
-    CkksParams params = CkksParams::testSet(1 << 9, 6, 2);
-    params.keyCacheBudgetBytes = 1; // every new precomp evicts the last
-    CkksContext small(params);
+    // every precomp the run fetches evicts the last one, and the run's
+    // own owners keep the evicted ones valid until it returns.
+    CkksContext small(CkksParams::testSet(1 << 9, 6, 2));
+    auto &cache = small.keySwitchCache();
+    cache.setByteBudget(1); // every new precomp evicts the last
     CkksEncoder enc(small);
     KeyGenerator kg(small, 0x63);
     CkksEncryptor encryptor2(small, kg.publicKey(), 0x64);
@@ -627,7 +627,6 @@ TEST_F(GraphFixture, RetiredPrecompsReclaimedWhenRunQuiesces)
     opts.lowering.baseScale = kScale;
     opts.relinKey = &rlk;
     opts.rotationKeys = &rot_keys;
-    const auto compiled = compileGraph(ctx, layer, opts);
     // The working set cannot stay resident under a 1-byte budget, and
     // the compiler says so up front.
     const auto small_compiled = compileGraph(small, layer, opts);
@@ -637,17 +636,19 @@ TEST_F(GraphFixture, RetiredPrecompsReclaimedWhenRunQuiesces)
     const auto ct = encryptor2.encrypt(
         enc.encodeReal(v, kScale, small.qCount()));
 
-    auto &cache = small.keySwitchCache();
-    cache.clear();
-    cache.resetStats();
+    const auto want = small_compiled->runSequential(nullptr, {{ct}});
     const BatchEvaluator batch(small);
-    (void)small_compiled->run(batch, {{ct}});
-
-    // Evictions happened, yet nothing is left parked: the last
-    // ReaderGuard out reclaimed the retired precomps.
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.retiredBytes(), 0u);
-    EXPECT_EQ(cache.activeReaders(), 0u);
+    for (u32 threads : {1u, testThreads()}) {
+        setGlobalThreadCount(threads);
+        cache.clear();
+        cache.resetStats();
+        const auto got = small_compiled->run(batch, {{ct, ct}});
+        EXPECT_GT(cache.evictions(), 0u);
+        EXPECT_EQ(cache.size(), 1u);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t o = 0; o < got.size(); ++o)
+            expectEqual(got[o], {want[o][0], want[o][0]});
+    }
 }
 
 // ---------------------------------------------------------------------

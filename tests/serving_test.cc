@@ -4,11 +4,12 @@
  * submission of compiled models must return results bit-identical to
  * each request's sequential reference whatever batches the dispatchers
  * form (including batches of one model running concurrently); batch
- * forming must coalesce by model; inputs off the model's ledger must
- * be rejected at submit; deadline admission must read the model's
- * measured run time; the bounded queue must reject-with-error past
- * its depth; shutdown must drain; and open streams must not pin
- * retired precomp storage past the batches that read it.
+ * forming must coalesce by model; inputs off the model's ledger and
+ * models compiled for another context must be rejected at submit;
+ * deadline admission must read the model's measured run time; the
+ * bounded queue must reject-with-error past its depth; shutdown must
+ * drain; and open streams must not pin evicted precomps past the
+ * batches that read them.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L serving) drive concurrent submitter
@@ -20,6 +21,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -50,7 +52,6 @@ using ckks::BatchEvaluator;
 using ckks::Ciphertext;
 using ckks::CkksEvaluator;
 using ckks::CtVec;
-using ckks::KeySwitchCache;
 using ckks::SwitchKey;
 
 using Model = std::unique_ptr<graph::CompiledGraph>;
@@ -96,9 +97,11 @@ class ServingFixture : public ::testing::Test
     }
 
     /** The served model rotate(rescale(multiplyPlain(x, 0.5)), steps):
-     *  one fused segment, one rotation key (derived by the compiler). */
+     *  one fused segment, one rotation key (derived by the compiler,
+     *  or taken from @p rot_keys). */
     Model
-    servingModel(i64 steps)
+    servingModel(i64 steps,
+                 const std::map<u32, SwitchKey> *rot_keys = nullptr)
     {
         graph::Graph g;
         const auto half = graph::PlainOperand::base(
@@ -107,7 +110,19 @@ class ServingFixture : public ::testing::Test
         graph::CompileOptions opts;
         opts.lowering.baseScale = kScale;
         opts.keygen = &keygen;
+        opts.rotationKeys = rot_keys;
         return graph::compileGraph(ctx, g, opts);
+    }
+
+    /** Test-owned rotation key for @p steps, keyed by Galois element
+     *  as CompileOptions::rotationKeys expects. */
+    std::map<u32, SwitchKey>
+    rotationKeys(i64 steps)
+    {
+        const u32 g = encoder.rotationAutomorphism(steps);
+        std::map<u32, SwitchKey> keys;
+        keys.emplace(g, keygen.rotationKey(g));
+        return keys;
     }
 
     /** One run of @p model on @p ct: its measured wall time arms the
@@ -465,7 +480,29 @@ TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
     rescaled.scale *= 2;
     EXPECT_THROW(engine.submit(stream, *model, rescaled),
                  std::invalid_argument);
+
+    // A model compiled for another context (even one with the same
+    // parameters) would only fail once a dispatcher ran it.
+    ckks::CkksContext other(ctx.params());
+    ckks::KeyGenerator other_keygen(other, 0x60);
+    graph::Graph rot;
+    rot.rotate(rot.input(), 1);
+    graph::CompileOptions other_opts;
+    other_opts.lowering.baseScale = kScale;
+    other_opts.keygen = &other_keygen;
+    const auto foreign = graph::compileGraph(other, rot, other_opts);
+    EXPECT_THROW(engine.submit(stream, *foreign, inputs[0]),
+                 std::invalid_argument);
     EXPECT_EQ(engine.stats().submitted, 0u);
+    // CompiledGraph::run keeps the same check for direct callers.
+    try {
+        (void)foreign->run(BatchEvaluator(ctx), {{inputs[0]}});
+        ADD_FAILURE() << "an evaluator on another context was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("different context"),
+                  std::string::npos)
+            << e.what();
+    }
 
     // A moved-from stream can no longer submit.
     auto moved = std::move(stream);
@@ -475,13 +512,19 @@ TEST_F(ServingFixture, SubmitRejectsMisuseAtTheCallSite)
 }
 
 // ---------------------------------------------------------------------
-// Open streams pin no retired precomp storage
+// Open streams pin no evicted precomp
 // ---------------------------------------------------------------------
-TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
+TEST_F(ServingFixture, EvictedPrecompsAreFreedWhileStreamsStayOpen)
 {
-    const auto m1 = servingModel(1);
-    const auto m2 = servingModel(2);
+    const auto keys1 = rotationKeys(1);
+    const auto keys2 = rotationKeys(2);
+    const SwitchKey &key1 = keys1.begin()->second;
+    const SwitchKey &key2 = keys2.begin()->second;
+    const auto m1 = servingModel(1, &keys1);
+    const auto m2 = servingModel(2, &keys2);
+    const size_t level = m1->keyPlan().entries.at(0).level;
     const auto inputs = encryptBatch(2, 48);
+    const CkksEvaluator ev(ctx);
 
     auto &cache = ctx.keySwitchCache();
     cache.setByteBudget(0);
@@ -490,26 +533,30 @@ TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
 
     setGlobalThreadCount(1);
     // Budget sized to a single precomp: serving the other key evicts
-    // (retires) the resident one.
+    // the resident one.
     {
         const BatchEvaluator warm(ctx);
         (void)m1->run(warm, {inputs});
     }
     cache.setByteBudget(cache.residentBytes());
-    cache.releaseRetired();
 
     ServingEngine engine(ctx);
     auto stream = engine.openStream();
     for (int round = 0; round < 2; ++round) {
         (void)engine.submit(stream, *m2, inputs[0]).get();
+        // The batch that fetched key2's precomp has finished: with the
+        // stream still open, only the cache owns it...
+        const std::weak_ptr<const ckks::KeySwitchPrecomp> pre2 =
+            ev.precomputeKeySwitchShared(key2, level);
+        EXPECT_EQ(pre2.use_count(), 1) << round;
         (void)engine.submit(stream, *m1, inputs[1]).get();
+        // ...so the batch that evicted it freed it.
+        EXPECT_TRUE(pre2.expired()) << round;
+        EXPECT_EQ(ev.precomputeKeySwitchShared(key1, level).use_count(),
+                  2)
+            << round;
     }
-    // Every eviction retired a precomp, but each batch's own reader
-    // registration ended before its future resolved: with the stream
-    // still open, the cache is quiesced and the retired storage freed.
     EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.activeReaders(), 0u);
-    EXPECT_EQ(cache.retiredBytes(), 0u);
     cache.setByteBudget(0);
 }
 
@@ -519,8 +566,11 @@ TEST_F(ServingFixture, RetiredPrecompsAreFreedWhileStreamsStayOpen)
 // ---------------------------------------------------------------------
 TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
 {
-    const auto m1 = servingModel(1);
-    const auto m2 = servingModel(3);
+    const auto keys1 = rotationKeys(1);
+    const auto keys2 = rotationKeys(3);
+    const auto m1 = servingModel(1, &keys1);
+    const auto m2 = servingModel(3, &keys2);
+    const size_t level = m1->keyPlan().entries.at(0).level;
 
     const size_t submitters = 4;
     const size_t per_thread = 8;
@@ -541,16 +591,16 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
         const BatchEvaluator warm(ctx);
         (void)m1->run(warm, {inputs[0]});
     }
-    // Tight budget: the two keys' precomps keep evicting each other,
-    // exercising retire/reclaim under concurrent readers.
+    // Tight budget: the two keys' precomps keep evicting each other
+    // while concurrent batches still read them.
     cache.setByteBudget(cache.residentBytes());
-    cache.releaseRetired();
 
     setGlobalThreadCount(testThreads());
     {
         ServingConfig cfg;
         cfg.dispatchers = 2;
         ServingEngine engine(ctx, cfg);
+        auto open = engine.openStream();
         std::vector<std::thread> clients;
         for (size_t w = 0; w < submitters; ++w) {
             clients.emplace_back([&, w] {
@@ -572,12 +622,20 @@ TEST_F(ServingFixture, ConcurrentStreamsStressBoundedCacheBitIdentically)
         EXPECT_EQ(st.failed, 0u);
         EXPECT_EQ(st.rejected, 0u);
         EXPECT_EQ(st.batchedRequests, submitters * per_thread);
+
+        // A stream is still open, and one more request on it leaves
+        // key1's precomp resident. Its batch has returned, so only the
+        // cache owns that precomp, and fetching key2 evicts and frees
+        // it at once.
+        expectEqual(engine.submit(open, *m1, inputs[0][0]).get(),
+                    refs[0][0]);
+        const CkksEvaluator ev(ctx);
+        const std::weak_ptr<const ckks::KeySwitchPrecomp> pre1 =
+            ev.precomputeKeySwitchShared(keys1.begin()->second, level);
+        EXPECT_EQ(pre1.use_count(), 1);
+        (void)ev.precomputeKeySwitchShared(keys2.begin()->second, level);
+        EXPECT_TRUE(pre1.expired());
     }
-    // All streams closed and the engine drained: the cache must be
-    // quiesced with every retired precomp reclaimed.
-    EXPECT_EQ(cache.activeReaders(), 0u);
-    cache.releaseRetired();
-    EXPECT_EQ(cache.retiredBytes(), 0u);
     cache.setByteBudget(0);
 }
 
@@ -934,18 +992,18 @@ TEST_F(ServingFixture, TenantStatsTrackPerTenantCounters)
 
 TEST_F(ServingFixture, FailedBatchIsCountedPerTenant)
 {
-    // Compiled against a second context with the same params, the
-    // model passes submit's ledger check but throws inside
-    // CompiledGraph::run, whose evaluator is bound to the engine's
-    // context: the dispatcher's execution-failure path.
-    ckks::CkksContext other(ctx.params());
-    ckks::KeyGenerator other_keygen(other, 0x60);
+    // Compiled with a rotation key cut to one digit, the model passes
+    // compile and submit but its batch throws inside
+    // BatchEvaluator::run, whose walk finds that the key does not
+    // cover the input level: the dispatcher's execution-failure path.
+    auto keys = rotationKeys(1);
+    keys.begin()->second.digits.resize(1);
     graph::Graph g;
     g.rotate(g.input(), 1);
     graph::CompileOptions opts;
     opts.lowering.baseScale = kScale;
-    opts.keygen = &other_keygen;
-    const auto model = graph::compileGraph(other, g, opts);
+    opts.rotationKeys = &keys;
+    const auto model = graph::compileGraph(ctx, g, opts);
     const auto inputs = encryptBatch(3, 57);
 
     setGlobalThreadCount(1);
@@ -961,9 +1019,9 @@ TEST_F(ServingFixture, FailedBatchIsCountedPerTenant)
     for (auto &f : futs) {
         try {
             (void)f.get();
-            ADD_FAILURE() << "a request on a foreign-context model ran";
+            ADD_FAILURE() << "a request on a one-digit key ran";
         } catch (const std::invalid_argument &e) {
-            EXPECT_NE(std::string(e.what()).find("different context"),
+            EXPECT_NE(std::string(e.what()).find("does not cover"),
                       std::string::npos)
                 << e.what();
         }
