@@ -41,10 +41,9 @@ CkksEvaluator::add(const Ciphertext &a, const Ciphertext &b) const
     checkScales(a, b);
     const size_t limbs = std::min(a.limbs(), b.limbs());
     Ciphertext r = reduceToLimbs(a, limbs);
-    Ciphertext bb = reduceToLimbs(b, limbs);
     WallTimer t;
-    r.c0.addInPlace(bb.c0);
-    r.c1.addInPlace(bb.c1);
+    r.c0.addInPlace(b.c0);
+    r.c1.addInPlace(b.c1);
     logCall(KernelKind::VecModAdd, static_cast<u32>(2 * limbs), 0,
             t.seconds());
     return r;
@@ -56,10 +55,9 @@ CkksEvaluator::sub(const Ciphertext &a, const Ciphertext &b) const
     checkScales(a, b);
     const size_t limbs = std::min(a.limbs(), b.limbs());
     Ciphertext r = reduceToLimbs(a, limbs);
-    Ciphertext bb = reduceToLimbs(b, limbs);
     WallTimer t;
-    r.c0.subInPlace(bb.c0);
-    r.c1.subInPlace(bb.c1);
+    r.c0.subInPlace(b.c0);
+    r.c1.subInPlace(b.c1);
     logCall(KernelKind::VecModSub, static_cast<u32>(2 * limbs), 0,
             t.seconds());
     return r;
@@ -71,24 +69,23 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
 {
     const size_t limbs = std::min(a.limbs(), b.limbs());
     Ciphertext aa = reduceToLimbs(a, limbs);
-    Ciphertext bb = reduceToLimbs(b, limbs);
 
     WallTimer t;
     Ciphertext3 r;
     r.c0 = aa.c0;
-    r.c0.mulPointwiseInPlace(bb.c0);        // a0*b0
+    r.c0.mulPointwiseInPlace(b.c0);         // a0*b0
     r.c2 = aa.c1;
-    r.c2.mulPointwiseInPlace(bb.c1);        // a1*b1
+    r.c2.mulPointwiseInPlace(b.c1);         // a1*b1
     r.c1 = aa.c0;
-    r.c1.mulPointwiseInPlace(bb.c1);        // a0*b1
+    r.c1.mulPointwiseInPlace(b.c1);         // a0*b1
     RnsPoly t10 = aa.c1;
-    t10.mulPointwiseInPlace(bb.c0);         // a1*b0
+    t10.mulPointwiseInPlace(b.c0);          // a1*b0
     logCall(KernelKind::VecModMul, static_cast<u32>(4 * limbs), 0,
             t.seconds());
     WallTimer t2;
     r.c1.addInPlace(t10);
     logCall(KernelKind::VecModAdd, static_cast<u32>(limbs), 0, t2.seconds());
-    r.scale = aa.scale * bb.scale;
+    r.scale = a.scale * b.scale;
     return r;
 }
 
@@ -340,11 +337,9 @@ CkksEvaluator::addPlain(const Ciphertext &ct, const Plaintext &pt) const
     requireThat(pt.poly.limbCount() >= ct.limbs(),
                 "addPlain: plaintext level below ciphertext level");
     const size_t limbs = ct.limbs();
-    Ciphertext r = reduceToLimbs(ct, limbs);
-    RnsPoly p = pt.poly;
-    p.truncateLimbs(limbs);
+    Ciphertext r = ct;
     WallTimer t;
-    r.c0.addInPlace(p);
+    r.c0.addInPlace(pt.poly);
     logCall(KernelKind::VecModAdd, static_cast<u32>(limbs), 0, t.seconds());
     return r;
 }
@@ -355,12 +350,10 @@ CkksEvaluator::multiplyPlain(const Ciphertext &ct, const Plaintext &pt) const
     requireThat(pt.poly.limbCount() >= ct.limbs(),
                 "multiplyPlain: plaintext level below ciphertext level");
     const size_t limbs = ct.limbs();
-    Ciphertext r = reduceToLimbs(ct, limbs);
-    RnsPoly p = pt.poly;
-    p.truncateLimbs(limbs);
+    Ciphertext r = ct;
     WallTimer t;
-    r.c0.mulPointwiseInPlace(p);
-    r.c1.mulPointwiseInPlace(p);
+    r.c0.mulPointwiseInPlace(pt.poly);
+    r.c1.mulPointwiseInPlace(pt.poly);
     logCall(KernelKind::VecModMulConst, static_cast<u32>(2 * limbs), 0,
             t.seconds());
     r.scale = ct.scale * pt.scale;

@@ -90,6 +90,23 @@ shoupMulLazy8(__m256i x, __m256i wV, __m256i wsLoV, __m256i wsHiV,
 }
 
 /**
+ * shoupMulLazy with one twiddle per u32 lane: lane l of w, wsLo and
+ * wsHi holds lane l's w and the two halves of its Shoup factor (a
+ * _mm256_set1_epi32 broadcast works too). The odd half shifts its
+ * twiddles down with x. Scalar twin: shoupMulLazy() in nt/shoup.h.
+ */
+inline __m256i
+shoupMulLazy8PerLane(__m256i x, __m256i w, __m256i wsLo, __m256i wsHi,
+                     __m256i qV)
+{
+    const __m256i re = shoupMulLazyHalf(x, w, wsLo, wsHi, qV);
+    const __m256i ro = shoupMulLazyHalf(
+        _mm256_srli_epi64(x, 32), _mm256_srli_epi64(w, 32),
+        _mm256_srli_epi64(wsLo, 32), _mm256_srli_epi64(wsHi, 32), qV);
+    return mergeHalves(re, ro);
+}
+
+/**
  * Montgomery reduce u64 lanes z = a*b (a, b < q): returns u64 lanes in
  * [0, 2q). Scalar twin: Montgomery::reduce() / montReduceRaw().
  */

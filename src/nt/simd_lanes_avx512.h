@@ -68,6 +68,23 @@ shoupMulLazy16(__m512i x, __m512i wV, __m512i wsLoV, __m512i wsHiV,
     return mergeHalves(re, ro);
 }
 
+/**
+ * shoupMulLazy with one twiddle per u32 lane: lane l of w, wsLo and
+ * wsHi holds lane l's w and the two halves of its Shoup factor (a
+ * _mm512_set1_epi32 broadcast works too). The odd half shifts its
+ * twiddles down with x. Scalar twin: shoupMulLazy() in nt/shoup.h.
+ */
+inline __m512i
+shoupMulLazy16PerLane(__m512i x, __m512i w, __m512i wsLo, __m512i wsHi,
+                      __m512i qV)
+{
+    const __m512i re = shoupMulLazyHalf(x, w, wsLo, wsHi, qV);
+    const __m512i ro = shoupMulLazyHalf(
+        _mm512_srli_epi64(x, 32), _mm512_srli_epi64(w, 32),
+        _mm512_srli_epi64(wsLo, 32), _mm512_srli_epi64(wsHi, 32), qV);
+    return mergeHalves(re, ro);
+}
+
 /** Montgomery reduce u64 lanes z = a*b (a, b < q) into [0, 2q). */
 inline __m512i
 montReduce64(__m512i z, __m512i qV, __m512i qInvV)

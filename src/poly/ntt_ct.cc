@@ -53,7 +53,7 @@ forwardStrict(u32 *a, const NttTables &tab)
         for (u32 i = 0; i < m; ++i) {
             const u32 j1 = 2 * i * t;
             const u32 j2 = j1 + t;
-            const auto &s = tab.psiBr(m + i);
+            const nt::ShoupConst s = tab.psiBr(m + i);
             for (u32 j = j1; j < j2; ++j) {
                 const u32 u = a[j];
                 const u32 v = nt::shoupMul(a[j + t], s, q);
@@ -76,7 +76,7 @@ inverseStrict(u32 *a, const NttTables &tab)
         const u32 h = m >> 1;
         for (u32 i = 0; i < h; ++i) {
             const u32 j2 = j1 + t;
-            const auto &s = tab.psiInvBr(h + i);
+            const nt::ShoupConst s = tab.psiInvBr(h + i);
             for (u32 j = j1; j < j2; ++j) {
                 const u32 u = a[j];
                 const u32 v = a[j + t];
@@ -109,14 +109,8 @@ forwardInPlace(u32 *a, const NttTables &tab)
     // canonical reduction happens at the output. Identical residues to
     // forwardStrict, so the final fold restores the exact same bits.
     const auto &ker = detail::activeNttKernels();
-    u32 t = n;
-    for (u32 m = 1; m < n; m <<= 1) {
-        t >>= 1;
-        for (u32 i = 0; i < m; ++i) {
-            const u32 j1 = 2 * i * t;
-            ker.fwdButterflyLazy(a + j1, a + j1 + t, t, tab.psiBr(m + i),
-                                 q);
-        }
+    for (u32 t = n / 2; t >= 1; t >>= 1) {
+        ker.fwdStage(a, n, t, tab.forwardTwiddles(), q);
         CROSS_NTT_CHECK_RANGE(a, n, 4ULL * q,
                               "NTT forward: lazy [0,4q) invariant");
     }
@@ -137,16 +131,8 @@ inverseInPlace(u32 *a, const NttTables &tab)
     // every stage; the final N^-1 Shoup multiply accepts the lazy input
     // and emits canonical [0, q) directly.
     const auto &ker = detail::activeNttKernels();
-    u32 t = 1;
-    for (u32 m = n; m > 1; m >>= 1) {
-        u32 j1 = 0;
-        const u32 h = m >> 1;
-        for (u32 i = 0; i < h; ++i) {
-            ker.invButterflyLazy(a + j1, a + j1 + t, t,
-                                 tab.psiInvBr(h + i), q);
-            j1 += 2 * t;
-        }
-        t <<= 1;
+    for (u32 t = 1; t < n; t <<= 1) {
+        ker.invStage(a, n, t, tab.inverseTwiddles(), q);
         CROSS_NTT_CHECK_RANGE(a, n, 2ULL * q,
                               "NTT inverse: lazy [0,2q) invariant");
     }

@@ -7,21 +7,29 @@ namespace cross::poly::detail {
 namespace {
 
 void
-fwdButterflyLazyScalar(u32 *x, u32 *y, size_t len, nt::ShoupConst c,
-                       u32 q)
+fwdStageScalar(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q)
 {
     const u32 two_q = 2 * q;
-    for (size_t j = 0; j < len; ++j)
-        fwdButterflyLazyOne(x + j, y + j, c, q, two_q);
+    const u32 m = n / (2 * t);
+    for (u32 i = 0; i < m; ++i) {
+        const nt::ShoupConst c = tw.at(m + i);
+        u32 *x = a + 2 * i * t;
+        for (u32 j = 0; j < t; ++j)
+            fwdButterflyLazyOne(x + j, x + t + j, c, q, two_q);
+    }
 }
 
 void
-invButterflyLazyScalar(u32 *x, u32 *y, size_t len, nt::ShoupConst c,
-                       u32 q)
+invStageScalar(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q)
 {
     const u32 two_q = 2 * q;
-    for (size_t j = 0; j < len; ++j)
-        invButterflyLazyOne(x + j, y + j, c, q, two_q);
+    const u32 m = n / (2 * t);
+    for (u32 i = 0; i < m; ++i) {
+        const nt::ShoupConst c = tw.at(m + i);
+        u32 *x = a + 2 * i * t;
+        for (u32 j = 0; j < t; ++j)
+            invButterflyLazyOne(x + j, x + t + j, c, q, two_q);
+    }
 }
 
 void
@@ -38,8 +46,8 @@ const NttKernels &
 nttKernelsScalar()
 {
     static const NttKernels k = {
-        fwdButterflyLazyScalar,
-        invButterflyLazyScalar,
+        fwdStageScalar,
+        invStageScalar,
         fold4qScalar,
     };
     return k;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Dispatch table for the radix-2 butterfly kernels (internal to poly/).
+ * Dispatch table for the radix-2 NTT stage kernels (internal to poly/).
  *
  * The lazy-reduction NTT (ntt_ct.cc) keeps coefficients in a redundant
  * representation across stages -- [0, 4q) through the Cooley-Tukey
@@ -12,10 +12,17 @@
  * Requires q < 2^30 so 4q fits u32; ntt_ct.cc falls back to the strict
  * scalar kernels for wider moduli.
  *
- * Every entry processes one butterfly block range: x[j] pairs with
- * y[j] (y = x + t in the transform), a constant twiddle per call.
- * The scalar one-element helpers below ARE the semantics; the vector
- * kernels must match them bit-for-bit (enforced by tests/simd_test.cc).
+ * Every stage entry runs one whole stage over a limb of n coefficients:
+ * the n / (2t) butterfly blocks of span t, where block i pairs a[2it + j]
+ * with a[2it + t + j] (j < t) under twiddle n / (2t) + i of the
+ * direction's table -- the same rule forward and inverse. The transform
+ * makes one indirect call per stage. The vector entries broadcast the
+ * block's twiddle when t is at least one vector wide; narrower spans run
+ * on two vectors at a time, permuted into x and y halves with one
+ * twiddle per lane (docs/SIMD.md), and a degree below two vectors runs
+ * the scalar stage. The scalar one-element helpers below ARE the
+ * semantics; the vector kernels must match them bit-for-bit (enforced
+ * by tests/simd_test.cc).
  */
 #pragma once
 
@@ -23,6 +30,7 @@
 
 #include "common/types.h"
 #include "nt/shoup.h"
+#include "poly/ntt_tables.h"
 
 namespace cross::poly::detail {
 
@@ -71,13 +79,11 @@ fold4qOne(u32 v, u32 q, u32 two_q)
     return v;
 }
 
-/** One dispatch path's butterfly-block kernels. */
+/** One dispatch path's stage kernels. */
 struct NttKernels
 {
-    void (*fwdButterflyLazy)(u32 *x, u32 *y, size_t len, nt::ShoupConst c,
-                             u32 q);
-    void (*invButterflyLazy)(u32 *x, u32 *y, size_t len, nt::ShoupConst c,
-                             u32 q);
+    void (*fwdStage)(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q);
+    void (*invStage)(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q);
     void (*fold4q)(u32 *a, size_t len, u32 q);
 };
 

@@ -17,14 +17,19 @@ NttTables::NttTables(u32 n, u32 q) : n_(n), q_(q)
     psiInv_ = static_cast<u32>(nt::invMod(psi_, q));
 
     const u32 bits = ilog2(n);
-    psiBr_.reserve(n);
-    psiInvBr_.reserve(n);
+    for (ShoupTwiddles *tw : {&psiBr_, &psiInvBr_})
+        for (std::vector<u32> *v : {&tw->w, &tw->shoupLo, &tw->shoupHi})
+            v->resize(n);
+    const auto set = [q](ShoupTwiddles &tw, u32 i, u64 w) {
+        const nt::ShoupConst c = nt::shoupPrecompute(static_cast<u32>(w), q);
+        tw.w[i] = c.w;
+        tw.shoupLo[i] = static_cast<u32>(c.wShoup);
+        tw.shoupHi[i] = static_cast<u32>(c.wShoup >> 32);
+    };
     for (u32 i = 0; i < n; ++i) {
         const u64 e = bitReverse(i, bits);
-        psiBr_.push_back(nt::shoupPrecompute(
-            static_cast<u32>(nt::powMod(psi_, e, q)), q));
-        psiInvBr_.push_back(nt::shoupPrecompute(
-            static_cast<u32>(nt::powMod(psiInv_, e, q)), q));
+        set(psiBr_, i, nt::powMod(psi_, e, q));
+        set(psiInvBr_, i, nt::powMod(psiInv_, e, q));
     }
     nInv_ = nt::shoupPrecompute(static_cast<u32>(nt::invMod(n, q)), q);
 }

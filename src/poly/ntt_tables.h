@@ -7,15 +7,39 @@
  * products reduce modulo x^N + 1 instead of x^N - 1. Tables are stored in
  * bit-reversed order with Shoup precomputation, the layout expected by the
  * Cooley-Tukey / Gentleman-Sande in-place kernels in ntt_ct.h.
+ *
+ * Each direction is one ShoupTwiddles: three u32 arrays (w and the two
+ * halves of its Shoup factor) instead of one array of padded 16-byte
+ * ShoupConst, so a vector stage loads one twiddle per lane with plain
+ * contiguous loads, at 12 bytes per twiddle. psiBr()/psiInvBr() rebuild
+ * one entry as a ShoupConst by value for scalar callers.
  */
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "common/types.h"
 #include "nt/shoup.h"
 
 namespace cross::poly {
+
+/**
+ * Shoup-form twiddles as structure-of-arrays: entry i is w[i] with the
+ * Shoup factor shoupHi[i] * 2^32 + shoupLo[i].
+ */
+struct ShoupTwiddles
+{
+    std::vector<u32> w;
+    std::vector<u32> shoupLo;
+    std::vector<u32> shoupHi;
+
+    /** Entry @p i as a ShoupConst. */
+    nt::ShoupConst at(size_t i) const
+    {
+        return {w[i], (static_cast<u64>(shoupHi[i]) << 32) | shoupLo[i]};
+    }
+};
 
 /** Twiddle-factor tables for a fixed ring degree N and prime modulus q. */
 class NttTables
@@ -33,11 +57,17 @@ class NttTables
     /** The primitive 2N-th root psi used by these tables. */
     u32 psi() const { return psi_; }
 
+    /** psi^bitrev(i) for i in [0, N), the forward (CT) twiddles. */
+    const ShoupTwiddles &forwardTwiddles() const { return psiBr_; }
+
+    /** psi^-bitrev(i), the inverse (GS) twiddles. */
+    const ShoupTwiddles &inverseTwiddles() const { return psiInvBr_; }
+
     /** psi^bitrev(i), Shoup form; i in [0, N). */
-    const nt::ShoupConst &psiBr(u32 i) const { return psiBr_[i]; }
+    nt::ShoupConst psiBr(u32 i) const { return psiBr_.at(i); }
 
     /** psi^-bitrev(i), Shoup form. */
-    const nt::ShoupConst &psiInvBr(u32 i) const { return psiInvBr_[i]; }
+    nt::ShoupConst psiInvBr(u32 i) const { return psiInvBr_.at(i); }
 
     /** N^-1 mod q, Shoup form (final INTT scaling). */
     const nt::ShoupConst &nInv() const { return nInv_; }
@@ -50,8 +80,8 @@ class NttTables
     u32 q_;
     u32 psi_;
     u32 psiInv_;
-    std::vector<nt::ShoupConst> psiBr_;
-    std::vector<nt::ShoupConst> psiInvBr_;
+    ShoupTwiddles psiBr_;
+    ShoupTwiddles psiInvBr_;
     nt::ShoupConst nInv_;
 };
 

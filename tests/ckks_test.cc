@@ -202,6 +202,41 @@ TEST_F(CkksFixture, MultiplyPlain)
         EXPECT_LT(std::abs(decoded[i] - a[i] * w[i]), 1e-2);
 }
 
+// The binary ops read only the limbs their result keeps, so an operand
+// with more limbs gives the same bits as its truncation, either side.
+TEST_F(CkksFixture, LongerOperandsMatchTheirTruncation)
+{
+    const auto rlk = keygen.relinKey();
+    const auto ca = encryptor.encrypt(encoder.encode(
+        randomSlots(encoder.slotCount(), 15, 0.5), kScale, ctx.qCount()));
+    const auto cb = encryptor.encrypt(encoder.encode(
+        randomSlots(encoder.slotCount(), 16, 0.5), kScale, ctx.qCount()));
+    const size_t low = ctx.qCount() - 2;
+    const auto ca_low = evaluator.reduceToLimbs(ca, low);
+    const auto cb_low = evaluator.reduceToLimbs(cb, low);
+    const auto same = [](const Ciphertext &x, const Ciphertext &y) {
+        return x.c0 == y.c0 && x.c1 == y.c1 && x.scale == y.scale;
+    };
+
+    const auto sum = evaluator.add(ca_low, cb_low);
+    EXPECT_TRUE(same(evaluator.add(ca_low, cb), sum));
+    EXPECT_TRUE(same(evaluator.add(ca, cb_low), sum));
+    const auto diff = evaluator.sub(ca_low, cb_low);
+    EXPECT_TRUE(same(evaluator.sub(ca_low, cb), diff));
+    EXPECT_TRUE(same(evaluator.sub(ca, cb_low), diff));
+    EXPECT_TRUE(same(evaluator.multiply(ca_low, cb, rlk),
+                     evaluator.multiply(ca_low, cb_low, rlk)));
+
+    const auto pt = encoder.encode(randomSlots(encoder.slotCount(), 17, 0.5),
+                                   kScale, ctx.qCount());
+    Plaintext pt_low = pt;
+    pt_low.poly.truncateLimbs(low);
+    EXPECT_TRUE(same(evaluator.addPlain(ca_low, pt),
+                     evaluator.addPlain(ca_low, pt_low)));
+    EXPECT_TRUE(same(evaluator.multiplyPlain(ca_low, pt),
+                     evaluator.multiplyPlain(ca_low, pt_low)));
+}
+
 TEST_F(CkksFixture, MultiplicativeDepthChain)
 {
     const auto rlk = keygen.relinKey();

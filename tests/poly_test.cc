@@ -100,7 +100,8 @@ TEST_P(NttCtTest, Linearity)
 }
 
 INSTANTIATE_TEST_SUITE_P(Degrees, NttCtTest,
-                         ::testing::Values(8u, 16u, 64u, 256u, 1024u, 4096u));
+                         ::testing::Values(8u, 16u, 32u, 64u, 256u, 1024u,
+                                           4096u, 8192u));
 
 // X^(N-1) * X == -1 (mod X^N + 1): the negacyclic wraparound.
 TEST(Schoolbook, NegacyclicWraparound)

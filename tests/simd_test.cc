@@ -7,11 +7,12 @@
  * AVX-512) produces BIT-IDENTICAL output for all valid inputs -- the
  * ISA choice is a pure speed choice, never a numerics choice. Each
  * conformance test draws random moduli across the supported bit range
- * (20..31 bits; below 2^30 exercises the lazy Harvey path, 30/31-bit
- * moduli the strict fallback) and random lengths that cover both the
- * vector body and the scalar tails. The dispatch-misuse guard runs
- * under a CROSS_TEST_THREADS (default 4) pool, so the suite doubles as
- * a data-race probe under the TSan CI shard.
+ * (20..31 bits; up to 30 bits the modulus is below 2^30 and takes the
+ * lazy Harvey path, 31-bit moduli the strict fallback) and random
+ * lengths that cover both the vector body and the scalar tails. The
+ * dispatch-misuse guard runs under a CROSS_TEST_THREADS (default 4)
+ * pool, so the suite doubles as a data-race probe under the TSan CI
+ * shard.
  *
  * Paths not compiled in or not supported by the host are skipped with
  * a notice (GTEST_SKIP), never silently passed.
@@ -260,10 +261,13 @@ runNtt(const std::vector<std::vector<u32>> &in, const poly::NttTables &tab)
 TEST(SimdConformance, NttBitIdenticalAcrossIsas)
 {
     Rng rng(97);
-    // 20..29-bit moduli take the lazy Harvey path (q < 2^30); 30/31-bit
-    // ones exercise the strict fallback.
-    for (u32 bits : {20u, 28u, 31u}) {
-        for (u32 n : {64u, 256u, 2048u}) {
+    // 20..30-bit moduli take the lazy Harvey path (q < 2^30); the
+    // 30-bit one is the widest lazy modulus, where 4q comes closest to
+    // 2^32. 31-bit ones exercise the strict fallback. Degrees 4..16 run
+    // the scalar stage below two vectors, 32 is one AVX-512 vector
+    // pair, and 8192 is Set-B's degree.
+    for (u32 bits : {20u, 28u, 30u, 31u}) {
+        for (u32 n : {4u, 8u, 16u, 32u, 64u, 256u, 2048u, 8192u}) {
             const u32 q = static_cast<u32>(
                 nt::generateNttPrimes(bits, 1, 2ull * n)[0]);
             const poly::NttTables tab(n, q);
