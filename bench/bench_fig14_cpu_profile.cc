@@ -63,9 +63,13 @@ main(int argc, char **argv)
     CkksEncryptor enc(ctx, keygen.publicKey(), 2);
     KernelLog log;
     CkksEvaluator ev(ctx, &log);
-    const auto rlk = keygen.relinKey();
+    // Key-switch operands built once, outside the profiled lambdas; the
+    // rows come from the KernelLog, which never timed a precomp build.
+    const auto rlk =
+        ev.precomputeKeySwitch(keygen.relinKey(), ctx.qCount() - 1);
     const u32 gk = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(gk);
+    const auto rot_key =
+        ev.precomputeKeySwitch(keygen.rotationKey(gk), ctx.qCount() - 1);
 
     Rng rng(3);
     std::vector<Complex> vals(encoder.slotCount());

@@ -98,7 +98,7 @@ closedLoop(bench::Reporter &rep, u64 streams, u64 requests, u64 threads,
     }
 
     // Sequential reference: every request one at a time, one thread,
-    // one-shot SwitchKey paths -- the bit-identity baseline and the
+    // uncached precomps -- the bit-identity baseline and the
     // no-batching latency yardstick.
     setGlobalThreadCount(1);
     std::vector<CtVec> refs(streams);

@@ -127,7 +127,7 @@ functionalBootstrap(bench::Reporter &rep, u64 threads, u64 batch)
         std::to_string(enumerateBootstrapOps(ctx.params(), cfg).size());
 
     // Sequential reference: the per-op graph on one thread with
-    // one-shot keys. Its log is the per-op run's reference: that graph
+    // uncached precomps. Its log is the per-op run's reference: that graph
     // runs segment by segment, so at a batch above 1 its log is not
     // batch copies of the per-item enumeration.
     setGlobalThreadCount(1);

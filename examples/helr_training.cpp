@@ -129,10 +129,12 @@ main()
     KernelLog ref_log;
     const CkksEvaluator ev(ctx, &ref_log);
     auto ct_yz = ev.rescale(ev.multiplyPlain(ct_z, pt_y));
-    auto ct_yz2 = ev.rescale(ev.multiply(ct_yz, ct_yz, rlk));
+    auto ct_yz2 = ev.rescale(ev.multiply(
+        ct_yz, ct_yz, ev.precomputeKeySwitch(rlk, ct_yz.limbs() - 1)));
     auto ct_yz_low = ev.reduceToLimbs(ct_yz, ct_yz2.limbs());
     ct_yz_low.scale = ct_yz.scale;
-    auto ct_yz3 = ev.rescale(ev.multiply(ct_yz2, ct_yz_low, rlk));
+    auto ct_yz3 = ev.rescale(ev.multiply(
+        ct_yz2, ct_yz_low, ev.precomputeKeySwitch(rlk, ct_yz2.limbs() - 1)));
 
     std::vector<double> half(samples, 0.5);
     auto lin = ev.multiplyPlain(

@@ -154,8 +154,11 @@ main()
         } else {
             const u32 g = encoder.rotationAutomorphism(
                 static_cast<i64>(d));
-            term = ev.multiplyPlain(ev.rotate(ct, g, rot_keys.at(g)),
-                                    pt_diag);
+            term = ev.multiplyPlain(
+                ev.rotate(ct, g,
+                          ev.precomputeKeySwitch(rot_keys.at(g),
+                                                 ct.limbs() - 1)),
+                pt_diag);
         }
         if (first) {
             acc = term;
@@ -171,7 +174,8 @@ main()
     const auto pt_bias =
         encoder.encodeReal(bias_packed, acc.scale, acc.limbs());
     acc = ev.addPlain(acc, pt_bias);
-    const auto ref_out = ev.rescale(ev.multiply(acc, acc, rlk));
+    const auto ref_out = ev.rescale(
+        ev.multiply(acc, acc, ev.precomputeKeySwitch(rlk, acc.limbs() - 1)));
 
     // ---- The same layer as an operator graph, compiled to fused
     // batch pipelines. ----

@@ -54,8 +54,11 @@ main()
     const auto rot_key = keygen.rotationKey(rot1);
 
     const auto ct_sum = eval.add(ct_x, ct_y);
-    const auto ct_prod = eval.rescale(eval.multiply(ct_x, ct_y, rlk));
-    const auto ct_rot = eval.rotate(ct_x, rot1, rot_key);
+    // Each key switch takes its key's operands at the operands' level.
+    const auto ct_prod = eval.rescale(eval.multiply(
+        ct_x, ct_y, eval.precomputeKeySwitch(rlk, ct_x.limbs() - 1)));
+    const auto ct_rot = eval.rotate(
+        ct_x, rot1, eval.precomputeKeySwitch(rot_key, ct_x.limbs() - 1));
 
     auto show = [&](const char *name, const Ciphertext &ct,
                     auto expect_fn) {

@@ -25,7 +25,7 @@ pipelineStagePlain(const Plaintext &pt, size_t level)
 Ciphertext
 linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
                     const Ciphertext &in,
-                    const std::vector<KeySwitchCache::Shared> *pre)
+                    const std::vector<KeySwitchCache::Shared> &pre)
 {
     // Kernels log in the schedule enumerator's order: ModUp, the
     // identity term, then rotation block [+ weight] + Add per branch.
@@ -41,10 +41,9 @@ linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
     Ciphertext acc = weigh(in, st.pt);
     for (size_t b = 0; b < st.branches.size(); ++b) {
         const RotateBranch &br = st.branches[b];
-        const Ciphertext rot =
-            pre ? ev.applyHoistedRotation(in, dec, br.autoIdx, *pre->at(b))
-                : ev.applyHoistedRotation(in, dec, br.autoIdx, *br.key);
-        acc = ev.add(acc, weigh(rot, br.pt));
+        acc = ev.add(acc, weigh(ev.applyHoistedRotation(in, dec, br.autoIdx,
+                                                        *pre.at(b)),
+                                br.pt));
     }
     ev.noteHoistedSaves(st.branches.size());
     return acc;
@@ -52,24 +51,33 @@ linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
 
 } // namespace
 
+std::vector<const SwitchKey *>
+stageKeys(const PipelineStage &st)
+{
+    if (st.op == HeOp::Mult || st.op == HeOp::Rotate)
+        return {st.key};
+    std::vector<const SwitchKey *> keys;
+    for (const RotateBranch &br : st.branches)
+        keys.push_back(br.key);
+    return keys;
+}
+
 Ciphertext
 applyStage(const CkksEvaluator &ev, const PipelineStage &st,
            const Ciphertext &cur, size_t i,
-           const std::vector<KeySwitchCache::Shared> *pre)
+           const std::vector<KeySwitchCache::Shared> &pre)
 {
     switch (st.op) {
       case HeOp::Add:
         return ev.add(cur, (*st.rhs)[i]);
       case HeOp::Mult:
-        return pre ? ev.multiply(cur, (*st.rhs)[i], *pre->at(0))
-                   : ev.multiply(cur, (*st.rhs)[i], *st.key);
+        return ev.multiply(cur, (*st.rhs)[i], *pre.at(0));
       case HeOp::Rescale:
         return ev.rescale(cur);
       case HeOp::RescaleMulti:
         return ev.rescaleMulti(cur);
       case HeOp::Rotate:
-        return pre ? ev.rotate(cur, st.autoIdx, *pre->at(0))
-                   : ev.rotate(cur, st.autoIdx, *st.key);
+        return ev.rotate(cur, st.autoIdx, *pre.at(0));
       case HeOp::AddPlain:
         return ev.addPlain(cur, pipelineStagePlain(*st.pt, cur.limbs() - 1));
       case HeOp::MultiplyPlain:
@@ -207,8 +215,6 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: relinearisation key "
                             "does not cover the item level");
-                pre[s][i] = {builder.precomputeKeySwitchShared(
-                    *st.key, limbs[i] - 1)};
             }
             break;
 
@@ -249,8 +255,6 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                                 st.key->digits.size(),
                             "BatchEvaluator::run: rotation key does "
                             "not cover the item level");
-                pre[s][i] = {builder.precomputeKeySwitchShared(
-                    *st.key, limbs[i] - 1)};
             }
             break;
 
@@ -311,13 +315,17 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             for (const auto &br : st.branches) {
                 if (count > 0)
                     (void)ctx_.ring().evalAutoMap(br.autoIdx);
-                for (size_t i = 0; i < count; ++i) {
-                    pre[s][i].push_back(builder.precomputeKeySwitchShared(
-                        *br.key, limbs[i] - 1));
-                }
             }
             break;
           }
+        }
+        // The stage's checks passed: fetch its keys' precomps at the
+        // level each item switches at (a Mult's lower operand's).
+        for (const SwitchKey *key : stageKeys(st)) {
+            for (size_t i = 0; i < count; ++i) {
+                pre[s][i].push_back(
+                    builder.precomputeKeySwitchShared(*key, limbs[i] - 1));
+            }
         }
     }
 
@@ -334,7 +342,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
         const CkksEvaluator ev(ctx_, log_ ? &logs[i] : nullptr);
         Ciphertext cur = input[i];
         for (size_t s = 0; s < stages.size(); ++s)
-            cur = applyStage(ev, stages[s], cur, i, &pre[s][i]);
+            cur = applyStage(ev, stages[s], cur, i, pre[s][i]);
         out[i] = std::move(cur);
     });
     if (log_) {

@@ -83,19 +83,26 @@ struct PipelineStage
 };
 
 /**
+ * The switching keys stage @p st key-switches with, in the order
+ * applyStage reads their precomps: the Mult/Rotate key, one per
+ * LinearTransform branch, or none. Each switches at the item's level
+ * after the stage's operand alignment, which for a Mult is its lower
+ * operand's.
+ */
+std::vector<const SwitchKey *> stageKeys(const PipelineStage &st);
+
+/**
  * One item through one stage, shared by BatchEvaluator::run and the
  * sequential reference interpreter (CompiledGraph::runSequential), so
- * both execute every stage the same way. @p i picks the item's
- * Add/Mult operand. @p pre holds the precomps the stage needs at the
- * item's level, as run's walk gathers them (the Mult/Rotate key's, or
- * one per LinearTransform branch); null takes the one-shot SwitchKey
- * paths instead, which build each precomp where the evaluator keys
- * (no residency cache).
+ * both execute every stage the same way, one evaluator call per op.
+ * @p i picks the item's Add/Mult operand. @p pre holds one precomp
+ * per stageKeys(st) entry at the level the item switches at: run's
+ * walk fetches them from the residency cache, runSequential builds
+ * them uncached.
  */
 Ciphertext applyStage(const CkksEvaluator &ev, const PipelineStage &st,
                       const Ciphertext &cur, size_t i,
-                      const std::vector<KeySwitchCache::Shared> *pre =
-                          nullptr);
+                      const std::vector<KeySwitchCache::Shared> &pre);
 
 /**
  * A small operator sequence applied item-wise by BatchEvaluator::run.

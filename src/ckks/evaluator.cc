@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <tuple>
 
 #include "common/check.h"
 #include "common/timer.h"
@@ -90,13 +91,6 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
 }
 
 Ciphertext
-CkksEvaluator::relinearize(const Ciphertext3 &c, const SwitchKey &rlk) const
-{
-    return relinearize(
-        c, precomputeKeySwitch(rlk, c.c2.limbCount() - 1));
-}
-
-Ciphertext
 CkksEvaluator::relinearize(const Ciphertext3 &c,
                            const KeySwitchPrecomp &pre) const
 {
@@ -115,13 +109,6 @@ CkksEvaluator::relinearize(const Ciphertext3 &c,
             0, t.seconds());
     r.scale = c.scale;
     return r;
-}
-
-Ciphertext
-CkksEvaluator::multiply(const Ciphertext &a, const Ciphertext &b,
-                        const SwitchKey &rlk) const
-{
-    return relinearize(multiplyNoRelin(a, b), rlk);
 }
 
 Ciphertext
@@ -196,20 +183,11 @@ CkksEvaluator::rescaleMulti(const Ciphertext &ct) const
 
 Ciphertext
 CkksEvaluator::rotate(const Ciphertext &ct, u32 auto_idx,
-                      const SwitchKey &rot_key) const
-{
-    checkAutomorphismIndex(ctx_, auto_idx);
-    return rotate(ct, auto_idx,
-                  precomputeKeySwitch(rot_key, ct.limbs() - 1));
-}
-
-Ciphertext
-CkksEvaluator::rotate(const Ciphertext &ct, u32 auto_idx,
                       const KeySwitchPrecomp &pre) const
 {
-    // A fan-out of one: the hoisted path IS the rotate path, so
-    // rotateHoisted over N keys is bit-identical to N rotate calls by
-    // construction (same decomposition, same arithmetic order).
+    // A fan-out of one: the hoisted path IS the rotate path, so the
+    // branches of a hoisted fan-out are bit-identical to rotate calls
+    // by construction (same decomposition, same arithmetic order).
     return applyHoistedRotation(ct, hoistedModUp(ct.c1), auto_idx, pre);
 }
 
@@ -237,11 +215,8 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     requireThat(pre.level == dec.level,
                 "applyHoistedRotation: precomp level does not match "
                 "decomposition");
-    const size_t level = dec.level;
-    const size_t d = ctx_.activeDigits(level);
+    const size_t d = dec.digits.size();
     const size_t ext = dec.extSlots.size();
-    internalCheck(dec.digits.size() == d && pre.keys.size() == d,
-                  "applyHoistedRotation: digit count mismatch");
 
     // Permute the shared decomposition (and c0) into rotated position:
     // the eval-domain automorphism is a pure slot permutation, so it
@@ -256,66 +231,13 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     logCall(KernelKind::Automorphism,
             static_cast<u32>(d * ext + ct.limbs()), 0, t.seconds());
 
-    // Inner product with the rotation key, all digits in one fused
-    // multiply + one fused accumulate.
-    WallTimer tm;
-    std::vector<std::pair<RnsPoly, RnsPoly>> prods;
-    prods.reserve(d);
-    for (size_t j = 0; j < d; ++j) {
-        auto [kb, ka] = pre.keys[j];
-        kb.mulPointwiseInPlace(rotated[j]);
-        ka.mulPointwiseInPlace(rotated[j]);
-        prods.emplace_back(std::move(kb), std::move(ka));
-    }
-    logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0,
-            tm.seconds());
-    WallTimer ta;
-    RnsPoly acc0(ctx_.ring(), dec.extSlots, true);
-    RnsPoly acc1(ctx_.ring(), dec.extSlots, true);
-    for (auto &[pb, pa] : prods) {
-        acc0.addInPlace(pb);
-        acc1.addInPlace(pa);
-    }
-    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0,
-            ta.seconds());
-
     Ciphertext out;
-    out.c0 = modDownPhase(acc0, level);
-    out.c1 = modDownPhase(acc1, level);
+    std::tie(out.c0, out.c1) = innerProductModDown(std::move(rotated), pre);
     WallTimer t2;
     out.c0.addInPlace(r0);
     logCall(KernelKind::VecModAdd, static_cast<u32>(ct.limbs()), 0,
             t2.seconds());
     out.scale = ct.scale;
-    return out;
-}
-
-Ciphertext
-CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
-                                    const HoistedDecomp &dec,
-                                    u32 auto_idx,
-                                    const SwitchKey &rot_key) const
-{
-    return applyHoistedRotation(ct, dec, auto_idx,
-                                precomputeKeySwitch(rot_key, dec.level));
-}
-
-std::vector<Ciphertext>
-CkksEvaluator::rotateHoisted(
-    const Ciphertext &ct,
-    const std::vector<std::pair<u32, const SwitchKey *>> &branches) const
-{
-    requireThat(!branches.empty(), "rotateHoisted: no branches");
-    for (const auto &[k, key] : branches) {
-        checkAutomorphismIndex(ctx_, k);
-        requireThat(key != nullptr, "rotateHoisted: null rotation key");
-    }
-    const HoistedDecomp dec = hoistedModUp(ct.c1);
-    std::vector<Ciphertext> out;
-    out.reserve(branches.size());
-    for (const auto &[k, key] : branches)
-        out.push_back(applyHoistedRotation(ct, dec, k, *key));
-    noteHoistedSaves(branches.size());
     return out;
 }
 
@@ -451,32 +373,42 @@ CkksEvaluator::keySwitch(const RnsPoly &c,
 {
     requireThat(c.limbCount() - 1 == pre.level,
                 "keySwitch: precomp level mismatch");
-    const size_t level = pre.level;
-    const size_t d = ctx_.activeDigits(level);
+    // Phase 1 (ModUp), then the inner product and ModDown the hoisted
+    // rotation runs too.
+    return innerProductModDown(modUpPhase(c, pre.extSlots), pre);
+}
+
+std::pair<RnsPoly, RnsPoly>
+CkksEvaluator::innerProductModDown(std::vector<RnsPoly> digits,
+                                   const KeySwitchPrecomp &pre) const
+{
+    const size_t d = digits.size();
     const size_t ext = pre.extSlots.size();
+    internalCheck(pre.keys.size() == d, "keySwitch: digit count mismatch");
 
-    // Phase 1 (ModUp), then phase 2 (per-digit inner product), then
-    // phase 3 (ModDown) -- the same three-phase structure the hoisted
-    // rotation path reuses, with identical accumulation order.
-    const std::vector<RnsPoly> digits = modUpPhase(c, pre.extSlots);
-
+    // Digit j times the key's b half goes through one reused scratch
+    // polynomial, and times its a half overwrites the digit, so the
+    // shared key operands are read in place. The products and the
+    // accumulation log as one launch each, as the schedule prices them.
     RnsPoly acc0(ctx_.ring(), pre.extSlots, true);
     RnsPoly acc1(ctx_.ring(), pre.extSlots, true);
+    RnsPoly prod;
+    double mul_s = 0.0;
+    double add_s = 0.0;
     for (size_t j = 0; j < d; ++j) {
         WallTimer tm;
-        auto [kb, ka] = pre.keys[j]; // copy of the batch-shared operands
-        kb.mulPointwiseInPlace(digits[j]);
-        ka.mulPointwiseInPlace(digits[j]);
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * ext), 0,
-                tm.seconds());
+        prod = digits[j];
+        prod.mulPointwiseInPlace(pre.keys[j].first);
+        digits[j].mulPointwiseInPlace(pre.keys[j].second);
+        mul_s += tm.seconds();
         WallTimer ta;
-        acc0.addInPlace(kb);
-        acc1.addInPlace(ka);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * ext), 0,
-                ta.seconds());
+        acc0.addInPlace(prod);
+        acc1.addInPlace(digits[j]);
+        add_s += ta.seconds();
     }
-
-    return {modDownPhase(acc0, level), modDownPhase(acc1, level)};
+    logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0, mul_s);
+    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, add_s);
+    return {modDownPhase(acc0, pre.level), modDownPhase(acc1, pre.level)};
 }
 
 std::vector<RnsPoly>

@@ -4,6 +4,12 @@
  * (HE-Add, HE-Mult, Rescale, Rotate) plus plaintext variants and the
  * hybrid key-switching core they share.
  *
+ * Every key switch takes a KeySwitchPrecomp, the key's batch-reusable
+ * operands at one level (precomputeKeySwitch builds one, the context's
+ * KeySwitchCache keeps them resident). Relinearisation, rotation and
+ * each branch of a hoisted fan-out run the same inner product and
+ * ModDown against it.
+ *
  * Every kernel executed is reported to an optional KernelLog with its
  * shape and wall time; tests check the log against the pure schedule
  * enumerator (schedule.h), which is what the TPU cost model replays --
@@ -86,14 +92,11 @@ class CkksEvaluator
     /** Tensor product without relinearisation. */
     Ciphertext3 multiplyNoRelin(const Ciphertext &a,
                                 const Ciphertext &b) const;
-    /** Key-switch the degree-2 term back to a 2-element ciphertext. */
-    Ciphertext relinearize(const Ciphertext3 &c, const SwitchKey &rlk) const;
+    /** Key-switch the degree-2 term back to a 2-element ciphertext;
+     *  @p pre is the relinearisation key's at c's level. */
     Ciphertext relinearize(const Ciphertext3 &c,
                            const KeySwitchPrecomp &pre) const;
-    /** multiplyNoRelin + relinearize. */
-    Ciphertext multiply(const Ciphertext &a, const Ciphertext &b,
-                        const SwitchKey &rlk) const;
-    /** Batched form: reuses a per-level precomputation (bit-identical). */
+    /** multiplyNoRelin + relinearize, at the lower operand's level. */
     Ciphertext multiply(const Ciphertext &a, const Ciphertext &b,
                         const KeySwitchPrecomp &pre) const;
     /** Drop the last limb, dividing the scale by q_l. */
@@ -106,10 +109,8 @@ class CkksEvaluator
     Ciphertext rescaleMulti(const Ciphertext &ct) const;
     /** Slot rotation: automorphism + key switch. Implemented as a
      *  fan-out-of-one hoisted rotation (hoistedModUp +
-     *  applyHoistedRotation), so rotateHoisted over N keys is
-     *  bit-identical to N independent rotate calls by construction. */
-    Ciphertext rotate(const Ciphertext &ct, u32 auto_idx,
-                      const SwitchKey &rot_key) const;
+     *  applyHoistedRotation), so each branch of a hoisted fan-out is
+     *  bit-identical to its own rotate call by construction. */
     Ciphertext rotate(const Ciphertext &ct, u32 auto_idx,
                       const KeySwitchPrecomp &pre) const;
     /** @} */
@@ -133,27 +134,12 @@ class CkksEvaluator
     Ciphertext applyHoistedRotation(const Ciphertext &ct,
                                     const HoistedDecomp &dec, u32 auto_idx,
                                     const KeySwitchPrecomp &pre) const;
-    Ciphertext applyHoistedRotation(const Ciphertext &ct,
-                                    const HoistedDecomp &dec, u32 auto_idx,
-                                    const SwitchKey &rot_key) const;
-
-    /**
-     * The fan-out API: one shared ModUp of @p ct, then one
-     * applyHoistedRotation per (automorphism index, key) branch.
-     * Bit-identical to |branches| independent rotate calls at any
-     * thread count, paying |branches|-1 fewer ModUps (counted into the
-     * KernelLog's hoistedModUpSaves).
-     */
-    std::vector<Ciphertext> rotateHoisted(
-        const Ciphertext &ct,
-        const std::vector<std::pair<u32, const SwitchKey *>> &branches)
-        const;
 
     /** Credit a fan-out of @p fanout rotations sharing one ModUp to
      *  the log's shared-ModUp save counter (fanout-1 saves; no-op
      *  without a log or for fanout <= 1). The LinearTransform
-     *  pipeline stage calls this directly because it drives
-     *  applyHoistedRotation itself. */
+     *  pipeline stage, the one fan-out, calls this after driving
+     *  applyHoistedRotation once per branch. */
     void noteHoistedSaves(size_t fanout) const;
     /** @} */
 
@@ -177,8 +163,9 @@ class CkksEvaluator
     /**
      * Build the batch-reusable operands of keySwitch at @p level: the
      * extended slot list, the key digits restricted to it, and a warm
-     * ModUp/ModDown conversion cache. Using the result is bit-identical
-     * to passing the SwitchKey directly.
+     * ModUp/ModDown conversion cache. Uncached: every call builds, so
+     * a one-off key switch or a reference run leaves the context's
+     * KeySwitchCache untouched.
      */
     KeySwitchPrecomp precomputeKeySwitch(const SwitchKey &swk,
                                          size_t level) const;
@@ -207,6 +194,15 @@ class CkksEvaluator
     std::vector<poly::RnsPoly>
     modUpPhase(const poly::RnsPoly &c,
                const std::vector<u32> &ext_slots) const;
+
+    /**
+     * Phases 2+3 shared by keySwitch and applyHoistedRotation: the
+     * inner product of the extended-basis @p digits (consumed) with
+     * pre.keys, read in place, then ModDown of both accumulators.
+     */
+    std::pair<poly::RnsPoly, poly::RnsPoly>
+    innerProductModDown(std::vector<poly::RnsPoly> digits,
+                        const KeySwitchPrecomp &pre) const;
 
     /** ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level. */
     poly::RnsPoly modDownPhase(const poly::RnsPoly &acc,

@@ -634,8 +634,18 @@ CompiledGraph::runSequential(KernelLog *log,
         CtVec out(in.size());
         for (size_t i = 0; i < in.size(); ++i) {
             Ciphertext cur = in[i];
-            for (const PipelineStage &stage : pipe.stages())
-                cur = applyStage(ev, stage, cur, i);
+            for (const PipelineStage &stage : pipe.stages()) {
+                // Uncached precomps at the level the stage switches
+                // at: a Mult's lower operand's, else the item's.
+                size_t limbs = cur.limbs();
+                if (stage.op == HeOp::Mult)
+                    limbs = std::min(limbs, (*stage.rhs)[i].limbs());
+                std::vector<KeySwitchCache::Shared> pre;
+                for (const SwitchKey *key : stageKeys(stage))
+                    pre.push_back(std::make_shared<const KeySwitchPrecomp>(
+                        ev.precomputeKeySwitch(*key, limbs - 1)));
+                cur = applyStage(ev, stage, cur, i, pre);
+            }
             out[i] = cur;
         }
         return out;

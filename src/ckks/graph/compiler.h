@@ -181,11 +181,11 @@ class CompiledGraph
 
     /**
      * Sequential reference: item by item, stage by stage, each stage
-     * through applyStage on the one-shot SwitchKey paths (no residency
-     * cache, no prevalidation walk, no thread pool: everything runs on
-     * the caller's thread). The conformance
-     * baseline for run()'s caching, prevalidation and threading, and
-     * the stack's one sequential reference interpreter. Because run()
+     * through applyStage with precomps it builds itself through
+     * precomputeKeySwitch (no residency cache, no prevalidation walk,
+     * no thread pool: everything runs on the caller's thread). The
+     * conformance baseline for run()'s caching, prevalidation and
+     * threading, and the stack's one sequential reference interpreter. Because run()
      * executes the same applyStage, what a stage computes is checked
      * against hand-rolled per-op CkksEvaluator loops, not against
      * this. A reference run is not a measurement: it leaves

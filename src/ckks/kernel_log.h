@@ -87,8 +87,8 @@ class KernelLog
      *  fan-out of N rotations sharing one ModUp credits N-1). */
     void noteHoistedModUpSaves(u64 saves) { hoistedModUpSaves_ += saves; }
 
-    /** Total ModUps elided by hoisted fan-outs (LinearTransform,
-     *  rotateHoisted): exactly the Intt launches (and per-digit
+    /** Total ModUps elided by hoisted fan-outs (the LinearTransform
+     *  stage): exactly the Intt launches (and per-digit
      *  BConv/NTT blocks) that running every branch as its own rotate
      *  (the per-op matVec loop, or the PerOp bootstrap graph) adds. */
     u64 hoistedModUpSaves() const { return hoistedModUpSaves_; }

@@ -57,30 +57,43 @@ appendModDown(std::vector<KernelCall> &v, const CkksParams &p,
 }
 
 /**
+ * Phases 2+3, the tail every key switch shares: the inner product of
+ * the extended-basis digits with the key (one fused multiply, one
+ * fused accumulate), then ModDown of both accumulators.
+ */
+void
+appendInnerProductModDown(std::vector<KernelCall> &v, const CkksParams &p,
+                          size_t level)
+{
+    const u32 n = p.n;
+    const size_t alpha = p.alpha();
+    const size_t ext = level + 1 + p.auxCount();
+    const size_t digits = (level + alpha) / alpha;
+
+    push(v, KernelKind::VecModMul, n, static_cast<u32>(2 * digits * ext));
+    push(v, KernelKind::VecModAdd, n, static_cast<u32>(2 * digits * ext));
+    appendModDown(v, p, level);
+    appendModDown(v, p, level);
+}
+
+/**
  * One rotation against an already-hoisted decomposition: permute the
- * digits + c0 (one launch), the fused per-key inner product, ModDown
- * of both accumulators, and the c0 fold. Rotate = ModUp + this block;
- * every extra rotation of a hoisted fan-out is this block alone.
+ * digits + c0 (one launch), the key-switch tail, and the c0 fold.
+ * Rotate = ModUp + this block; every extra rotation of a hoisted
+ * fan-out is this block alone.
  */
 void
 appendHoistedRotBlock(std::vector<KernelCall> &v, const CkksParams &p,
                       size_t level)
 {
-    const u32 n = p.n;
     const size_t alpha = p.alpha();
-    const size_t aux = p.auxCount();
-    const size_t ext = level + 1 + aux;
+    const size_t ext = level + 1 + p.auxCount();
     const size_t digits = (level + alpha) / alpha;
 
-    push(v, KernelKind::Automorphism, n,
+    push(v, KernelKind::Automorphism, p.n,
          static_cast<u32>(digits * ext + level + 1));
-    push(v, KernelKind::VecModMul, n,
-         static_cast<u32>(2 * digits * ext));
-    push(v, KernelKind::VecModAdd, n,
-         static_cast<u32>(2 * digits * ext));
-    appendModDown(v, p, level);
-    appendModDown(v, p, level);
-    push(v, KernelKind::VecModAdd, n, static_cast<u32>(level + 1));
+    appendInnerProductModDown(v, p, level);
+    push(v, KernelKind::VecModAdd, p.n, static_cast<u32>(level + 1));
 }
 
 } // namespace
@@ -89,19 +102,8 @@ std::vector<KernelCall>
 enumerateKeySwitch(const CkksParams &p, size_t level)
 {
     std::vector<KernelCall> v;
-    const u32 n = p.n;
-    const size_t alpha = p.alpha();
-    const size_t aux = p.auxCount();
-    const size_t ext = level + 1 + aux;
-    const size_t digits = (level + alpha) / alpha;
-
     appendModUp(v, p, level);
-    for (size_t j = 0; j < digits; ++j) {
-        push(v, KernelKind::VecModMul, n, static_cast<u32>(2 * ext));
-        push(v, KernelKind::VecModAdd, n, static_cast<u32>(2 * ext));
-    }
-    appendModDown(v, p, level);
-    appendModDown(v, p, level);
+    appendInnerProductModDown(v, p, level);
     return v;
 }
 

@@ -390,13 +390,16 @@ TEST_F(BootstrapGraphFixture, LinearTransformTreeSumsSlots)
         tree.linearTransform({{k, &keys.back()}});
     }
 
-    // Sequential reference (one-shot keys) for bit-identity + log.
+    // Sequential reference (uncached precomps) for bit-identity + log.
     setGlobalThreadCount(1);
     KernelLog seq_log;
     CkksEvaluator ev(small, &seq_log);
     Ciphertext cur = input[0];
-    for (size_t r = 0; r < ks.size(); ++r)
-        cur = ev.add(cur, ev.rotate(cur, ks[r], keys[r]));
+    for (size_t r = 0; r < ks.size(); ++r) {
+        cur = ev.add(cur, ev.rotate(cur, ks[r],
+                                    ev.precomputeKeySwitch(
+                                        keys[r], cur.limbs() - 1)));
+    }
 
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
@@ -458,12 +461,16 @@ TEST_F(BootstrapGraphFixture, LinearTransformFanInMatchesSequential)
     setGlobalThreadCount(1);
     KernelLog seq_log;
     CkksEvaluator ev(small, &seq_log);
+    const size_t top = small.qCount() - 1;
+    const auto pre1 = ev.precomputeKeySwitch(key1, top);
+    const auto pre2 = ev.precomputeKeySwitch(key2, top);
+    const auto pre3 = ev.precomputeKeySwitch(key3, top);
     CtVec seq;
     for (const auto &ct : input) {
         Ciphertext acc = ct;
-        acc = ev.add(acc, ev.rotate(ct, k1, key1));
-        acc = ev.add(acc, ev.rotate(ct, k2, key2));
-        acc = ev.add(acc, ev.rotate(ct, k3, key3));
+        acc = ev.add(acc, ev.rotate(ct, k1, pre1));
+        acc = ev.add(acc, ev.rotate(ct, k2, pre2));
+        acc = ev.add(acc, ev.rotate(ct, k3, pre3));
         seq.push_back(acc);
     }
 

@@ -171,7 +171,8 @@ TEST_F(CkksFixture, AddPlain)
 // ---------------------------------------------------------------------
 TEST_F(CkksFixture, HomomorphicMultiply)
 {
-    const auto rlk = keygen.relinKey();
+    const auto rlk =
+        evaluator.precomputeKeySwitch(keygen.relinKey(), ctx.qCount() - 1);
     const auto a = randomSlots(encoder.slotCount(), 11, 0.8);
     const auto b = randomSlots(encoder.slotCount(), 12, 0.8);
     const auto ca =
@@ -206,12 +207,12 @@ TEST_F(CkksFixture, MultiplyPlain)
 // with more limbs gives the same bits as its truncation, either side.
 TEST_F(CkksFixture, LongerOperandsMatchTheirTruncation)
 {
-    const auto rlk = keygen.relinKey();
     const auto ca = encryptor.encrypt(encoder.encode(
         randomSlots(encoder.slotCount(), 15, 0.5), kScale, ctx.qCount()));
     const auto cb = encryptor.encrypt(encoder.encode(
         randomSlots(encoder.slotCount(), 16, 0.5), kScale, ctx.qCount()));
     const size_t low = ctx.qCount() - 2;
+    const auto rlk = evaluator.precomputeKeySwitch(keygen.relinKey(), low - 1);
     const auto ca_low = evaluator.reduceToLimbs(ca, low);
     const auto cb_low = evaluator.reduceToLimbs(cb, low);
     const auto same = [](const Ciphertext &x, const Ciphertext &y) {
@@ -244,8 +245,10 @@ TEST_F(CkksFixture, MultiplicativeDepthChain)
     auto ct = encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
 
     // Square twice: depth 2 with rescale after each multiply.
-    auto sq = evaluator.rescale(evaluator.multiply(ct, ct, rlk));
-    auto quad = evaluator.rescale(evaluator.multiply(sq, sq, rlk));
+    auto sq = evaluator.rescale(evaluator.multiply(
+        ct, ct, evaluator.precomputeKeySwitch(rlk, ct.limbs() - 1)));
+    auto quad = evaluator.rescale(evaluator.multiply(
+        sq, sq, evaluator.precomputeKeySwitch(rlk, sq.limbs() - 1)));
     EXPECT_EQ(quad.limbs(), ctx.qCount() - 2);
 
     const auto decoded = encoder.decode(decryptor.decrypt(quad));
@@ -260,7 +263,8 @@ TEST_F(CkksFixture, RescaleDividesScale)
     const auto a = randomSlots(4, 16, 0.5);
     auto ct = encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
     ct.scale = kScale; // fresh
-    const auto rlk = keygen.relinKey();
+    const auto rlk =
+        evaluator.precomputeKeySwitch(keygen.relinKey(), ct.limbs() - 1);
     auto prod = evaluator.multiply(ct, ct, rlk);
     const double before = prod.scale;
     auto rs = evaluator.rescale(prod);
@@ -276,7 +280,8 @@ TEST_F(CkksFixture, RotationRotatesSlots)
 {
     for (i64 steps : {1, 2, 7}) {
         const u32 k = encoder.rotationAutomorphism(steps);
-        const auto rot_key = keygen.rotationKey(k);
+        const auto rot_key = evaluator.precomputeKeySwitch(
+            keygen.rotationKey(k), ctx.qCount() - 1);
         const auto a = randomSlots(encoder.slotCount(), 17 + steps, 0.8);
         const auto ct =
             encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
@@ -294,7 +299,8 @@ TEST_F(CkksFixture, RotationRotatesSlots)
 TEST_F(CkksFixture, ConjugationConjugatesSlots)
 {
     const u32 k = encoder.conjugationAutomorphism();
-    const auto conj_key = keygen.rotationKey(k);
+    const auto conj_key = evaluator.precomputeKeySwitch(keygen.rotationKey(k),
+                                                        ctx.qCount() - 1);
     const auto a = randomSlots(encoder.slotCount(), 23, 0.8);
     const auto ct =
         encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
@@ -309,8 +315,10 @@ TEST_F(CkksFixture, RotationComposition)
     // rot(rot(x, 1), 2) == rot(x, 3)
     const u32 k1 = encoder.rotationAutomorphism(1);
     const u32 k2 = encoder.rotationAutomorphism(2);
-    const auto key1 = keygen.rotationKey(k1);
-    const auto key2 = keygen.rotationKey(k2);
+    const auto key1 =
+        evaluator.precomputeKeySwitch(keygen.rotationKey(k1), ctx.qCount() - 1);
+    const auto key2 =
+        evaluator.precomputeKeySwitch(keygen.rotationKey(k2), ctx.qCount() - 1);
     const auto a = randomSlots(encoder.slotCount(), 24, 0.8);
     const auto ct =
         encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
@@ -383,18 +391,14 @@ TEST_F(CkksFixture, RotateRejectsNonUnitAutomorphismIndices)
     const auto ct =
         encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
     const u32 two_n = 2 * ctx.degree();
-
-    // Even indices are not ring automorphisms at all.
-    EXPECT_THROW(evaluator.rotate(ct, 2, rot_key), std::invalid_argument);
-    EXPECT_THROW(evaluator.rotate(ct, 0, rot_key), std::invalid_argument);
-    // Indices >= 2N alias a smaller Galois element: previously accepted
-    // and silently applied as k mod 2N (with a duplicate cache entry).
-    EXPECT_THROW(evaluator.rotate(ct, two_n + k, rot_key),
-                 std::invalid_argument);
-
     const auto pre =
         evaluator.precomputeKeySwitch(rot_key, ct.limbs() - 1);
+
+    // Even indices are not ring automorphisms at all.
     EXPECT_THROW(evaluator.rotate(ct, 2, pre), std::invalid_argument);
+    EXPECT_THROW(evaluator.rotate(ct, 0, pre), std::invalid_argument);
+    // Indices >= 2N alias a smaller Galois element: previously accepted
+    // and silently applied as k mod 2N (with a duplicate cache entry).
     EXPECT_THROW(evaluator.rotate(ct, two_n + k, pre),
                  std::invalid_argument);
     EXPECT_NO_THROW(evaluator.rotate(ct, k, pre));
@@ -422,9 +426,11 @@ TEST_P(ScheduleMatch, EnumeratorPredictsEvaluatorKernels)
     const auto ca = enc.encrypt(encoder.encode(a, kScale, ctx.qCount()));
     const auto cb = enc.encrypt(encoder.encode(a, kScale, ctx.qCount()));
     const auto pt = encoder.encode(a, kScale, ctx.qCount());
-    const auto rlk = keygen.relinKey();
+    const auto rlk =
+        ev.precomputeKeySwitch(keygen.relinKey(), ctx.qCount() - 1);
     const u32 k = encoder.rotationAutomorphism(1);
-    const auto rot_key = keygen.rotationKey(k);
+    const auto rot_key =
+        ev.precomputeKeySwitch(keygen.rotationKey(k), ctx.qCount() - 1);
 
     log.clear();
     switch (op) {
@@ -506,19 +512,21 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
             const auto ct = ev.reduceToLimbs(fresh, level + 1);
             const auto pt = encoder.encode(randomSlots(4, 27, 0.5),
                                            kScale, level + 1);
+            const auto rlk_pre = ev.precomputeKeySwitch(rlk, level);
+            const auto rot_pre = ev.precomputeKeySwitch(rot_key, level);
             log.clear();
             switch (op) {
               case HeOp::Add:
                 (void)ev.add(ct, ct);
                 break;
               case HeOp::Mult:
-                (void)ev.multiply(ct, ct, rlk);
+                (void)ev.multiply(ct, ct, rlk_pre);
                 break;
               case HeOp::Rescale:
                 (void)ev.rescale(ct);
                 break;
               case HeOp::Rotate:
-                (void)ev.rotate(ct, k, rot_key);
+                (void)ev.rotate(ct, k, rot_pre);
                 break;
               case HeOp::RescaleMulti:
                 (void)ev.rescaleMulti(ct);
@@ -530,7 +538,7 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
                 (void)ev.multiplyPlain(ct, pt);
                 break;
               case HeOp::LinearTransform:
-                (void)ev.add(ct, ev.rotate(ct, k, rot_key));
+                (void)ev.add(ct, ev.rotate(ct, k, rot_pre));
                 break;
             }
 
@@ -549,6 +557,40 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
                     << predicted[i].limbs << "->"
                     << predicted[i].limbsOut << ")";
             }
+        }
+    }
+}
+
+// keySwitch alone, the core that benches probe directly: its own log
+// is enumerateKeySwitch at every level, as relinearisation's and
+// rotation's are inside their ops above.
+TEST(ScheduleMatchAllLevels, KeySwitchLogMatchesEnumeratorAtEveryLevel)
+{
+    CkksContext ctx(CkksParams::testSet(1 << 9, 6, 2));
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx, 103);
+    CkksEncryptor enc(ctx, keygen.publicKey(), 104);
+    KernelLog log;
+    CkksEvaluator ev(ctx, &log);
+    const auto rlk = keygen.relinKey();
+    const auto fresh = enc.encrypt(
+        encoder.encode(randomSlots(4, 28, 0.5), kScale, ctx.qCount()));
+
+    for (size_t level = 0; level < ctx.qCount(); ++level) {
+        const auto ct = ev.reduceToLimbs(fresh, level + 1);
+        const auto pre = ev.precomputeKeySwitch(rlk, level);
+        log.clear();
+        (void)ev.keySwitch(ct.c1, pre);
+        const auto predicted = enumerateKeySwitch(ctx.params(), level);
+        ASSERT_EQ(log.calls().size(), predicted.size()) << "level " << level;
+        for (size_t i = 0; i < predicted.size(); ++i) {
+            EXPECT_TRUE(log.calls()[i].sameShape(predicted[i]))
+                << "level " << level << " kernel " << i << ": got "
+                << kernelKindName(log.calls()[i].kind) << "("
+                << log.calls()[i].limbs << "->" << log.calls()[i].limbsOut
+                << "), want " << kernelKindName(predicted[i].kind) << "("
+                << predicted[i].limbs << "->" << predicted[i].limbsOut
+                << ")";
         }
     }
 }

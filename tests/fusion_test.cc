@@ -16,6 +16,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -95,7 +96,8 @@ class FusionFixture : public ::testing::Test
     }
 
     /** Sequential reference: item-by-item, stage-by-stage, threads=1,
-     *  using the one-shot SwitchKey paths (no cache involvement). */
+     *  each key switch on a precomp built for it (no cache
+     *  involvement). */
     CtVec
     sequentialPipeline(const CtVec &input, const CtVec &b,
                        const SwitchKey &rlk, u32 k,
@@ -106,9 +108,12 @@ class FusionFixture : public ::testing::Test
         CtVec out;
         out.reserve(input.size());
         for (size_t i = 0; i < input.size(); ++i) {
-            Ciphertext cur = ev.multiply(input[i], b[i], rlk);
+            const size_t limbs = std::min(input[i].limbs(), b[i].limbs());
+            Ciphertext cur = ev.multiply(
+                input[i], b[i], ev.precomputeKeySwitch(rlk, limbs - 1));
             cur = ev.rescale(cur);
-            cur = ev.rotate(cur, k, rot_key);
+            cur = ev.rotate(cur, k,
+                            ev.precomputeKeySwitch(rot_key, cur.limbs() - 1));
             out.push_back(cur);
         }
         return out;
@@ -240,8 +245,10 @@ TEST_F(FusionFixture, MixedLevelBatchMultiplyMatchesSequential)
     b[3] = ev.rescale(ev.rescale(b[3]));
 
     CtVec seq;
-    for (size_t i = 0; i < a.size(); ++i)
-        seq.push_back(ev.multiply(a[i], b[i], rlk));
+    for (size_t i = 0; i < a.size(); ++i) {
+        seq.push_back(ev.multiply(
+            a[i], b[i], ev.precomputeKeySwitch(rlk, a[i].limbs() - 1)));
+    }
 
     Pipeline mult;
     mult.multiply(b, rlk);
@@ -264,8 +271,10 @@ TEST_F(FusionFixture, MixedLevelBatchRotateMatchesSequential)
     a[2] = ev.rescale(ev.rescale(a[2]));
 
     CtVec seq;
-    for (size_t i = 0; i < a.size(); ++i)
-        seq.push_back(ev.rotate(a[i], k, rot_key));
+    for (size_t i = 0; i < a.size(); ++i) {
+        seq.push_back(ev.rotate(
+            a[i], k, ev.precomputeKeySwitch(rot_key, a[i].limbs() - 1)));
+    }
 
     Pipeline rot;
     rot.rotate(k, rot_key);
@@ -568,9 +577,10 @@ TEST_F(FusionFixture, ConcurrentApplicationThreadsShareCacheSafely)
 
     setGlobalThreadCount(1);
     CkksEvaluator ev(ctx);
+    const auto pre = ev.precomputeKeySwitch(rlk, ctx.qCount() - 1);
     CtVec seq;
     for (size_t i = 0; i < a.size(); ++i)
-        seq.push_back(ev.multiply(a[i], b[i], rlk));
+        seq.push_back(ev.multiply(a[i], b[i], pre));
 
     Pipeline mult;
     mult.multiply(b, rlk);
@@ -672,9 +682,10 @@ TEST_F(FusionFixture, ThrowingRunsReleaseTheirPrecomps)
 
     setGlobalThreadCount(1);
     CkksEvaluator ev(ctx);
+    const auto pre1 = ev.precomputeKeySwitch(key1, top);
     CtVec want1;
     for (const auto &ct : a)
-        want1.push_back(ev.rotate(ct, k1, key1));
+        want1.push_back(ev.rotate(ct, k1, pre1));
     CtVec off_scale = a;
     off_scale[1].scale *= 2; // item 1 cannot be added to a's
     CtVec drained = a;

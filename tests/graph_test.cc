@@ -23,6 +23,7 @@
 #include <atomic>
 #include <map>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -154,7 +155,8 @@ class GraphFixture : public ::testing::Test
                                bias.end());
         acc = ev.addPlain(acc, encoder.encodeReal(bias_packed, acc.scale,
                                                   acc.limbs()));
-        return ev.rescale(ev.multiply(acc, acc, rlk));
+        return ev.rescale(ev.multiply(
+            acc, acc, ev.precomputeKeySwitch(rlk, acc.limbs() - 1)));
     }
 
     /** The layer's W x by the diagonal method at replicate 2, per op:
@@ -179,7 +181,10 @@ class GraphFixture : public ::testing::Test
                 const u32 g = encoder.rotationAutomorphism(
                     static_cast<i64>(d));
                 term = ev.multiplyPlain(
-                    ev.rotate(ct, g, rot_keys.at(g)), pt);
+                    ev.rotate(ct, g,
+                              ev.precomputeKeySwitch(rot_keys.at(g),
+                                                     ct.limbs() - 1)),
+                    pt);
             }
             acc = d == 0 ? term : ev.add(acc, term);
         }
@@ -198,10 +203,12 @@ class GraphFixture : public ::testing::Test
         const auto pt_y =
             encoder.encodeReal(y_slots, kScale, ctx.qCount());
         auto yz = ev.rescale(ev.multiplyPlain(ct_z, pt_y));
-        auto yz2 = ev.rescale(ev.multiply(yz, yz, rlk));
+        auto yz2 = ev.rescale(ev.multiply(
+            yz, yz, ev.precomputeKeySwitch(rlk, yz.limbs() - 1)));
         auto yz_low = ev.reduceToLimbs(yz, yz2.limbs());
         yz_low.scale = yz.scale;
-        auto yz3 = ev.rescale(ev.multiply(yz2, yz_low, rlk));
+        auto yz3 = ev.rescale(ev.multiply(
+            yz2, yz_low, ev.precomputeKeySwitch(rlk, yz2.limbs() - 1)));
 
         auto lin = ev.rescale(ev.multiplyPlain(
             yz, encoder.encodeReal(std::vector<double>(samples, -0.197),
@@ -332,9 +339,17 @@ TEST_F(GraphFixture, DenseLayerBatchMatchesItsSequentialReference)
     const auto compiled =
         compileGraph(ctx, layer, layerOptions(rlk, rot_keys));
 
+    // The reference builds its own precomps, cold cache or warm: one
+    // that read the cache could not check run's caching.
+    auto &cache = ctx.keySwitchCache();
+    const auto cache_stats = [&cache] {
+        return std::make_tuple(cache.hits(), cache.misses(), cache.size());
+    };
     setGlobalThreadCount(1);
     KernelLog seq_log;
+    const auto cold = cache_stats();
     const auto seq = compiled->runSequential(&seq_log, {input});
+    EXPECT_EQ(cache_stats(), cold);
 
     for (u32 threads : {1u, testThreads()}) {
         setGlobalThreadCount(threads);
@@ -342,6 +357,43 @@ TEST_F(GraphFixture, DenseLayerBatchMatchesItsSequentialReference)
         const BatchEvaluator batch(ctx, &log);
         const auto outs = compiled->run(batch, {input});
         expectEqual(outs.at(0), seq.at(0));
+        expectSameLog(log, seq_log);
+    }
+
+    setGlobalThreadCount(1);
+    const auto warm = cache_stats();
+    EXPECT_GT(std::get<2>(warm), 0u);
+    expectEqual(compiled->runSequential(nullptr, {input}).at(0), seq.at(0));
+    EXPECT_EQ(cache_stats(), warm);
+}
+
+TEST_F(GraphFixture, MultiplyByALowerOperandMatchesSequential)
+{
+    // x * rescale(w * x): the Mult's second operand sits one level
+    // below its primary, so the stage key-switches at the lower level,
+    // in the run and in the sequential reference alike.
+    Graph g;
+    const auto x = g.input();
+    const auto low =
+        g.rescale(g.multiplyPlain(x, PlainOperand::base(dotWeights())));
+    g.multiply(x, low);
+    const auto rlk = keygen.relinKey();
+    CompileOptions opts;
+    opts.lowering.baseScale = kScale;
+    opts.relinKey = &rlk;
+    const auto compiled = compileGraph(ctx, g, opts);
+    ASSERT_EQ(compiled->ops().back().op, HeOp::Mult);
+    EXPECT_EQ(compiled->ops().back().level, ctx.qCount() - 2);
+
+    const auto input = encryptBatch(2, 17);
+    setGlobalThreadCount(1);
+    KernelLog seq_log;
+    const auto seq = compiled->runSequential(&seq_log, {input});
+    for (u32 threads : {1u, testThreads()}) {
+        setGlobalThreadCount(threads);
+        KernelLog log;
+        const BatchEvaluator batch(ctx, &log);
+        expectEqual(compiled->run(batch, {input}).at(0), seq.at(0));
         expectSameLog(log, seq_log);
     }
 }
@@ -740,13 +792,16 @@ TEST_F(GraphFixture, EveryScheduleSharesOneModUpPerFanIn)
     KernelLog ref_log;
     const CkksEvaluator ev(ctx, &ref_log);
     const auto pt = encoder.encodeReal(dotWeights(), kScale, ctx.qCount());
+    std::map<u32, KeySwitchPrecomp> pre;
+    for (const auto &[a, key] : rot_keys)
+        pre.emplace(a, ev.precomputeKeySwitch(key, ctx.qCount() - 1));
     CtVec want;
     for (const auto &ct : input) {
         const auto m = ev.multiplyPlain(ct, pt);
         Ciphertext acc = m;
         for (i64 step : {1, 2, 3}) {
             const u32 a = encoder.rotationAutomorphism(step);
-            acc = ev.add(acc, ev.rotate(m, a, rot_keys.at(a)));
+            acc = ev.add(acc, ev.rotate(m, a, pre.at(a)));
         }
         want.push_back(ev.rescale(acc));
     }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Randomized property tests for Halevi-Shoup hoisted rotations
- * (CkksEvaluator::rotateHoisted, the three-phase key-switch split and
- * the batch engine's LinearTransform stage): over a sweep of random
+ * Randomized property tests for Halevi-Shoup hoisted rotations (the
+ * shared decomposition of CkksEvaluator::hoistedModUp and the batch
+ * engine's LinearTransform stage): over a sweep of random
  * rotation-index fan-outs, weighted and unweighted terms, mixed
  * ciphertext levels, batch sizes and thread counts, the hoisted
  * fan-out must be bit-identical to the same rotations executed
@@ -18,7 +18,6 @@
 
 #include <algorithm>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -100,102 +99,34 @@ class HoistingFixture : public ::testing::Test
     std::map<u32, SwitchKey> keys;
 };
 
-TEST_F(HoistingFixture, RotateHoistedMatchesPerOpRotateBitIdentically)
+TEST_F(HoistingFixture, SharedDecompReusableAcrossTheWholeFanOut)
 {
-    // Random sweep: fan-out size, rotation steps and ciphertext level
-    // all vary per trial; every trial runs at 1 thread and at the CI
-    // shard's thread count. The per-op reference is computed once at
-    // 1 thread -- the hoisted outputs must match it bit for bit
-    // whatever the concurrency.
-    Rng rng(0x715ed);
+    // The decomposition is rotation-independent: applying it per
+    // branch (the LinearTransform stage's execution pattern) equals the
+    // scalar rotate, branch by branch, over random fan-outs of random
+    // steps at random levels.
+    Rng rng(0x7157);
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
     for (int trial = 0; trial < 6; ++trial) {
         const size_t fanout = rng.range(2, 5);
         std::vector<i64> steps;
         while (steps.size() < fanout) {
             const i64 s = static_cast<i64>(
                 rng.range(1, encoder.slotCount() - 1));
-            bool dup = false;
-            for (i64 t : steps)
-                dup |= t == s;
-            if (!dup)
+            if (std::find(steps.begin(), steps.end(), s) == steps.end())
                 steps.push_back(s);
         }
-
-        // Mixed levels: truncate the fresh ciphertext to a random limb
-        // count >= 2 (rotation needs at least one rescalable level).
         const size_t limbs = rng.range(2, ctx.qCount());
-        setGlobalThreadCount(1);
-        const CkksEvaluator plain_ev(ctx);
-        const Ciphertext ct =
-            plain_ev.reduceToLimbs(encryptRandom(rng), limbs);
-
-        std::vector<std::pair<u32, const SwitchKey *>> branches;
+        const Ciphertext ct = ev.reduceToLimbs(encryptRandom(rng), limbs);
+        const HoistedDecomp dec = ev.hoistedModUp(ct.c1);
         for (i64 s : steps) {
-            const SwitchKey &key = keyForStep(s);
-            branches.emplace_back(encoder.rotationAutomorphism(s), &key);
-        }
-
-        // Per-op reference: N independent rotations, no sharing.
-        KernelLog per_log;
-        std::vector<Ciphertext> want;
-        {
-            const CkksEvaluator ev(ctx, &per_log);
-            for (const auto &[g, key] : branches)
-                want.push_back(ev.rotate(ct, g, *key));
-        }
-        EXPECT_EQ(per_log.hoistedModUpSaves(), 0u)
-            << "independent rotations share nothing";
-
-        for (u32 threads : {1u, testThreads()}) {
-            setGlobalThreadCount(threads);
-            KernelLog hoist_log;
-            const CkksEvaluator ev(ctx, &hoist_log);
-            const auto got = ev.rotateHoisted(ct, branches);
-            ASSERT_EQ(got.size(), want.size());
-            for (size_t i = 0; i < got.size(); ++i)
-                expectBitIdentical(got[i], want[i], "branch output");
-
-            // Exactly fanout-1 ModUps elided: the INTT-launch delta
-            // against the per-op run equals the credited saves.
-            EXPECT_EQ(hoist_log.hoistedModUpSaves(), fanout - 1);
-            EXPECT_EQ(inttCount(per_log) - inttCount(hoist_log),
-                      fanout - 1)
-                << "trial " << trial << " threads " << threads;
+            const u32 g = encoder.rotationAutomorphism(s);
+            const auto pre = ev.precomputeKeySwitch(keyForStep(s), limbs - 1);
+            expectBitIdentical(ev.applyHoistedRotation(ct, dec, g, pre),
+                               ev.rotate(ct, g, pre), "shared decomp");
         }
     }
-}
-
-TEST_F(HoistingFixture, SharedDecompReusableAcrossTheWholeFanOut)
-{
-    // The decomposition is rotation-independent: applying it manually
-    // per branch (the batch engine's execution pattern) equals both
-    // rotateHoisted and the scalar rotate.
-    Rng rng(0x7157);
-    const Ciphertext ct = encryptRandom(rng);
-    const std::vector<i64> steps = {1, 3, 5};
-
-    setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
-    const HoistedDecomp dec = ev.hoistedModUp(ct.c1);
-    for (i64 s : steps) {
-        const u32 g = encoder.rotationAutomorphism(s);
-        const SwitchKey &key = keyForStep(s);
-        const auto via_decomp = ev.applyHoistedRotation(ct, dec, g, key);
-        const auto via_rotate = ev.rotate(ct, g, key);
-        expectBitIdentical(via_decomp, via_rotate, "manual decomp");
-    }
-}
-
-TEST_F(HoistingFixture, RotateHoistedRejectsMisuse)
-{
-    Rng rng(0x7158);
-    const Ciphertext ct = encryptRandom(rng);
-    setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
-    EXPECT_THROW((void)ev.rotateHoisted(ct, {}), std::invalid_argument);
-    EXPECT_THROW((void)ev.rotateHoisted(
-                     ct, {{encoder.rotationAutomorphism(1), nullptr}}),
-                 std::invalid_argument);
 }
 
 TEST_F(HoistingFixture, LinearTransformStageMatchesPerOpLoopBitIdentically)
@@ -259,7 +190,9 @@ TEST_F(HoistingFixture, LinearTransformStageMatchesPerOpLoopBitIdentically)
                 Ciphertext acc = weighted ? ev.multiplyPlain(ct, pts[0])
                                           : ct;
                 for (size_t b = 0; b < terms; ++b) {
-                    Ciphertext t = ev.rotate(ct, idx[b], *key[b]);
+                    Ciphertext t = ev.rotate(
+                        ct, idx[b],
+                        ev.precomputeKeySwitch(*key[b], ct.limbs() - 1));
                     if (weighted)
                         t = ev.multiplyPlain(t, pts[b + 1]);
                     acc = ev.add(acc, t);

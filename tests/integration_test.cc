@@ -67,7 +67,8 @@ TEST_F(PipelineFixture, MultiplyAtReducedLevels)
     // Repeatedly square and rescale while the scale budget lasts
     // (Delta = 2^26 vs 28-bit primes loses ~2 bits per level).
     while (ct.limbs() > 4) {
-        ct = evaluator.rescale(evaluator.multiply(ct, ct, rlk));
+        ct = evaluator.rescale(evaluator.multiply(
+            ct, ct, evaluator.precomputeKeySwitch(rlk, ct.limbs() - 1)));
         for (auto &e : expect)
             e *= e;
     }
@@ -83,9 +84,11 @@ TEST_F(PipelineFixture, RotateAfterRescale)
     const auto rot_key = keygen.rotationKey(k);
     const auto a = randomSlots(2, 0.8);
     auto ct = encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
-    ct = evaluator.rescale(evaluator.multiply(ct, ct, rlk));
+    ct = evaluator.rescale(evaluator.multiply(
+        ct, ct, evaluator.precomputeKeySwitch(rlk, ct.limbs() - 1)));
     // Rotation now happens with fewer limbs (and fewer digits).
-    const auto rot = evaluator.rotate(ct, k, rot_key);
+    const auto rot = evaluator.rotate(
+        ct, k, evaluator.precomputeKeySwitch(rot_key, ct.limbs() - 1));
     const auto decoded = encoder.decode(decryptor.decrypt(rot));
     const size_t half = encoder.slotCount();
     for (size_t i = 0; i < 8; ++i) {
@@ -110,7 +113,8 @@ TEST_F(PipelineFixture, RotateAccumulateInnerProduct)
     for (size_t step = w / 2; step >= 1; step /= 2) {
         const u32 k =
             encoder.rotationAutomorphism(static_cast<i64>(step));
-        const auto key = keygen.rotationKey(k);
+        const auto key = evaluator.precomputeKeySwitch(keygen.rotationKey(k),
+                                                       ct.limbs() - 1);
         ct = evaluator.add(ct, evaluator.rotate(ct, k, key));
     }
     const auto decoded = encoder.decode(decryptor.decrypt(ct));
@@ -176,8 +180,9 @@ TEST_F(PipelineFixture, ScheduleMatchesAtEveryLevel)
     const auto a = randomSlots(7, 0.5);
     auto ct = encryptor.encrypt(encoder.encode(a, kScale, ctx.qCount()));
     while (ct.limbs() > 2) {
+        const auto pre = ev.precomputeKeySwitch(rlk, ct.limbs() - 1);
         log.clear();
-        const auto prod = ev.multiply(ct, ct, rlk);
+        const auto prod = ev.multiply(ct, ct, pre);
         const auto predicted =
             enumerateKernels(HeOp::Mult, ctx.params(), ct.limbs() - 1);
         ASSERT_EQ(log.calls().size(), predicted.size())
@@ -202,7 +207,8 @@ TEST(DoubleRescaling, ParamsAndEvaluator)
     CkksEncryptor enc(ctx, keygen.publicKey(), 10);
     CkksDecryptor dec(ctx, keygen.secretKey());
     CkksEvaluator ev(ctx);
-    const auto rlk = keygen.relinKey();
+    const auto rlk =
+        ev.precomputeKeySwitch(keygen.relinKey(), ctx.qCount() - 1);
 
     Rng rng(11);
     std::vector<Complex> a(encoder.slotCount());
