@@ -141,6 +141,11 @@ dispatchSweep(bench::Reporter &rep)
     const nt::SimdIsa prev = nt::activeSimdIsa();
     constexpr int kIters = 100;
     constexpr int kRounds = 30;
+    // Rounds after the first stop once the sweep has run this long. An
+    // optimized build finishes all kRounds in well under a second; a
+    // Debug or sanitized build spends seconds on one sample, and its
+    // ratios are not host-speed figures anyway.
+    constexpr double kMaxSeconds = 10;
     // One sample: ns per NTT over kIters back-to-back transforms.
     const auto sample = [&](nt::SimdIsa isa) {
         nt::setSimdIsa(isa);
@@ -156,12 +161,16 @@ dispatchSweep(bench::Reporter &rep)
     // back). Best-of keeps the undisturbed per-path speed; the
     // interleaving makes load on a shared host land on every path's
     // samples alike instead of on one path's whole block of rounds.
+    const WallTimer sweep;
     for (auto isa : isas)
         (void)sample(isa);
     std::vector<double> best_ns(isas.size(), 1e30);
-    for (int round = 0; round < kRounds; ++round)
+    for (int round = 0; round < kRounds; ++round) {
         for (size_t p = 0; p < isas.size(); ++p)
             best_ns[p] = std::min(best_ns[p], sample(isas[p]));
+        if (sweep.seconds() > kMaxSeconds)
+            break;
+    }
     nt::setSimdIsa(prev);
 
     TablePrinter t("SIMD dispatch sweep: radix-2 forward NTT, N = 2^12");

@@ -165,15 +165,16 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     // Walk every item's (limb count, scale) through the stages to
     // discover the exact set of (key, level) precomps the pipeline
     // needs, fetch each from the context's residency cache up front
-    // (sequential prefetch: the parallel region below only reads),
-    // warm the shared automorphism maps, and fail fast on malformed
-    // operands -- level/scale-mismatched plaintext operands, short rhs
-    // batches, drained modulus chains -- before any parallel work
-    // starts. The run owns every fetched precomp until it returns, so
-    // an eviction by a concurrent run, invalidate() or clear() cannot
-    // free one an item still reads. The scale walk replays the
-    // evaluator's exact floating-point updates, so its checks accept
-    // precisely the batches the per-item execution would accept.
+    // (sequential prefetch), and fail fast on malformed operands --
+    // level/scale-mismatched plaintext operands, short rhs batches,
+    // drained modulus chains -- before any parallel work starts. (The
+    // basis conversions are built with the context, and the ring fills
+    // its automorphism maps under its own lock on first use.) The run
+    // owns every fetched precomp until it returns, so an eviction by a
+    // concurrent run, invalidate() or clear() cannot free one an item
+    // still reads. The scale walk replays the evaluator's exact
+    // floating-point updates, so its checks accept precisely the
+    // batches the per-item execution would accept.
     //
     // pre[s][i] owns the precomps item i uses at stage s: the
     // Mult/Rotate key's, one per LinearTransform branch, or none.
@@ -248,8 +249,6 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                         "BatchEvaluator::run: rotate stage has no "
                         "rotation key");
             checkAutomorphismIndex(ctx_, st.autoIdx);
-            if (count > 0)
-                (void)ctx_.ring().evalAutoMap(st.autoIdx);
             for (size_t i = 0; i < count; ++i) {
                 requireThat(ctx_.activeDigits(limbs[i] - 1) <=
                                 st.key->digits.size(),
@@ -311,10 +310,6 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                         "scales do not match");
                 }
                 scale[i] = acc_scale;
-            }
-            for (const auto &br : st.branches) {
-                if (count > 0)
-                    (void)ctx_.ring().evalAutoMap(br.autoIdx);
             }
             break;
           }

@@ -8,12 +8,13 @@
  * keys) across many ciphertexts (Fig. 11b). BatchEvaluator is the
  * functional mirror of the simulator's batching model
  * (tpu::runBatched's fixedUs / paramBytes split): every per-operator
- * precomputation -- the KeySwitchPrecomp operands, the warm basis
- * conversion caches, the automorphism index maps -- is built at most
- * once per context via the context's KeySwitchCache and shared by all
- * items. The items are spread over the global thread pool
- * (common/parallel.h), the library's only parallel work; the kernels
- * inside an item run as plain limb loops on the thread that runs it.
+ * precomputation -- the KeySwitchPrecomp operands via the context's
+ * KeySwitchCache, the basis conversions with the context itself, the
+ * automorphism index maps in the ring -- is built at most once per
+ * context and shared by all items. The items are spread over the
+ * global thread pool (common/parallel.h), the library's only parallel
+ * work; the kernels inside an item run as plain limb loops on the
+ * thread that runs it.
  *
  * The one entry point is run(CtVec, Pipeline). It amortises on two
  * axes at once:

@@ -1,5 +1,7 @@
 #include "ckks/context.h"
 
+#include <utility>
+
 #include "common/check.h"
 #include "nt/modops.h"
 #include "nt/primes.h"
@@ -45,6 +47,25 @@ CkksContext::CkksContext(CkksParams params) : params_(params)
             qInvModQ_[l][i] =
                 nt::invMod(qModulus(l) % qModulus(i), qModulus(i));
     }
+
+    // ModUp of digit j at level l: the digit's moduli to the rest of
+    // q_0..q_l and P. ModDown at level l: P to q_0..q_l.
+    const rns::RnsBasis p_basis(p_moduli);
+    const auto q = q_moduli.begin();
+    for (size_t l = 0; l < qCount(); ++l) {
+        modDownConv_.emplace_back(
+            p_basis, rns::RnsBasis(std::vector<u64>(q, q + l + 1)));
+        auto &ups = modUpConv_.emplace_back();
+        for (size_t j = 0; j < activeDigits(l); ++j) {
+            const auto [first, last] = digitRange(j, l);
+            std::vector<u64> to(q, q + first);
+            to.insert(to.end(), q + last, q + l + 1);
+            to.insert(to.end(), p_moduli.begin(), p_moduli.end());
+            ups.emplace_back(
+                rns::RnsBasis(std::vector<u64>(q + first, q + last)),
+                rns::RnsBasis(std::move(to)));
+        }
+    }
 }
 
 u64
@@ -85,47 +106,13 @@ CkksContext::extendedSlots(size_t level) const
 const rns::BasisConversion &
 CkksContext::modUpConv(size_t j, size_t level) const
 {
-    // unique_ptr map values are address-stable, so returned references
-    // survive the lock; the fill itself is serialised.
-    std::lock_guard<std::mutex> lock(convCacheMutex_);
-    const auto key = std::make_pair(j, level);
-    auto it = modUpCache_.find(key);
-    if (it != modUpCache_.end())
-        return *it->second;
-
-    const auto [first, last] = digitRange(j, level);
-    std::vector<u64> from;
-    for (size_t i = first; i < last; ++i)
-        from.push_back(qModulus(i));
-    std::vector<u64> to;
-    for (size_t i = 0; i <= level; ++i) {
-        if (i < first || i >= last)
-            to.push_back(qModulus(i));
-    }
-    for (size_t jj = 0; jj < pCount(); ++jj)
-        to.push_back(pModulus(jj));
-
-    auto conv = std::make_unique<rns::BasisConversion>(rns::RnsBasis(from),
-                                                       rns::RnsBasis(to));
-    return *modUpCache_.emplace(key, std::move(conv)).first->second;
+    return modUpConv_.at(level).at(j);
 }
 
 const rns::BasisConversion &
 CkksContext::modDownConv(size_t level) const
 {
-    std::lock_guard<std::mutex> lock(convCacheMutex_);
-    auto it = modDownCache_.find(level);
-    if (it != modDownCache_.end())
-        return *it->second;
-    std::vector<u64> from;
-    for (size_t j = 0; j < pCount(); ++j)
-        from.push_back(pModulus(j));
-    std::vector<u64> to;
-    for (size_t i = 0; i <= level; ++i)
-        to.push_back(qModulus(i));
-    auto conv = std::make_unique<rns::BasisConversion>(rns::RnsBasis(from),
-                                                       rns::RnsBasis(to));
-    return *modDownCache_.emplace(level, std::move(conv)).first->second;
+    return modDownConv_.at(level);
 }
 
 } // namespace cross::ckks

@@ -1,13 +1,11 @@
 /**
  * @file
- * CKKS context: ring over Q u P, key-switching digit layout, cached basis
- * conversions and the P-related constants of ModDown.
+ * CKKS context: ring over Q u P, key-switching digit layout, the basis
+ * conversions of ModUp and ModDown and the P-related constants of ModDown.
  */
 #pragma once
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "ckks/keyswitch_cache.h"
@@ -61,12 +59,17 @@ class CkksContext
 
     /**
      * ModUp conversion for digit @p j at @p level: from the digit's
-     * moduli to the complement q-moduli + all p-moduli. Cached;
-     * thread-safe (parallel batch items share the cache).
+     * moduli to the complement q-moduli + all p-moduli. Every one is
+     * built by the constructor, so lookups are read-only.
+     * @throws std::out_of_range unless level < qCount() and
+     *         j < activeDigits(level).
      */
     const rns::BasisConversion &modUpConv(size_t j, size_t level) const;
 
-    /** ModDown conversion at @p level: from P basis to q_0..q_level. */
+    /**
+     * ModDown conversion at @p level: from P basis to q_0..q_level.
+     * @throws std::out_of_range unless level < qCount().
+     */
     const rns::BasisConversion &modDownConv(size_t level) const;
 
     /** Rescale conversion from q_l to q_0..q_{l-1} handled inline (exact
@@ -87,12 +90,9 @@ class CkksContext
     std::vector<u64> pInvModQ_;
     // qInvModQ_[l][i] = q_l^-1 mod q_i
     std::vector<std::vector<u64>> qInvModQ_;
-    mutable std::mutex convCacheMutex_;
-    mutable std::map<std::pair<size_t, size_t>,
-                     std::unique_ptr<rns::BasisConversion>>
-        modUpCache_;
-    mutable std::map<size_t, std::unique_ptr<rns::BasisConversion>>
-        modDownCache_;
+    // modUpConv_[level][j] and modDownConv_[level].
+    std::vector<std::vector<rns::BasisConversion>> modUpConv_;
+    std::vector<rns::BasisConversion> modDownConv_;
     mutable KeySwitchCache ksCache_;
 };
 

@@ -311,11 +311,7 @@ CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
         pre.keys.emplace_back(
             swk.digits[j].first.selectSlots(pre.extSlots),
             swk.digits[j].second.selectSlots(pre.extSlots));
-        // Warm the conversion cache so parallel batch items hit only
-        // read paths.
-        (void)ctx_.modUpConv(j, level);
     }
-    (void)ctx_.modDownConv(level);
     return pre;
 }
 

@@ -162,8 +162,8 @@ class CkksEvaluator
 
     /**
      * Build the batch-reusable operands of keySwitch at @p level: the
-     * extended slot list, the key digits restricted to it, and a warm
-     * ModUp/ModDown conversion cache. Uncached: every call builds, so
+     * extended slot list and the key digits restricted to it (the
+     * context holds the conversions). Uncached: every call builds, so
      * a one-off key switch or a reference run leaves the context's
      * KeySwitchCache untouched.
      */

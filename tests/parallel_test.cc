@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for the parallel execution layer: the work-stealing-free
- * thread pool, parallelFor, kernel results that do not depend on the
- * pool size, and the BatchEvaluator's conformance contract -- batched
- * parallel results and the merged KernelLog must be bit-identical to a
- * sequential run, and a batch of one never waits for the pool.
+ * Tests for the parallel execution layer: parallelFor's static split,
+ * its one job slot shared by application threads, inline nested calls,
+ * exceptions and refused resizes; kernel results that do not depend on
+ * the pool size; and the BatchEvaluator's conformance contract --
+ * batched parallel results and the merged KernelLog must be
+ * bit-identical to a sequential run, and a batch of one never waits
+ * for the pool.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job can run this suite with real concurrency: every assertion
@@ -49,34 +51,8 @@ struct ThreadGuard
 };
 
 // ---------------------------------------------------------------------
-// ThreadPool / parallelFor
+// parallelFor
 // ---------------------------------------------------------------------
-TEST(ThreadPool, RunsEveryPartExactlyOnce)
-{
-    ThreadPool pool(4);
-    std::vector<std::atomic<int>> hits(4);
-    for (auto &h : hits)
-        h = 0;
-    pool.run(4, [&](u32 p) { ++hits[p]; });
-    for (const auto &h : hits)
-        EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, PropagatesExceptions)
-{
-    ThreadPool pool(3);
-    EXPECT_THROW(pool.run(3,
-                          [&](u32 p) {
-                              if (p == 2)
-                                  throw std::runtime_error("boom");
-                          }),
-                 std::runtime_error);
-    // The pool must survive a failed job.
-    std::atomic<int> count{0};
-    pool.run(3, [&](u32) { ++count; });
-    EXPECT_EQ(count.load(), 3);
-}
-
 TEST(ParallelFor, CoversRangeExactlyOnce)
 {
     ThreadGuard guard(testThreads());
@@ -88,20 +64,75 @@ TEST(ParallelFor, CoversRangeExactlyOnce)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelFor, ChunksAreContiguousAndDisjoint)
+TEST(ParallelFor, PropagatesExceptions)
 {
-    ThreadGuard guard(testThreads());
-    std::vector<int> owner(257, -1);
-    std::atomic<int> next_chunk{0};
-    parallelForRange(0, owner.size(), [&](size_t lo, size_t hi) {
-        const int id = next_chunk++;
-        for (size_t i = lo; i < hi; ++i) {
-            EXPECT_EQ(owner[i], -1);
-            owner[i] = id;
+    const u32 threads = std::max(2u, testThreads());
+    ThreadGuard guard(threads);
+    const size_t range = static_cast<size_t>(threads) * 3;
+    // The last item belongs to the last part, which a worker runs.
+    EXPECT_THROW(parallelFor(0, range,
+                             [&](size_t i) {
+                                 if (i == range - 1)
+                                     throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+    // The pool survives a failed job.
+    std::vector<std::atomic<int>> hits(range);
+    for (auto &h : hits)
+        h = 0;
+    parallelFor(0, range, [&](size_t i) { ++hits[i]; });
+    for (const auto &h : hits)
+        EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, EachThreadRunsOneContiguousPart)
+{
+    const u32 threads = std::max(2u, testThreads());
+    ThreadGuard guard(threads);
+    std::vector<std::thread::id> owner(257);
+    parallelFor(0, owner.size(),
+                [&](size_t i) { owner[i] = std::this_thread::get_id(); });
+    // Part p of min(threads, n) covers [p*n/parts, (p+1)*n/parts) on
+    // one thread, the caller runs part 0, and no thread runs two parts,
+    // so each thread's items are one contiguous run.
+    const size_t n = owner.size();
+    const size_t parts = std::min<size_t>(threads, n);
+    EXPECT_EQ(owner[0], std::this_thread::get_id());
+    std::vector<std::thread::id> seen;
+    for (size_t p = 0; p < parts; ++p) {
+        const size_t lo = n * p / parts;
+        const size_t hi = n * (p + 1) / parts;
+        for (size_t i = lo; i < hi; ++i)
+            EXPECT_EQ(owner[i], owner[lo]) << "item " << i;
+        EXPECT_EQ(std::count(seen.begin(), seen.end(), owner[lo]), 0)
+            << "part " << p;
+        seen.push_back(owner[lo]);
+    }
+}
+
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirRange)
+{
+    // Two application threads share the one job slot: each call runs
+    // whole, every item of its own range exactly once, no deadlock.
+    ThreadGuard guard(std::max(2u, testThreads()));
+    constexpr int kCalls = 300;
+    constexpr size_t kRange = 37;
+    std::atomic<int> bad{0};
+    const auto caller = [&] {
+        std::vector<int> hits(kRange);
+        for (int c = 0; c < kCalls; ++c) {
+            std::fill(hits.begin(), hits.end(), 0);
+            parallelFor(0, kRange, [&](size_t i) { ++hits[i]; });
+            if (std::count(hits.begin(), hits.end(), 1) !=
+                static_cast<std::ptrdiff_t>(kRange))
+                ++bad;
         }
-    });
-    for (int o : owner)
-        EXPECT_NE(o, -1);
+    };
+    std::thread a(caller);
+    std::thread b(caller);
+    a.join();
+    b.join();
+    EXPECT_EQ(bad.load(), 0);
 }
 
 TEST(ParallelFor, NestedCallsExecuteInline)
