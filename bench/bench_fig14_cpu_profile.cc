@@ -5,8 +5,13 @@
  * backend -- the counterpart of the paper's OpenFHE profiling that
  * motivates NTT/INTT/BConv/VecMod* as the kernels worth accelerating.
  *
- * This is a real measurement, not the simulator.
+ * This is a real measurement, not the simulator. It also records the
+ * minor page faults each operator takes per call in steady state
+ * (fig14/minor_faults): memory an operator frees and the allocator
+ * hands back to the kernel is faulted in again by the next call.
  */
+#include <sys/resource.h>
+
 #include <iostream>
 #include <map>
 
@@ -44,6 +49,15 @@ aggregate(const KernelLog &log)
         by[key] += c.seconds;
     }
     return by;
+}
+
+/** Minor page faults this process has taken so far. */
+long
+minorFaults()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
 }
 
 } // namespace
@@ -88,15 +102,23 @@ main(int argc, char **argv)
         const char *name;
         std::map<std::string, double> by;
         double total;
+        double faultsPerCall;
     };
     std::vector<OpRun> runs;
 
+    // One warm-up call per operator outside the profiled reps, so
+    // first-use costs (lazily built maps, the heap's first growth) stay
+    // out of both the kernel profile and the fault count.
     constexpr int kReps = 3; // profiled repetitions per operator
     auto profile = [&](const char *name, auto &&fn) {
+        fn();
         log.clear();
+        const long faults = minorFaults();
         for (int iter = 0; iter < kReps; ++iter)
             fn();
-        OpRun r{name, aggregate(log), log.totalSeconds()};
+        const double per_call =
+            static_cast<double>(minorFaults() - faults) / kReps;
+        OpRun r{name, aggregate(log), log.totalSeconds(), per_call};
         runs.push_back(std::move(r));
     };
 
@@ -146,8 +168,18 @@ main(int argc, char **argv)
         // Per-operator wall time, averaged over the profiled reps.
         rep.add("fig14/operator", {{"op", r.name}},
                 r.total / kReps * 1e9);
+        rep.add("fig14/minor_faults", {{"op", r.name}}, 0.0,
+                r.faultsPerCall);
     }
     t.print(std::cout);
+
+    TablePrinter f("Minor page faults per operator call (steady state, "
+                   "mean of the profiled reps)");
+    f.header({"Operator", "faults / call"});
+    for (const auto &r : runs)
+        f.row({r.name, fmtF(r.faultsPerCall, 1)});
+    std::cout << "\n";
+    f.print(std::cout);
 
     std::cout << "\nPaper (OpenFHE on Ryzen 9 5950X): NTT+INTT+BConv "
                  "account for 45-86% of operator latency across CKKS/BFV "

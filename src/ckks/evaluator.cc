@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <string>
 #include <tuple>
 
@@ -77,9 +78,9 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
     r.c0.mulPointwiseInPlace(b.c0);         // a0*b0
     r.c2 = aa.c1;
     r.c2.mulPointwiseInPlace(b.c1);         // a1*b1
-    r.c1 = aa.c0;
+    r.c1 = std::move(aa.c0);
     r.c1.mulPointwiseInPlace(b.c1);         // a0*b1
-    RnsPoly t10 = aa.c1;
+    RnsPoly t10 = std::move(aa.c1);
     t10.mulPointwiseInPlace(b.c0);          // a1*b0
     logCall(KernelKind::VecModMul, static_cast<u32>(4 * limbs), 0,
             t.seconds());
@@ -215,28 +216,25 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     requireThat(pre.level == dec.level,
                 "applyHoistedRotation: precomp level does not match "
                 "decomposition");
-    const size_t d = dec.digits.size();
-    const size_t ext = dec.extSlots.size();
 
-    // Permute the shared decomposition (and c0) into rotated position:
-    // the eval-domain automorphism is a pure slot permutation, so it
-    // commutes with the basis extension and one launch covers all
-    // digits plus c0.
-    WallTimer t;
-    std::vector<RnsPoly> rotated;
-    rotated.reserve(d);
-    for (const auto &digit : dec.digits)
-        rotated.push_back(digit.automorphism(auto_idx));
-    RnsPoly r0 = ct.c0.automorphism(auto_idx);
-    logCall(KernelKind::Automorphism,
-            static_cast<u32>(d * ext + ct.limbs()), 0, t.seconds());
-
+    // The eval-domain automorphism is a pure slot permutation, so it
+    // commutes with the basis extension: the inner product gathers
+    // each digit limb through the map as it streams, and the closing
+    // add gathers c0 the same way. No rotated copy is built.
+    const auto &map = ctx_.ring().evalAutoMap(auto_idx);
     Ciphertext out;
-    std::tie(out.c0, out.c1) = innerProductModDown(std::move(rotated), pre);
-    WallTimer t2;
-    out.c0.addInPlace(r0);
+    std::tie(out.c0, out.c1) = innerProductModDown(dec.digits, pre, &map);
+    WallTimer t;
+    const size_t n = ctx_.degree();
+    for (size_t i = 0; i < ct.limbs(); ++i) {
+        const u64 q = ctx_.qModulus(i);
+        u32 *dst = out.c0.limb(i).data();
+        const u32 *src = ct.c0.limb(i).data();
+        for (size_t m = 0; m < n; ++m)
+            dst[m] = static_cast<u32>(nt::addMod(dst[m], src[map[m]], q));
+    }
     logCall(KernelKind::VecModAdd, static_cast<u32>(ct.limbs()), 0,
-            t2.seconds());
+            t.seconds());
     out.scale = ct.scale;
     return out;
 }
@@ -375,33 +373,65 @@ CkksEvaluator::keySwitch(const RnsPoly &c,
 }
 
 std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::innerProductModDown(std::vector<RnsPoly> digits,
-                                   const KeySwitchPrecomp &pre) const
+CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
+                                   const KeySwitchPrecomp &pre,
+                                   const std::vector<u32> *auto_map) const
 {
     const size_t d = digits.size();
     const size_t ext = pre.extSlots.size();
+    const size_t n = ctx_.degree();
     internalCheck(pre.keys.size() == d, "keySwitch: digit count mismatch");
+    for (const auto &digit : digits)
+        internalCheck(digit.slots() == pre.extSlots,
+                      "keySwitch: digit basis mismatch");
 
-    // Digit j times the key's b half goes through one reused scratch
-    // polynomial, and times its a half overwrites the digit, so the
-    // shared key operands are read in place. The products and the
-    // accumulation log as one launch each, as the schedule prices them.
+    // Limb by limb: digit j's limb (gathered through auto_map when
+    // rotating) times both halves of pre.keys[j], added into the limb's
+    // accumulators while they are hot. The digits and keys are read in
+    // place; the gathered limb and the two products live in one
+    // scratch allocated per call. The gathers, the products and the
+    // sums log as one launch each, as the schedule prices them.
     RnsPoly acc0(ctx_.ring(), pre.extSlots, true);
     RnsPoly acc1(ctx_.ring(), pre.extSlots, true);
-    RnsPoly prod;
+    const auto scratch = std::make_unique_for_overwrite<u32[]>(2 * n);
+    u32 *const prod0 = scratch.get();
+    u32 *const prod1 = scratch.get() + n;
+    const u32 *const map = auto_map ? auto_map->data() : nullptr;
+    double gather_s = 0.0;
     double mul_s = 0.0;
     double add_s = 0.0;
-    for (size_t j = 0; j < d; ++j) {
-        WallTimer tm;
-        prod = digits[j];
-        prod.mulPointwiseInPlace(pre.keys[j].first);
-        digits[j].mulPointwiseInPlace(pre.keys[j].second);
-        mul_s += tm.seconds();
-        WallTimer ta;
-        acc0.addInPlace(prod);
-        acc1.addInPlace(digits[j]);
-        add_s += ta.seconds();
+    WallTimer t;
+    for (size_t i = 0; i < ext; ++i) {
+        const u32 slot = pre.extSlots[i];
+        const auto &mont = ctx_.ring().basis().mont(slot);
+        const u32 q = static_cast<u32>(ctx_.ring().modulus(slot));
+        u32 *const a0 = acc0.limb(i).data();
+        u32 *const a1 = acc1.limb(i).data();
+        for (size_t j = 0; j < d; ++j) {
+            const u32 *src = digits[j].limb(i).data();
+            if (map) {
+                // prod1 holds the gathered limb until its own product
+                // overwrites it in place.
+                for (size_t m = 0; m < n; ++m)
+                    prod1[m] = src[map[m]];
+                src = prod1;
+                gather_s += t.lap();
+            }
+            nt::mulMontVec(prod0, src, pre.keys[j].first.limb(i).data(), n,
+                           mont);
+            nt::mulMontVec(prod1, src, pre.keys[j].second.limb(i).data(),
+                           n, mont);
+            mul_s += t.lap();
+            nt::addModVec(a0, a0, prod0, n, q);
+            nt::addModVec(a1, a1, prod1, n, q);
+            add_s += t.lap();
+        }
     }
+    // A rotation's closing add gathers c0's limbs: they count here with
+    // the digits', and their time goes to that add.
+    if (map)
+        logCall(KernelKind::Automorphism,
+                static_cast<u32>(d * ext + pre.level + 1), 0, gather_s);
     logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0, mul_s);
     logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, add_s);
     return {modDownPhase(acc0, pre.level), modDownPhase(acc1, pre.level)};
@@ -428,22 +458,16 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
         const auto [first, last] = ctx_.digitRange(j, level);
         const auto &conv = ctx_.modUpConv(j, level);
 
-        // ModUp: convert the digit to the complement + P basis.
-        WallTimer tb;
-        rns::LimbMatrix in(last - first);
+        // The extended-basis digit polynomial in eval domain: its digit
+        // limbs are c's own (already NTT'd); ModUp converts c_coeff's
+        // digit limbs straight into the others, which are then NTT'd in
+        // place.
+        RnsPoly &up = digits.emplace_back(ctx_.ring(), ext_slots, true);
+        std::vector<const u32 *> in;
         for (size_t i = first; i < last; ++i)
-            in[i - first] = c_coeff.limb(i);
-        rns::LimbMatrix out;
-        conv.apply(in, out);
-        logCall(KernelKind::BConv, static_cast<u32>(last - first),
-                static_cast<u32>(out.size()), tb.seconds());
-
-        // Assemble the extended-basis digit polynomial in eval domain:
-        // digit limbs come straight from c (already NTT'd), converted
-        // limbs are transformed after the assignment pass.
-        RnsPoly up(ctx_.ring(), ext_slots, true);
+            in.push_back(c_coeff.limb(i).data());
         std::vector<size_t> conv_limbs;
-        size_t conv_pos = 0;
+        std::vector<u32 *> out;
         for (size_t pos = 0; pos < ext; ++pos) {
             const u32 ring_idx = ext_slots[pos];
             const bool in_digit =
@@ -452,62 +476,70 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
             if (in_digit) {
                 up.limb(pos) = c.limb(ring_idx);
             } else {
-                up.limb(pos) = std::move(out[conv_pos++]);
                 conv_limbs.push_back(pos);
+                out.push_back(up.limb(pos).data());
             }
         }
-        internalCheck(conv_pos == out.size(), "keySwitch: modup mismatch");
+        internalCheck(in.size() == conv.from().size() &&
+                          out.size() == conv.to().size(),
+                      "keySwitch: modup mismatch");
+
+        WallTimer tb;
+        conv.convert(in.data(), out.data(), ctx_.degree());
+        logCall(KernelKind::BConv, static_cast<u32>(in.size()),
+                static_cast<u32>(out.size()), tb.seconds());
+
         WallTimer tn;
         for (size_t pos : conv_limbs)
             poly::forwardInPlace(up.limb(pos).data(),
                                  ctx_.ring().tables(ext_slots[pos]));
         logCall(KernelKind::Ntt, static_cast<u32>(conv_limbs.size()), 0,
                 tn.seconds());
-        digits.push_back(std::move(up));
     }
     return digits;
 }
 
 RnsPoly
-CkksEvaluator::modDownPhase(const RnsPoly &acc, size_t level) const
+CkksEvaluator::modDownPhase(RnsPoly &acc, size_t level) const
 {
-    // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1.
+    // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1, each result limb
+    // written by the conversion, NTT'd in place and folded in place.
     const auto &conv = ctx_.modDownConv(level);
+    const size_t n = ctx_.degree();
 
-    WallTimer ti2;
-    rns::LimbMatrix p_part(ctx_.pCount());
+    WallTimer ti;
+    std::vector<const u32 *> p_part(ctx_.pCount());
     for (size_t jj = 0; jj < ctx_.pCount(); ++jj) {
-        p_part[jj] = acc.limb(level + 1 + jj);
-        poly::inverseInPlace(p_part[jj].data(),
-                             ctx_.ring().tables(ctx_.pSlot(jj)));
+        u32 *limb = acc.limb(level + 1 + jj).data();
+        poly::inverseInPlace(limb, ctx_.ring().tables(ctx_.pSlot(jj)));
+        p_part[jj] = limb;
     }
     logCall(KernelKind::Intt, static_cast<u32>(ctx_.pCount()), 0,
-            ti2.seconds());
+            ti.seconds());
 
-    WallTimer tb2;
-    rns::LimbMatrix conv_out;
-    conv.apply(p_part, conv_out);
+    RnsPoly res(ctx_.ring(), level + 1, true);
+    std::vector<u32 *> q_part(level + 1);
+    for (size_t i = 0; i <= level; ++i)
+        q_part[i] = res.limb(i).data();
+    WallTimer tb;
+    conv.convert(p_part.data(), q_part.data(), n);
     logCall(KernelKind::BConv, static_cast<u32>(ctx_.pCount()),
-            static_cast<u32>(level + 1), tb2.seconds());
+            static_cast<u32>(level + 1), tb.seconds());
 
-    WallTimer tn2;
-    RnsPoly conv_q(ctx_.ring(), level + 1, true);
-    for (size_t i = 0; i <= level; ++i) {
-        conv_q.limb(i) = std::move(conv_out[i]);
-        poly::forwardInPlace(conv_q.limb(i).data(), ctx_.ring().tables(i));
-    }
-    logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0,
-            tn2.seconds());
+    WallTimer tn;
+    for (size_t i = 0; i <= level; ++i)
+        poly::forwardInPlace(q_part[i], ctx_.ring().tables(i));
+    logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0, tn.seconds());
 
     WallTimer tv;
-    RnsPoly res(ctx_.ring(), level + 1, true);
-    for (size_t i = 0; i <= level; ++i)
-        res.limb(i) = acc.limb(i);
-    res.subInPlace(conv_q);
-    std::vector<u64> pinv(level + 1);
-    for (size_t i = 0; i <= level; ++i)
-        pinv[i] = ctx_.pInvModQ(i);
-    res.mulScalarPerLimbInPlace(pinv);
+    for (size_t i = 0; i <= level; ++i) {
+        const u32 q = static_cast<u32>(ctx_.qModulus(i));
+        nt::subModVec(q_part[i], acc.limb(i).data(), q_part[i], n, q);
+        nt::mulShoupVec(q_part[i], q_part[i],
+                        nt::shoupPrecompute(
+                            static_cast<u32>(ctx_.pInvModQ(i) % q), q),
+                        n, q);
+    }
     logCall(KernelKind::VecModSub, static_cast<u32>(level + 1), 0, 0.0);
     logCall(KernelKind::VecModMulConst, static_cast<u32>(level + 1), 0,
             tv.seconds());

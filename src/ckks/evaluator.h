@@ -64,8 +64,9 @@ ckksScalesMatch(double a, double b)
  * decomposition lifted to the extended basis (Q + complement + P), in
  * eval domain. Halevi-Shoup hoisting computes this once per input and
  * amortises it across a whole rotation fan-out -- the eval-domain
- * automorphism is a pure slot permutation, so each rotation permutes
- * the decomposed digits instead of re-running ModUp.
+ * automorphism is a pure slot permutation, so each rotation gathers
+ * the decomposed digits through it inside its inner product instead
+ * of re-running ModUp.
  */
 struct HoistedDecomp
 {
@@ -125,11 +126,13 @@ class CkksEvaluator
     HoistedDecomp hoistedModUp(const poly::RnsPoly &c1) const;
 
     /**
-     * Phases 2+3 against a shared decomposition: permute the
-     * decomposed digits (and c0) by @p auto_idx, inner-product with
-     * the rotation key's digits, ModDown, and fold c0 -- one rotation
-     * of the fan-out. Bit-identical to rotate(ct, auto_idx, pre) and
-     * only valid when @p dec came from hoistedModUp(ct.c1).
+     * Phases 2+3 against a shared decomposition: inner-product the
+     * decomposed digits, permuted by @p auto_idx, with the rotation
+     * key's digits, ModDown, and fold in c0 permuted the same way --
+     * one rotation of the fan-out. The permutation is a gather inside
+     * those loops; no rotated digit or c0 is built, and @p dec is only
+     * read. Bit-identical to rotate(ct, auto_idx, pre) and only valid
+     * when @p dec came from hoistedModUp(ct.c1).
      */
     Ciphertext applyHoistedRotation(const Ciphertext &ct,
                                     const HoistedDecomp &dec, u32 auto_idx,
@@ -197,16 +200,23 @@ class CkksEvaluator
 
     /**
      * Phases 2+3 shared by keySwitch and applyHoistedRotation: the
-     * inner product of the extended-basis @p digits (consumed) with
-     * pre.keys, read in place, then ModDown of both accumulators.
+     * inner product of the extended-basis @p digits with pre.keys,
+     * streamed limb by limb with both read in place, then ModDown of
+     * both accumulators. With @p auto_map (Ring::evalAutoMap of a
+     * rotation) each digit limb is gathered through the map first, and
+     * an Automorphism entry covering the digits and the caller's c0
+     * fold is logged ahead of the products.
      */
     std::pair<poly::RnsPoly, poly::RnsPoly>
-    innerProductModDown(std::vector<poly::RnsPoly> digits,
-                        const KeySwitchPrecomp &pre) const;
+    innerProductModDown(const std::vector<poly::RnsPoly> &digits,
+                        const KeySwitchPrecomp &pre,
+                        const std::vector<u32> *auto_map = nullptr) const;
 
-    /** ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level. */
-    poly::RnsPoly modDownPhase(const poly::RnsPoly &acc,
-                               size_t level) const;
+    /**
+     * ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level.
+     * acc's P limbs are left in coefficient form.
+     */
+    poly::RnsPoly modDownPhase(poly::RnsPoly &acc, size_t level) const;
 
     void logCall(KernelKind kind, u32 limbs, u32 limbs_out,
                  double seconds) const;

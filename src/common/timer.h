@@ -28,6 +28,19 @@ class WallTimer
     /** Elapsed microseconds. */
     double micros() const { return seconds() * 1e6; }
 
+    /**
+     * Elapsed seconds, restarting the stopwatch on the same clock read:
+     * consecutive laps split one span into back-to-back phases.
+     */
+    double
+    lap()
+    {
+        const clock::time_point now = clock::now();
+        const double s = std::chrono::duration<double>(now - start_).count();
+        start_ = now;
+        return s;
+    }
+
   private:
     using clock = std::chrono::steady_clock;
     clock::time_point start_;

@@ -1,6 +1,7 @@
 #include "rns/bconv.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/bitops.h"
 #include "common/check.h"
@@ -36,54 +37,133 @@ BasisConversion::BasisConversion(const RnsBasis &from, const RnsBasis &to)
     reduceEvery_ = std::max<size_t>(1, size_t{1} << std::min(slack, 20u));
 }
 
+namespace {
+
+/**
+ * Coefficients per block of convert: one block's step-1 outputs and u64
+ * sums stay in L1 while step 2 reads them once per target limb, and
+ * the scratch stays a few KiB whatever the degree.
+ */
+constexpr size_t kBlock = 512;
+
+/** Pointers to the limbs of @p m, each checked to hold @p n entries. */
+std::vector<const u32 *>
+limbPointers(const LimbMatrix &m, size_t n, const char *ragged)
+{
+    std::vector<const u32 *> ptrs;
+    ptrs.reserve(m.size());
+    for (const auto &limb : m) {
+        requireThat(limb.size() == n, ragged);
+        ptrs.push_back(limb.data());
+    }
+    return ptrs;
+}
+
+/**
+ * Shape @p m as @p rows limbs of @p n entries and return pointers to
+ * them. A matrix that already has that shape keeps its storage as is:
+ * the caller overwrites every entry.
+ */
+std::vector<u32 *>
+shapeLimbs(LimbMatrix &m, size_t rows, size_t n)
+{
+    m.resize(rows);
+    std::vector<u32 *> ptrs;
+    ptrs.reserve(rows);
+    for (auto &limb : m) {
+        limb.resize(n);
+        ptrs.push_back(limb.data());
+    }
+    return ptrs;
+}
+
+} // namespace
+
+void
+BasisConversion::scaleLimbs(const u32 *const *in, u32 *const *b,
+                            size_t n) const
+{
+    for (size_t i = 0; i < from_.size(); ++i)
+        nt::mulShoupVec(b[i], in[i], qHatInvShoup_[i], n,
+                        static_cast<u32>(from_.modulus(i)));
+}
+
+void
+BasisConversion::accumulateLimbs(const u32 *const *b, u32 *const *out,
+                                 size_t n, u64 *acc) const
+{
+    // The (N, L, L') MatModMul, one target limb j at a time: accumulate
+    // the n coefficients through the dispatched vector lanes, folding
+    // the u64 accumulator every reduceEvery_ source limbs.
+    for (size_t j = 0; j < to_.size(); ++j) {
+        const auto &bar = to_.barrett(j);
+        std::fill_n(acc, n, 0);
+        size_t window = 0;
+        for (size_t i = 0; i < from_.size(); ++i) {
+            nt::accumMulVec(acc, b[i], table_[i][j], n);
+            if (++window == reduceEvery_) {
+                nt::reduceWideInPlaceVec(acc, n, bar);
+                window = 0;
+            }
+        }
+        nt::reduceWideVec(out[j], acc, n, bar);
+    }
+}
+
+void
+BasisConversion::convert(const u32 *const *in, u32 *const *out,
+                         size_t n) const
+{
+    // Both steps one coefficient block at a time; every coefficient's
+    // sum is independent of the others, so the result does not depend
+    // on the blocking.
+    const size_t k = from_.size();
+    const size_t block = std::min(n, kBlock);
+    const auto b_store = std::make_unique_for_overwrite<u32[]>(k * block);
+    const auto acc = std::make_unique_for_overwrite<u64[]>(block);
+    std::vector<u32 *> b(k);
+    for (size_t i = 0; i < k; ++i)
+        b[i] = b_store.get() + i * block;
+    std::vector<const u32 *> src(k);
+    std::vector<u32 *> dst(to_.size());
+    for (size_t off = 0; off < n; off += block) {
+        const size_t len = std::min(block, n - off);
+        for (size_t i = 0; i < k; ++i)
+            src[i] = in[i] + off;
+        for (size_t j = 0; j < to_.size(); ++j)
+            dst[j] = out[j] + off;
+        scaleLimbs(src.data(), b.data(), len);
+        accumulateLimbs(b.data(), dst.data(), len, acc.get());
+    }
+}
+
 void
 BasisConversion::step1(const LimbMatrix &in, LimbMatrix &out) const
 {
     requireThat(in.size() == from_.size(), "BConv step1: limb count");
-    out.resize(in.size());
-    const size_t n_coef = in.empty() ? 0 : in[0].size();
-    for (size_t i = 0; i < in.size(); ++i) {
-        requireThat(in[i].size() == n_coef, "BConv step1: ragged limbs");
-        out[i].resize(n_coef);
-        nt::mulShoupVec(out[i].data(), in[i].data(), qHatInvShoup_[i],
-                        n_coef, static_cast<u32>(from_.modulus(i)));
-    }
+    const size_t n = in.empty() ? 0 : in[0].size();
+    const auto src = limbPointers(in, n, "BConv step1: ragged limbs");
+    scaleLimbs(src.data(), shapeLimbs(out, in.size(), n).data(), n);
 }
 
 void
 BasisConversion::step2(const LimbMatrix &b, LimbMatrix &out) const
 {
     requireThat(b.size() == from_.size(), "BConv step2: limb count");
-    const size_t n_coef = b.empty() ? 0 : b[0].size();
-    for (const auto &limb : b)
-        requireThat(limb.size() == n_coef, "BConv step2: ragged limbs");
-    out.assign(to_.size(), std::vector<u32>(n_coef, 0));
-
-    // The (N, L, L') MatModMul, one target limb j at a time: accumulate
-    // the whole limb through the dispatched vector lanes, folding the
-    // u64 accumulator every reduceEvery_ source limbs.
-    std::vector<u64> acc(n_coef);
-    for (size_t j = 0; j < to_.size(); ++j) {
-        const auto &bar = to_.barrett(j);
-        std::fill(acc.begin(), acc.end(), 0);
-        size_t window = 0;
-        for (size_t i = 0; i < from_.size(); ++i) {
-            nt::accumMulVec(acc.data(), b[i].data(), table_[i][j], n_coef);
-            if (++window == reduceEvery_) {
-                nt::reduceWideInPlaceVec(acc.data(), n_coef, bar);
-                window = 0;
-            }
-        }
-        nt::reduceWideVec(out[j].data(), acc.data(), n_coef, bar);
-    }
+    const size_t n = b.empty() ? 0 : b[0].size();
+    const auto src = limbPointers(b, n, "BConv step2: ragged limbs");
+    const auto acc = std::make_unique_for_overwrite<u64[]>(n);
+    accumulateLimbs(src.data(), shapeLimbs(out, to_.size(), n).data(), n,
+                    acc.get());
 }
 
 void
 BasisConversion::apply(const LimbMatrix &in, LimbMatrix &out) const
 {
-    LimbMatrix b;
-    step1(in, b);
-    step2(b, out);
+    requireThat(in.size() == from_.size(), "BConv step1: limb count");
+    const size_t n = in.empty() ? 0 : in[0].size();
+    const auto src = limbPointers(in, n, "BConv step1: ragged limbs");
+    convert(src.data(), shapeLimbs(out, to_.size(), n).data(), n);
 }
 
 } // namespace cross::rns

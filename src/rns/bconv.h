@@ -14,6 +14,12 @@
  * This is the standard *approximate* conversion: the result represents
  * x + alpha*Q (mod p_j) for some 0 <= alpha < L, which HE schemes absorb
  * into noise. Tests verify exactness of the computed sum against BigUInt.
+ *
+ * The arithmetic lives in one body over limb pointers (convert), so a
+ * caller converts between limbs it already owns -- the key switch reads
+ * a digit's limbs in place and writes the converted limbs straight into
+ * the extended-basis polynomial. The LimbMatrix forms check shapes and
+ * forward to it.
  */
 #pragma once
 
@@ -37,16 +43,27 @@ class BasisConversion
     const RnsBasis &to() const { return to_; }
 
     /**
-     * Step 1: b_i = a_i * qHatInv_i mod q_i (per-limb VecModMul). Both
-     * steps throw std::invalid_argument on a wrong limb count or on
-     * limbs of unequal length.
+     * The conversion body: reads from().size() limbs through @p in and
+     * writes to().size() limbs through @p out, @p n coefficients each.
+     * Both steps run one block of coefficients at a time through a few
+     * KiB of scratch allocated per call, and each output limb is
+     * written once, so @p out may point into a polynomial's limbs.
+     */
+    void convert(const u32 *const *in, u32 *const *out, size_t n) const;
+
+    /**
+     * Step 1 alone: b_i = a_i * qHatInv_i mod q_i (per-limb VecModMul),
+     * convert's first half. The three LimbMatrix forms throw
+     * std::invalid_argument on a wrong limb count or on limbs of
+     * unequal length, size @p out to its shape (reusing its storage)
+     * and forward to convert's halves.
      */
     void step1(const LimbMatrix &in, LimbMatrix &out) const;
 
-    /** Step 2: c_j = sum_i b_i * [Q/q_i]_{p_j} mod p_j. */
+    /** Step 2 alone: c_j = sum_i b_i * [Q/q_i]_{p_j} mod p_j. */
     void step2(const LimbMatrix &b, LimbMatrix &out) const;
 
-    /** Both steps. Output gets shape [to.size()][N]. */
+    /** Both steps (convert). Output gets shape [to.size()][N]. */
     void apply(const LimbMatrix &in, LimbMatrix &out) const;
 
     /** Step-2 parameter matrix entry [Q/q_i]_{p_j}; fed to BAT offline. */
@@ -59,6 +76,11 @@ class BasisConversion
     size_t reduceEvery() const { return reduceEvery_; }
 
   private:
+    /** convert's halves, over limb pointers; @p acc is n u64 of scratch. */
+    void scaleLimbs(const u32 *const *in, u32 *const *b, size_t n) const;
+    void accumulateLimbs(const u32 *const *b, u32 *const *out, size_t n,
+                         u64 *acc) const;
+
     RnsBasis from_;
     RnsBasis to_;
     // table_[i][j] = [Q/q_i]_{p_j}

@@ -10,6 +10,12 @@
  * (observed as the INTT-launch delta and as
  * KernelLog::hoistedModUpSaves).
  *
+ * A textbook key switch built from public pieces (LimbMatrix BConv,
+ * RnsPoly::automorphism, pointwise products and sums, ModDown by hand)
+ * pins keySwitch, rotate, the hoisted fan-out and multiply bit for bit
+ * at every level, so a gather or accumulation slip in the streamed
+ * inner product cannot hide behind comparisons that all run it.
+ *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L hoisting) exercise the shared
  * decomposition under real concurrency.
@@ -18,6 +24,9 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ckks/batch_evaluator.h"
@@ -31,13 +40,121 @@
 #include "ckks/schedule.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "poly/ntt_ct.h"
+#include "rns/bconv.h"
 
 #include "test_util.h"
 
 namespace cross::ckks {
 namespace {
 
+using poly::RnsPoly;
 using testutil::testThreads;
+
+/**
+ * The hybrid key switch of @p c against @p pre, step by step from
+ * public pieces and with a fresh polynomial per step: ModUp through the
+ * LimbMatrix BConv, each extended digit permuted by @p auto_idx with
+ * RnsPoly::automorphism (index 1 is the identity), the inner product
+ * as pointwise products and sums, and ModDown through modDownConv and
+ * pInvModQ.
+ */
+std::pair<RnsPoly, RnsPoly>
+textbookKeySwitch(const CkksContext &ctx, const RnsPoly &c,
+                  const KeySwitchPrecomp &pre, u32 auto_idx)
+{
+    const auto &ring = ctx.ring();
+    const size_t level = c.limbCount() - 1;
+    RnsPoly c_coeff = c;
+    c_coeff.toCoeff();
+
+    RnsPoly acc0(ring, pre.extSlots, true);
+    RnsPoly acc1(ring, pre.extSlots, true);
+    for (size_t j = 0; j < ctx.activeDigits(level); ++j) {
+        const auto [first, last] = ctx.digitRange(j, level);
+        rns::LimbMatrix in;
+        for (size_t i = first; i < last; ++i)
+            in.push_back(c_coeff.limb(i));
+        rns::LimbMatrix converted;
+        ctx.modUpConv(j, level).apply(in, converted);
+        RnsPoly up(ring, pre.extSlots, true);
+        size_t k = 0;
+        for (size_t pos = 0; pos < pre.extSlots.size(); ++pos) {
+            const u32 slot = pre.extSlots[pos];
+            if (slot >= first && slot < last) {
+                up.limb(pos) = c.limb(slot);
+            } else {
+                up.limb(pos) = converted[k++];
+                poly::forwardInPlace(up.limb(pos).data(), ring.tables(slot));
+            }
+        }
+        const RnsPoly digit = up.automorphism(auto_idx);
+        RnsPoly p0 = digit;
+        p0.mulPointwiseInPlace(pre.keys[j].first);
+        acc0.addInPlace(p0);
+        RnsPoly p1 = digit;
+        p1.mulPointwiseInPlace(pre.keys[j].second);
+        acc1.addInPlace(p1);
+    }
+
+    const auto mod_down = [&](const RnsPoly &acc) {
+        rns::LimbMatrix p_part;
+        for (size_t jj = 0; jj < ctx.pCount(); ++jj) {
+            p_part.push_back(acc.limb(level + 1 + jj));
+            poly::inverseInPlace(p_part.back().data(),
+                                 ring.tables(ctx.pSlot(jj)));
+        }
+        rns::LimbMatrix converted;
+        ctx.modDownConv(level).apply(p_part, converted);
+        RnsPoly conv(ring, level + 1, true);
+        RnsPoly res(ring, level + 1, true);
+        std::vector<u64> p_inv;
+        for (size_t i = 0; i <= level; ++i) {
+            conv.limb(i) = converted[i];
+            poly::forwardInPlace(conv.limb(i).data(), ring.tables(i));
+            res.limb(i) = acc.limb(i);
+            p_inv.push_back(ctx.pInvModQ(i));
+        }
+        res.subInPlace(conv);
+        res.mulScalarPerLimbInPlace(p_inv);
+        return res;
+    };
+    return {mod_down(acc0), mod_down(acc1)};
+}
+
+/** Rotation by @p auto_idx from the textbook key switch of c1. */
+Ciphertext
+textbookRotate(const CkksContext &ctx, const Ciphertext &ct, u32 auto_idx,
+               const KeySwitchPrecomp &pre)
+{
+    Ciphertext r;
+    std::tie(r.c0, r.c1) = textbookKeySwitch(ctx, ct.c1, pre, auto_idx);
+    r.c0.addInPlace(ct.c0.automorphism(auto_idx));
+    r.scale = ct.scale;
+    return r;
+}
+
+/** Tensor product of same-level @p a and @p b, relinearised. */
+Ciphertext
+textbookMultiply(const CkksContext &ctx, const Ciphertext &a,
+                 const Ciphertext &b, const KeySwitchPrecomp &pre)
+{
+    const auto product = [](const RnsPoly &x, const RnsPoly &y) {
+        RnsPoly p = x;
+        p.mulPointwiseInPlace(y);
+        return p;
+    };
+    Ciphertext r;
+    r.c0 = product(a.c0, b.c0);
+    r.c1 = product(a.c0, b.c1);
+    r.c1.addInPlace(product(a.c1, b.c0));
+    const auto [k0, k1] =
+        textbookKeySwitch(ctx, product(a.c1, b.c1), pre, 1);
+    r.c0.addInPlace(k0);
+    r.c1.addInPlace(k1);
+    r.scale = a.scale * b.scale;
+    return r;
+}
 
 class HoistingFixture : public ::testing::Test
 {
@@ -126,6 +243,54 @@ TEST_F(HoistingFixture, SharedDecompReusableAcrossTheWholeFanOut)
             expectBitIdentical(ev.applyHoistedRotation(ct, dec, g, pre),
                                ev.rotate(ct, g, pre), "shared decomp");
         }
+    }
+}
+
+TEST_F(HoistingFixture, KeySwitchMatchesTextbookReferenceBitForBit)
+{
+    // At every level of the 6-limb, dnum-2 context (levels 3 and 4 end
+    // in a partial digit): keySwitch, multiply, rotate, a hoisted
+    // fan-out of three over one shared decomposition and the
+    // conjugation each equal the textbook steps.
+    Rng rng(0x7e47);
+    setGlobalThreadCount(1);
+    const CkksEvaluator ev(ctx);
+    const SwitchKey relin = keygen.relinKey();
+    const u32 conj = encoder.conjugationAutomorphism();
+    ASSERT_EQ(conj, 2 * ctx.degree() - 1);
+    const SwitchKey conj_key = keygen.rotationKey(conj);
+    for (size_t limbs = 1; limbs <= ctx.qCount(); ++limbs) {
+        const size_t level = limbs - 1;
+        SCOPED_TRACE("level " + std::to_string(level));
+        const Ciphertext a = ev.reduceToLimbs(encryptRandom(rng), limbs);
+        const Ciphertext b = ev.reduceToLimbs(encryptRandom(rng), limbs);
+        const auto relin_pre = ev.precomputeKeySwitch(relin, level);
+
+        const auto [k0, k1] = ev.keySwitch(a.c1, relin_pre);
+        const auto [r0, r1] = textbookKeySwitch(ctx, a.c1, relin_pre, 1);
+        EXPECT_TRUE(k0 == r0) << "keySwitch c0";
+        EXPECT_TRUE(k1 == r1) << "keySwitch c1";
+
+        expectBitIdentical(ev.multiply(a, b, relin_pre),
+                           textbookMultiply(ctx, a, b, relin_pre),
+                           "multiply");
+
+        const HoistedDecomp dec = ev.hoistedModUp(a.c1);
+        for (i64 step : {1, 3, 7}) {
+            const u32 g = encoder.rotationAutomorphism(step);
+            const auto pre = ev.precomputeKeySwitch(keyForStep(step), level);
+            const Ciphertext ref = textbookRotate(ctx, a, g, pre);
+            expectBitIdentical(ev.rotate(a, g, pre), ref, "rotate");
+            expectBitIdentical(ev.applyHoistedRotation(a, dec, g, pre), ref,
+                               "hoisted branch");
+        }
+
+        const auto conj_pre = ev.precomputeKeySwitch(conj_key, level);
+        const Ciphertext conj_ref = textbookRotate(ctx, a, conj, conj_pre);
+        expectBitIdentical(ev.rotate(a, conj, conj_pre), conj_ref,
+                           "conjugation");
+        expectBitIdentical(ev.applyHoistedRotation(a, dec, conj, conj_pre),
+                           conj_ref, "hoisted conjugation");
     }
 }
 

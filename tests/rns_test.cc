@@ -109,7 +109,9 @@ TEST_P(BConvTest, ExactAgainstBigUInt)
     RnsBasis from(from_m), to(to_m);
     BasisConversion conv(from, to);
 
-    const size_t n = 64;
+    // More than two of convert's coefficient blocks plus a tail, so
+    // apply's blocked body is checked against the whole-limb halves.
+    const size_t n = 1100;
     Rng rng(l_in * 100 + l_out);
     LimbMatrix in(from.size());
     for (size_t i = 0; i < from.size(); ++i) {
@@ -118,10 +120,12 @@ TEST_P(BConvTest, ExactAgainstBigUInt)
             x = static_cast<u32>(rng.uniform(from.modulus(i)));
     }
 
-    LimbMatrix b, out;
+    LimbMatrix b, out, fused;
     conv.step1(in, b);
     conv.step2(b, out);
     ASSERT_EQ(out.size(), to.size());
+    conv.apply(in, fused);
+    EXPECT_EQ(fused, out);
 
     for (size_t coef = 0; coef < n; ++coef) {
         // Ground truth: v = sum_i b_i * qHat_i exactly.

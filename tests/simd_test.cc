@@ -19,6 +19,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -106,7 +107,9 @@ TEST(SimdDispatch, SetRejectsUnavailableIsa)
 
 TEST(SimdDispatch, SetThrowsUnderActiveParallelFor)
 {
-    ThreadGuard guard(testThreads());
+    // At one thread parallelFor runs the body inline, outside any pool
+    // job, so the guard needs at least two.
+    ThreadGuard guard(std::max(2u, testThreads()));
     const auto before = nt::activeSimdIsa();
     // Switching the kernel tables while a parallel kernel may be
     // mid-flight must fail loudly instead of racing.
