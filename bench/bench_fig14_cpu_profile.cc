@@ -8,12 +8,17 @@
  * This is a real measurement, not the simulator. It also records the
  * minor page faults each operator takes per call in steady state
  * (fig14/minor_faults): memory an operator frees and the allocator
- * hands back to the kernel is faulted in again by the next call.
+ * hands back to the kernel is faulted in again by the next call. Limbs
+ * recycle through a per-thread free list, so a CKKS operator should
+ * take next to none; fig14/ckks_minor_faults_max, the largest CKKS
+ * row, is banded in bench/fidelity_tolerance.json.
  */
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <iostream>
 #include <map>
+#include <string>
 
 #include "bench_util.h"
 #include "bfv/bfv.h"
@@ -156,7 +161,10 @@ main(int argc, char **argv)
         hdr.push_back(c);
     hdr.push_back("total ms");
     t.header(hdr);
+    double ckks_faults_max = 0.0;
     for (const auto &r : runs) {
+        if (std::string(r.name).starts_with("(CKKS)"))
+            ckks_faults_max = std::max(ckks_faults_max, r.faultsPerCall);
         std::vector<std::string> row = {r.name};
         for (const auto *c : cats) {
             const auto it = r.by.find(c);
@@ -171,6 +179,7 @@ main(int argc, char **argv)
         rep.add("fig14/minor_faults", {{"op", r.name}}, 0.0,
                 r.faultsPerCall);
     }
+    rep.add("fig14/ckks_minor_faults_max", {}, 0.0, ckks_faults_max);
     t.print(std::cout);
 
     TablePrinter f("Minor page faults per operator call (steady state, "

@@ -4,7 +4,9 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "nt/modops.h"
+#include "nt/modvec.h"
 #include "nt/primes.h"
+#include "poly/limb_pool.h"
 #include "poly/ntt_ct.h"
 
 namespace cross::bfv {
@@ -59,6 +61,16 @@ BfvContext::BfvContext(BfvParams params)
 
     qToB_ = std::make_unique<rns::BasisConversion>(qBasis_,
                                                    rns::RnsBasis(b_moduli));
+    if (params_.limbs > 1) {
+        for (size_t i = 0; i < params_.limbs; ++i) {
+            std::vector<u64> to;
+            for (size_t j = 0; j < params_.limbs; ++j)
+                if (j != i)
+                    to.push_back(q_moduli[j]);
+            digitConv_.emplace_back(rns::RnsBasis({q_moduli[i]}),
+                                    rns::RnsBasis(std::move(to)));
+        }
+    }
 }
 
 BfvPlaintext
@@ -256,24 +268,25 @@ modUpToQb(const BfvContext &ctx, const RnsPoly &c, ckks::KernelLog *log)
     if (log)
         log->add(KernelKind::Intt, n, static_cast<u32>(l), 0, ti.seconds());
 
-    WallTimer tb;
-    rns::LimbMatrix in(l), out;
+    // The conversion writes the B limbs of up directly.
+    RnsPoly up(ctx.ring(), full, true);
+    std::vector<const u32 *> in(l);
+    std::vector<u32 *> out(ctx.bCount());
     for (size_t i = 0; i < l; ++i)
-        in[i] = coeff.limb(i);
-    ctx.qToB().apply(in, out);
+        in[i] = coeff.limb(i).data();
+    for (size_t j = 0; j < ctx.bCount(); ++j)
+        out[j] = up.limb(l + j).data();
+    WallTimer tb;
+    ctx.qToB().convert(in.data(), out.data(), n);
     if (log)
         log->add(KernelKind::BConv, n, static_cast<u32>(l),
                  static_cast<u32>(ctx.bCount()), tb.seconds());
 
     WallTimer tn;
-    RnsPoly up(ctx.ring(), full, true);
     for (size_t i = 0; i < l; ++i)
         up.limb(i) = c.limb(i); // already in eval domain
-    for (size_t j = 0; j < ctx.bCount(); ++j) {
-        up.limb(l + j) = std::move(out[j]);
-        poly::forwardInPlace(up.limb(l + j).data(),
-                             ctx.ring().tables(l + j));
-    }
+    for (size_t j = 0; j < ctx.bCount(); ++j)
+        poly::forwardInPlace(out[j], ctx.ring().tables(l + j));
     if (log)
         log->add(KernelKind::Ntt, n, static_cast<u32>(ctx.bCount()), 0,
                  tn.seconds());
@@ -368,6 +381,9 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
 {
     requireThat(c.isEval(), "BFV keySwitch: input must be in eval domain");
     const size_t l = c.limbCount();
+    requireThat(l == ctx_.qCount() && l > 1,
+                "BFV keySwitch: input must span the whole Q basis of at "
+                "least two limbs");
     requireThat(swk.digits.size() >= l, "BFV keySwitch: missing digits");
     const u32 n = ctx_.degree();
 
@@ -376,53 +392,55 @@ BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
     c_coeff.toCoeff();
     logCall(KernelKind::Intt, static_cast<u32>(l), 0, ti.seconds());
 
+    // Digit i: limb i exact (c's own, read in place), converted into the
+    // other limbs of one reused polynomial and NTT'd there. Each limb is
+    // then multiplied by the key digit's two halves, read in place, and
+    // added into the accumulators through two scratch limbs.
     RnsPoly acc0(ctx_.ring(), l, true);
     RnsPoly acc1(ctx_.ring(), l, true);
+    RnsPoly up = RnsPoly::forOverwrite(ctx_.ring(), c.slots(), true);
+    std::vector<u32> prod0 = poly::takeLimb(n, false);
+    std::vector<u32> prod1 = poly::takeLimb(n, false);
+    std::vector<u32 *> out;
     for (size_t i = 0; i < l; ++i) {
-        // Digit i: limb i exact, converted to the other q limbs.
-        WallTimer tb;
-        std::vector<u64> from = {ctx_.ring().modulus(i)};
-        std::vector<u64> to;
+        out.clear();
         for (size_t j = 0; j < l; ++j)
             if (j != i)
-                to.push_back(ctx_.ring().modulus(j));
-        rns::BasisConversion conv{rns::RnsBasis(from), rns::RnsBasis(to)};
-        rns::LimbMatrix in = {c_coeff.limb(i)}, out;
-        conv.apply(in, out);
-        logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1),
-                tb.seconds());
+                out.push_back(up.limb(j).data());
+        const u32 *in = c_coeff.limb(i).data();
+        WallTimer t;
+        ctx_.digitConv(i).convert(&in, out.data(), n);
+        logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1), t.lap());
 
-        WallTimer tn;
-        RnsPoly up(ctx_.ring(), l, true);
-        size_t pos = 0;
-        for (size_t j = 0; j < l; ++j) {
-            if (j == i) {
-                up.limb(j) = c.limb(i);
-            } else {
-                up.limb(j) = std::move(out[pos++]);
+        for (size_t j = 0; j < l; ++j)
+            if (j != i)
                 poly::forwardInPlace(up.limb(j).data(),
                                      ctx_.ring().tables(j));
-            }
-        }
-        logCall(KernelKind::Ntt, static_cast<u32>(l - 1), 0, tn.seconds());
+        logCall(KernelKind::Ntt, static_cast<u32>(l - 1), 0, t.lap());
 
-        WallTimer tmul;
-        RnsPoly kb = swk.digits[i].first;
-        kb.truncateLimbs(l);
-        RnsPoly ka = swk.digits[i].second;
-        ka.truncateLimbs(l);
-        kb.mulPointwiseInPlace(up);
-        ka.mulPointwiseInPlace(up);
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * l), 0,
-                tmul.seconds());
-        WallTimer tadd;
-        acc0.addInPlace(kb);
-        acc1.addInPlace(ka);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0,
-                tadd.seconds());
+        const auto &[kb, ka] = swk.digits[i];
+        double mul_s = 0.0;
+        double add_s = 0.0;
+        for (size_t j = 0; j < l; ++j) {
+            const u32 q = static_cast<u32>(ctx_.ring().modulus(j));
+            const u32 *u = j == i ? c.limb(i).data() : up.limb(j).data();
+            nt::mulMontVec(prod0.data(), kb.limb(j).data(), u, n,
+                           ctx_.ring().basis().mont(j));
+            nt::mulMontVec(prod1.data(), ka.limb(j).data(), u, n,
+                           ctx_.ring().basis().mont(j));
+            mul_s += t.lap();
+            nt::addModVec(acc0.limb(j).data(), acc0.limb(j).data(),
+                          prod0.data(), n, q);
+            nt::addModVec(acc1.limb(j).data(), acc1.limb(j).data(),
+                          prod1.data(), n, q);
+            add_s += t.lap();
+        }
+        logCall(KernelKind::VecModMul, static_cast<u32>(2 * l), 0, mul_s);
+        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0, add_s);
     }
-    (void)n;
-    return {acc0, acc1};
+    poly::releaseLimb(std::move(prod0), n);
+    poly::releaseLimb(std::move(prod1), n);
+    return {std::move(acc0), std::move(acc1)};
 }
 
 BfvCiphertext

@@ -71,6 +71,13 @@ class BfvContext
     /** Q -> B conversion (multiplication ModUp). */
     const rns::BasisConversion &qToB() const { return *qToB_; }
 
+    /** Key-switch digit @p i's conversion: q_i to the other q limbs
+     *  (built with the context; none for a one-limb Q). */
+    const rns::BasisConversion &digitConv(size_t i) const
+    {
+        return digitConv_.at(i);
+    }
+
     /** The Q-basis as an RnsBasis (for CRT composition). */
     const rns::RnsBasis &qBasis() const { return qBasis_; }
     /** The full Q u B basis. */
@@ -87,6 +94,7 @@ class BfvContext
     rns::RnsBasis qBasis_;
     rns::RnsBasis qbBasis_;
     std::unique_ptr<rns::BasisConversion> qToB_;
+    std::vector<rns::BasisConversion> digitConv_;
 };
 
 /** Plaintext: slot values in Z_t. */

@@ -1,6 +1,7 @@
 #include "ckks/batch_evaluator.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -32,21 +33,59 @@ linearTransformItem(const CkksEvaluator &ev, const PipelineStage &st,
     const size_t level = in.limbs() - 1;
     const auto weigh = [&](Ciphertext t, const Plaintext *pt) {
         if (pt)
-            t = ev.multiplyPlain(t, pipelineStagePlain(*pt, level));
+            t = ev.multiplyPlain(std::move(t), pipelineStagePlain(*pt, level));
         return t;
     };
     HoistedDecomp dec;
     if (!st.branches.empty())
         dec = ev.hoistedModUp(in.c1);
+    // The identity term copies in: every branch still reads it.
     Ciphertext acc = weigh(in, st.pt);
     for (size_t b = 0; b < st.branches.size(); ++b) {
         const RotateBranch &br = st.branches[b];
-        acc = ev.add(acc, weigh(ev.applyHoistedRotation(in, dec, br.autoIdx,
-                                                        *pre.at(b)),
-                                br.pt));
+        acc = ev.add(std::move(acc),
+                     weigh(ev.applyHoistedRotation(in, dec, br.autoIdx,
+                                                   *pre.at(b)),
+                           br.pt));
     }
     ev.noteHoistedSaves(st.branches.size());
     return acc;
+}
+
+/**
+ * applyStage's one body. Ct is const Ciphertext & for an input the
+ * caller keeps (an op that changes its input copies it) and Ciphertext
+ * for one that dies here (moved into that op).
+ */
+template <class Ct>
+Ciphertext
+applyStageTo(const CkksEvaluator &ev, const PipelineStage &st, Ct &&cur,
+             size_t i, const std::vector<KeySwitchCache::Shared> &pre)
+{
+    // Read before cur is moved into an op.
+    const size_t level = cur.limbs() - 1;
+    switch (st.op) {
+      case HeOp::Add:
+        return ev.add(std::forward<Ct>(cur), (*st.rhs)[i]);
+      case HeOp::Mult:
+        return ev.multiply(cur, (*st.rhs)[i], *pre.at(0));
+      case HeOp::Rescale:
+        return ev.rescale(std::forward<Ct>(cur));
+      case HeOp::RescaleMulti:
+        return ev.rescaleMulti(std::forward<Ct>(cur));
+      case HeOp::Rotate:
+        return ev.rotate(cur, st.autoIdx, *pre.at(0));
+      case HeOp::AddPlain:
+        return ev.addPlain(std::forward<Ct>(cur),
+                           pipelineStagePlain(*st.pt, level));
+      case HeOp::MultiplyPlain:
+        return ev.multiplyPlain(std::forward<Ct>(cur),
+                                pipelineStagePlain(*st.pt, level));
+      case HeOp::LinearTransform:
+        return linearTransformItem(ev, st, cur, pre);
+    }
+    internalCheck(false, "applyStage: unknown op");
+    return Ciphertext(std::forward<Ct>(cur));
 }
 
 } // namespace
@@ -67,27 +106,15 @@ applyStage(const CkksEvaluator &ev, const PipelineStage &st,
            const Ciphertext &cur, size_t i,
            const std::vector<KeySwitchCache::Shared> &pre)
 {
-    switch (st.op) {
-      case HeOp::Add:
-        return ev.add(cur, (*st.rhs)[i]);
-      case HeOp::Mult:
-        return ev.multiply(cur, (*st.rhs)[i], *pre.at(0));
-      case HeOp::Rescale:
-        return ev.rescale(cur);
-      case HeOp::RescaleMulti:
-        return ev.rescaleMulti(cur);
-      case HeOp::Rotate:
-        return ev.rotate(cur, st.autoIdx, *pre.at(0));
-      case HeOp::AddPlain:
-        return ev.addPlain(cur, pipelineStagePlain(*st.pt, cur.limbs() - 1));
-      case HeOp::MultiplyPlain:
-        return ev.multiplyPlain(cur,
-                                pipelineStagePlain(*st.pt, cur.limbs() - 1));
-      case HeOp::LinearTransform:
-        return linearTransformItem(ev, st, cur, pre);
-    }
-    internalCheck(false, "applyStage: unknown op");
-    return cur;
+    return applyStageTo(ev, st, cur, i, pre);
+}
+
+Ciphertext
+applyStage(const CkksEvaluator &ev, const PipelineStage &st,
+           Ciphertext &&cur, size_t i,
+           const std::vector<KeySwitchCache::Shared> &pre)
+{
+    return applyStageTo(ev, st, std::move(cur), i, pre);
 }
 
 Pipeline &
@@ -335,9 +362,13 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
     std::vector<KernelLog> logs(log_ ? count : 0);
     parallelFor(0, count, [&](size_t i) {
         const CkksEvaluator ev(ctx_, log_ ? &logs[i] : nullptr);
-        Ciphertext cur = input[i];
-        for (size_t s = 0; s < stages.size(); ++s)
-            cur = applyStage(ev, stages[s], cur, i, pre[s][i]);
+        // The first stage reads the caller's item; each later one
+        // consumes the result of the stage before it.
+        Ciphertext cur = stages.empty()
+            ? input[i]
+            : applyStage(ev, stages[0], input[i], i, pre[0][i]);
+        for (size_t s = 1; s < stages.size(); ++s)
+            cur = applyStage(ev, stages[s], std::move(cur), i, pre[s][i]);
         out[i] = std::move(cur);
     });
     if (log_) {

@@ -99,10 +99,15 @@ std::vector<const SwitchKey *> stageKeys(const PipelineStage &st);
  * @p i picks the item's Add/Mult operand. @p pre holds one precomp
  * per stageKeys(st) entry at the level the item switches at: run's
  * walk fetches them from the residency cache, runSequential builds
- * them uncached.
+ * them uncached. An lvalue @p cur is only read (an op that changes its
+ * input works on a copy); an rvalue is consumed, so such an op works
+ * in its limbs.
  */
 Ciphertext applyStage(const CkksEvaluator &ev, const PipelineStage &st,
                       const Ciphertext &cur, size_t i,
+                      const std::vector<KeySwitchCache::Shared> &pre);
+Ciphertext applyStage(const CkksEvaluator &ev, const PipelineStage &st,
+                      Ciphertext &&cur, size_t i,
                       const std::vector<KeySwitchCache::Shared> &pre);
 
 /**

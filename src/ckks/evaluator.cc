@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <string>
 #include <tuple>
 
@@ -11,6 +10,7 @@
 #include "nt/modops.h"
 #include "nt/modvec.h"
 #include "nt/shoup.h"
+#include "poly/limb_pool.h"
 #include "poly/ntt_ct.h"
 
 namespace cross::ckks {
@@ -27,6 +27,26 @@ checkScales(const Ciphertext &a, const Ciphertext &b)
                 "ciphertext scales do not match");
 }
 
+/** a * b entry-wise on their first @p limbs limbs, into a new polynomial
+ *  (the same values as a copy of a times b in place). */
+RnsPoly
+pointwiseProduct(const RnsPoly &a, const RnsPoly &b, size_t limbs)
+{
+    internalCheck(a.isEval() && b.isEval(),
+                  "pointwiseProduct: both must be in eval");
+    internalCheck(limbs <= a.limbCount() && limbs <= b.limbCount(),
+                  "pointwiseProduct: limb mismatch");
+    const auto first = a.slots().begin();
+    RnsPoly r = RnsPoly::forOverwrite(
+        a.ring(), std::vector<u32>(first, first + limbs), true);
+    for (size_t i = 0; i < limbs; ++i) {
+        internalCheck(a.slot(i) == b.slot(i), "pointwiseProduct: slots");
+        nt::mulMontVec(r.limb(i).data(), a.limb(i).data(), b.limb(i).data(),
+                       a.degree(), a.ring().basis().mont(a.slot(i)));
+    }
+    return r;
+}
+
 } // namespace
 
 void
@@ -38,11 +58,11 @@ CkksEvaluator::logCall(KernelKind kind, u32 limbs, u32 limbs_out,
 }
 
 Ciphertext
-CkksEvaluator::add(const Ciphertext &a, const Ciphertext &b) const
+CkksEvaluator::add(Ciphertext a, const Ciphertext &b) const
 {
     checkScales(a, b);
     const size_t limbs = std::min(a.limbs(), b.limbs());
-    Ciphertext r = reduceToLimbs(a, limbs);
+    Ciphertext r = reduceToLimbs(std::move(a), limbs);
     WallTimer t;
     r.c0.addInPlace(b.c0);
     r.c1.addInPlace(b.c1);
@@ -52,11 +72,11 @@ CkksEvaluator::add(const Ciphertext &a, const Ciphertext &b) const
 }
 
 Ciphertext
-CkksEvaluator::sub(const Ciphertext &a, const Ciphertext &b) const
+CkksEvaluator::sub(Ciphertext a, const Ciphertext &b) const
 {
     checkScales(a, b);
     const size_t limbs = std::min(a.limbs(), b.limbs());
-    Ciphertext r = reduceToLimbs(a, limbs);
+    Ciphertext r = reduceToLimbs(std::move(a), limbs);
     WallTimer t;
     r.c0.subInPlace(b.c0);
     r.c1.subInPlace(b.c1);
@@ -70,18 +90,15 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
                                const Ciphertext &b) const
 {
     const size_t limbs = std::min(a.limbs(), b.limbs());
-    Ciphertext aa = reduceToLimbs(a, limbs);
 
+    // Each product is written straight into its output; a is read in
+    // place on its first limbs.
     WallTimer t;
     Ciphertext3 r;
-    r.c0 = aa.c0;
-    r.c0.mulPointwiseInPlace(b.c0);         // a0*b0
-    r.c2 = aa.c1;
-    r.c2.mulPointwiseInPlace(b.c1);         // a1*b1
-    r.c1 = std::move(aa.c0);
-    r.c1.mulPointwiseInPlace(b.c1);         // a0*b1
-    RnsPoly t10 = std::move(aa.c1);
-    t10.mulPointwiseInPlace(b.c0);          // a1*b0
+    r.c0 = pointwiseProduct(a.c0, b.c0, limbs);  // a0*b0
+    r.c2 = pointwiseProduct(a.c1, b.c1, limbs);  // a1*b1
+    r.c1 = pointwiseProduct(a.c0, b.c1, limbs);  // a0*b1
+    const RnsPoly t10 = pointwiseProduct(a.c1, b.c0, limbs); // a1*b0
     logCall(KernelKind::VecModMul, static_cast<u32>(4 * limbs), 0,
             t.seconds());
     WallTimer t2;
@@ -92,21 +109,20 @@ CkksEvaluator::multiplyNoRelin(const Ciphertext &a,
 }
 
 Ciphertext
-CkksEvaluator::relinearize(const Ciphertext3 &c,
-                           const KeySwitchPrecomp &pre) const
+CkksEvaluator::relinearize(Ciphertext3 c, const KeySwitchPrecomp &pre) const
 {
     // A stale or mis-indexed precomp would otherwise key-switch with
     // the wrong digit restriction and silently produce garbage.
     requireThat(pre.level == c.c2.limbCount() - 1,
                 "relinearize: precomp level does not match ciphertext");
-    auto [k0, k1] = keySwitch(c.c2, pre);
+    auto [k0, k1] = keySwitch(std::move(c.c2), pre);
     Ciphertext r;
-    r.c0 = c.c0;
-    r.c1 = c.c1;
+    r.c0 = std::move(c.c0);
+    r.c1 = std::move(c.c1);
     WallTimer t;
     r.c0.addInPlace(k0);
     r.c1.addInPlace(k1);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * c.c0.limbCount()),
+    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * r.c0.limbCount()),
             0, t.seconds());
     r.scale = c.scale;
     return r;
@@ -122,64 +138,60 @@ CkksEvaluator::multiply(const Ciphertext &a, const Ciphertext &b,
 }
 
 Ciphertext
-CkksEvaluator::rescale(const Ciphertext &ct) const
+CkksEvaluator::rescale(Ciphertext ct) const
 {
     const size_t limbs = ct.limbs();
     requireThat(limbs >= 2, "rescale: no limb left to drop");
     const size_t l = limbs - 1;
-    const u64 q_l = ctx_.qModulus(l);
+    const u32 q_l = static_cast<u32>(ctx_.qModulus(l));
+    const size_t n = ctx_.degree();
+    const auto &basis = ctx_.ring().basis();
 
-    Ciphertext r = ct;
-    for (RnsPoly *comp : {&r.c0, &r.c1}) {
-        // INTT the dropped limb to coefficients.
-        WallTimer ti;
-        std::vector<u32> last = comp->limb(l);
-        poly::inverseInPlace(last.data(), ctx_.ring().tables(l));
-        logCall(KernelKind::Intt, 1, 0, ti.seconds());
+    std::vector<u32> lifted = poly::takeLimb(n, false);
+    for (RnsPoly *comp : {&ct.c0, &ct.c1}) {
+        // INTT the dropped limb to coefficients, in place: it dies here.
+        WallTimer t;
+        u32 *const last = comp->limb(l).data();
+        poly::inverseInPlace(last, ctx_.ring().tables(l));
+        logCall(KernelKind::Intt, 1, 0, t.lap());
 
         // Fold the dropped limb into each remaining limb i:
-        // c_i = (c_i - NTT(lift_i(last))) * q_l^-1 mod q_i.
-        const size_t n = last.size();
-        std::vector<u32> lifted(n);
+        // c_i = (c_i - NTT(lift_i(last))) * q_l^-1 mod q_i, where lift_i
+        // is the exact centred lift of [c]_{q_l} into q_i. The lift's
+        // time goes to the subtraction's entry.
         for (size_t i = 0; i < l; ++i) {
-            const u64 q_i = ctx_.qModulus(i);
-            WallTimer tn;
-            // Exact centered lift of [c]_{q_l} into q_i.
-            for (size_t k = 0; k < n; ++k) {
-                const u64 v = last[k];
-                lifted[k] = static_cast<u32>(
-                    v > q_l / 2 ? q_i - ((q_l - v) % q_i) : v % q_i);
-            }
+            const u32 q = static_cast<u32>(ctx_.qModulus(i));
+            nt::liftCenteredVec(lifted.data(), last, n, q_l,
+                                basis.barrett(i));
+            const double lift_s = t.lap();
             poly::forwardInPlace(lifted.data(), ctx_.ring().tables(i));
-            logCall(KernelKind::Ntt, 1, 0, tn.seconds());
+            logCall(KernelKind::Ntt, 1, 0, t.lap());
 
-            WallTimer tv;
-            const u32 q = static_cast<u32>(q_i);
             u32 *dst = comp->limb(i).data();
             nt::subModVec(dst, dst, lifted.data(), n, q);
+            logCall(KernelKind::VecModSub, 1, 0, lift_s + t.lap());
             nt::mulShoupVec(dst, dst,
                             nt::shoupPrecompute(
                                 static_cast<u32>(ctx_.qInvModQ(l, i)), q),
                             n, q);
-            logCall(KernelKind::VecModSub, 1, 0, 0.0);
-            logCall(KernelKind::VecModMulConst, 1, 0, tv.seconds());
+            logCall(KernelKind::VecModMulConst, 1, 0, t.lap());
         }
         comp->dropLastLimb();
     }
-    r.scale = ct.scale / static_cast<double>(q_l);
-    return r;
+    poly::releaseLimb(std::move(lifted), n);
+    ct.scale /= static_cast<double>(q_l);
+    return ct;
 }
 
 Ciphertext
-CkksEvaluator::rescaleMulti(const Ciphertext &ct) const
+CkksEvaluator::rescaleMulti(Ciphertext ct) const
 {
     const u32 split = ctx_.params().rescaleSplit;
     requireThat(ct.limbs() > split,
                 "rescaleMulti: not enough limbs for a double rescale");
-    Ciphertext r = ct;
     for (u32 i = 0; i < split; ++i)
-        r = rescale(r);
-    return r;
+        ct = rescale(std::move(ct));
+    return ct;
 }
 
 Ciphertext
@@ -247,7 +259,7 @@ CkksEvaluator::noteHoistedSaves(size_t fanout) const
 }
 
 Ciphertext
-CkksEvaluator::addPlain(const Ciphertext &ct, const Plaintext &pt) const
+CkksEvaluator::addPlain(Ciphertext ct, const Plaintext &pt) const
 {
     requireThat(ckksScalesMatch(ct.scale, pt.scale),
                 "addPlain: scales do not match");
@@ -256,39 +268,35 @@ CkksEvaluator::addPlain(const Ciphertext &ct, const Plaintext &pt) const
     // the caller's bug, not an implicit conversion.
     requireThat(pt.poly.limbCount() >= ct.limbs(),
                 "addPlain: plaintext level below ciphertext level");
-    const size_t limbs = ct.limbs();
-    Ciphertext r = ct;
     WallTimer t;
-    r.c0.addInPlace(pt.poly);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(limbs), 0, t.seconds());
-    return r;
+    ct.c0.addInPlace(pt.poly);
+    logCall(KernelKind::VecModAdd, static_cast<u32>(ct.limbs()), 0,
+            t.seconds());
+    return ct;
 }
 
 Ciphertext
-CkksEvaluator::multiplyPlain(const Ciphertext &ct, const Plaintext &pt) const
+CkksEvaluator::multiplyPlain(Ciphertext ct, const Plaintext &pt) const
 {
     requireThat(pt.poly.limbCount() >= ct.limbs(),
                 "multiplyPlain: plaintext level below ciphertext level");
-    const size_t limbs = ct.limbs();
-    Ciphertext r = ct;
     WallTimer t;
-    r.c0.mulPointwiseInPlace(pt.poly);
-    r.c1.mulPointwiseInPlace(pt.poly);
-    logCall(KernelKind::VecModMulConst, static_cast<u32>(2 * limbs), 0,
+    ct.c0.mulPointwiseInPlace(pt.poly);
+    ct.c1.mulPointwiseInPlace(pt.poly);
+    logCall(KernelKind::VecModMulConst, static_cast<u32>(2 * ct.limbs()), 0,
             t.seconds());
-    r.scale = ct.scale * pt.scale;
-    return r;
+    ct.scale *= pt.scale;
+    return ct;
 }
 
 Ciphertext
-CkksEvaluator::reduceToLimbs(const Ciphertext &ct, size_t limbs) const
+CkksEvaluator::reduceToLimbs(Ciphertext ct, size_t limbs) const
 {
     requireThat(limbs >= 1 && limbs <= ct.limbs(),
                 "reduceToLimbs: bad limb count");
-    Ciphertext r = ct;
-    r.c0.truncateLimbs(limbs);
-    r.c1.truncateLimbs(limbs);
-    return r;
+    ct.c0.truncateLimbs(limbs);
+    ct.c1.truncateLimbs(limbs);
+    return ct;
 }
 
 KeySwitchPrecomp
@@ -362,14 +370,13 @@ CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
 }
 
 std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::keySwitch(const RnsPoly &c,
-                         const KeySwitchPrecomp &pre) const
+CkksEvaluator::keySwitch(RnsPoly c, const KeySwitchPrecomp &pre) const
 {
     requireThat(c.limbCount() - 1 == pre.level,
                 "keySwitch: precomp level mismatch");
     // Phase 1 (ModUp), then the inner product and ModDown the hoisted
     // rotation runs too.
-    return innerProductModDown(modUpPhase(c, pre.extSlots), pre);
+    return innerProductModDown(modUpPhase(std::move(c), pre.extSlots), pre);
 }
 
 std::pair<RnsPoly, RnsPoly>
@@ -388,14 +395,15 @@ CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
     // Limb by limb: digit j's limb (gathered through auto_map when
     // rotating) times both halves of pre.keys[j], added into the limb's
     // accumulators while they are hot. The digits and keys are read in
-    // place; the gathered limb and the two products live in one
-    // scratch allocated per call. The gathers, the products and the
-    // sums log as one launch each, as the schedule prices them.
+    // place; the gathered limb and the two products live in two
+    // scratch limbs from the free list. The gathers, the products and
+    // the sums log as one launch each, as the schedule prices them.
     RnsPoly acc0(ctx_.ring(), pre.extSlots, true);
     RnsPoly acc1(ctx_.ring(), pre.extSlots, true);
-    const auto scratch = std::make_unique_for_overwrite<u32[]>(2 * n);
-    u32 *const prod0 = scratch.get();
-    u32 *const prod1 = scratch.get() + n;
+    std::vector<u32> scratch0 = poly::takeLimb(n, false);
+    std::vector<u32> scratch1 = poly::takeLimb(n, false);
+    u32 *const prod0 = scratch0.data();
+    u32 *const prod1 = scratch1.data();
     const u32 *const map = auto_map ? auto_map->data() : nullptr;
     double gather_s = 0.0;
     double mul_s = 0.0;
@@ -434,48 +442,56 @@ CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
                 static_cast<u32>(d * ext + pre.level + 1), 0, gather_s);
     logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0, mul_s);
     logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, add_s);
-    return {modDownPhase(acc0, pre.level), modDownPhase(acc1, pre.level)};
+    poly::releaseLimb(std::move(scratch0), n);
+    poly::releaseLimb(std::move(scratch1), n);
+    return {modDownPhase(std::move(acc0), pre.level),
+            modDownPhase(std::move(acc1), pre.level)};
 }
 
 std::vector<RnsPoly>
-CkksEvaluator::modUpPhase(const RnsPoly &c,
-                          const std::vector<u32> &ext_slots) const
+CkksEvaluator::modUpPhase(RnsPoly c, const std::vector<u32> &ext_slots) const
 {
     requireThat(c.isEval(), "keySwitch: input must be in eval domain");
     const size_t level = c.limbCount() - 1;
     const size_t d = ctx_.activeDigits(level);
     const size_t ext = ext_slots.size();
+    // Whether ring modulus ring_idx is one of digit [first, last)'s own.
+    const auto inDigit = [&](u32 ring_idx, size_t first, size_t last) {
+        return ring_idx >= first && ring_idx < last &&
+            ring_idx < ctx_.qCount();
+    };
 
-    // INTT the input once; digits share the coefficient form.
-    WallTimer ti;
-    RnsPoly c_coeff = c;
-    c_coeff.toCoeff();
-    logCall(KernelKind::Intt, static_cast<u32>(level + 1), 0, ti.seconds());
-
+    // The extended-basis digit polynomials, eval domain. A digit's own
+    // limbs are c's (already NTT'd), copied before c is INTT'd in
+    // place; ModUp converts c's coefficient-form digit limbs straight
+    // into the others, which are then NTT'd in place.
     std::vector<RnsPoly> digits;
     digits.reserve(d);
     for (size_t j = 0; j < d; ++j) {
         const auto [first, last] = ctx_.digitRange(j, level);
-        const auto &conv = ctx_.modUpConv(j, level);
+        RnsPoly &up = digits.emplace_back(
+            RnsPoly::forOverwrite(ctx_.ring(), ext_slots, true));
+        for (size_t pos = 0; pos < ext; ++pos)
+            if (inDigit(ext_slots[pos], first, last))
+                up.limb(pos) = c.limb(ext_slots[pos]);
+    }
 
-        // The extended-basis digit polynomial in eval domain: its digit
-        // limbs are c's own (already NTT'd); ModUp converts c_coeff's
-        // digit limbs straight into the others, which are then NTT'd in
-        // place.
-        RnsPoly &up = digits.emplace_back(ctx_.ring(), ext_slots, true);
+    // INTT the input once; digits share the coefficient form.
+    WallTimer ti;
+    c.toCoeff();
+    logCall(KernelKind::Intt, static_cast<u32>(level + 1), 0, ti.seconds());
+
+    for (size_t j = 0; j < d; ++j) {
+        const auto [first, last] = ctx_.digitRange(j, level);
+        const auto &conv = ctx_.modUpConv(j, level);
+        RnsPoly &up = digits[j];
         std::vector<const u32 *> in;
         for (size_t i = first; i < last; ++i)
-            in.push_back(c_coeff.limb(i).data());
+            in.push_back(c.limb(i).data());
         std::vector<size_t> conv_limbs;
         std::vector<u32 *> out;
         for (size_t pos = 0; pos < ext; ++pos) {
-            const u32 ring_idx = ext_slots[pos];
-            const bool in_digit =
-                ring_idx >= first && ring_idx < last &&
-                ring_idx < ctx_.qCount();
-            if (in_digit) {
-                up.limb(pos) = c.limb(ring_idx);
-            } else {
+            if (!inDigit(ext_slots[pos], first, last)) {
                 conv_limbs.push_back(pos);
                 out.push_back(up.limb(pos).data());
             }
@@ -496,14 +512,18 @@ CkksEvaluator::modUpPhase(const RnsPoly &c,
         logCall(KernelKind::Ntt, static_cast<u32>(conv_limbs.size()), 0,
                 tn.seconds());
     }
+    // A by-value parameter lives until the caller's full-expression
+    // ends, which here spans the inner product: give c's limbs back now.
+    c = RnsPoly();
     return digits;
 }
 
 RnsPoly
-CkksEvaluator::modDownPhase(RnsPoly &acc, size_t level) const
+CkksEvaluator::modDownPhase(RnsPoly acc, size_t level) const
 {
-    // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1, each result limb
-    // written by the conversion, NTT'd in place and folded in place.
+    // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1, folded into acc's Q
+    // limbs in place. The conversion writes each limb of a temporary
+    // once and is NTT'd there; acc then drops its P limbs.
     const auto &conv = ctx_.modDownConv(level);
     const size_t n = ctx_.degree();
 
@@ -517,10 +537,12 @@ CkksEvaluator::modDownPhase(RnsPoly &acc, size_t level) const
     logCall(KernelKind::Intt, static_cast<u32>(ctx_.pCount()), 0,
             ti.seconds());
 
-    RnsPoly res(ctx_.ring(), level + 1, true);
+    std::vector<std::vector<u32>> conv_q(level + 1);
     std::vector<u32 *> q_part(level + 1);
-    for (size_t i = 0; i <= level; ++i)
-        q_part[i] = res.limb(i).data();
+    for (size_t i = 0; i <= level; ++i) {
+        conv_q[i] = poly::takeLimb(n, false);
+        q_part[i] = conv_q[i].data();
+    }
     WallTimer tb;
     conv.convert(p_part.data(), q_part.data(), n);
     logCall(KernelKind::BConv, static_cast<u32>(ctx_.pCount()),
@@ -534,8 +556,9 @@ CkksEvaluator::modDownPhase(RnsPoly &acc, size_t level) const
     WallTimer tv;
     for (size_t i = 0; i <= level; ++i) {
         const u32 q = static_cast<u32>(ctx_.qModulus(i));
-        nt::subModVec(q_part[i], acc.limb(i).data(), q_part[i], n, q);
-        nt::mulShoupVec(q_part[i], q_part[i],
+        u32 *dst = acc.limb(i).data();
+        nt::subModVec(dst, dst, q_part[i], n, q);
+        nt::mulShoupVec(dst, dst,
                         nt::shoupPrecompute(
                             static_cast<u32>(ctx_.pInvModQ(i) % q), q),
                         n, q);
@@ -543,7 +566,10 @@ CkksEvaluator::modDownPhase(RnsPoly &acc, size_t level) const
     logCall(KernelKind::VecModSub, static_cast<u32>(level + 1), 0, 0.0);
     logCall(KernelKind::VecModMulConst, static_cast<u32>(level + 1), 0,
             tv.seconds());
-    return res;
+    for (auto &limb : conv_q)
+        poly::releaseLimb(std::move(limb), n);
+    acc.truncateLimbs(level + 1);
+    return acc;
 }
 
 } // namespace cross::ckks

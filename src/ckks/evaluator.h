@@ -78,7 +78,15 @@ struct HoistedDecomp
     std::vector<poly::RnsPoly> digits;
 };
 
-/** Homomorphic operator implementations. */
+/**
+ * Homomorphic operator implementations.
+ *
+ * An operator that returns a changed copy of an input takes that input
+ * by value (add and sub their first operand, relinearize, rescale,
+ * rescaleMulti, addPlain, multiplyPlain, reduceToLimbs) and works in
+ * its limbs: a caller that moves a dying value in pays no copy, and an
+ * lvalue argument is copied once and left unchanged.
+ */
 class CkksEvaluator
 {
   public:
@@ -88,26 +96,25 @@ class CkksEvaluator
     }
 
     /** @name Backbone HE operators (Table VIII workloads). @{ */
-    Ciphertext add(const Ciphertext &a, const Ciphertext &b) const;
-    Ciphertext sub(const Ciphertext &a, const Ciphertext &b) const;
+    Ciphertext add(Ciphertext a, const Ciphertext &b) const;
+    Ciphertext sub(Ciphertext a, const Ciphertext &b) const;
     /** Tensor product without relinearisation. */
     Ciphertext3 multiplyNoRelin(const Ciphertext &a,
                                 const Ciphertext &b) const;
     /** Key-switch the degree-2 term back to a 2-element ciphertext;
      *  @p pre is the relinearisation key's at c's level. */
-    Ciphertext relinearize(const Ciphertext3 &c,
-                           const KeySwitchPrecomp &pre) const;
+    Ciphertext relinearize(Ciphertext3 c, const KeySwitchPrecomp &pre) const;
     /** multiplyNoRelin + relinearize, at the lower operand's level. */
     Ciphertext multiply(const Ciphertext &a, const Ciphertext &b,
                         const KeySwitchPrecomp &pre) const;
     /** Drop the last limb, dividing the scale by q_l. */
-    Ciphertext rescale(const Ciphertext &ct) const;
+    Ciphertext rescale(Ciphertext ct) const;
     /**
      * Double rescaling (Section V-A): drop params().rescaleSplit
      * sub-moduli in one logical level step -- how CROSS supports
      * baselines whose moduli exceed the 32-bit register width.
      */
-    Ciphertext rescaleMulti(const Ciphertext &ct) const;
+    Ciphertext rescaleMulti(Ciphertext ct) const;
     /** Slot rotation: automorphism + key switch. Implemented as a
      *  fan-out-of-one hoisted rotation (hoistedModUp +
      *  applyHoistedRotation), so each branch of a hoisted fan-out is
@@ -147,21 +154,21 @@ class CkksEvaluator
     /** @} */
 
     /** @name Plaintext operands. @{ */
-    Ciphertext addPlain(const Ciphertext &ct, const Plaintext &pt) const;
-    Ciphertext multiplyPlain(const Ciphertext &ct,
-                             const Plaintext &pt) const;
+    Ciphertext addPlain(Ciphertext ct, const Plaintext &pt) const;
+    Ciphertext multiplyPlain(Ciphertext ct, const Plaintext &pt) const;
     /** @} */
 
     /** Truncate to @p limbs limbs (level reduction; scale unchanged). */
-    Ciphertext reduceToLimbs(const Ciphertext &ct, size_t limbs) const;
+    Ciphertext reduceToLimbs(Ciphertext ct, size_t limbs) const;
 
     /**
      * Hybrid key-switching core (ModUp -> inner product -> ModDown)
      * against a shared per-level precomputation; public because
-     * rotation/relin reuse it and benches probe it directly.
+     * rotation/relin reuse it and benches probe it directly. Consumes
+     * @p c: ModUp INTTs it in place.
      */
     std::pair<poly::RnsPoly, poly::RnsPoly>
-    keySwitch(const poly::RnsPoly &c, const KeySwitchPrecomp &pre) const;
+    keySwitch(poly::RnsPoly c, const KeySwitchPrecomp &pre) const;
 
     /**
      * Build the batch-reusable operands of keySwitch at @p level: the
@@ -193,10 +200,10 @@ class CkksEvaluator
     precomputeKeySwitchCached(const SwitchKey &swk, size_t level) const;
 
   private:
-    /** ModUp phase body shared by hoistedModUp and keySwitch. */
+    /** ModUp phase body shared by hoistedModUp and keySwitch; INTTs
+     *  @p c in place. */
     std::vector<poly::RnsPoly>
-    modUpPhase(const poly::RnsPoly &c,
-               const std::vector<u32> &ext_slots) const;
+    modUpPhase(poly::RnsPoly c, const std::vector<u32> &ext_slots) const;
 
     /**
      * Phases 2+3 shared by keySwitch and applyHoistedRotation: the
@@ -213,10 +220,10 @@ class CkksEvaluator
                         const std::vector<u32> *auto_map = nullptr) const;
 
     /**
-     * ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level.
-     * acc's P limbs are left in coefficient form.
+     * ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level,
+     * written over acc's Q limbs; acc's P limbs are given back.
      */
-    poly::RnsPoly modDownPhase(poly::RnsPoly &acc, size_t level) const;
+    poly::RnsPoly modDownPhase(poly::RnsPoly acc, size_t level) const;
 
     void logCall(KernelKind kind, u32 limbs, u32 limbs_out,
                  double seconds) const;

@@ -644,9 +644,9 @@ CompiledGraph::runSequential(KernelLog *log,
                 for (const SwitchKey *key : stageKeys(stage))
                     pre.push_back(std::make_shared<const KeySwitchPrecomp>(
                         ev.precomputeKeySwitch(*key, limbs - 1)));
-                cur = applyStage(ev, stage, cur, i, pre);
+                cur = applyStage(ev, stage, std::move(cur), i, pre);
             }
-            out[i] = cur;
+            out[i] = std::move(cur);
         }
         return out;
     });

@@ -76,6 +76,20 @@ reduceWideInPlaceScalar(u64 *acc, size_t n, u32 q, u64 m64)
         acc[j] = barrettReduceWideRaw(acc[j], q, m64);
 }
 
+void
+liftCenteredScalar(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
+                   u64 m64)
+{
+    if (!liftIsSelect(q_from, q)) {
+        liftCenteredLoop(dst, a, n, q_from, q, m64);
+        return;
+    }
+    const u32 half = q_from / 2;
+    const u32 shift = q - q_from;
+    for (size_t j = 0; j < n; ++j)
+        dst[j] = liftCenteredSelect(a[j], half, shift);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -85,6 +99,7 @@ modVecKernelsScalar()
         addModScalar,    subModScalar,  negModScalar,
         mulShoupScalar,  mulMontScalar, mulModScalar,
         accumMulScalar,  reduceWideScalar, reduceWideInPlaceScalar,
+        liftCenteredScalar,
     };
     return k;
 }
@@ -174,6 +189,14 @@ reduceWideInPlaceVec(u64 *acc, size_t n, const Barrett &bar)
 {
     detail::kernels().reduceWideInPlace(acc, n, bar.modulus(),
                                         bar.m64());
+}
+
+void
+liftCenteredVec(u32 *dst, const u32 *a, size_t n, u32 q_from,
+                const Barrett &bar)
+{
+    detail::kernels().liftCentered(dst, a, n, q_from, bar.modulus(),
+                                   bar.m64());
 }
 
 } // namespace cross::nt

@@ -3,7 +3,7 @@
  * Vector lanes for the element-wise modular kernels.
  *
  * Every limb-wise hot loop in poly/ring.cc and rns/bconv.cc bottoms out
- * in one of these seven array operations. Each has a scalar
+ * in one of these array operations. Each has a scalar
  * implementation (a plain loop over the nt/ scalar primitives -- the
  * ground truth) plus AVX2 / AVX-512 variants selected at runtime
  * through nt/simd_dispatch.h. All variants are bit-identical: the
@@ -66,5 +66,16 @@ void reduceWideVec(u32 *dst, const u64 *acc, size_t n,
  * of a lazy accumulation chain (BConv step 2, ModMatMul).
  */
 void reduceWideInPlaceVec(u64 *acc, size_t n, const Barrett &bar);
+
+/**
+ * Centred lift between moduli: dst[j] = a[j] when a[j] <= q_from / 2,
+ * else (a[j] - q_from) mod q, canonical in [0, q) for
+ * q = bar.modulus(); requires a[j] < q_from. One select per element
+ * when q_from < 2q, which holds for any two primes of one bit width
+ * (so for every CKKS rescale); a Barrett reduction otherwise. The
+ * rescale lifts its dropped limb into each remaining one with it.
+ */
+void liftCenteredVec(u32 *dst, const u32 *a, size_t n, u32 q_from,
+                     const Barrett &bar);
 
 } // namespace cross::nt

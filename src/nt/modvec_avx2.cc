@@ -193,6 +193,33 @@ reduceWideInPlaceAvx2(u64 *acc, size_t n, u32 q, u64 m64)
         acc[j] = barrettReduceWideRaw(acc[j], q, m64);
 }
 
+void
+liftCenteredAvx2(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
+                 u64 m64)
+{
+    if (!liftIsSelect(q_from, q)) {
+        liftCenteredLoop(dst, a, n, q_from, q, m64);
+        return;
+    }
+    const u32 half = q_from / 2;
+    const u32 shift = q - q_from;
+    const __m256i halfV = _mm256_set1_epi32(static_cast<int>(half));
+    const __m256i shiftV = _mm256_set1_epi32(static_cast<int>(shift));
+    size_t j = 0;
+    for (; j + 8 <= n; j += 8) {
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(a + j));
+        // v <= half exactly where min(v, half) == v (unsigned).
+        const __m256i low =
+            _mm256_cmpeq_epi32(_mm256_min_epu32(v, halfV), v);
+        _mm256_storeu_si256(
+            reinterpret_cast<__m256i *>(dst + j),
+            _mm256_add_epi32(v, _mm256_andnot_si256(low, shiftV)));
+    }
+    for (; j < n; ++j)
+        dst[j] = liftCenteredSelect(a[j], half, shift);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -202,6 +229,7 @@ modVecKernelsAvx2()
         addModAvx2,    subModAvx2,  negModAvx2,
         mulShoupAvx2,  mulMontAvx2, mulModAvx2,
         accumMulAvx2,  reduceWideAvx2, reduceWideInPlaceAvx2,
+        liftCenteredAvx2,
     };
     return k;
 }

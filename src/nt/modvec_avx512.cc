@@ -197,6 +197,29 @@ reduceWideInPlaceAvx512(u64 *acc, size_t n, u32 q, u64 m64)
         acc[j] = barrettReduceWideRaw(acc[j], q, m64);
 }
 
+void
+liftCenteredAvx512(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
+                   u64 m64)
+{
+    if (!liftIsSelect(q_from, q)) {
+        liftCenteredLoop(dst, a, n, q_from, q, m64);
+        return;
+    }
+    const u32 half = q_from / 2;
+    const u32 shift = q - q_from;
+    const __m512i halfV = _mm512_set1_epi32(static_cast<int>(half));
+    const __m512i shiftV = _mm512_set1_epi32(static_cast<int>(shift));
+    size_t j = 0;
+    for (; j + 16 <= n; j += 16) {
+        const __m512i v = _mm512_loadu_si512(a + j);
+        const __mmask16 high = _mm512_cmpgt_epu32_mask(v, halfV);
+        _mm512_storeu_si512(dst + j,
+                            _mm512_mask_add_epi32(v, high, v, shiftV));
+    }
+    for (; j < n; ++j)
+        dst[j] = liftCenteredSelect(a[j], half, shift);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -206,6 +229,7 @@ modVecKernelsAvx512()
         addModAvx512,   subModAvx512,   negModAvx512,
         mulShoupAvx512, mulMontAvx512,  mulModAvx512,
         accumMulAvx512, reduceWideAvx512, reduceWideInPlaceAvx512,
+        liftCenteredAvx512,
     };
     return k;
 }

@@ -54,6 +54,48 @@ barrettReduceWideRaw(u64 z, u32 q, u64 m64)
     return static_cast<u32>(r);
 }
 
+/**
+ * liftCenteredVec's general form on raw parameters, its ground truth:
+ * v when v <= q_from / 2, else -(q_from - v) mod q, both canonical in
+ * [0, q) through a Barrett reduction of the magnitude.
+ */
+inline u32
+liftCenteredRaw(u32 v, u32 q_from, u32 q, u64 m64)
+{
+    if (v <= q_from / 2)
+        return barrettReduceWideRaw(v, q, m64);
+    const u32 r = barrettReduceWideRaw(q_from - v, q, m64);
+    return r == 0 ? 0 : q - r;
+}
+
+/**
+ * With q_from < 2q every v <= q_from / 2 is already below q and every
+ * magnitude q_from - v of the other half is in [1, q), so the lift is
+ * one select: v, or v + (q - q_from) (mod 2^32). The vector kernels
+ * take this path and fall back to the general loop otherwise.
+ */
+inline bool
+liftIsSelect(u32 q_from, u32 q)
+{
+    return q_from < 2ULL * q;
+}
+
+/** The general loop, shared by every dispatch path. */
+inline void
+liftCenteredLoop(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
+                 u64 m64)
+{
+    for (size_t j = 0; j < n; ++j)
+        dst[j] = liftCenteredRaw(a[j], q_from, q, m64);
+}
+
+/** The select form of one element (liftIsSelect holds). */
+inline u32
+liftCenteredSelect(u32 v, u32 half, u32 shift)
+{
+    return v > half ? v + shift : v;
+}
+
 /** One dispatch path's implementations of the modvec.h operations. */
 struct ModVecKernels
 {
@@ -68,6 +110,8 @@ struct ModVecKernels
     void (*accumMul)(u64 *, const u32 *, u32, size_t);
     void (*reduceWide)(u32 *, const u64 *, size_t, u32 q, u64 m64);
     void (*reduceWideInPlace)(u64 *, size_t, u32 q, u64 m64);
+    void (*liftCentered)(u32 *, const u32 *, size_t, u32 q_from, u32 q,
+                         u64 m64);
 };
 
 const ModVecKernels &modVecKernelsScalar();

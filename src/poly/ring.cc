@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "nt/modops.h"
 #include "nt/modvec.h"
+#include "poly/limb_pool.h"
 #include "poly/ntt_ct.h"
 
 namespace cross::poly {
@@ -67,30 +68,102 @@ Ring::evalAutoMap(u32 k) const
     return evalAutoCache_.emplace(k, std::move(map)).first->second;
 }
 
-RnsPoly::RnsPoly(const Ring &ring, size_t nlimbs, bool eval_domain)
-    : ring_(&ring), eval_(eval_domain)
+namespace {
+
+/** Slots 0..nlimbs-1, the identity prefix of the ring's moduli. */
+std::vector<u32>
+prefixSlots(const Ring &ring, size_t nlimbs)
 {
     requireThat(nlimbs >= 1 && nlimbs <= ring.limbCount(),
                 "RnsPoly: limb count out of range");
-    slots_.resize(nlimbs);
+    std::vector<u32> slots(nlimbs);
     for (size_t i = 0; i < nlimbs; ++i)
-        slots_[i] = static_cast<u32>(i);
-    limbs_.assign(nlimbs, std::vector<u32>(ring.degree(), 0));
+        slots[i] = static_cast<u32>(i);
+    return slots;
+}
+
+} // namespace
+
+RnsPoly::RnsPoly(const Ring &ring, size_t nlimbs, bool eval_domain)
+    : RnsPoly(ring, prefixSlots(ring, nlimbs), eval_domain, true)
+{
 }
 
 RnsPoly::RnsPoly(const Ring &ring, std::vector<u32> slots, bool eval_domain)
-    : ring_(&ring), eval_(eval_domain), slots_(std::move(slots))
+    : RnsPoly(ring, std::move(slots), eval_domain, true)
+{
+}
+
+RnsPoly::RnsPoly(const Ring &ring, std::vector<u32> slots, bool eval_domain,
+                 bool zero)
+    : ring_(&ring), n_(ring.degree()), eval_(eval_domain),
+      slots_(std::move(slots))
 {
     requireThat(!slots_.empty(), "RnsPoly: need at least one limb");
     for (u32 s : slots_)
         requireThat(s < ring.limbCount(), "RnsPoly: slot out of range");
-    limbs_.assign(slots_.size(), std::vector<u32>(ring.degree(), 0));
+    takeLimbs(zero);
+}
+
+RnsPoly
+RnsPoly::forOverwrite(const Ring &ring, std::vector<u32> slots,
+                      bool eval_domain)
+{
+    return RnsPoly(ring, std::move(slots), eval_domain, false);
+}
+
+RnsPoly::RnsPoly(const RnsPoly &o)
+    : ring_(o.ring_), n_(o.n_), eval_(o.eval_), slots_(o.slots_)
+{
+    takeLimbs(false);
+    for (size_t i = 0; i < limbs_.size(); ++i)
+        limbs_[i] = o.limbs_[i];
+}
+
+RnsPoly &
+RnsPoly::operator=(const RnsPoly &o)
+{
+    if (this != &o)
+        *this = RnsPoly(o);
+    return *this;
+}
+
+RnsPoly &
+RnsPoly::operator=(RnsPoly &&o) noexcept
+{
+    if (this != &o) {
+        releaseLimbsFrom(0);
+        ring_ = o.ring_;
+        n_ = o.n_;
+        eval_ = o.eval_;
+        slots_ = std::move(o.slots_);
+        limbs_ = std::move(o.limbs_);
+    }
+    return *this;
+}
+
+RnsPoly::~RnsPoly() { releaseLimbsFrom(0); }
+
+void
+RnsPoly::takeLimbs(bool zero)
+{
+    limbs_.reserve(slots_.size());
+    for (size_t i = 0; i < slots_.size(); ++i)
+        limbs_.push_back(takeLimb(n_, zero));
+}
+
+void
+RnsPoly::releaseLimbsFrom(size_t n)
+{
+    for (size_t i = n; i < limbs_.size(); ++i)
+        releaseLimb(std::move(limbs_[i]), n_);
+    limbs_.resize(n);
 }
 
 RnsPoly
 RnsPoly::selectSlots(const std::vector<u32> &ring_idx) const
 {
-    RnsPoly out(*ring_, ring_idx, eval_);
+    RnsPoly out = forOverwrite(*ring_, ring_idx, eval_);
     for (size_t i = 0; i < ring_idx.size(); ++i) {
         bool found = false;
         for (size_t j = 0; j < slots_.size(); ++j) {
@@ -247,8 +320,8 @@ RnsPoly::toCoeff()
 RnsPoly
 RnsPoly::automorphism(u32 k) const
 {
-    RnsPoly out(*ring_, slots_, eval_);
-    const u32 n = ring_->degree();
+    RnsPoly out = forOverwrite(*ring_, slots_, eval_);
+    const u32 n = n_;
     if (eval_) {
         const auto &map = ring_->evalAutoMap(k);
         for (size_t i = 0; i < limbs_.size(); ++i)
@@ -273,7 +346,7 @@ void
 RnsPoly::dropLastLimb()
 {
     internalCheck(limbs_.size() > 1, "dropLastLimb: would empty the poly");
-    limbs_.pop_back();
+    releaseLimbsFrom(limbs_.size() - 1);
     slots_.pop_back();
 }
 
@@ -281,7 +354,7 @@ void
 RnsPoly::truncateLimbs(size_t n)
 {
     internalCheck(n >= 1 && n <= limbs_.size(), "truncateLimbs: bad count");
-    limbs_.resize(n);
+    releaseLimbsFrom(n);
     slots_.resize(n);
 }
 

@@ -76,6 +76,12 @@ class Ring
  * polynomial may live on a non-contiguous sub-basis such as
  * {q_0..q_l} u {p_0..p_{alpha-1}} -- the extended basis hybrid
  * key-switching operates on. The default mapping is the identity prefix.
+ *
+ * A polynomial owns its limbs and takes every one from, and gives every
+ * one back to, the calling thread's limb free list (limb_pool.h): the
+ * constructors, copies, selectSlots and automorphism take; the
+ * destructor, assignment, truncateLimbs and dropLastLimb give back.
+ * Giving back never reads the ring, so a polynomial may outlive it.
  */
 class RnsPoly
 {
@@ -88,10 +94,24 @@ class RnsPoly
     /** Zero polynomial on an explicit list of ring modulus indices. */
     RnsPoly(const Ring &ring, std::vector<u32> slots, bool eval_domain);
 
+    /**
+     * A polynomial on @p slots whose coefficients are unspecified, for
+     * a caller that writes every coefficient of every limb before it
+     * reads one (the name follows std::make_unique_for_overwrite).
+     */
+    static RnsPoly forOverwrite(const Ring &ring, std::vector<u32> slots,
+                                bool eval_domain);
+
+    RnsPoly(const RnsPoly &o);
+    RnsPoly(RnsPoly &&o) noexcept = default;
+    RnsPoly &operator=(const RnsPoly &o);
+    RnsPoly &operator=(RnsPoly &&o) noexcept;
+    ~RnsPoly();
+
     const Ring &ring() const { return *ring_; }
     size_t limbCount() const { return limbs_.size(); }
     bool isEval() const { return eval_; }
-    u32 degree() const { return ring_->degree(); }
+    u32 degree() const { return n_; }
 
     /** Ring modulus index of limb @p i. */
     u32 slot(size_t i) const { return slots_[i]; }
@@ -148,7 +168,17 @@ class RnsPoly
     bool operator==(const RnsPoly &o) const;
 
   private:
+    /** Validate @p slots and take one limb per slot, zeroed if @p zero. */
+    RnsPoly(const Ring &ring, std::vector<u32> slots, bool eval_domain,
+            bool zero);
+
+    /** Take one limb per slot from the free list. */
+    void takeLimbs(bool zero);
+    /** Give limbs [n, limbCount()) back to the free list. */
+    void releaseLimbsFrom(size_t n);
+
     const Ring *ring_ = nullptr;
+    u32 n_ = 0; ///< ring degree, kept so giving limbs back needs no ring
     bool eval_ = false;
     std::vector<u32> slots_;
     std::vector<std::vector<u32>> limbs_;

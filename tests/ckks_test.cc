@@ -238,6 +238,80 @@ TEST_F(CkksFixture, LongerOperandsMatchTheirTruncation)
                      evaluator.multiplyPlain(ca_low, pt_low)));
 }
 
+// add, sub, relinearize, rescale, rescaleMulti, addPlain, multiplyPlain,
+// reduceToLimbs and keySwitch take the input they change by value: an
+// lvalue argument comes back unchanged, and moving the input in gives
+// the same bits as copying it, at every level.
+TEST_F(CkksFixture, ConsumingOpsLeaveLvaluesAndMatchMovedInputs)
+{
+    const auto rlk = keygen.relinKey();
+    const auto top = encryptor.encrypt(encoder.encode(
+        randomSlots(encoder.slotCount(), 40, 0.5), kScale, ctx.qCount()));
+    const auto rhs_top = encryptor.encrypt(encoder.encode(
+        randomSlots(encoder.slotCount(), 41, 0.5), kScale, ctx.qCount()));
+    const auto same = [](const Ciphertext &x, const Ciphertext &y) {
+        return x.c0 == y.c0 && x.c1 == y.c1 && x.scale == y.scale;
+    };
+    for (size_t limbs = ctx.qCount(); limbs >= 2; --limbs) {
+        SCOPED_TRACE("limbs " + std::to_string(limbs));
+        const Ciphertext x = evaluator.reduceToLimbs(top, limbs);
+        const Ciphertext y = evaluator.reduceToLimbs(rhs_top, limbs);
+        const Ciphertext y_low = evaluator.reduceToLimbs(rhs_top, limbs - 1);
+        const auto pt = encoder.encode(
+            randomSlots(encoder.slotCount(), 42, 0.5), kScale, limbs);
+        const auto pre = evaluator.precomputeKeySwitch(rlk, limbs - 1);
+
+        // Run op on an lvalue copy of x, then on a moved-in one.
+        const auto check = [&](const char *name, const auto &op) {
+            SCOPED_TRACE(name);
+            Ciphertext kept = x;
+            const Ciphertext from_copy = op(kept);
+            EXPECT_TRUE(same(kept, x));
+            Ciphertext dying = x;
+            EXPECT_TRUE(same(op(std::move(dying)), from_copy));
+        };
+        check("add", [&](auto &&in) {
+            return evaluator.add(std::forward<decltype(in)>(in), y);
+        });
+        check("add to a lower level", [&](auto &&in) {
+            return evaluator.add(std::forward<decltype(in)>(in), y_low);
+        });
+        check("sub", [&](auto &&in) {
+            return evaluator.sub(std::forward<decltype(in)>(in), y);
+        });
+        check("rescale", [&](auto &&in) {
+            return evaluator.rescale(std::forward<decltype(in)>(in));
+        });
+        check("rescaleMulti", [&](auto &&in) {
+            return evaluator.rescaleMulti(std::forward<decltype(in)>(in));
+        });
+        check("addPlain", [&](auto &&in) {
+            return evaluator.addPlain(std::forward<decltype(in)>(in), pt);
+        });
+        check("multiplyPlain", [&](auto &&in) {
+            return evaluator.multiplyPlain(std::forward<decltype(in)>(in),
+                                           pt);
+        });
+        check("reduceToLimbs", [&](auto &&in) {
+            return evaluator.reduceToLimbs(std::forward<decltype(in)>(in),
+                                           limbs - 1);
+        });
+        check("keySwitch", [&](auto &&in) {
+            auto [k0, k1] = evaluator.keySwitch(
+                std::forward<decltype(in)>(in).c1, pre);
+            return Ciphertext{std::move(k0), std::move(k1), 1.0};
+        });
+
+        const Ciphertext3 c3 = evaluator.multiplyNoRelin(x, y);
+        Ciphertext3 kept = c3;
+        const Ciphertext relin = evaluator.relinearize(kept, pre);
+        EXPECT_TRUE(kept.c0 == c3.c0 && kept.c1 == c3.c1 &&
+                    kept.c2 == c3.c2 && kept.scale == c3.scale);
+        Ciphertext3 dying = c3;
+        EXPECT_TRUE(same(evaluator.relinearize(std::move(dying), pre), relin));
+    }
+}
+
 TEST_F(CkksFixture, MultiplicativeDepthChain)
 {
     const auto rlk = keygen.relinKey();

@@ -20,6 +20,7 @@
 #include <cstdlib>
 #include <future>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -33,6 +34,7 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "nt/primes.h"
+#include "poly/limb_pool.h"
 #include "poly/ring.h"
 #include "rns/bconv.h"
 
@@ -257,6 +259,55 @@ TEST(ParallelExactness, RnsPolyOpsMatchSingleThread)
     const auto par = run_all(testThreads());
     setGlobalThreadCount(1);
     EXPECT_TRUE(seq == par);
+}
+
+// ---------------------------------------------------------------------
+// Limb free lists are per thread
+// ---------------------------------------------------------------------
+TEST(LimbFreeList, LimbsReleasedOnAnotherThreadAreReused)
+{
+    // Polynomials built on one thread and destroyed on another: their
+    // limbs join the destroying thread's list, which builds equal
+    // polynomials from them.
+    poly::Ring ring(256, nt::generateNttPrimes(28, 3, 512));
+    const auto build = [&](std::vector<poly::RnsPoly> &out) {
+        Rng rng(7);
+        for (auto &p : out)
+            p = poly::RnsPoly::uniform(ring, 3, true, rng);
+    };
+    std::vector<poly::RnsPoly> expect(8);
+    build(expect);
+    std::vector<poly::RnsPoly> made(8);
+    std::thread producer([&] { build(made); });
+    producer.join();
+    std::thread consumer([&] {
+        made.assign(8, poly::RnsPoly()); // released on this thread
+        EXPECT_EQ(poly::freeListBytes(), 8 * 3 * 256 * sizeof(u32));
+        build(made);
+        EXPECT_EQ(poly::freeListBytes(), 0u);
+    });
+    consumer.join();
+    EXPECT_TRUE(made == expect);
+}
+
+TEST(LimbFreeList, ReleaseAfterThreadExitIsSafe)
+{
+    poly::Ring ring(256, nt::generateNttPrimes(28, 3, 512));
+    // Limbs taken on a thread that has since exited, released here.
+    std::vector<poly::RnsPoly> orphans(4);
+    std::thread([&] {
+        Rng rng(9);
+        for (auto &p : orphans)
+            p = poly::RnsPoly::uniform(ring, 3, true, rng);
+    }).join();
+    orphans.clear();
+
+    // A thread_local polynomial constructed before its thread's list is
+    // destroyed after it, at thread exit: its limbs are freed normally.
+    std::thread([&] {
+        thread_local std::optional<poly::RnsPoly> late;
+        late.emplace(ring, 3, true);
+    }).join();
 }
 
 TEST(ParallelExactness, BConvMatchesSingleThread)

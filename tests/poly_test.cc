@@ -3,15 +3,19 @@
  * Tests for the polynomial layer: radix-2 CT NTT against schoolbook
  * ground truth, the 4-step (explicit reorder) and MAT 3-step
  * (layout-invariant) variants against the radix-2 reference, ModMatrix
- * permutation-folding identities (the MAT correctness core), and
- * RnsPoly / automorphism behaviour.
+ * permutation-folding identities (the MAT correctness core),
+ * RnsPoly / automorphism behaviour, and the per-thread limb free list.
  */
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <thread>
 
 #include "common/bitops.h"
 #include "common/rng.h"
 #include "nt/modops.h"
 #include "nt/primes.h"
+#include "poly/limb_pool.h"
 #include "poly/modmat.h"
 #include "poly/ntt_3step.h"
 #include "poly/ntt_4step.h"
@@ -480,6 +484,63 @@ TEST_F(RingTest, LimbManipulation)
     a.truncateLimbs(1);
     EXPECT_EQ(a.limbCount(), 1u);
     EXPECT_THROW(a.truncateLimbs(5), std::logic_error);
+}
+
+// ---------------------------------------------------------------------
+// Limb free list (each check runs on a fresh thread, whose list starts
+// empty)
+// ---------------------------------------------------------------------
+TEST_F(RingTest, ZeroPolynomialReusesDirtiedLimbsAsZeros)
+{
+    std::thread([&] {
+        for (int form = 0; form < 2; ++form) {
+            std::vector<const u32 *> released;
+            {
+                RnsPoly dirty = RnsPoly::uniform(ring, 3, true, rng);
+                for (size_t i = 0; i < 3; ++i)
+                    released.push_back(dirty.limb(i).data());
+            }
+            // Both zero-polynomial constructors take the same three
+            // buffers back and must clear them.
+            const RnsPoly zero = form == 0
+                ? RnsPoly(ring, 3, true)
+                : RnsPoly(ring, std::vector<u32>{2, 0, 1}, false);
+            for (size_t i = 0; i < 3; ++i) {
+                EXPECT_EQ(std::count(released.begin(), released.end(),
+                                     zero.limb(i).data()),
+                          1);
+                EXPECT_TRUE(std::all_of(zero.limb(i).begin(),
+                                        zero.limb(i).end(),
+                                        [](u32 v) { return v == 0; }));
+            }
+        }
+    }).join();
+}
+
+TEST_F(RingTest, FreeListRetainsAtMostItsCap)
+{
+    std::thread([&] {
+        const size_t limb_bytes = n * sizeof(u32);
+        {
+            // A burst of twice the cap, released at once.
+            std::vector<RnsPoly> burst;
+            for (size_t i = 0; i < 2 * kLimbFreeListBytes / limb_bytes / 3;
+                 ++i)
+                burst.emplace_back(ring, 3, false);
+            EXPECT_EQ(freeListBytes(), 0u);
+        }
+        EXPECT_LE(freeListBytes(), kLimbFreeListBytes);
+        EXPECT_GT(freeListBytes() + limb_bytes, kLimbFreeListBytes);
+
+        // Taking drains the list; a limb that is no longer n words long
+        // is freed instead of kept.
+        const size_t full = freeListBytes();
+        RnsPoly p(ring, 1, false);
+        EXPECT_EQ(freeListBytes(), full - limb_bytes);
+        p.limb(0).resize(n / 2);
+        p = RnsPoly();
+        EXPECT_EQ(freeListBytes(), full - limb_bytes);
+    }).join();
 }
 
 } // namespace

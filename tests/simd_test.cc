@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -136,7 +137,24 @@ struct ModVecCase
     std::vector<u64> wide;      // accumulators < 2^63
     nt::ShoupConst c;
     u32 w;
+    // Centred-lift sources: residues mod qFrom (same width as q, the
+    // select path) and mod qFromWide (>= 2q, the Barrett path).
+    u32 qFrom, qFromWide;
+    std::vector<u32> fromA, fromWideA;
 };
+
+/** Residues mod @p q_from, led by the lift's edge cases. */
+std::vector<u32>
+liftSources(Rng &rng, size_t n, u32 q_from, u32 q)
+{
+    std::vector<u32> v = randomVec(rng, n, q_from);
+    const u32 edges[] = {0, q_from - 1, q_from / 2, q_from / 2 + 1,
+                         q_from > q ? q_from - q : 1,
+                         q_from > 2 * u64{q} ? q_from - 2 * q : 2};
+    for (size_t i = 0; i < n && i < std::size(edges); ++i)
+        v[i] = edges[i];
+    return v;
+}
 
 ModVecCase
 makeCase(Rng &rng, u32 bits, size_t n)
@@ -151,13 +169,21 @@ makeCase(Rng &rng, u32 bits, size_t n)
         x = rng.uniform(u64{1} << 62);
     t.c = nt::shoupPrecompute(static_cast<u32>(rng.uniform(t.q)), t.q);
     t.w = static_cast<u32>(rng.uniform(t.q));
+    t.qFrom = static_cast<u32>((u64{1} << (bits - 1)) |
+                               rng.uniform(u64{1} << (bits - 1)) | 1);
+    const u64 wide_lo = 2 * u64{t.q} + 1;
+    t.qFromWide = static_cast<u32>(
+        wide_lo + rng.uniform((u64{1} << 32) - wide_lo));
+    t.fromA = liftSources(rng, n, t.qFrom, t.q);
+    t.fromWideA = liftSources(rng, n, t.qFromWide, t.q);
     return t;
 }
 
-/** All nine modvec results for one case under the active dispatch. */
+/** All modvec results for one case under the active dispatch. */
 struct ModVecResults
 {
-    std::vector<u32> add, sub, neg, shoup, shoup2q, mont, mul, red;
+    std::vector<u32> add, sub, neg, shoup, shoup2q, mont, mul, red, lift,
+        liftWide;
     std::vector<u64> accum, redip;
 };
 
@@ -188,7 +214,27 @@ runModVec(const ModVecCase &t)
     nt::reduceWideVec(r.red.data(), t.wide.data(), n, bar);
     r.redip = t.wide;
     nt::reduceWideInPlaceVec(r.redip.data(), n, bar);
+    r.lift.resize(n);
+    nt::liftCenteredVec(r.lift.data(), t.fromA.data(), n, t.qFrom, bar);
+    r.liftWide.resize(n);
+    nt::liftCenteredVec(r.liftWide.data(), t.fromWideA.data(), n,
+                        t.qFromWide, bar);
     return r;
+}
+
+/** The centred lift in signed arithmetic: the kernel's ground truth. */
+std::vector<u32>
+liftReference(const std::vector<u32> &a, u32 q_from, u32 q)
+{
+    std::vector<u32> out(a.size());
+    for (size_t j = 0; j < a.size(); ++j) {
+        const i64 centred = a[j] > q_from / 2
+            ? static_cast<i64>(a[j]) - static_cast<i64>(q_from)
+            : static_cast<i64>(a[j]);
+        const i64 r = centred % static_cast<i64>(q);
+        out[j] = static_cast<u32>(r < 0 ? r + q : r);
+    }
+    return out;
 }
 
 void
@@ -208,6 +254,8 @@ expectSameResults(const ModVecResults &x, const ModVecResults &y,
     EXPECT_EQ(x.accum, y.accum) << "accumMulVec" << where;
     EXPECT_EQ(x.red, y.red) << "reduceWideVec" << where;
     EXPECT_EQ(x.redip, y.redip) << "reduceWideInPlaceVec" << where;
+    EXPECT_EQ(x.lift, y.lift) << "liftCenteredVec" << where;
+    EXPECT_EQ(x.liftWide, y.liftWide) << "liftCenteredVec(wide)" << where;
 }
 
 TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
@@ -221,6 +269,11 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
                 IsaGuard g(nt::SimdIsa::Scalar);
                 ref = runModVec(t);
             }
+            EXPECT_EQ(ref.lift, liftReference(t.fromA, t.qFrom, t.q))
+                << "bits=" << bits << " n=" << n;
+            EXPECT_EQ(ref.liftWide,
+                      liftReference(t.fromWideA, t.qFromWide, t.q))
+                << "bits=" << bits << " n=" << n;
             for (auto isa : kVectorIsas) {
                 if (!nt::simdIsaAvailable(isa))
                     continue; // skip notice emitted once below
