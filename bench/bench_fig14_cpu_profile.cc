@@ -12,6 +12,11 @@
  * recycle through a per-thread free list, so a CKKS operator should
  * take next to none; fig14/ckks_minor_faults_max, the largest CKKS
  * row, is banded in bench/fidelity_tolerance.json.
+ *
+ * A CKKS rotation's Automorphism time reads 0: the key switch gathers
+ * each digit through the rotation map inside its fused inner product,
+ * whose time is booked to VecModMul, so the gathers sit under the
+ * VecMod columns rather than under Other.
  */
 #include <sys/resource.h>
 

@@ -7,7 +7,6 @@
 
 #include "common/check.h"
 #include "common/timer.h"
-#include "nt/modops.h"
 #include "nt/modvec.h"
 #include "nt/shoup.h"
 #include "poly/limb_pool.h"
@@ -237,14 +236,10 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     Ciphertext out;
     std::tie(out.c0, out.c1) = innerProductModDown(dec.digits, pre, &map);
     WallTimer t;
-    const size_t n = ctx_.degree();
-    for (size_t i = 0; i < ct.limbs(); ++i) {
-        const u64 q = ctx_.qModulus(i);
-        u32 *dst = out.c0.limb(i).data();
-        const u32 *src = ct.c0.limb(i).data();
-        for (size_t m = 0; m < n; ++m)
-            dst[m] = static_cast<u32>(nt::addMod(dst[m], src[map[m]], q));
-    }
+    for (size_t i = 0; i < ct.limbs(); ++i)
+        nt::gatherAddModVec(out.c0.limb(i).data(), ct.c0.limb(i).data(),
+                            map.data(), ctx_.degree(),
+                            static_cast<u32>(ctx_.qModulus(i)));
     logCall(KernelKind::VecModAdd, static_cast<u32>(ct.limbs()), 0,
             t.seconds());
     out.scale = ct.scale;
@@ -392,58 +387,39 @@ CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
         internalCheck(digit.slots() == pre.extSlots,
                       "keySwitch: digit basis mismatch");
 
-    // Limb by limb: digit j's limb (gathered through auto_map when
-    // rotating) times both halves of pre.keys[j], added into the limb's
-    // accumulators while they are hot. The digits and keys are read in
-    // place; the gathered limb and the two products live in two
-    // scratch limbs from the free list. The gathers, the products and
-    // the sums log as one launch each, as the schedule prices them.
-    RnsPoly acc0(ctx_.ring(), pre.extSlots, true);
-    RnsPoly acc1(ctx_.ring(), pre.extSlots, true);
-    std::vector<u32> scratch0 = poly::takeLimb(n, false);
-    std::vector<u32> scratch1 = poly::takeLimb(n, false);
-    u32 *const prod0 = scratch0.data();
-    u32 *const prod1 = scratch1.data();
+    // One fused pass per extended limb: for every coefficient, the d
+    // digit values (gathered through auto_map when rotating) times
+    // both halves of pre.keys[j] sum in u64 lanes and reduce once. The
+    // digits and keys are read in place and each accumulator limb is
+    // written once. The pass logs as the gathers, products and sums
+    // the schedule prices, with its whole time on the products.
+    RnsPoly acc0 = RnsPoly::forOverwrite(ctx_.ring(), pre.extSlots, true);
+    RnsPoly acc1 = RnsPoly::forOverwrite(ctx_.ring(), pre.extSlots, true);
+    std::vector<const u32 *> ptrs(3 * d); // one limb's digits and keys
+    const u32 **const digit = ptrs.data();
+    const u32 **const key0 = digit + d;
+    const u32 **const key1 = key0 + d;
     const u32 *const map = auto_map ? auto_map->data() : nullptr;
-    double gather_s = 0.0;
-    double mul_s = 0.0;
-    double add_s = 0.0;
     WallTimer t;
     for (size_t i = 0; i < ext; ++i) {
-        const u32 slot = pre.extSlots[i];
-        const auto &mont = ctx_.ring().basis().mont(slot);
-        const u32 q = static_cast<u32>(ctx_.ring().modulus(slot));
-        u32 *const a0 = acc0.limb(i).data();
-        u32 *const a1 = acc1.limb(i).data();
         for (size_t j = 0; j < d; ++j) {
-            const u32 *src = digits[j].limb(i).data();
-            if (map) {
-                // prod1 holds the gathered limb until its own product
-                // overwrites it in place.
-                for (size_t m = 0; m < n; ++m)
-                    prod1[m] = src[map[m]];
-                src = prod1;
-                gather_s += t.lap();
-            }
-            nt::mulMontVec(prod0, src, pre.keys[j].first.limb(i).data(), n,
-                           mont);
-            nt::mulMontVec(prod1, src, pre.keys[j].second.limb(i).data(),
-                           n, mont);
-            mul_s += t.lap();
-            nt::addModVec(a0, a0, prod0, n, q);
-            nt::addModVec(a1, a1, prod1, n, q);
-            add_s += t.lap();
+            digit[j] = digits[j].limb(i).data();
+            key0[j] = pre.keys[j].first.limb(i).data();
+            key1[j] = pre.keys[j].second.limb(i).data();
         }
+        nt::keySwitchProductVec(acc0.limb(i).data(), acc1.limb(i).data(),
+                                digit, key0, key1, d, map, n,
+                                ctx_.ring().basis().mont(pre.extSlots[i]));
     }
+    const double fused_s = t.seconds();
     // A rotation's closing add gathers c0's limbs: they count here with
     // the digits', and their time goes to that add.
     if (map)
         logCall(KernelKind::Automorphism,
-                static_cast<u32>(d * ext + pre.level + 1), 0, gather_s);
-    logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0, mul_s);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, add_s);
-    poly::releaseLimb(std::move(scratch0), n);
-    poly::releaseLimb(std::move(scratch1), n);
+                static_cast<u32>(d * ext + pre.level + 1), 0, 0.0);
+    logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0,
+            fused_s);
+    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, 0.0);
     return {modDownPhase(std::move(acc0), pre.level),
             modDownPhase(std::move(acc1), pre.level)};
 }

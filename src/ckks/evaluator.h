@@ -207,12 +207,15 @@ class CkksEvaluator
 
     /**
      * Phases 2+3 shared by keySwitch and applyHoistedRotation: the
-     * inner product of the extended-basis @p digits with pre.keys,
-     * streamed limb by limb with both read in place, then ModDown of
-     * both accumulators. With @p auto_map (Ring::evalAutoMap of a
-     * rotation) each digit limb is gathered through the map first, and
+     * inner product of the extended-basis @p digits with pre.keys, one
+     * fused pass per limb (nt::keySwitchProductVec: the d products sum
+     * in registers and reduce once, both read in place), then ModDown
+     * of both accumulators. With @p auto_map (Ring::evalAutoMap of a
+     * rotation) the pass gathers each digit value through the map, and
      * an Automorphism entry covering the digits and the caller's c0
-     * fold is logged ahead of the products.
+     * fold is logged ahead of the products. The pass books its time to
+     * the VecModMul entry; the Automorphism and VecModAdd entries log
+     * 0 s.
      */
     std::pair<poly::RnsPoly, poly::RnsPoly>
     innerProductModDown(const std::vector<poly::RnsPoly> &digits,

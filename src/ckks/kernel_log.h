@@ -7,6 +7,12 @@
  *     enumerator's prediction (src/ckks/schedule.h);
  *  2. the TPU cost model: replays a schedule through cross::Lowering;
  *  3. Fig. 14: wall-time per kernel kind on the host CPU backend.
+ *
+ * The entries keep the schedule's shape when the CPU fuses kernels: a
+ * fused pass books its whole time to one of the entries it covers and
+ * logs the others with 0 s. The key switch's inner product books to
+ * its VecModMul entry (its Automorphism gathers and VecModAdd sums log
+ * 0 s), and ModDown's subtract-and-scale books to VecModMulConst.
  */
 #pragma once
 

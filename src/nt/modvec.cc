@@ -1,5 +1,7 @@
 #include "nt/modvec.h"
 
+#include <algorithm>
+
 #include "nt/modops.h"
 #include "nt/modvec_impl.h"
 #include "nt/simd_dispatch.h"
@@ -90,6 +92,30 @@ liftCenteredScalar(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
         dst[j] = liftCenteredSelect(a[j], half, shift);
 }
 
+void
+keySwitchProductScalar(u32 *out0, u32 *out1, const u32 *const *digits,
+                       const u32 *const *key0, const u32 *const *key1,
+                       size_t d, const u32 *map, size_t n, u32 q,
+                       u32 qInv, u32 r2, size_t budget)
+{
+    keySwitchProductLoop(out0, out1, digits, key0, key1, d, map, 0, n, q,
+                         qInv, r2, budget);
+}
+
+void
+bconvDotScalar(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+               size_t n, u32 q, u32 qInv, u32 r2, size_t budget)
+{
+    bconvDotLoop(out, b, w, k, 0, n, q, qInv, r2, budget);
+}
+
+void
+gatherAddModScalar(u32 *dst, const u32 *src, const u32 *map, size_t n,
+                   u32 q)
+{
+    gatherAddModLoop(dst, src, map, 0, n, q);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -99,7 +125,8 @@ modVecKernelsScalar()
         addModScalar,    subModScalar,  negModScalar,
         mulShoupScalar,  mulMontScalar, mulModScalar,
         accumMulScalar,  reduceWideScalar, reduceWideInPlaceScalar,
-        liftCenteredScalar,
+        liftCenteredScalar, keySwitchProductScalar, bconvDotScalar,
+        gatherAddModScalar,
     };
     return k;
 }
@@ -197,6 +224,44 @@ liftCenteredVec(u32 *dst, const u32 *a, size_t n, u32 q_from,
 {
     detail::kernels().liftCentered(dst, a, n, q_from, bar.modulus(),
                                    bar.m64());
+}
+
+size_t
+lazySumBudget(u32 q, u64 max_product)
+{
+    // Lanes hold at most q - 1 after a fold and must stay at most
+    // q * 2^32 - 1, which leaves q * (2^32 - 1) for the products; q < 2^31
+    // keeps that below 2^63. One product always fits.
+    const u64 room = u64{q} * 0xffffffffULL;
+    return static_cast<size_t>(
+        std::max<u64>(1, room / std::max<u64>(1, max_product)));
+}
+
+void
+keySwitchProductVec(u32 *out0, u32 *out1, const u32 *const *digits,
+                    const u32 *const *key0, const u32 *const *key1,
+                    size_t d, const u32 *map, size_t n,
+                    const Montgomery &mont)
+{
+    const u32 q = mont.modulus();
+    detail::kernels().keySwitchProduct(
+        out0, out1, digits, key0, key1, d, map, n, q, mont.qInv(),
+        static_cast<u32>(mont.rSquared()),
+        lazySumBudget(q, u64{q - 1} * (q - 1)));
+}
+
+void
+bconvDotVec(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+            size_t n, size_t budget, const Montgomery &mont)
+{
+    detail::kernels().bconvDot(out, b, w, k, n, mont.modulus(), mont.qInv(),
+                               static_cast<u32>(mont.rSquared()), budget);
+}
+
+void
+gatherAddModVec(u32 *dst, const u32 *src, const u32 *map, size_t n, u32 q)
+{
+    detail::kernels().gatherAddMod(dst, src, map, n, q);
 }
 
 } // namespace cross::nt

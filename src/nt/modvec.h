@@ -2,8 +2,8 @@
  * @file
  * Vector lanes for the element-wise modular kernels.
  *
- * Every limb-wise hot loop in poly/ring.cc and rns/bconv.cc bottoms out
- * in one of these array operations. Each has a scalar
+ * Every limb-wise hot loop in poly/ring.cc, rns/bconv.cc and the key
+ * switch bottoms out in one of these array operations. Each has a scalar
  * implementation (a plain loop over the nt/ scalar primitives -- the
  * ground truth) plus AVX2 / AVX-512 variants selected at runtime
  * through nt/simd_dispatch.h. All variants are bit-identical: the
@@ -11,8 +11,10 @@
  * reductions, same lazy windows, same final folds), they just do it
  * 4-16 elements at a time.
  *
- * Aliasing: all operations are element-wise, so dst may alias a or b
- * element-for-element (the in-place forms in RnsPoly rely on this).
+ * Aliasing: the element-wise operations let dst alias a or b
+ * element-for-element (the in-place forms in RnsPoly rely on this); the
+ * lazy product sums, which gather or sum across limbs, say what must
+ * not overlap.
  */
 #pragma once
 
@@ -52,8 +54,8 @@ void mulModVec(u32 *dst, const u32 *a, const u32 *b, size_t n,
 
 /**
  * acc[j] += a[j] * w (plain u64 accumulate, no reduction). The caller
- * owns the overflow budget -- BConv's step 2 reduces every
- * reduceEvery_ additions precisely so this product sum stays < 2^63.
+ * owns the overflow budget -- poly::matMulRaw reduces every window of
+ * additions precisely so this product sum stays < 2^63.
  */
 void accumMulVec(u64 *acc, const u32 *a, u32 w, size_t n);
 
@@ -63,7 +65,7 @@ void reduceWideVec(u32 *dst, const u64 *acc, size_t n,
 
 /**
  * acc[j] = bar.reduceWide(acc[j]) in place -- the mid-window reduction
- * of a lazy accumulation chain (BConv step 2, ModMatMul).
+ * of a lazy accumulation chain (ModMatMul).
  */
 void reduceWideInPlaceVec(u64 *acc, size_t n, const Barrett &bar);
 
@@ -77,5 +79,57 @@ void reduceWideInPlaceVec(u64 *acc, size_t n, const Barrett &bar);
  */
 void liftCenteredVec(u32 *dst, const u32 *a, size_t n, u32 q_from,
                      const Barrett &bar);
+
+/**
+ * @name Lazy product sums
+ * Dot products whose reduction is deferred: each coefficient's plain
+ * 32x32-bit products add in a u64 lane and the sum reduces once
+ * (Montgomery, times 2^64 mod q, Montgomery again, fold), the CPU form
+ * of the MXU's wide accumulate. A lane sum must stay below q * 2^32:
+ * it folds through the same reduction after every lazySumBudget
+ * products that more products follow. Outputs are canonical, so they
+ * equal mulMontVec + addModVec on the same inputs bit for bit. @{
+ */
+
+/**
+ * Products of at most @p max_product each that a lane can add between
+ * two folds: it starts at 0 or at a folded residue below q and must
+ * stay below q * 2^32. 16 for 28-bit operands under a 28-bit q, 2-3
+ * for 31-bit ones.
+ */
+size_t lazySumBudget(u32 q, u64 max_product);
+
+/**
+ * The key switch's digit x key inner product on one extended-basis
+ * limb of modulus q = mont.modulus(), both halves at once:
+ *   out0[m] = sum_j digits[j][map[m]] * key0[j][m] mod q,
+ *   out1[m] = sum_j digits[j][map[m]] * key1[j][m] mod q,
+ * over j < d, with map[m] = m when @p map is null (no rotation). The
+ * vector paths gather through the map in-register. Requires every
+ * digit and key value < q and every map entry < n; the outputs must
+ * not overlap the inputs.
+ */
+void keySwitchProductVec(u32 *out0, u32 *out1, const u32 *const *digits,
+                         const u32 *const *key0, const u32 *const *key1,
+                         size_t d, const u32 *map, size_t n,
+                         const Montgomery &mont);
+
+/**
+ * BConv's step-2 row for one target modulus q = mont.modulus():
+ * out[m] = sum_i b[i][m] * w[i] mod q over i < k, folding every
+ * @p budget products (lazySumBudget of the largest b x w product).
+ * Requires w[i] < q; @p out must not overlap the b limbs.
+ */
+void bconvDotVec(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+                 size_t n, size_t budget, const Montgomery &mont);
+
+/**
+ * dst[m] = (dst[m] + src[map[m]]) mod q: a rotation's closing add of
+ * c0 with the automorphism gathered in. Requires dst[m], src[m] < q
+ * and map entries < n; dst must not overlap src.
+ */
+void gatherAddModVec(u32 *dst, const u32 *src, const u32 *map, size_t n,
+                     u32 q);
+/** @} */
 
 } // namespace cross::nt

@@ -220,6 +220,134 @@ liftCenteredAvx2(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
         dst[j] = liftCenteredSelect(a[j], half, shift);
 }
 
+/**
+ * keySwitchProductVec, 8 coefficients a step: each digit's 8 values
+ * (one vpgatherdd through the map when kGather) feed both products,
+ * and the four u64 sums (two keys, even and odd lanes) reduce once.
+ */
+template <bool kGather>
+void
+keySwitchProductBody(u32 *out0, u32 *out1, const u32 *const *digits,
+                     const u32 *const *key0, const u32 *const *key1,
+                     size_t d, const u32 *map, size_t n, u32 q, u32 qInv,
+                     u32 r2, size_t budget)
+{
+    const __m256i qV = _mm256_set1_epi64x(q);
+    const __m256i qInvV = _mm256_set1_epi64x(qInv);
+    const __m256i r2V = _mm256_set1_epi64x(r2);
+    const auto reduce = [&](__m256i z) {
+        return lazySumReduce64(z, qV, qInvV, r2V);
+    };
+    const auto load = [](const u32 *p) {
+        return _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p));
+    };
+    size_t m = 0;
+    for (; m + 8 <= n; m += 8) {
+        __m256i idx = _mm256_setzero_si256();
+        if constexpr (kGather)
+            idx = load(map + m);
+        __m256i s0e = _mm256_setzero_si256(), s0o = s0e, s1e = s0e,
+                s1o = s0e;
+        size_t left = budget;
+        for (size_t j = 0; j < d; ++j, --left) {
+            if (left == 0) {
+                s0e = reduce(s0e);
+                s0o = reduce(s0o);
+                s1e = reduce(s1e);
+                s1o = reduce(s1o);
+                left = budget;
+            }
+            __m256i x;
+            if constexpr (kGather)
+                x = _mm256_i32gather_epi32(
+                    reinterpret_cast<const int *>(digits[j]), idx, 4);
+            else
+                x = load(digits[j] + m);
+            const __m256i k0 = load(key0[j] + m);
+            const __m256i k1 = load(key1[j] + m);
+            const __m256i xo = _mm256_srli_epi64(x, 32);
+            s0e = _mm256_add_epi64(s0e, _mm256_mul_epu32(x, k0));
+            s0o = _mm256_add_epi64(
+                s0o, _mm256_mul_epu32(xo, _mm256_srli_epi64(k0, 32)));
+            s1e = _mm256_add_epi64(s1e, _mm256_mul_epu32(x, k1));
+            s1o = _mm256_add_epi64(
+                s1o, _mm256_mul_epu32(xo, _mm256_srli_epi64(k1, 32)));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out0 + m),
+                            mergeHalves(reduce(s0e), reduce(s0o)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out1 + m),
+                            mergeHalves(reduce(s1e), reduce(s1o)));
+    }
+    keySwitchProductLoop(out0, out1, digits, key0, key1, d, map, m, n, q,
+                         qInv, r2, budget);
+}
+
+void
+keySwitchProductAvx2(u32 *out0, u32 *out1, const u32 *const *digits,
+                     const u32 *const *key0, const u32 *const *key1,
+                     size_t d, const u32 *map, size_t n, u32 q, u32 qInv,
+                     u32 r2, size_t budget)
+{
+    if (map)
+        keySwitchProductBody<true>(out0, out1, digits, key0, key1, d, map,
+                                   n, q, qInv, r2, budget);
+    else
+        keySwitchProductBody<false>(out0, out1, digits, key0, key1, d,
+                                    nullptr, n, q, qInv, r2, budget);
+}
+
+void
+bconvDotAvx2(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+             size_t n, u32 q, u32 qInv, u32 r2, size_t budget)
+{
+    const __m256i qV = _mm256_set1_epi64x(q);
+    const __m256i qInvV = _mm256_set1_epi64x(qInv);
+    const __m256i r2V = _mm256_set1_epi64x(r2);
+    const auto reduce = [&](__m256i z) {
+        return lazySumReduce64(z, qV, qInvV, r2V);
+    };
+    size_t m = 0;
+    for (; m + 8 <= n; m += 8) {
+        __m256i se = _mm256_setzero_si256(), so = se;
+        size_t left = budget;
+        for (size_t i = 0; i < k; ++i, --left) {
+            if (left == 0) {
+                se = reduce(se);
+                so = reduce(so);
+                left = budget;
+            }
+            const __m256i x = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(b[i] + m));
+            const __m256i wV = _mm256_set1_epi64x(w[i]);
+            se = _mm256_add_epi64(se, _mm256_mul_epu32(x, wV));
+            so = _mm256_add_epi64(
+                so, _mm256_mul_epu32(_mm256_srli_epi64(x, 32), wV));
+        }
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(out + m),
+                            mergeHalves(reduce(se), reduce(so)));
+    }
+    bconvDotLoop(out, b, w, k, m, n, q, qInv, r2, budget);
+}
+
+void
+gatherAddModAvx2(u32 *dst, const u32 *src, const u32 *map, size_t n,
+                 u32 q)
+{
+    const __m256i qV = _mm256_set1_epi32(static_cast<int>(q));
+    size_t m = 0;
+    for (; m + 8 <= n; m += 8) {
+        const __m256i g = _mm256_i32gather_epi32(
+            reinterpret_cast<const int *>(src),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(map + m)),
+            4);
+        const __m256i v = _mm256_loadu_si256(
+            reinterpret_cast<const __m256i *>(dst + m));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + m),
+                            fold2qU32(_mm256_add_epi32(v, g), qV));
+    }
+    gatherAddModLoop(dst, src, map, m, n, q);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -229,7 +357,8 @@ modVecKernelsAvx2()
         addModAvx2,    subModAvx2,  negModAvx2,
         mulShoupAvx2,  mulMontAvx2, mulModAvx2,
         accumMulAvx2,  reduceWideAvx2, reduceWideInPlaceAvx2,
-        liftCenteredAvx2,
+        liftCenteredAvx2, keySwitchProductAvx2, bconvDotAvx2,
+        gatherAddModAvx2,
     };
     return k;
 }

@@ -220,6 +220,125 @@ liftCenteredAvx512(u32 *dst, const u32 *a, size_t n, u32 q_from, u32 q,
         dst[j] = liftCenteredSelect(a[j], half, shift);
 }
 
+/**
+ * keySwitchProductVec, 16 coefficients a step: each digit's 16 values
+ * (one vpgatherdd through the map when kGather) feed both products,
+ * and the four u64 sums (two keys, even and odd lanes) reduce once.
+ */
+template <bool kGather>
+void
+keySwitchProductBody(u32 *out0, u32 *out1, const u32 *const *digits,
+                     const u32 *const *key0, const u32 *const *key1,
+                     size_t d, const u32 *map, size_t n, u32 q, u32 qInv,
+                     u32 r2, size_t budget)
+{
+    const __m512i qV = _mm512_set1_epi64(q);
+    const __m512i qInvV = _mm512_set1_epi64(qInv);
+    const __m512i r2V = _mm512_set1_epi64(r2);
+    const auto reduce = [&](__m512i z) {
+        return lazySumReduce64(z, qV, qInvV, r2V);
+    };
+    size_t m = 0;
+    for (; m + 16 <= n; m += 16) {
+        __m512i idx = _mm512_setzero_si512();
+        if constexpr (kGather)
+            idx = _mm512_loadu_si512(map + m);
+        __m512i s0e = _mm512_setzero_si512(), s0o = s0e, s1e = s0e,
+                s1o = s0e;
+        size_t left = budget;
+        for (size_t j = 0; j < d; ++j, --left) {
+            if (left == 0) {
+                s0e = reduce(s0e);
+                s0o = reduce(s0o);
+                s1e = reduce(s1e);
+                s1o = reduce(s1o);
+                left = budget;
+            }
+            __m512i x;
+            if constexpr (kGather)
+                x = _mm512_i32gather_epi32(idx, digits[j], 4);
+            else
+                x = _mm512_loadu_si512(digits[j] + m);
+            const __m512i k0 = _mm512_loadu_si512(key0[j] + m);
+            const __m512i k1 = _mm512_loadu_si512(key1[j] + m);
+            const __m512i xo = _mm512_srli_epi64(x, 32);
+            s0e = _mm512_add_epi64(s0e, _mm512_mul_epu32(x, k0));
+            s0o = _mm512_add_epi64(
+                s0o, _mm512_mul_epu32(xo, _mm512_srli_epi64(k0, 32)));
+            s1e = _mm512_add_epi64(s1e, _mm512_mul_epu32(x, k1));
+            s1o = _mm512_add_epi64(
+                s1o, _mm512_mul_epu32(xo, _mm512_srli_epi64(k1, 32)));
+        }
+        _mm512_storeu_si512(out0 + m,
+                            mergeHalves(reduce(s0e), reduce(s0o)));
+        _mm512_storeu_si512(out1 + m,
+                            mergeHalves(reduce(s1e), reduce(s1o)));
+    }
+    keySwitchProductLoop(out0, out1, digits, key0, key1, d, map, m, n, q,
+                         qInv, r2, budget);
+}
+
+void
+keySwitchProductAvx512(u32 *out0, u32 *out1, const u32 *const *digits,
+                       const u32 *const *key0, const u32 *const *key1,
+                       size_t d, const u32 *map, size_t n, u32 q,
+                       u32 qInv, u32 r2, size_t budget)
+{
+    if (map)
+        keySwitchProductBody<true>(out0, out1, digits, key0, key1, d, map,
+                                   n, q, qInv, r2, budget);
+    else
+        keySwitchProductBody<false>(out0, out1, digits, key0, key1, d,
+                                    nullptr, n, q, qInv, r2, budget);
+}
+
+void
+bconvDotAvx512(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+               size_t n, u32 q, u32 qInv, u32 r2, size_t budget)
+{
+    const __m512i qV = _mm512_set1_epi64(q);
+    const __m512i qInvV = _mm512_set1_epi64(qInv);
+    const __m512i r2V = _mm512_set1_epi64(r2);
+    const auto reduce = [&](__m512i z) {
+        return lazySumReduce64(z, qV, qInvV, r2V);
+    };
+    size_t m = 0;
+    for (; m + 16 <= n; m += 16) {
+        __m512i se = _mm512_setzero_si512(), so = se;
+        size_t left = budget;
+        for (size_t i = 0; i < k; ++i, --left) {
+            if (left == 0) {
+                se = reduce(se);
+                so = reduce(so);
+                left = budget;
+            }
+            const __m512i x = _mm512_loadu_si512(b[i] + m);
+            const __m512i wV = _mm512_set1_epi64(w[i]);
+            se = _mm512_add_epi64(se, _mm512_mul_epu32(x, wV));
+            so = _mm512_add_epi64(
+                so, _mm512_mul_epu32(_mm512_srli_epi64(x, 32), wV));
+        }
+        _mm512_storeu_si512(out + m, mergeHalves(reduce(se), reduce(so)));
+    }
+    bconvDotLoop(out, b, w, k, m, n, q, qInv, r2, budget);
+}
+
+void
+gatherAddModAvx512(u32 *dst, const u32 *src, const u32 *map, size_t n,
+                   u32 q)
+{
+    const __m512i qV = _mm512_set1_epi32(static_cast<int>(q));
+    size_t m = 0;
+    for (; m + 16 <= n; m += 16) {
+        const __m512i g = _mm512_i32gather_epi32(
+            _mm512_loadu_si512(map + m), src, 4);
+        const __m512i v = _mm512_loadu_si512(dst + m);
+        _mm512_storeu_si512(dst + m,
+                            fold2qU32(_mm512_add_epi32(v, g), qV));
+    }
+    gatherAddModLoop(dst, src, map, m, n, q);
+}
+
 } // namespace
 
 const ModVecKernels &
@@ -229,7 +348,8 @@ modVecKernelsAvx512()
         addModAvx512,   subModAvx512,   negModAvx512,
         mulShoupAvx512, mulMontAvx512,  mulModAvx512,
         accumMulAvx512, reduceWideAvx512, reduceWideInPlaceAvx512,
-        liftCenteredAvx512,
+        liftCenteredAvx512, keySwitchProductAvx512, bconvDotAvx512,
+        gatherAddModAvx512,
     };
     return k;
 }

@@ -96,6 +96,83 @@ liftCenteredSelect(u32 v, u32 half, u32 shift)
     return v > half ? v + shift : v;
 }
 
+/**
+ * The one reduction of a lazy product sum: Montgomery-reduce z (to
+ * z * 2^-32 in [0, 2q)), multiply by r2 = 2^64 mod q and reduce again
+ * (back to z mod q, in [0, 2q)), then fold. Requires z < q * 2^32 and
+ * q < 2^31, so the second product stays below q * 2^32 too; only
+ * 32x32->64 multiplies, the shape every vector path has.
+ */
+inline u32
+lazySumReduceRaw(u64 z, u32 q, u32 qInv, u32 r2)
+{
+    const u32 r = montReduceRaw(z, q, qInv);
+    const u32 s = montReduceRaw(static_cast<u64>(r) * r2, q, qInv);
+    return s >= q ? s - q : s;
+}
+
+/**
+ * keySwitchProductVec's scalar loop over coefficients [from, n), the
+ * ground truth and every vector kernel's tail: both sums take one
+ * product per digit and fold through lazySumReduceRaw after every
+ * @p budget products that more products follow.
+ */
+inline void
+keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
+                     const u32 *const *key0, const u32 *const *key1,
+                     size_t d, const u32 *map, size_t from, size_t n,
+                     u32 q, u32 qInv, u32 r2, size_t budget)
+{
+    for (size_t m = from; m < n; ++m) {
+        const size_t src = map ? map[m] : m;
+        u64 s0 = 0, s1 = 0;
+        size_t left = budget;
+        for (size_t j = 0; j < d; ++j, --left) {
+            if (left == 0) {
+                s0 = lazySumReduceRaw(s0, q, qInv, r2);
+                s1 = lazySumReduceRaw(s1, q, qInv, r2);
+                left = budget;
+            }
+            const u64 x = digits[j][src];
+            s0 += x * key0[j][m];
+            s1 += x * key1[j][m];
+        }
+        out0[m] = lazySumReduceRaw(s0, q, qInv, r2);
+        out1[m] = lazySumReduceRaw(s1, q, qInv, r2);
+    }
+}
+
+/** bconvDotVec's scalar loop over [from, n), folded like the above. */
+inline void
+bconvDotLoop(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+             size_t from, size_t n, u32 q, u32 qInv, u32 r2,
+             size_t budget)
+{
+    for (size_t m = from; m < n; ++m) {
+        u64 s = 0;
+        size_t left = budget;
+        for (size_t i = 0; i < k; ++i, --left) {
+            if (left == 0) {
+                s = lazySumReduceRaw(s, q, qInv, r2);
+                left = budget;
+            }
+            s += static_cast<u64>(b[i][m]) * w[i];
+        }
+        out[m] = lazySumReduceRaw(s, q, qInv, r2);
+    }
+}
+
+/** gatherAddModVec's scalar loop over [from, n). */
+inline void
+gatherAddModLoop(u32 *dst, const u32 *src, const u32 *map, size_t from,
+                 size_t n, u32 q)
+{
+    for (size_t m = from; m < n; ++m) {
+        const u32 s = dst[m] + src[map[m]];
+        dst[m] = s >= q ? s - q : s;
+    }
+}
+
 /** One dispatch path's implementations of the modvec.h operations. */
 struct ModVecKernels
 {
@@ -112,6 +189,13 @@ struct ModVecKernels
     void (*reduceWideInPlace)(u64 *, size_t, u32 q, u64 m64);
     void (*liftCentered)(u32 *, const u32 *, size_t, u32 q_from, u32 q,
                          u64 m64);
+    void (*keySwitchProduct)(u32 *, u32 *, const u32 *const *,
+                             const u32 *const *, const u32 *const *,
+                             size_t d, const u32 *map, size_t n, u32 q,
+                             u32 qInv, u32 r2, size_t budget);
+    void (*bconvDot)(u32 *, const u32 *const *, const u32 *, size_t k,
+                     size_t n, u32 q, u32 qInv, u32 r2, size_t budget);
+    void (*gatherAddMod)(u32 *, const u32 *, const u32 *, size_t, u32);
 };
 
 const ModVecKernels &modVecKernelsScalar();

@@ -132,6 +132,19 @@ montMulPlainHalf(__m256i ah, __m256i bh, __m256i qV, __m256i qInvV,
 }
 
 /**
+ * The lazy-sum reduction on u64 lanes z < q * 2^32: Montgomery, times
+ * r2 = 2^64 mod q, Montgomery again, fold; results < q in the low
+ * dwords. Scalar twin: lazySumReduceRaw() in nt/modvec_impl.h.
+ */
+inline __m256i
+lazySumReduce64(__m256i z, __m256i qV, __m256i qInvV, __m256i r2V)
+{
+    const __m256i r = montReduce64(z, qV, qInvV);
+    return fold2qU64Lane(
+        montReduce64(_mm256_mul_epu32(r, r2V), qV, qInvV), qV);
+}
+
+/**
  * floor(x * m / 2^64) for u64 lanes x (full 64-bit values) and a
  * broadcast u64 constant m split into mLo/mHi dword halves. The
  * classic four-partial-product high word; `cross` collects the carries

@@ -107,6 +107,19 @@ montMulPlainHalf(__m512i ah, __m512i bh, __m512i qV, __m512i qInvV,
         montReduce64(_mm512_mul_epu32(am, bh), qV, qInvV), qV);
 }
 
+/**
+ * The lazy-sum reduction on u64 lanes z < q * 2^32: Montgomery, times
+ * r2 = 2^64 mod q, Montgomery again, fold; results < q in the low
+ * dwords. Scalar twin: lazySumReduceRaw() in nt/modvec_impl.h.
+ */
+inline __m512i
+lazySumReduce64(__m512i z, __m512i qV, __m512i qInvV, __m512i r2V)
+{
+    const __m512i r = montReduce64(z, qV, qInvV);
+    return fold2qU64Lane(
+        montReduce64(_mm512_mul_epu32(r, r2V), qV, qInvV), qV);
+}
+
 /** floor(x * m / 2^64) for full-u64 lanes x, m split into dwords. */
 inline __m512i
 mulHi64(__m512i x, __m512i mLo, __m512i mHi, __m512i lo32)

@@ -12,13 +12,17 @@ namespace cross::rns {
 BasisConversion::BasisConversion(const RnsBasis &from, const RnsBasis &to)
     : from_(from), to_(to)
 {
-    table_.resize(from_.size());
-    for (size_t i = 0; i < from_.size(); ++i) {
-        table_[i].resize(to_.size());
-        for (size_t j = 0; j < to_.size(); ++j) {
-            table_[i][j] =
-                static_cast<u32>(from_.qHatMod(i, to_.modulus(j)));
-        }
+    const u64 from_max =
+        *std::max_element(from_.moduli().begin(), from_.moduli().end());
+    weights_.resize(to_.size() * from_.size());
+    for (size_t j = 0; j < to_.size(); ++j) {
+        const u64 p = to_.modulus(j);
+        for (size_t i = 0; i < from_.size(); ++i)
+            weights_[j * from_.size() + i] =
+                static_cast<u32>(from_.qHatMod(i, p));
+        // Step 1's outputs are below their q_i, the weights below p_j.
+        budget_.push_back(nt::lazySumBudget(static_cast<u32>(p),
+                                            (from_max - 1) * (p - 1)));
     }
     qHatInvShoup_.reserve(from_.size());
     for (size_t i = 0; i < from_.size(); ++i) {
@@ -40,9 +44,9 @@ BasisConversion::BasisConversion(const RnsBasis &from, const RnsBasis &to)
 namespace {
 
 /**
- * Coefficients per block of convert: one block's step-1 outputs and u64
- * sums stay in L1 while step 2 reads them once per target limb, and
- * the scratch stays a few KiB whatever the degree.
+ * Coefficients per block of convert: one block's step-1 outputs stay
+ * in L1 while step 2 reads them once per target limb, and the scratch
+ * stays a few KiB whatever the degree.
  */
 constexpr size_t kBlock = 512;
 
@@ -90,24 +94,14 @@ BasisConversion::scaleLimbs(const u32 *const *in, u32 *const *b,
 
 void
 BasisConversion::accumulateLimbs(const u32 *const *b, u32 *const *out,
-                                 size_t n, u64 *acc) const
+                                 size_t n) const
 {
-    // The (N, L, L') MatModMul, one target limb j at a time: accumulate
-    // the n coefficients through the dispatched vector lanes, folding
-    // the u64 accumulator every reduceEvery_ source limbs.
-    for (size_t j = 0; j < to_.size(); ++j) {
-        const auto &bar = to_.barrett(j);
-        std::fill_n(acc, n, 0);
-        size_t window = 0;
-        for (size_t i = 0; i < from_.size(); ++i) {
-            nt::accumMulVec(acc, b[i], table_[i][j], n);
-            if (++window == reduceEvery_) {
-                nt::reduceWideInPlaceVec(acc, n, bar);
-                window = 0;
-            }
-        }
-        nt::reduceWideVec(out[j], acc, n, bar);
-    }
+    // The (N, L, L') MatModMul, one target limb j at a time: each
+    // coefficient's L products sum in registers and reduce once.
+    const size_t k = from_.size();
+    for (size_t j = 0; j < to_.size(); ++j)
+        nt::bconvDotVec(out[j], b, weights_.data() + j * k, k, n,
+                        budget_[j], to_.mont(j));
 }
 
 void
@@ -120,7 +114,6 @@ BasisConversion::convert(const u32 *const *in, u32 *const *out,
     const size_t k = from_.size();
     const size_t block = std::min(n, kBlock);
     const auto b_store = std::make_unique_for_overwrite<u32[]>(k * block);
-    const auto acc = std::make_unique_for_overwrite<u64[]>(block);
     std::vector<u32 *> b(k);
     for (size_t i = 0; i < k; ++i)
         b[i] = b_store.get() + i * block;
@@ -133,7 +126,7 @@ BasisConversion::convert(const u32 *const *in, u32 *const *out,
         for (size_t j = 0; j < to_.size(); ++j)
             dst[j] = out[j] + off;
         scaleLimbs(src.data(), b.data(), len);
-        accumulateLimbs(b.data(), dst.data(), len, acc.get());
+        accumulateLimbs(b.data(), dst.data(), len);
     }
 }
 
@@ -152,9 +145,7 @@ BasisConversion::step2(const LimbMatrix &b, LimbMatrix &out) const
     requireThat(b.size() == from_.size(), "BConv step2: limb count");
     const size_t n = b.empty() ? 0 : b[0].size();
     const auto src = limbPointers(b, n, "BConv step2: ragged limbs");
-    const auto acc = std::make_unique_for_overwrite<u64[]>(n);
-    accumulateLimbs(src.data(), shapeLimbs(out, to_.size(), n).data(), n,
-                    acc.get());
+    accumulateLimbs(src.data(), shapeLimbs(out, to_.size(), n).data(), n);
 }
 
 void

@@ -46,8 +46,9 @@ class BasisConversion
      * The conversion body: reads from().size() limbs through @p in and
      * writes to().size() limbs through @p out, @p n coefficients each.
      * Both steps run one block of coefficients at a time through a few
-     * KiB of scratch allocated per call, and each output limb is
-     * written once, so @p out may point into a polynomial's limbs.
+     * KiB of step-1 scratch allocated per call; step 2 sums each
+     * output coefficient in registers (nt::bconvDotVec) and writes each
+     * output limb once, so @p out may point into a polynomial's limbs.
      */
     void convert(const u32 *const *in, u32 *const *out, size_t n) const;
 
@@ -60,31 +61,43 @@ class BasisConversion
      */
     void step1(const LimbMatrix &in, LimbMatrix &out) const;
 
-    /** Step 2 alone: c_j = sum_i b_i * [Q/q_i]_{p_j} mod p_j. */
+    /**
+     * Step 2 alone: c_j = sum_i b_i * [Q/q_i]_{p_j} mod p_j; requires
+     * b_i < q_i, step 1's output range.
+     */
     void step2(const LimbMatrix &b, LimbMatrix &out) const;
 
     /** Both steps (convert). Output gets shape [to.size()][N]. */
     void apply(const LimbMatrix &in, LimbMatrix &out) const;
 
     /** Step-2 parameter matrix entry [Q/q_i]_{p_j}; fed to BAT offline. */
-    u32 table(size_t i, size_t j) const { return table_[i][j]; }
+    u32
+    table(size_t i, size_t j) const
+    {
+        return weights_[j * from_.size() + i];
+    }
 
     /**
-     * How many step-2 products can be accumulated in a u64 before a
-     * reduction is needed (the "lazy window"); exposed for the simulator.
+     * How many step-2 products a u64 accumulator takes before a Barrett
+     * reduction is needed (the "lazy window" of a wide accumulator
+     * that may reach 2^63). The CPU body does not use it: its lazy sums
+     * fold on a tighter per-target budget (nt::lazySumBudget).
      */
     size_t reduceEvery() const { return reduceEvery_; }
 
   private:
-    /** convert's halves, over limb pointers; @p acc is n u64 of scratch. */
+    /** convert's halves, over limb pointers. */
     void scaleLimbs(const u32 *const *in, u32 *const *b, size_t n) const;
-    void accumulateLimbs(const u32 *const *b, u32 *const *out, size_t n,
-                         u64 *acc) const;
+    void accumulateLimbs(const u32 *const *b, u32 *const *out,
+                         size_t n) const;
 
     RnsBasis from_;
     RnsBasis to_;
-    // table_[i][j] = [Q/q_i]_{p_j}
-    std::vector<std::vector<u32>> table_;
+    // weights_[j * from.size() + i] = [Q/q_i]_{p_j}: target j's row is
+    // contiguous for nt::bconvDotVec.
+    std::vector<u32> weights_;
+    // Per target j: products between two folds of its lazy sums.
+    std::vector<size_t> budget_;
     // Shoup precomputation of qHatInv per source limb for step 1.
     std::vector<nt::ShoupConst> qHatInvShoup_;
     size_t reduceEvery_;

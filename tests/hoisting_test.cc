@@ -13,8 +13,10 @@
  * A textbook key switch built from public pieces (LimbMatrix BConv,
  * RnsPoly::automorphism, pointwise products and sums, ModDown by hand)
  * pins keySwitch, rotate, the hoisted fan-out and multiply bit for bit
- * at every level, so a gather or accumulation slip in the streamed
- * inner product cannot hide behind comparisons that all run it.
+ * at every level, so a gather or accumulation slip in the fused inner
+ * product cannot hide behind comparisons that all run it. It runs on
+ * a 6-limb dnum-2 context and on an 8-limb dnum-3 one, whose top level
+ * sums three digits as Set-B's does.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the
  * TSan/ASan CI shards (ctest -L hoisting) exercise the shared
@@ -161,9 +163,10 @@ class HoistingFixture : public ::testing::Test
   protected:
     static constexpr double kScale = 1 << 26;
 
-    HoistingFixture()
-        : ctx(CkksParams::testSet(1 << 9, 6, 2)), encoder(ctx),
-          keygen(ctx, 0x715), encryptor(ctx, keygen.publicKey(), 0x716)
+    explicit HoistingFixture(
+        const CkksParams &params = CkksParams::testSet(1 << 9, 6, 2))
+        : ctx(params), encoder(ctx), keygen(ctx, 0x715),
+          encryptor(ctx, keygen.publicKey(), 0x716)
     {
     }
 
@@ -209,6 +212,59 @@ class HoistingFixture : public ::testing::Test
         EXPECT_DOUBLE_EQ(a.scale, b.scale) << what;
     }
 
+    /**
+     * At every level: keySwitch, multiply, rotate, a hoisted fan-out of
+     * three over one shared decomposition and the conjugation each
+     * equal the textbook steps.
+     */
+    void
+    expectTextbookKeySwitchAtEveryLevel(u64 seed)
+    {
+        Rng rng(seed);
+        setGlobalThreadCount(1);
+        const CkksEvaluator ev(ctx);
+        const SwitchKey relin = keygen.relinKey();
+        const u32 conj = encoder.conjugationAutomorphism();
+        ASSERT_EQ(conj, 2 * ctx.degree() - 1);
+        const SwitchKey conj_key = keygen.rotationKey(conj);
+        for (size_t limbs = 1; limbs <= ctx.qCount(); ++limbs) {
+            const size_t level = limbs - 1;
+            SCOPED_TRACE("level " + std::to_string(level));
+            const Ciphertext a = ev.reduceToLimbs(encryptRandom(rng), limbs);
+            const Ciphertext b = ev.reduceToLimbs(encryptRandom(rng), limbs);
+            const auto relin_pre = ev.precomputeKeySwitch(relin, level);
+
+            const auto [k0, k1] = ev.keySwitch(a.c1, relin_pre);
+            const auto [r0, r1] = textbookKeySwitch(ctx, a.c1, relin_pre, 1);
+            EXPECT_TRUE(k0 == r0) << "keySwitch c0";
+            EXPECT_TRUE(k1 == r1) << "keySwitch c1";
+
+            expectBitIdentical(ev.multiply(a, b, relin_pre),
+                               textbookMultiply(ctx, a, b, relin_pre),
+                               "multiply");
+
+            const HoistedDecomp dec = ev.hoistedModUp(a.c1);
+            for (i64 step : {1, 3, 7}) {
+                const u32 g = encoder.rotationAutomorphism(step);
+                const auto pre =
+                    ev.precomputeKeySwitch(keyForStep(step), level);
+                const Ciphertext ref = textbookRotate(ctx, a, g, pre);
+                expectBitIdentical(ev.rotate(a, g, pre), ref, "rotate");
+                expectBitIdentical(ev.applyHoistedRotation(a, dec, g, pre),
+                                   ref, "hoisted branch");
+            }
+
+            const auto conj_pre = ev.precomputeKeySwitch(conj_key, level);
+            const Ciphertext conj_ref =
+                textbookRotate(ctx, a, conj, conj_pre);
+            expectBitIdentical(ev.rotate(a, conj, conj_pre), conj_ref,
+                               "conjugation");
+            expectBitIdentical(
+                ev.applyHoistedRotation(a, dec, conj, conj_pre), conj_ref,
+                "hoisted conjugation");
+        }
+    }
+
     CkksContext ctx;
     CkksEncoder encoder;
     KeyGenerator keygen;
@@ -249,49 +305,25 @@ TEST_F(HoistingFixture, SharedDecompReusableAcrossTheWholeFanOut)
 TEST_F(HoistingFixture, KeySwitchMatchesTextbookReferenceBitForBit)
 {
     // At every level of the 6-limb, dnum-2 context (levels 3 and 4 end
-    // in a partial digit): keySwitch, multiply, rotate, a hoisted
-    // fan-out of three over one shared decomposition and the
-    // conjugation each equal the textbook steps.
-    Rng rng(0x7e47);
-    setGlobalThreadCount(1);
-    const CkksEvaluator ev(ctx);
-    const SwitchKey relin = keygen.relinKey();
-    const u32 conj = encoder.conjugationAutomorphism();
-    ASSERT_EQ(conj, 2 * ctx.degree() - 1);
-    const SwitchKey conj_key = keygen.rotationKey(conj);
-    for (size_t limbs = 1; limbs <= ctx.qCount(); ++limbs) {
-        const size_t level = limbs - 1;
-        SCOPED_TRACE("level " + std::to_string(level));
-        const Ciphertext a = ev.reduceToLimbs(encryptRandom(rng), limbs);
-        const Ciphertext b = ev.reduceToLimbs(encryptRandom(rng), limbs);
-        const auto relin_pre = ev.precomputeKeySwitch(relin, level);
+    // in a partial digit).
+    expectTextbookKeySwitchAtEveryLevel(0x7e47);
+}
 
-        const auto [k0, k1] = ev.keySwitch(a.c1, relin_pre);
-        const auto [r0, r1] = textbookKeySwitch(ctx, a.c1, relin_pre, 1);
-        EXPECT_TRUE(k0 == r0) << "keySwitch c0";
-        EXPECT_TRUE(k1 == r1) << "keySwitch c1";
-
-        expectBitIdentical(ev.multiply(a, b, relin_pre),
-                           textbookMultiply(ctx, a, b, relin_pre),
-                           "multiply");
-
-        const HoistedDecomp dec = ev.hoistedModUp(a.c1);
-        for (i64 step : {1, 3, 7}) {
-            const u32 g = encoder.rotationAutomorphism(step);
-            const auto pre = ev.precomputeKeySwitch(keyForStep(step), level);
-            const Ciphertext ref = textbookRotate(ctx, a, g, pre);
-            expectBitIdentical(ev.rotate(a, g, pre), ref, "rotate");
-            expectBitIdentical(ev.applyHoistedRotation(a, dec, g, pre), ref,
-                               "hoisted branch");
-        }
-
-        const auto conj_pre = ev.precomputeKeySwitch(conj_key, level);
-        const Ciphertext conj_ref = textbookRotate(ctx, a, conj, conj_pre);
-        expectBitIdentical(ev.rotate(a, conj, conj_pre), conj_ref,
-                           "conjugation");
-        expectBitIdentical(ev.applyHoistedRotation(a, dec, conj, conj_pre),
-                           conj_ref, "hoisted conjugation");
+/** 8 limbs in 3 digits: the top level sums three digits, as Set-B's
+ *  does, which the 6-limb, dnum-2 context never reaches. */
+class HoistingDnum3Fixture : public HoistingFixture
+{
+  protected:
+    HoistingDnum3Fixture()
+        : HoistingFixture(CkksParams::testSet(1 << 9, 8, 3))
+    {
     }
+};
+
+TEST_F(HoistingDnum3Fixture, KeySwitchMatchesTextbookReferenceBitForBit)
+{
+    ASSERT_EQ(ctx.activeDigits(ctx.qCount() - 1), 3u);
+    expectTextbookKeySwitchAtEveryLevel(0x7e43);
 }
 
 TEST_F(HoistingFixture, LinearTransformStageMatchesPerOpLoopBitIdentically)

@@ -188,12 +188,44 @@ TEST_P(BConvTest, AlphaSlackBound)
     }
 }
 
+// 20 source limbs pass the 16-product budget of 28-bit lazy sums, so
+// each output coefficient folds once on its way.
 INSTANTIATE_TEST_SUITE_P(Shapes, BConvTest,
                          ::testing::Values(std::make_tuple(1, 1),
                                            std::make_tuple(3, 2),
                                            std::make_tuple(4, 6),
                                            std::make_tuple(8, 9),
-                                           std::make_tuple(12, 13)));
+                                           std::make_tuple(12, 13),
+                                           std::make_tuple(20, 4)));
+
+TEST(BConv, ExactAgainstBigUIntWith31BitModuli)
+{
+    // 31-bit moduli fold a lazy sum every 2-3 products.
+    const auto from_m = testPrimes(31, 7, 2);
+    const auto to_m = testPrimes(31, 3, 2, from_m);
+    RnsBasis from(from_m), to(to_m);
+    BasisConversion conv(from, to);
+    const size_t n = 100;
+    Rng rng(31);
+    LimbMatrix in(from.size());
+    for (size_t i = 0; i < from.size(); ++i) {
+        in[i].resize(n);
+        for (auto &x : in[i])
+            x = static_cast<u32>(rng.uniform(from.modulus(i)));
+        in[i][0] = static_cast<u32>(from.modulus(i) - 1);
+    }
+    LimbMatrix b, out;
+    conv.step1(in, b);
+    conv.apply(in, out);
+    for (size_t coef = 0; coef < n; ++coef) {
+        nt::BigUInt v;
+        for (size_t i = 0; i < from.size(); ++i)
+            v = v + from.qHat(i) * b[i][coef];
+        for (size_t j = 0; j < to.size(); ++j)
+            EXPECT_EQ(out[j][coef], v.modSmall(to.modulus(j)))
+                << "coef " << coef << " target " << j;
+    }
+}
 
 TEST(BConv, TableMatchesBasis)
 {

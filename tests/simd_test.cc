@@ -2,6 +2,9 @@
  * @file
  * Randomized dispatch-conformance suite for the runtime-selected SIMD
  * kernels (nt/modvec.h, the lazy NTT butterflies in poly/ntt_ct.cc).
+ * The lazy product sums (the fused key-switch product, the BConv dot
+ * and the gather-add) are also checked on every path against an exact
+ * 128-bit sum reduced once, at widths that force folds.
  *
  * The contract under test: every dispatch path (scalar / AVX2 /
  * AVX-512) produces BIT-IDENTICAL output for all valid inputs -- the
@@ -34,6 +37,7 @@
 #include "nt/simd_dispatch.h"
 #include "poly/ntt_ct.h"
 #include "poly/ntt_tables.h"
+#include "poly/ring.h"
 
 #include "test_util.h"
 
@@ -289,6 +293,255 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
                          "[simd_test] notice: %s not available on this "
                          "host/binary; conformance limited to scalar\n",
                          nt::simdIsaName(isa));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Lazy product sums: the fused key-switch product, the BConv dot and
+// the gather-add against an exact 128-bit reference, every ISA
+// ---------------------------------------------------------------------
+
+/** Modulus widths of the lazy-sum cases; 31 bits folds every 2-3
+ *  products, 28 bits never within 16. */
+const u32 kLazyBits[] = {20, 24, 28, 30, 31};
+
+/** Every available dispatch path, scalar first. */
+std::vector<nt::SimdIsa>
+availableIsas()
+{
+    std::vector<nt::SimdIsa> isas;
+    for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
+                     nt::SimdIsa::Avx512})
+        if (nt::simdIsaAvailable(isa))
+            isas.push_back(isa);
+    return isas;
+}
+
+/** A length and a gather map (empty: the identity, passed as null). */
+struct LazyShape
+{
+    size_t n;
+    std::vector<u32> map;
+    const char *kind;
+};
+
+/**
+ * Lengths around the vector widths and one long odd one, each with the
+ * identity and a random permutation, plus real eval-domain
+ * automorphisms at degrees 16 and 8192.
+ */
+std::vector<LazyShape>
+lazyShapes(Rng &rng)
+{
+    std::vector<LazyShape> shapes;
+    for (size_t n : {1, 15, 16, 17, 33, 8197}) {
+        shapes.push_back({n, {}, "identity"});
+        std::vector<u32> perm(n);
+        for (size_t m = 0; m < n; ++m)
+            perm[m] = static_cast<u32>(m);
+        for (size_t m = n; m > 1; --m)
+            std::swap(perm[m - 1], perm[rng.uniform(m)]);
+        shapes.push_back({n, std::move(perm), "permutation"});
+    }
+    for (u32 n : {16u, 8192u}) {
+        const poly::Ring ring(n, nt::generateNttPrimes(28, 1, 2ull * n));
+        shapes.push_back({n, ring.evalAutoMap(5), "evalAutoMap(5)"});
+        shapes.push_back(
+            {n, ring.evalAutoMap(2 * n - 1), "evalAutoMap(2N-1)"});
+    }
+    return shapes;
+}
+
+/**
+ * @p count limbs of @p n values below @p bound: random with 0 and
+ * bound - 1 leading each limb, or all bound - 1 (the largest sums).
+ */
+std::vector<std::vector<u32>>
+lazyOperands(Rng &rng, size_t count, size_t n, u64 bound, bool all_max)
+{
+    std::vector<std::vector<u32>> limbs(count);
+    for (auto &limb : limbs) {
+        limb = randomVec(rng, n, bound);
+        if (all_max)
+            std::fill(limb.begin(), limb.end(), bound - 1);
+        if (!all_max && n > 1) {
+            limb[0] = 0;
+            limb[1] = static_cast<u32>(bound - 1);
+        }
+    }
+    return limbs;
+}
+
+std::vector<const u32 *>
+limbPtrs(const std::vector<std::vector<u32>> &limbs)
+{
+    std::vector<const u32 *> p;
+    for (const auto &limb : limbs)
+        p.push_back(limb.data());
+    return p;
+}
+
+/** A prime with exactly @p bits bits at a random place in its range. */
+u32
+randomPrime(Rng &rng, u32 bits)
+{
+    for (;;) {
+        const u64 c = (u64{1} << (bits - 1)) |
+            rng.uniform(u64{1} << (bits - 1)) | 1;
+        if (nt::isPrime(c))
+            return static_cast<u32>(c);
+    }
+}
+
+TEST(SimdConformance, LazySumBudgetFollowsOperandWidths)
+{
+    const auto budget = [](u32 q) {
+        return nt::lazySumBudget(q, u64{q - 1} * (q - 1));
+    };
+    // 28-bit NTT primes like Set-B's fit 16 products, so d <= 3 digits
+    // and up to 16 BConv source limbs never fold.
+    for (u64 q : nt::generateNttPrimes(28, 12, 1 << 14))
+        EXPECT_EQ(budget(static_cast<u32>(q)), 16u) << q;
+    // 31-bit moduli fold every 2-3 products.
+    u32 low31 = (1u << 30) + 1;
+    while (!nt::isPrime(low31))
+        low31 += 2;
+    EXPECT_EQ(budget(low31), 3u);
+    EXPECT_EQ(budget((1u << 31) - 1), 2u);
+    Rng rng(0xb0d);
+    for (u32 bits : kLazyBits) {
+        for (int trial = 0; trial < 20; ++trial) {
+            const u32 q = randomPrime(rng, bits);
+            const u32 src = randomPrime(rng, kLazyBits[trial % 5]);
+            const u64 max_product = u64{src - 1} * (q - 1);
+            const u128 b = nt::lazySumBudget(q, max_product);
+            // A folded residue plus a budget of largest products stays
+            // below q * 2^32, and one more product would not.
+            const u128 limit = static_cast<u128>(q) << 32;
+            EXPECT_LT((q - 1) + b * max_product, limit) << q << " " << src;
+            EXPECT_GE((q - 1) + (b + 1) * max_product, limit)
+                << q << " " << src;
+        }
+    }
+}
+
+TEST(SimdConformance, KeySwitchProductMatchesExactSum)
+{
+    Rng rng(0x6b5);
+    const auto isas = availableIsas();
+    const auto shapes = lazyShapes(rng);
+    for (u32 bits : kLazyBits) {
+        for (const LazyShape &sh : shapes) {
+            const u32 *map = sh.map.empty() ? nullptr : sh.map.data();
+            for (size_t d = 1; d <= 6; ++d) {
+                for (bool all_max : {false, true}) {
+                    const u32 q = randomPrime(rng, bits);
+                    const nt::Montgomery mont(q);
+                    const auto dig = lazyOperands(rng, d, sh.n, q, all_max);
+                    const auto k0 = lazyOperands(rng, d, sh.n, q, all_max);
+                    const auto k1 = lazyOperands(rng, d, sh.n, q, all_max);
+                    std::vector<u32> want0(sh.n), want1(sh.n);
+                    for (size_t m = 0; m < sh.n; ++m) {
+                        const size_t src = map ? map[m] : m;
+                        u128 s0 = 0, s1 = 0;
+                        for (size_t j = 0; j < d; ++j) {
+                            s0 += static_cast<u128>(dig[j][src]) * k0[j][m];
+                            s1 += static_cast<u128>(dig[j][src]) * k1[j][m];
+                        }
+                        want0[m] = static_cast<u32>(s0 % q);
+                        want1[m] = static_cast<u32>(s1 % q);
+                    }
+                    for (auto isa : isas) {
+                        IsaGuard g(isa);
+                        std::vector<u32> out0(sh.n), out1(sh.n);
+                        nt::keySwitchProductVec(
+                            out0.data(), out1.data(), limbPtrs(dig).data(),
+                            limbPtrs(k0).data(), limbPtrs(k1).data(), d,
+                            map, sh.n, mont);
+                        const auto where = testing::Message()
+                            << "isa=" << nt::simdIsaName(isa)
+                            << " bits=" << bits << " n=" << sh.n << " "
+                            << sh.kind << " d=" << d
+                            << (all_max ? " all q-1" : "");
+                        EXPECT_EQ(out0, want0) << where;
+                        EXPECT_EQ(out1, want1) << where;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdConformance, BConvDotMatchesExactSum)
+{
+    Rng rng(0xbc0);
+    const auto isas = availableIsas();
+    for (u32 bits : kLazyBits) {
+        for (size_t n : {1, 15, 16, 17, 33, 8197}) {
+            for (size_t k = 1; k <= 20; ++k) {
+                for (bool all_max : {false, true}) {
+                    // Sources below a modulus of another width, as a
+                    // ModDown from P to Q or a ModUp between digits.
+                    const u32 q = randomPrime(rng, bits);
+                    const u32 src_q =
+                        randomPrime(rng, kLazyBits[k % std::size(kLazyBits)]);
+                    const nt::Montgomery mont(q);
+                    const auto b = lazyOperands(rng, k, n, src_q, all_max);
+                    const auto w = lazyOperands(rng, 1, k, q, all_max)[0];
+                    const size_t budget = nt::lazySumBudget(
+                        q, u64{src_q - 1} * (q - 1));
+                    std::vector<u32> want(n);
+                    for (size_t m = 0; m < n; ++m) {
+                        u128 s = 0;
+                        for (size_t i = 0; i < k; ++i)
+                            s += static_cast<u128>(b[i][m]) * w[i];
+                        want[m] = static_cast<u32>(s % q);
+                    }
+                    for (auto isa : isas) {
+                        IsaGuard g(isa);
+                        std::vector<u32> out(n);
+                        nt::bconvDotVec(out.data(), limbPtrs(b).data(),
+                                        w.data(), k, n, budget, mont);
+                        EXPECT_EQ(out, want)
+                            << "isa=" << nt::simdIsaName(isa)
+                            << " bits=" << bits << " n=" << n
+                            << " k=" << k << " budget=" << budget
+                            << (all_max ? " all max" : "");
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(SimdConformance, GatherAddMatchesExactSum)
+{
+    Rng rng(0x9a7);
+    const auto isas = availableIsas();
+    const auto shapes = lazyShapes(rng);
+    for (u32 bits : kLazyBits) {
+        for (const LazyShape &sh : shapes) {
+            if (sh.map.empty())
+                continue; // the gather always has a map
+            for (bool all_max : {false, true}) {
+                const u32 q = randomPrime(rng, bits);
+                const auto in = lazyOperands(rng, 2, sh.n, q, all_max);
+                std::vector<u32> want(sh.n);
+                for (size_t m = 0; m < sh.n; ++m)
+                    want[m] = static_cast<u32>(
+                        (u64{in[0][m]} + in[1][sh.map[m]]) % q);
+                for (auto isa : isas) {
+                    IsaGuard g(isa);
+                    std::vector<u32> dst = in[0];
+                    nt::gatherAddModVec(dst.data(), in[1].data(),
+                                        sh.map.data(), sh.n, q);
+                    EXPECT_EQ(dst, want)
+                        << "isa=" << nt::simdIsaName(isa) << " bits=" << bits
+                        << " n=" << sh.n << " " << sh.kind
+                        << (all_max ? " all q-1" : "");
+                }
+            }
+        }
     }
 }
 
