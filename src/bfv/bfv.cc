@@ -4,9 +4,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "nt/modops.h"
-#include "nt/modvec.h"
 #include "nt/primes.h"
-#include "poly/limb_pool.h"
 #include "poly/ntt_ct.h"
 
 namespace cross::bfv {
@@ -61,16 +59,8 @@ BfvContext::BfvContext(BfvParams params)
 
     qToB_ = std::make_unique<rns::BasisConversion>(qBasis_,
                                                    rns::RnsBasis(b_moduli));
-    if (params_.limbs > 1) {
-        for (size_t i = 0; i < params_.limbs; ++i) {
-            std::vector<u64> to;
-            for (size_t j = 0; j < params_.limbs; ++j)
-                if (j != i)
-                    to.push_back(q_moduli[j]);
-            digitConv_.emplace_back(rns::RnsBasis({q_moduli[i]}),
-                                    rns::RnsBasis(std::move(to)));
-        }
-    }
+    ks_ = std::make_unique<ckks::HybridKeySwitch>(*ring_, params_.limbs, 0,
+                                                  params_.limbs);
 }
 
 BfvPlaintext
@@ -125,34 +115,10 @@ BfvKeyGenerator::publicKey()
 BfvSwitchKey
 BfvKeyGenerator::switchKeyFor(const RnsPoly &s_src)
 {
-    // Per-limb RNS gadget: F_i == 1 (mod q_i), 0 on the other q limbs --
-    // realised as F_i = (Q/q_i) * [(Q/q_i)^-1]_{q_i} mod Q.
-    const size_t l = ctx_.qCount();
-    RnsPoly s_l = sk_.s;
-    s_l.truncateLimbs(l);
-
-    BfvSwitchKey swk;
-    swk.digits.reserve(l);
-    for (size_t i = 0; i < l; ++i) {
-        RnsPoly a = RnsPoly::uniform(ctx_.ring(), l, true, rng_);
-        RnsPoly e =
-            RnsPoly::gaussian(ctx_.ring(), l, rng_, ctx_.params().sigma);
-        e.toEval();
-
-        std::vector<u64> f(l, 0);
-        f[i] = 1; // delta_ij gadget in RNS form
-        RnsPoly term = s_src;
-        term.truncateLimbs(l);
-        term.mulScalarPerLimbInPlace(f);
-
-        RnsPoly b = a;
-        b.mulPointwiseInPlace(s_l);
-        b.negateInPlace();
-        b.addInPlace(e);
-        b.addInPlace(term);
-        swk.digits.emplace_back(std::move(b), std::move(a));
-    }
-    return swk;
+    const auto &ks = ctx_.hybridKeySwitch();
+    return ks.precompute(
+        ks.switchKeyFor(sk_.s, s_src, rng_, ctx_.params().sigma),
+        ctx_.qCount() - 1);
 }
 
 BfvSwitchKey
@@ -303,27 +269,30 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     const size_t full = l + ctx_.bCount();
     const u32 n = ctx_.degree();
 
-    // ModUp all four components to Q u B.
-    const RnsPoly a0 = modUpToQb(ctx_, a.c0, log_);
-    const RnsPoly a1 = modUpToQb(ctx_, a.c1, log_);
-    const RnsPoly b0 = modUpToQb(ctx_, b.c0, log_);
-    const RnsPoly b1 = modUpToQb(ctx_, b.c1, log_);
-
-    // Tensor in eval domain: (d0, d1, d2).
-    WallTimer tm;
-    RnsPoly d0 = a0;
-    d0.mulPointwiseInPlace(b0);
-    RnsPoly d2 = a1;
-    d2.mulPointwiseInPlace(b1);
-    RnsPoly d1 = a0;
-    d1.mulPointwiseInPlace(b1);
-    RnsPoly d1b = a1;
-    d1b.mulPointwiseInPlace(b0);
-    logCall(KernelKind::VecModMul, static_cast<u32>(4 * full), 0,
-            tm.seconds());
-    WallTimer ta;
-    d1.addInPlace(d1b);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0, ta.seconds());
+    // ModUp all four components to Q u B, then tensor in eval domain:
+    // (d0, d1, d2). The extended operands die with the block.
+    RnsPoly d0, d1, d2;
+    {
+        const RnsPoly a0 = modUpToQb(ctx_, a.c0, log_);
+        const RnsPoly a1 = modUpToQb(ctx_, a.c1, log_);
+        const RnsPoly b0 = modUpToQb(ctx_, b.c0, log_);
+        const RnsPoly b1 = modUpToQb(ctx_, b.c1, log_);
+        WallTimer tm;
+        d0 = a0;
+        d0.mulPointwiseInPlace(b0);
+        d2 = a1;
+        d2.mulPointwiseInPlace(b1);
+        d1 = a0;
+        d1.mulPointwiseInPlace(b1);
+        RnsPoly d1b = a1;
+        d1b.mulPointwiseInPlace(b0);
+        logCall(KernelKind::VecModMul, static_cast<u32>(4 * full), 0,
+                tm.seconds());
+        WallTimer ta;
+        d1.addInPlace(d1b);
+        logCall(KernelKind::VecModAdd, static_cast<u32>(full), 0,
+                ta.seconds());
+    }
 
     // Scale by t/Q: exact reference implementation over the composed
     // integers (the RNS flow around it is what the kernels measure).
@@ -364,7 +333,8 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     logCall(KernelKind::Ntt, static_cast<u32>(3 * l), 0, tn.seconds());
 
     // Relinearise d2 back onto (c0, c1).
-    auto [k0, k1] = keySwitch(scaled[2], rlk);
+    auto [k0, k1] =
+        ctx_.hybridKeySwitch().keySwitch(std::move(scaled[2]), rlk, log_);
     WallTimer tadd;
     BfvCiphertext out;
     out.c0 = std::move(scaled[0]);
@@ -376,83 +346,20 @@ BfvEvaluator::multiply(const BfvCiphertext &a, const BfvCiphertext &b,
     return out;
 }
 
-std::pair<RnsPoly, RnsPoly>
-BfvEvaluator::keySwitch(const RnsPoly &c, const BfvSwitchKey &swk) const
-{
-    requireThat(c.isEval(), "BFV keySwitch: input must be in eval domain");
-    const size_t l = c.limbCount();
-    requireThat(l == ctx_.qCount() && l > 1,
-                "BFV keySwitch: input must span the whole Q basis of at "
-                "least two limbs");
-    requireThat(swk.digits.size() >= l, "BFV keySwitch: missing digits");
-    const u32 n = ctx_.degree();
-
-    WallTimer ti;
-    RnsPoly c_coeff = c;
-    c_coeff.toCoeff();
-    logCall(KernelKind::Intt, static_cast<u32>(l), 0, ti.seconds());
-
-    // Digit i: limb i exact (c's own, read in place), converted into the
-    // other limbs of one reused polynomial and NTT'd there. Each limb is
-    // then multiplied by the key digit's two halves, read in place, and
-    // added into the accumulators through two scratch limbs.
-    RnsPoly acc0(ctx_.ring(), l, true);
-    RnsPoly acc1(ctx_.ring(), l, true);
-    RnsPoly up = RnsPoly::forOverwrite(ctx_.ring(), c.slots(), true);
-    std::vector<u32> prod0 = poly::takeLimb(n, false);
-    std::vector<u32> prod1 = poly::takeLimb(n, false);
-    std::vector<u32 *> out;
-    for (size_t i = 0; i < l; ++i) {
-        out.clear();
-        for (size_t j = 0; j < l; ++j)
-            if (j != i)
-                out.push_back(up.limb(j).data());
-        const u32 *in = c_coeff.limb(i).data();
-        WallTimer t;
-        ctx_.digitConv(i).convert(&in, out.data(), n);
-        logCall(KernelKind::BConv, 1, static_cast<u32>(l - 1), t.lap());
-
-        for (size_t j = 0; j < l; ++j)
-            if (j != i)
-                poly::forwardInPlace(up.limb(j).data(),
-                                     ctx_.ring().tables(j));
-        logCall(KernelKind::Ntt, static_cast<u32>(l - 1), 0, t.lap());
-
-        const auto &[kb, ka] = swk.digits[i];
-        double mul_s = 0.0;
-        double add_s = 0.0;
-        for (size_t j = 0; j < l; ++j) {
-            const u32 q = static_cast<u32>(ctx_.ring().modulus(j));
-            const u32 *u = j == i ? c.limb(i).data() : up.limb(j).data();
-            nt::mulMontVec(prod0.data(), kb.limb(j).data(), u, n,
-                           ctx_.ring().basis().mont(j));
-            nt::mulMontVec(prod1.data(), ka.limb(j).data(), u, n,
-                           ctx_.ring().basis().mont(j));
-            mul_s += t.lap();
-            nt::addModVec(acc0.limb(j).data(), acc0.limb(j).data(),
-                          prod0.data(), n, q);
-            nt::addModVec(acc1.limb(j).data(), acc1.limb(j).data(),
-                          prod1.data(), n, q);
-            add_s += t.lap();
-        }
-        logCall(KernelKind::VecModMul, static_cast<u32>(2 * l), 0, mul_s);
-        logCall(KernelKind::VecModAdd, static_cast<u32>(2 * l), 0, add_s);
-    }
-    poly::releaseLimb(std::move(prod0), n);
-    poly::releaseLimb(std::move(prod1), n);
-    return {std::move(acc0), std::move(acc1)};
-}
-
 BfvCiphertext
 BfvEvaluator::rotate(const BfvCiphertext &ct, u32 auto_idx,
                      const BfvSwitchKey &key) const
 {
+    // Automorphism first, then the key switch: the approximate BConv
+    // does not commute with the automorphism's coefficient sign flips,
+    // so CKKS's hoisted form (switch, then gather) gives other bits.
     WallTimer t;
     RnsPoly r0 = ct.c0.automorphism(auto_idx);
     RnsPoly r1 = ct.c1.automorphism(auto_idx);
     logCall(KernelKind::Automorphism,
             static_cast<u32>(2 * ct.c0.limbCount()), 0, t.seconds());
-    auto [k0, k1] = keySwitch(r1, key);
+    auto [k0, k1] =
+        ctx_.hybridKeySwitch().keySwitch(std::move(r1), key, log_);
     WallTimer ta;
     BfvCiphertext out;
     out.c0 = std::move(r0);

@@ -16,8 +16,10 @@
  *    and scales the result by t/Q exactly per coefficient with BigUInt
  *    (a reference implementation of the BEHZ/HPS scale-down; the RNS
  *    kernels around it are the ones the profiling measures).
- *  - Relinearisation / rotation use per-limb RNS gadget decomposition
- *    (dnum = L), the classic no-auxiliary-modulus hybrid special case.
+ *  - Relinearisation / rotation run the hybrid key switch CKKS runs
+ *    (ckks/hybrid_keyswitch.h) at alpha = 1, dnum = L and P = 1: per-limb
+ *    RNS gadget digits, no auxiliary modulus, and ModDown skipped. A
+ *    switching key is its key's top-level precomp.
  *  - Batching encodes Z_t^N via an NTT modulo t (t == 1 mod 2N).
  */
 #pragma once
@@ -25,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "ckks/hybrid_keyswitch.h"
 #include "ckks/kernel_log.h"
 #include "common/rng.h"
 #include "nt/bigint.h"
@@ -71,12 +74,10 @@ class BfvContext
     /** Q -> B conversion (multiplication ModUp). */
     const rns::BasisConversion &qToB() const { return *qToB_; }
 
-    /** Key-switch digit @p i's conversion: q_i to the other q limbs
-     *  (built with the context; none for a one-limb Q). */
-    const rns::BasisConversion &digitConv(size_t i) const
-    {
-        return digitConv_.at(i);
-    }
+    /** The hybrid key switch over Q alone: alpha = 1, dnum = L, P = 1
+     *  (built with the context; a one-limb Q has nothing to convert, so
+     *  its key switch is rejected). */
+    const ckks::HybridKeySwitch &hybridKeySwitch() const { return *ks_; }
 
     /** The Q-basis as an RnsBasis (for CRT composition). */
     const rns::RnsBasis &qBasis() const { return qBasis_; }
@@ -94,7 +95,7 @@ class BfvContext
     rns::RnsBasis qBasis_;
     rns::RnsBasis qbBasis_;
     std::unique_ptr<rns::BasisConversion> qToB_;
-    std::vector<rns::BasisConversion> digitConv_;
+    std::unique_ptr<ckks::HybridKeySwitch> ks_;
 };
 
 /** Plaintext: slot values in Z_t. */
@@ -136,11 +137,9 @@ struct BfvPublicKey
     poly::RnsPoly b, a; ///< Q basis, eval domain
 };
 
-/** Per-limb RNS gadget switching key (dnum = L). */
-struct BfvSwitchKey
-{
-    std::vector<std::pair<poly::RnsPoly, poly::RnsPoly>> digits;
-};
+/** Per-limb RNS gadget switching key (dnum = L), held as its top-level
+ *  precomp: one (b_i, a_i) pair per q limb, over Q. */
+using BfvSwitchKey = ckks::KeySwitchPrecomp;
 
 class BfvKeyGenerator
 {
@@ -178,13 +177,9 @@ class BfvEvaluator
     /** Full BFV multiplication: ModUp, tensor, scale by t/Q, relin. */
     BfvCiphertext multiply(const BfvCiphertext &a, const BfvCiphertext &b,
                            const BfvSwitchKey &rlk) const;
-    /** Slot rotation: automorphism + per-limb key switch. */
+    /** Slot rotation: automorphism, then the per-limb key switch. */
     BfvCiphertext rotate(const BfvCiphertext &ct, u32 auto_idx,
                          const BfvSwitchKey &key) const;
-
-    /** Per-limb RNS key switch (public for tests). */
-    std::pair<poly::RnsPoly, poly::RnsPoly>
-    keySwitch(const poly::RnsPoly &c, const BfvSwitchKey &swk) const;
 
   private:
     void logCall(ckks::KernelKind kind, u32 limbs, u32 limbs_out,

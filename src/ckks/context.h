@@ -1,17 +1,18 @@
 /**
  * @file
- * CKKS context: ring over Q u P, key-switching digit layout, the basis
- * conversions of ModUp and ModDown and the P-related constants of ModDown.
+ * CKKS context: ring over Q u P, the rescale constants and the hybrid
+ * key switch over that ring (digit layout, ModUp / ModDown conversions
+ * and P constants; see hybrid_keyswitch.h).
  */
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "ckks/hybrid_keyswitch.h"
 #include "ckks/keyswitch_cache.h"
 #include "ckks/params.h"
 #include "poly/ring.h"
-#include "rns/bconv.h"
 
 namespace cross::ckks {
 
@@ -27,50 +28,37 @@ class CkksContext
 
     /** L: number of ciphertext (q) limbs. */
     size_t qCount() const { return params_.limbs; }
-    /** Number of auxiliary (p) limbs. */
-    size_t pCount() const { return params_.auxCount(); }
-    /** Ring modulus index of auxiliary prime j. */
-    u32 pSlot(size_t j) const { return static_cast<u32>(qCount() + j); }
 
     u64 qModulus(size_t i) const { return ring_->modulus(i); }
     u64 pModulus(size_t j) const { return ring_->modulus(pSlot(j)); }
 
-    /** [P]_{q_i} and [P^-1]_{q_i} for ModDown. */
-    u64 pModQ(size_t i) const { return pModQ_[i]; }
-    u64 pInvModQ(size_t i) const { return pInvModQ_[i]; }
-
     /** [q_l^-1]_{q_i} for rescale from level l (i < l). */
     u64 qInvModQ(size_t l, size_t i) const;
 
-    /** Digit index of q-limb i. */
-    size_t digitOf(size_t i) const { return i / params_.alpha(); }
-
-    /** q-limb range [first, last) of digit j at level l (limbs 0..l). */
-    std::pair<size_t, size_t> digitRange(size_t j, size_t level) const;
-
-    /** Number of active digits when limbs 0..level are live. */
-    size_t activeDigits(size_t level) const;
-
     /**
-     * Slot list used during key switching at @p level:
-     * [0..level] q-limbs followed by all p-limbs.
+     * The hybrid key switch over this context's ring (Q u P, dnum
+     * digits): the phases the evaluator runs, the switching-key
+     * generator and the layout the accessors below forward to (see
+     * hybrid_keyswitch.h for each).
      */
-    std::vector<u32> extendedSlots(size_t level) const;
+    const HybridKeySwitch &hybridKeySwitch() const { return *ks_; }
 
-    /**
-     * ModUp conversion for digit @p j at @p level: from the digit's
-     * moduli to the complement q-moduli + all p-moduli. Every one is
-     * built by the constructor, so lookups are read-only.
-     * @throws std::out_of_range unless level < qCount() and
-     *         j < activeDigits(level).
-     */
-    const rns::BasisConversion &modUpConv(size_t j, size_t level) const;
-
-    /**
-     * ModDown conversion at @p level: from P basis to q_0..q_level.
-     * @throws std::out_of_range unless level < qCount().
-     */
-    const rns::BasisConversion &modDownConv(size_t level) const;
+    /** @name Key-switch layout, forwarded to hybridKeySwitch(). @{ */
+    size_t pCount() const { return ks_->pCount(); }
+    u32 pSlot(size_t j) const { return ks_->pSlot(j); }
+    u64 pModQ(size_t i) const { return ks_->pModQ(i); }
+    u64 pInvModQ(size_t i) const { return ks_->pInvModQ(i); }
+    size_t digitOf(size_t i) const { return ks_->digitOf(i); }
+    std::pair<size_t, size_t>
+    digitRange(size_t j, size_t l) const { return ks_->digitRange(j, l); }
+    size_t activeDigits(size_t l) const { return ks_->activeDigits(l); }
+    std::vector<u32>
+    extendedSlots(size_t l) const { return ks_->extendedSlots(l); }
+    const rns::BasisConversion &
+    modUpConv(size_t j, size_t l) const { return ks_->modUpConv(j, l); }
+    const rns::BasisConversion &
+    modDownConv(size_t l) const { return ks_->modDownConv(l); }
+    /** @} */
 
     /** Rescale conversion from q_l to q_0..q_{l-1} handled inline (exact
      *  small-value lift), no BasisConversion needed. */
@@ -86,13 +74,9 @@ class CkksContext
   private:
     CkksParams params_;
     std::unique_ptr<poly::Ring> ring_;
-    std::vector<u64> pModQ_;
-    std::vector<u64> pInvModQ_;
+    std::unique_ptr<HybridKeySwitch> ks_;
     // qInvModQ_[l][i] = q_l^-1 mod q_i
     std::vector<std::vector<u64>> qInvModQ_;
-    // modUpConv_[level][j] and modDownConv_[level].
-    std::vector<std::vector<rns::BasisConversion>> modUpConv_;
-    std::vector<rns::BasisConversion> modDownConv_;
     mutable KeySwitchCache ksCache_;
 };
 

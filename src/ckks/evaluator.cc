@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 #include <tuple>
 
 #include "common/check.h"
@@ -209,8 +208,7 @@ CkksEvaluator::hoistedModUp(const RnsPoly &c1) const
     requireThat(c1.limbCount() >= 1, "hoistedModUp: empty input");
     HoistedDecomp dec;
     dec.level = c1.limbCount() - 1;
-    dec.extSlots = ctx_.extendedSlots(dec.level);
-    dec.digits = modUpPhase(c1, dec.extSlots);
+    dec.digits = ctx_.hybridKeySwitch().modUp(c1, log_);
     return dec;
 }
 
@@ -234,7 +232,9 @@ CkksEvaluator::applyHoistedRotation(const Ciphertext &ct,
     // add gathers c0 the same way. No rotated copy is built.
     const auto &map = ctx_.ring().evalAutoMap(auto_idx);
     Ciphertext out;
-    std::tie(out.c0, out.c1) = innerProductModDown(dec.digits, pre, &map);
+    std::tie(out.c0, out.c1) =
+        ctx_.hybridKeySwitch().innerProductModDown(dec.digits, pre, &map,
+                                                   log_);
     WallTimer t;
     for (size_t i = 0; i < ct.limbs(); ++i)
         nt::gatherAddModVec(out.c0.limb(i).data(), ct.c0.limb(i).data(),
@@ -297,23 +297,7 @@ CkksEvaluator::reduceToLimbs(Ciphertext ct, size_t limbs) const
 KeySwitchPrecomp
 CkksEvaluator::precomputeKeySwitch(const SwitchKey &swk, size_t level) const
 {
-    requireThat(level < ctx_.qCount(),
-                "precomputeKeySwitch: level " + std::to_string(level) +
-                    " is beyond the modulus chain (top level " +
-                    std::to_string(ctx_.qCount() - 1) + ")");
-    const size_t d = ctx_.activeDigits(level);
-    requireThat(d <= swk.digits.size(),
-                "precomputeKeySwitch: not enough digits");
-    KeySwitchPrecomp pre;
-    pre.level = level;
-    pre.extSlots = ctx_.extendedSlots(level);
-    pre.keys.reserve(d);
-    for (size_t j = 0; j < d; ++j) {
-        pre.keys.emplace_back(
-            swk.digits[j].first.selectSlots(pre.extSlots),
-            swk.digits[j].second.selectSlots(pre.extSlots));
-    }
-    return pre;
+    return ctx_.hybridKeySwitch().precompute(swk, level);
 }
 
 namespace {
@@ -367,185 +351,7 @@ CkksEvaluator::precomputeKeySwitchCached(const SwitchKey &swk,
 std::pair<RnsPoly, RnsPoly>
 CkksEvaluator::keySwitch(RnsPoly c, const KeySwitchPrecomp &pre) const
 {
-    requireThat(c.limbCount() - 1 == pre.level,
-                "keySwitch: precomp level mismatch");
-    // Phase 1 (ModUp), then the inner product and ModDown the hoisted
-    // rotation runs too.
-    return innerProductModDown(modUpPhase(std::move(c), pre.extSlots), pre);
-}
-
-std::pair<RnsPoly, RnsPoly>
-CkksEvaluator::innerProductModDown(const std::vector<RnsPoly> &digits,
-                                   const KeySwitchPrecomp &pre,
-                                   const std::vector<u32> *auto_map) const
-{
-    const size_t d = digits.size();
-    const size_t ext = pre.extSlots.size();
-    const size_t n = ctx_.degree();
-    internalCheck(pre.keys.size() == d, "keySwitch: digit count mismatch");
-    for (const auto &digit : digits)
-        internalCheck(digit.slots() == pre.extSlots,
-                      "keySwitch: digit basis mismatch");
-
-    // One fused pass per extended limb: for every coefficient, the d
-    // digit values (gathered through auto_map when rotating) times
-    // both halves of pre.keys[j] sum in u64 lanes and reduce once. The
-    // digits and keys are read in place and each accumulator limb is
-    // written once. The pass logs as the gathers, products and sums
-    // the schedule prices, with its whole time on the products.
-    RnsPoly acc0 = RnsPoly::forOverwrite(ctx_.ring(), pre.extSlots, true);
-    RnsPoly acc1 = RnsPoly::forOverwrite(ctx_.ring(), pre.extSlots, true);
-    std::vector<const u32 *> ptrs(3 * d); // one limb's digits and keys
-    const u32 **const digit = ptrs.data();
-    const u32 **const key0 = digit + d;
-    const u32 **const key1 = key0 + d;
-    const u32 *const map = auto_map ? auto_map->data() : nullptr;
-    WallTimer t;
-    for (size_t i = 0; i < ext; ++i) {
-        for (size_t j = 0; j < d; ++j) {
-            digit[j] = digits[j].limb(i).data();
-            key0[j] = pre.keys[j].first.limb(i).data();
-            key1[j] = pre.keys[j].second.limb(i).data();
-        }
-        nt::keySwitchProductVec(acc0.limb(i).data(), acc1.limb(i).data(),
-                                digit, key0, key1, d, map, n,
-                                ctx_.ring().basis().mont(pre.extSlots[i]));
-    }
-    const double fused_s = t.seconds();
-    // A rotation's closing add gathers c0's limbs: they count here with
-    // the digits', and their time goes to that add.
-    if (map)
-        logCall(KernelKind::Automorphism,
-                static_cast<u32>(d * ext + pre.level + 1), 0, 0.0);
-    logCall(KernelKind::VecModMul, static_cast<u32>(2 * d * ext), 0,
-            fused_s);
-    logCall(KernelKind::VecModAdd, static_cast<u32>(2 * d * ext), 0, 0.0);
-    return {modDownPhase(std::move(acc0), pre.level),
-            modDownPhase(std::move(acc1), pre.level)};
-}
-
-std::vector<RnsPoly>
-CkksEvaluator::modUpPhase(RnsPoly c, const std::vector<u32> &ext_slots) const
-{
-    requireThat(c.isEval(), "keySwitch: input must be in eval domain");
-    const size_t level = c.limbCount() - 1;
-    const size_t d = ctx_.activeDigits(level);
-    const size_t ext = ext_slots.size();
-    // Whether ring modulus ring_idx is one of digit [first, last)'s own.
-    const auto inDigit = [&](u32 ring_idx, size_t first, size_t last) {
-        return ring_idx >= first && ring_idx < last &&
-            ring_idx < ctx_.qCount();
-    };
-
-    // The extended-basis digit polynomials, eval domain. A digit's own
-    // limbs are c's (already NTT'd), copied before c is INTT'd in
-    // place; ModUp converts c's coefficient-form digit limbs straight
-    // into the others, which are then NTT'd in place.
-    std::vector<RnsPoly> digits;
-    digits.reserve(d);
-    for (size_t j = 0; j < d; ++j) {
-        const auto [first, last] = ctx_.digitRange(j, level);
-        RnsPoly &up = digits.emplace_back(
-            RnsPoly::forOverwrite(ctx_.ring(), ext_slots, true));
-        for (size_t pos = 0; pos < ext; ++pos)
-            if (inDigit(ext_slots[pos], first, last))
-                up.limb(pos) = c.limb(ext_slots[pos]);
-    }
-
-    // INTT the input once; digits share the coefficient form.
-    WallTimer ti;
-    c.toCoeff();
-    logCall(KernelKind::Intt, static_cast<u32>(level + 1), 0, ti.seconds());
-
-    for (size_t j = 0; j < d; ++j) {
-        const auto [first, last] = ctx_.digitRange(j, level);
-        const auto &conv = ctx_.modUpConv(j, level);
-        RnsPoly &up = digits[j];
-        std::vector<const u32 *> in;
-        for (size_t i = first; i < last; ++i)
-            in.push_back(c.limb(i).data());
-        std::vector<size_t> conv_limbs;
-        std::vector<u32 *> out;
-        for (size_t pos = 0; pos < ext; ++pos) {
-            if (!inDigit(ext_slots[pos], first, last)) {
-                conv_limbs.push_back(pos);
-                out.push_back(up.limb(pos).data());
-            }
-        }
-        internalCheck(in.size() == conv.from().size() &&
-                          out.size() == conv.to().size(),
-                      "keySwitch: modup mismatch");
-
-        WallTimer tb;
-        conv.convert(in.data(), out.data(), ctx_.degree());
-        logCall(KernelKind::BConv, static_cast<u32>(in.size()),
-                static_cast<u32>(out.size()), tb.seconds());
-
-        WallTimer tn;
-        for (size_t pos : conv_limbs)
-            poly::forwardInPlace(up.limb(pos).data(),
-                                 ctx_.ring().tables(ext_slots[pos]));
-        logCall(KernelKind::Ntt, static_cast<u32>(conv_limbs.size()), 0,
-                tn.seconds());
-    }
-    // A by-value parameter lives until the caller's full-expression
-    // ends, which here spans the inner product: give c's limbs back now.
-    c = RnsPoly();
-    return digits;
-}
-
-RnsPoly
-CkksEvaluator::modDownPhase(RnsPoly acc, size_t level) const
-{
-    // ModDown: (acc - Conv_P->Q(acc_P)) * P^-1, folded into acc's Q
-    // limbs in place. The conversion writes each limb of a temporary
-    // once and is NTT'd there; acc then drops its P limbs.
-    const auto &conv = ctx_.modDownConv(level);
-    const size_t n = ctx_.degree();
-
-    WallTimer ti;
-    std::vector<const u32 *> p_part(ctx_.pCount());
-    for (size_t jj = 0; jj < ctx_.pCount(); ++jj) {
-        u32 *limb = acc.limb(level + 1 + jj).data();
-        poly::inverseInPlace(limb, ctx_.ring().tables(ctx_.pSlot(jj)));
-        p_part[jj] = limb;
-    }
-    logCall(KernelKind::Intt, static_cast<u32>(ctx_.pCount()), 0,
-            ti.seconds());
-
-    std::vector<std::vector<u32>> conv_q(level + 1);
-    std::vector<u32 *> q_part(level + 1);
-    for (size_t i = 0; i <= level; ++i) {
-        conv_q[i] = poly::takeLimb(n, false);
-        q_part[i] = conv_q[i].data();
-    }
-    WallTimer tb;
-    conv.convert(p_part.data(), q_part.data(), n);
-    logCall(KernelKind::BConv, static_cast<u32>(ctx_.pCount()),
-            static_cast<u32>(level + 1), tb.seconds());
-
-    WallTimer tn;
-    for (size_t i = 0; i <= level; ++i)
-        poly::forwardInPlace(q_part[i], ctx_.ring().tables(i));
-    logCall(KernelKind::Ntt, static_cast<u32>(level + 1), 0, tn.seconds());
-
-    WallTimer tv;
-    for (size_t i = 0; i <= level; ++i) {
-        const u32 q = static_cast<u32>(ctx_.qModulus(i));
-        u32 *dst = acc.limb(i).data();
-        nt::subModVec(dst, dst, q_part[i], n, q);
-        nt::mulShoupVec(dst, dst,
-                        nt::shoupPrecompute(
-                            static_cast<u32>(ctx_.pInvModQ(i) % q), q),
-                        n, q);
-    }
-    logCall(KernelKind::VecModSub, static_cast<u32>(level + 1), 0, 0.0);
-    logCall(KernelKind::VecModMulConst, static_cast<u32>(level + 1), 0,
-            tv.seconds());
-    for (auto &limb : conv_q)
-        poly::releaseLimb(std::move(limb), n);
-    acc.truncateLimbs(level + 1);
-    return acc;
+    return ctx_.hybridKeySwitch().keySwitch(std::move(c), pre, log_);
 }
 
 } // namespace cross::ckks

@@ -1,8 +1,9 @@
 /**
  * @file
  * The CKKS evaluator: the four backbone HE operators the paper benchmarks
- * (HE-Add, HE-Mult, Rescale, Rotate) plus plaintext variants and the
- * hybrid key-switching core they share.
+ * (HE-Add, HE-Mult, Rescale, Rotate) plus plaintext variants. The
+ * hybrid key switch they share is the context's HybridKeySwitch
+ * (hybrid_keyswitch.h), the body BFV runs too.
  *
  * Every key switch takes a KeySwitchPrecomp, the key's batch-reusable
  * operands at one level (precomputeKeySwitch builds one, the context's
@@ -72,9 +73,8 @@ struct HoistedDecomp
 {
     /** Level the decomposition was taken at (input limbs - 1). */
     size_t level = 0;
-    /** Ring indices of the extended basis, as extendedSlots(level). */
-    std::vector<u32> extSlots;
-    /** One extended-basis polynomial per active digit, eval domain. */
+    /** One polynomial per active digit over extendedSlots(level), eval
+     *  domain. */
     std::vector<poly::RnsPoly> digits;
 };
 
@@ -163,9 +163,9 @@ class CkksEvaluator
 
     /**
      * Hybrid key-switching core (ModUp -> inner product -> ModDown)
-     * against a shared per-level precomputation; public because
-     * rotation/relin reuse it and benches probe it directly. Consumes
-     * @p c: ModUp INTTs it in place.
+     * against a shared per-level precomputation: the context's
+     * HybridKeySwitch, logging here. Public because benches probe it
+     * directly. Consumes @p c: ModUp INTTs it in place.
      */
     std::pair<poly::RnsPoly, poly::RnsPoly>
     keySwitch(poly::RnsPoly c, const KeySwitchPrecomp &pre) const;
@@ -200,34 +200,6 @@ class CkksEvaluator
     precomputeKeySwitchCached(const SwitchKey &swk, size_t level) const;
 
   private:
-    /** ModUp phase body shared by hoistedModUp and keySwitch; INTTs
-     *  @p c in place. */
-    std::vector<poly::RnsPoly>
-    modUpPhase(poly::RnsPoly c, const std::vector<u32> &ext_slots) const;
-
-    /**
-     * Phases 2+3 shared by keySwitch and applyHoistedRotation: the
-     * inner product of the extended-basis @p digits with pre.keys, one
-     * fused pass per limb (nt::keySwitchProductVec: the d products sum
-     * in registers and reduce once, both read in place), then ModDown
-     * of both accumulators. With @p auto_map (Ring::evalAutoMap of a
-     * rotation) the pass gathers each digit value through the map, and
-     * an Automorphism entry covering the digits and the caller's c0
-     * fold is logged ahead of the products. The pass books its time to
-     * the VecModMul entry; the Automorphism and VecModAdd entries log
-     * 0 s.
-     */
-    std::pair<poly::RnsPoly, poly::RnsPoly>
-    innerProductModDown(const std::vector<poly::RnsPoly> &digits,
-                        const KeySwitchPrecomp &pre,
-                        const std::vector<u32> *auto_map = nullptr) const;
-
-    /**
-     * ModDown phase: (acc - Conv_P->Q(acc_P)) * P^-1 at @p level,
-     * written over acc's Q limbs; acc's P limbs are given back.
-     */
-    poly::RnsPoly modDownPhase(poly::RnsPoly acc, size_t level) const;
-
     void logCall(KernelKind kind, u32 limbs, u32 limbs_out,
                  double seconds) const;
 

@@ -12,7 +12,10 @@
  * fused pass books its whole time to one of the entries it covers and
  * logs the others with 0 s. The key switch's inner product books to
  * its VecModMul entry (its Automorphism gathers and VecModAdd sums log
- * 0 s), and ModDown's subtract-and-scale books to VecModMulConst.
+ * 0 s), and ModDown's subtract-and-scale books to VecModMulConst. BFV
+ * runs the same key-switch body, so its inner product books to
+ * VecModMul the same way (one VecModMul and one 0 s VecModAdd entry
+ * per key switch, no ModDown entries at P = 1).
  */
 #pragma once
 

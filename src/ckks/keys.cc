@@ -33,32 +33,8 @@ KeyGenerator::publicKey()
 SwitchKey
 KeyGenerator::switchKeyFor(const RnsPoly &s_src)
 {
-    const size_t full = ctx_.qCount() + ctx_.pCount();
-    SwitchKey swk;
-    swk.digits.reserve(ctx_.params().dnum);
-    for (u32 j = 0; j < ctx_.params().dnum; ++j) {
-        RnsPoly a = RnsPoly::uniform(ctx_.ring(), full, true, rng_);
-        RnsPoly e =
-            RnsPoly::gaussian(ctx_.ring(), full, rng_, ctx_.params().sigma);
-        e.toEval();
-
-        // F_j: P on digit-j q-limbs, 0 elsewhere (incl. all p-limbs).
-        std::vector<u64> f(full, 0);
-        for (size_t i = 0; i < ctx_.qCount(); ++i) {
-            if (ctx_.digitOf(i) == j)
-                f[i] = ctx_.pModQ(i);
-        }
-        RnsPoly term = s_src;
-        term.mulScalarPerLimbInPlace(f);
-
-        RnsPoly b = a;
-        b.mulPointwiseInPlace(sk_.s);
-        b.negateInPlace();
-        b.addInPlace(e);
-        b.addInPlace(term);
-        swk.digits.emplace_back(std::move(b), std::move(a));
-    }
-    return swk;
+    return ctx_.hybridKeySwitch().switchKeyFor(sk_.s, s_src, rng_,
+                                               ctx_.params().sigma);
 }
 
 SwitchKey

@@ -2,11 +2,9 @@
  * @file
  * Key material and the key generator.
  *
- * Switching keys follow hybrid key switching with dnum digits [37]: for
- * each digit j, swk_j = (b_j, a_j) over the extended basis Q u P with
- * b_j = -a_j * s + e_j + F_j * s_src, where F_j == P (mod q_i) for q-limbs
- * inside digit j and 0 elsewhere. Relinearisation uses s_src = s^2,
- * rotation keys use s_src = tau_k(s).
+ * Switching keys follow hybrid key switching with dnum digits [37]; the
+ * context's HybridKeySwitch generates them (hybrid_keyswitch.h).
+ * Relinearisation uses s_src = s^2, rotation keys use s_src = tau_k(s).
  *
  * Sampling is deterministic from the generator's seed -- reproducible
  * research keys, not production randomness (see README).
@@ -33,12 +31,6 @@ struct PublicKey
 {
     poly::RnsPoly b;
     poly::RnsPoly a;
-};
-
-/** Hybrid switching key: one (b_j, a_j) pair per digit, full basis. */
-struct SwitchKey
-{
-    std::vector<std::pair<poly::RnsPoly, poly::RnsPoly>> digits;
 };
 
 /** Generates secret/public/relinearisation/rotation keys. */

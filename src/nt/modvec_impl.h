@@ -11,6 +11,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "common/types.h"
@@ -142,23 +143,33 @@ keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
     }
 }
 
-/** bconvDotVec's scalar loop over [from, n), folded like the above. */
+/**
+ * bconvDotVec's scalar loop over [from, n), the ground truth and every
+ * vector kernel's tail. Limb-outer over blocks of kDotLanes u64 lane
+ * sums, so the product loop auto-vectorises; each lane folds like the
+ * above, after every @p budget products that more products follow.
+ */
 inline void
 bconvDotLoop(u32 *out, const u32 *const *b, const u32 *w, size_t k,
              size_t from, size_t n, u32 q, u32 qInv, u32 r2,
              size_t budget)
 {
-    for (size_t m = from; m < n; ++m) {
-        u64 s = 0;
+    constexpr size_t kDotLanes = 64;
+    for (size_t m0 = from; m0 < n; m0 += kDotLanes) {
+        const size_t len = std::min(kDotLanes, n - m0);
+        u64 s[kDotLanes] = {};
         size_t left = budget;
         for (size_t i = 0; i < k; ++i, --left) {
             if (left == 0) {
-                s = lazySumReduceRaw(s, q, qInv, r2);
+                for (size_t m = 0; m < len; ++m)
+                    s[m] = lazySumReduceRaw(s[m], q, qInv, r2);
                 left = budget;
             }
-            s += static_cast<u64>(b[i][m]) * w[i];
+            for (size_t m = 0; m < len; ++m)
+                s[m] += static_cast<u64>(b[i][m0 + m]) * w[i];
         }
-        out[m] = lazySumReduceRaw(s, q, qInv, r2);
+        for (size_t m = 0; m < len; ++m)
+            out[m0 + m] = lazySumReduceRaw(s[m], q, qInv, r2);
     }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <memory>
 
-#include "common/bitops.h"
 #include "common/check.h"
 #include "nt/modvec.h"
 
@@ -30,15 +29,6 @@ BasisConversion::BasisConversion(const RnsBasis &from, const RnsBasis &to)
             static_cast<u32>(from_.qHatInv(i)),
             static_cast<u32>(from_.modulus(i))));
     }
-
-    // How many b_i * table products fit in a u64 accumulator.
-    u32 from_bits = 0, to_bits = 0;
-    for (u64 q : from_.moduli())
-        from_bits = std::max(from_bits, ilog2(q) + 1);
-    for (u64 p : to_.moduli())
-        to_bits = std::max(to_bits, ilog2(p) + 1);
-    const u32 slack = 63 - (from_bits + to_bits);
-    reduceEvery_ = std::max<size_t>(1, size_t{1} << std::min(slack, 20u));
 }
 
 namespace {

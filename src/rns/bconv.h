@@ -77,14 +77,6 @@ class BasisConversion
         return weights_[j * from_.size() + i];
     }
 
-    /**
-     * How many step-2 products a u64 accumulator takes before a Barrett
-     * reduction is needed (the "lazy window" of a wide accumulator
-     * that may reach 2^63). The CPU body does not use it: its lazy sums
-     * fold on a tighter per-target budget (nt::lazySumBudget).
-     */
-    size_t reduceEvery() const { return reduceEvery_; }
-
   private:
     /** convert's halves, over limb pointers. */
     void scaleLimbs(const u32 *const *in, u32 *const *b, size_t n) const;
@@ -100,7 +92,6 @@ class BasisConversion
     std::vector<size_t> budget_;
     // Shoup precomputation of qHatInv per source limb for step 1.
     std::vector<nt::ShoupConst> qHatInvShoup_;
-    size_t reduceEvery_;
 };
 
 } // namespace cross::rns

@@ -10,11 +10,12 @@
  * (observed as the INTT-launch delta and as
  * KernelLog::hoistedModUpSaves).
  *
- * A textbook key switch built from public pieces (LimbMatrix BConv,
- * RnsPoly::automorphism, pointwise products and sums, ModDown by hand)
- * pins keySwitch, rotate, the hoisted fan-out and multiply bit for bit
- * at every level, so a gather or accumulation slip in the fused inner
- * product cannot hide behind comparisons that all run it. It runs on
+ * A textbook key switch built from public pieces
+ * (testref::textbookKeySwitch: LimbMatrix BConv, RnsPoly::automorphism,
+ * pointwise products and sums, ModDown by hand) pins keySwitch, rotate,
+ * the hoisted fan-out and multiply bit for bit at every level, so a
+ * gather or accumulation slip in the fused inner product cannot hide
+ * behind comparisons that all run it. It runs on
  * a 6-limb dnum-2 context and on an 8-limb dnum-3 one, whose top level
  * sums three digits as Set-B's does.
  *
@@ -42,87 +43,16 @@
 #include "ckks/schedule.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "poly/ntt_ct.h"
-#include "rns/bconv.h"
 
+#include "test_refs.h"
 #include "test_util.h"
 
 namespace cross::ckks {
 namespace {
 
 using poly::RnsPoly;
+using testref::textbookKeySwitch;
 using testutil::testThreads;
-
-/**
- * The hybrid key switch of @p c against @p pre, step by step from
- * public pieces and with a fresh polynomial per step: ModUp through the
- * LimbMatrix BConv, each extended digit permuted by @p auto_idx with
- * RnsPoly::automorphism (index 1 is the identity), the inner product
- * as pointwise products and sums, and ModDown through modDownConv and
- * pInvModQ.
- */
-std::pair<RnsPoly, RnsPoly>
-textbookKeySwitch(const CkksContext &ctx, const RnsPoly &c,
-                  const KeySwitchPrecomp &pre, u32 auto_idx)
-{
-    const auto &ring = ctx.ring();
-    const size_t level = c.limbCount() - 1;
-    RnsPoly c_coeff = c;
-    c_coeff.toCoeff();
-
-    RnsPoly acc0(ring, pre.extSlots, true);
-    RnsPoly acc1(ring, pre.extSlots, true);
-    for (size_t j = 0; j < ctx.activeDigits(level); ++j) {
-        const auto [first, last] = ctx.digitRange(j, level);
-        rns::LimbMatrix in;
-        for (size_t i = first; i < last; ++i)
-            in.push_back(c_coeff.limb(i));
-        rns::LimbMatrix converted;
-        ctx.modUpConv(j, level).apply(in, converted);
-        RnsPoly up(ring, pre.extSlots, true);
-        size_t k = 0;
-        for (size_t pos = 0; pos < pre.extSlots.size(); ++pos) {
-            const u32 slot = pre.extSlots[pos];
-            if (slot >= first && slot < last) {
-                up.limb(pos) = c.limb(slot);
-            } else {
-                up.limb(pos) = converted[k++];
-                poly::forwardInPlace(up.limb(pos).data(), ring.tables(slot));
-            }
-        }
-        const RnsPoly digit = up.automorphism(auto_idx);
-        RnsPoly p0 = digit;
-        p0.mulPointwiseInPlace(pre.keys[j].first);
-        acc0.addInPlace(p0);
-        RnsPoly p1 = digit;
-        p1.mulPointwiseInPlace(pre.keys[j].second);
-        acc1.addInPlace(p1);
-    }
-
-    const auto mod_down = [&](const RnsPoly &acc) {
-        rns::LimbMatrix p_part;
-        for (size_t jj = 0; jj < ctx.pCount(); ++jj) {
-            p_part.push_back(acc.limb(level + 1 + jj));
-            poly::inverseInPlace(p_part.back().data(),
-                                 ring.tables(ctx.pSlot(jj)));
-        }
-        rns::LimbMatrix converted;
-        ctx.modDownConv(level).apply(p_part, converted);
-        RnsPoly conv(ring, level + 1, true);
-        RnsPoly res(ring, level + 1, true);
-        std::vector<u64> p_inv;
-        for (size_t i = 0; i <= level; ++i) {
-            conv.limb(i) = converted[i];
-            poly::forwardInPlace(conv.limb(i).data(), ring.tables(i));
-            res.limb(i) = acc.limb(i);
-            p_inv.push_back(ctx.pInvModQ(i));
-        }
-        res.subInPlace(conv);
-        res.mulScalarPerLimbInPlace(p_inv);
-        return res;
-    };
-    return {mod_down(acc0), mod_down(acc1)};
-}
 
 /** Rotation by @p auto_idx from the textbook key switch of c1. */
 Ciphertext
@@ -130,7 +60,8 @@ textbookRotate(const CkksContext &ctx, const Ciphertext &ct, u32 auto_idx,
                const KeySwitchPrecomp &pre)
 {
     Ciphertext r;
-    std::tie(r.c0, r.c1) = textbookKeySwitch(ctx, ct.c1, pre, auto_idx);
+    std::tie(r.c0, r.c1) =
+        textbookKeySwitch(ctx.hybridKeySwitch(), ct.c1, pre, auto_idx);
     r.c0.addInPlace(ct.c0.automorphism(auto_idx));
     r.scale = ct.scale;
     return r;
@@ -150,8 +81,8 @@ textbookMultiply(const CkksContext &ctx, const Ciphertext &a,
     r.c0 = product(a.c0, b.c0);
     r.c1 = product(a.c0, b.c1);
     r.c1.addInPlace(product(a.c1, b.c0));
-    const auto [k0, k1] =
-        textbookKeySwitch(ctx, product(a.c1, b.c1), pre, 1);
+    const auto [k0, k1] = textbookKeySwitch(ctx.hybridKeySwitch(),
+                                            product(a.c1, b.c1), pre, 1);
     r.c0.addInPlace(k0);
     r.c1.addInPlace(k1);
     r.scale = a.scale * b.scale;
@@ -235,7 +166,8 @@ class HoistingFixture : public ::testing::Test
             const auto relin_pre = ev.precomputeKeySwitch(relin, level);
 
             const auto [k0, k1] = ev.keySwitch(a.c1, relin_pre);
-            const auto [r0, r1] = textbookKeySwitch(ctx, a.c1, relin_pre, 1);
+            const auto [r0, r1] = textbookKeySwitch(ctx.hybridKeySwitch(),
+                                                    a.c1, relin_pre, 1);
             EXPECT_TRUE(k0 == r0) << "keySwitch c0";
             EXPECT_TRUE(k1 == r1) << "keySwitch c1";
 

@@ -238,15 +238,6 @@ TEST(BConv, TableMatchesBasis)
             EXPECT_EQ(conv.table(i, j), from.qHatMod(i, to.modulus(j)));
 }
 
-TEST(BConv, ReduceWindowIsSane)
-{
-    const auto from_m = testPrimes(28, 3, 1 << 12);
-    const auto to_m = testPrimes(28, 2, 1 << 12, from_m);
-    BasisConversion conv{RnsBasis(from_m), RnsBasis(to_m)};
-    // 28 + 28 bits of product leaves 63-56 = 7 bits of slack.
-    EXPECT_EQ(conv.reduceEvery(), 128u);
-}
-
 TEST(BConv, IdentityConversionOnSameSizedValues)
 {
     // Converting a value x < min(Q1, Q2) where step-1+2 incur alpha == 0

@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "nt/modops.h"
+#include "poly/ntt_ct.h"
 
 namespace cross::testref {
 
@@ -95,6 +96,72 @@ randomPoly(u32 n, u64 q, u64 seed)
     for (auto &x : a)
         x = static_cast<u32>(rng.uniform(q));
     return a;
+}
+
+std::pair<poly::RnsPoly, poly::RnsPoly>
+textbookKeySwitch(const ckks::HybridKeySwitch &ks, const poly::RnsPoly &c,
+                  const ckks::KeySwitchPrecomp &pre, u32 auto_idx)
+{
+    using poly::RnsPoly;
+    const auto &ring = c.ring();
+    const size_t level = c.limbCount() - 1;
+    RnsPoly c_coeff = c;
+    c_coeff.toCoeff();
+
+    RnsPoly acc0(ring, pre.extSlots, true);
+    RnsPoly acc1(ring, pre.extSlots, true);
+    for (size_t j = 0; j < ks.activeDigits(level); ++j) {
+        const auto [first, last] = ks.digitRange(j, level);
+        rns::LimbMatrix in;
+        for (size_t i = first; i < last; ++i)
+            in.push_back(c_coeff.limb(i));
+        rns::LimbMatrix converted;
+        ks.modUpConv(j, level).apply(in, converted);
+        RnsPoly up(ring, pre.extSlots, true);
+        size_t k = 0;
+        for (size_t pos = 0; pos < pre.extSlots.size(); ++pos) {
+            const u32 slot = pre.extSlots[pos];
+            if (slot >= first && slot < last) {
+                up.limb(pos) = c.limb(slot);
+            } else {
+                up.limb(pos) = converted[k++];
+                poly::forwardInPlace(up.limb(pos).data(), ring.tables(slot));
+            }
+        }
+        const RnsPoly digit = up.automorphism(auto_idx);
+        RnsPoly p0 = digit;
+        p0.mulPointwiseInPlace(pre.keys[j].first);
+        acc0.addInPlace(p0);
+        RnsPoly p1 = digit;
+        p1.mulPointwiseInPlace(pre.keys[j].second);
+        acc1.addInPlace(p1);
+    }
+    if (ks.pCount() == 0)
+        return {std::move(acc0), std::move(acc1)};
+
+    const auto mod_down = [&](const RnsPoly &acc) {
+        rns::LimbMatrix p_part;
+        for (size_t jj = 0; jj < ks.pCount(); ++jj) {
+            p_part.push_back(acc.limb(level + 1 + jj));
+            poly::inverseInPlace(p_part.back().data(),
+                                 ring.tables(ks.pSlot(jj)));
+        }
+        rns::LimbMatrix converted;
+        ks.modDownConv(level).apply(p_part, converted);
+        RnsPoly conv(ring, level + 1, true);
+        RnsPoly res(ring, level + 1, true);
+        std::vector<u64> p_inv;
+        for (size_t i = 0; i <= level; ++i) {
+            conv.limb(i) = converted[i];
+            poly::forwardInPlace(conv.limb(i).data(), ring.tables(i));
+            res.limb(i) = acc.limb(i);
+            p_inv.push_back(ks.pInvModQ(i));
+        }
+        res.subInPlace(conv);
+        res.mulScalarPerLimbInPlace(p_inv);
+        return res;
+    };
+    return {mod_down(acc0), mod_down(acc1)};
 }
 
 } // namespace cross::testref
