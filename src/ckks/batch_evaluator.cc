@@ -215,6 +215,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
         stages.size(),
         std::vector<std::vector<KeySwitchCache::Shared>>(count));
     const CkksEvaluator builder(ctx_);
+    const HybridKeySwitch &ks = ctx_.hybridKeySwitch();
     for (size_t s = 0; s < stages.size(); ++s) {
         const auto &st = stages[s];
         if (st.rhs) {
@@ -239,7 +240,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
             for (size_t i = 0; i < count; ++i) {
                 limbs[i] = std::min(limbs[i], (*st.rhs)[i].limbs());
                 scale[i] = scale[i] * (*st.rhs)[i].scale;
-                requireThat(ctx_.activeDigits(limbs[i] - 1) <=
+                requireThat(ks.activeDigits(limbs[i] - 1) <=
                                 st.key->digits.size(),
                             "BatchEvaluator::run: relinearisation key "
                             "does not cover the item level");
@@ -277,7 +278,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                         "rotation key");
             checkAutomorphismIndex(ctx_, st.autoIdx);
             for (size_t i = 0; i < count; ++i) {
-                requireThat(ctx_.activeDigits(limbs[i] - 1) <=
+                requireThat(ks.activeDigits(limbs[i] - 1) <=
                                 st.key->digits.size(),
                             "BatchEvaluator::run: rotation key does "
                             "not cover the item level");
@@ -318,7 +319,7 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                         : scale[i];
                 for (const auto &br : st.branches) {
                     requireThat(br.key != nullptr &&
-                                    ctx_.activeDigits(level) <=
+                                    ks.activeDigits(level) <=
                                         br.key->digits.size(),
                                 "BatchEvaluator::run: linearTransform "
                                 "branch key missing or below the item "

@@ -30,38 +30,20 @@ class CkksContext
     size_t qCount() const { return params_.limbs; }
 
     u64 qModulus(size_t i) const { return ring_->modulus(i); }
-    u64 pModulus(size_t j) const { return ring_->modulus(pSlot(j)); }
 
     /** [q_l^-1]_{q_i} for rescale from level l (i < l). */
     u64 qInvModQ(size_t l, size_t i) const;
 
     /**
      * The hybrid key switch over this context's ring (Q u P, dnum
-     * digits): the phases the evaluator runs, the switching-key
-     * generator and the layout the accessors below forward to (see
-     * hybrid_keyswitch.h for each).
+     * digits): its layout, the phases the evaluator runs and the
+     * switching-key generator (see hybrid_keyswitch.h for each).
      */
     const HybridKeySwitch &hybridKeySwitch() const { return *ks_; }
 
-    /** @name Key-switch layout, forwarded to hybridKeySwitch(). @{ */
-    size_t pCount() const { return ks_->pCount(); }
-    u32 pSlot(size_t j) const { return ks_->pSlot(j); }
-    u64 pModQ(size_t i) const { return ks_->pModQ(i); }
-    u64 pInvModQ(size_t i) const { return ks_->pInvModQ(i); }
-    size_t digitOf(size_t i) const { return ks_->digitOf(i); }
-    std::pair<size_t, size_t>
-    digitRange(size_t j, size_t l) const { return ks_->digitRange(j, l); }
-    size_t activeDigits(size_t l) const { return ks_->activeDigits(l); }
-    std::vector<u32>
-    extendedSlots(size_t l) const { return ks_->extendedSlots(l); }
+    /** hybridKeySwitch().modUpConv(j, l), kept for setbench/ledger.cc. */
     const rns::BasisConversion &
     modUpConv(size_t j, size_t l) const { return ks_->modUpConv(j, l); }
-    const rns::BasisConversion &
-    modDownConv(size_t l) const { return ks_->modDownConv(l); }
-    /** @} */
-
-    /** Rescale conversion from q_l to q_0..q_{l-1} handled inline (exact
-     *  small-value lift), no BasisConversion needed. */
 
     /**
      * Residency cache of key-switching operands, shared by every

@@ -397,8 +397,9 @@ compileGraph(const CkksContext &ctx, const Graph &g,
     // list plus, per active digit, two polynomials over the extended
     // basis.
     const auto precomp_bytes = [&](size_t level) {
-        const size_t ext = level + 1 + ctx.pCount();
-        const size_t digits = ctx.activeDigits(level);
+        const HybridKeySwitch &ks = ctx.hybridKeySwitch();
+        const size_t ext = level + 1 + ks.pCount();
+        const size_t digits = ks.activeDigits(level);
         return ext * sizeof(u32) +
                digits * 2 * ext * static_cast<size_t>(ctx.degree()) *
                    sizeof(u32);

@@ -7,7 +7,7 @@ using poly::RnsPoly;
 KeyGenerator::KeyGenerator(const CkksContext &ctx, u64 seed)
     : ctx_(ctx), rng_(seed)
 {
-    const size_t full = ctx_.qCount() + ctx_.pCount();
+    const size_t full = ctx_.qCount() + ctx_.hybridKeySwitch().pCount();
     sk_.s = RnsPoly::ternary(ctx_.ring(), full, rng_);
     sk_.s.toEval();
 }

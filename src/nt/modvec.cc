@@ -10,6 +10,65 @@ namespace cross::nt {
 
 namespace detail {
 
+void
+keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
+                     const u32 *const *key0, const u32 *const *key1,
+                     size_t d, const u32 *map, size_t from, size_t n,
+                     u32 q, u32 qInv, u32 r2, size_t budget)
+{
+    for (size_t m = from; m < n; ++m) {
+        const size_t src = map ? map[m] : m;
+        u64 s0 = 0, s1 = 0;
+        size_t left = budget;
+        for (size_t j = 0; j < d; ++j, --left) {
+            if (left == 0) {
+                s0 = lazySumReduceRaw(s0, q, qInv, r2);
+                s1 = lazySumReduceRaw(s1, q, qInv, r2);
+                left = budget;
+            }
+            const u64 x = digits[j][src];
+            s0 += x * key0[j][m];
+            s1 += x * key1[j][m];
+        }
+        out0[m] = lazySumReduceRaw(s0, q, qInv, r2);
+        out1[m] = lazySumReduceRaw(s1, q, qInv, r2);
+    }
+}
+
+void
+bconvDotLoop(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+             size_t from, size_t n, u32 q, u32 qInv, u32 r2,
+             size_t budget)
+{
+    constexpr size_t kDotLanes = 64;
+    for (size_t m0 = from; m0 < n; m0 += kDotLanes) {
+        const size_t len = std::min(kDotLanes, n - m0);
+        u64 s[kDotLanes] = {};
+        size_t left = budget;
+        for (size_t i = 0; i < k; ++i, --left) {
+            if (left == 0) {
+                for (size_t m = 0; m < len; ++m)
+                    s[m] = lazySumReduceRaw(s[m], q, qInv, r2);
+                left = budget;
+            }
+            for (size_t m = 0; m < len; ++m)
+                s[m] += static_cast<u64>(b[i][m0 + m]) * w[i];
+        }
+        for (size_t m = 0; m < len; ++m)
+            out[m0 + m] = lazySumReduceRaw(s[m], q, qInv, r2);
+    }
+}
+
+void
+gatherAddModLoop(u32 *dst, const u32 *src, const u32 *map, size_t from,
+                 size_t n, u32 q)
+{
+    for (size_t m = from; m < n; ++m) {
+        const u32 s = dst[m] + src[map[m]];
+        dst[m] = s >= q ? s - q : s;
+    }
+}
+
 namespace {
 
 void

@@ -5,13 +5,13 @@
  *
  * The table entries take raw precomputed parameters (q, qInv, r2, m64)
  * instead of the Montgomery/Barrett objects so the vector TUs depend
- * only on arithmetic, and so the scalar reference below can be shared
- * verbatim as the tail loop of every vector kernel (identical formula
- * => identical bits).
+ * only on arithmetic, and so the scalar kernels can run the tail of
+ * every vector kernel (identical formula => identical bits): a vector
+ * body calls the scalar table entry or one of the out-of-line loops
+ * below, never an inline helper of this header (docs/SIMD.md).
  */
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 
 #include "common/types.h"
@@ -116,32 +116,14 @@ lazySumReduceRaw(u64 z, u32 q, u32 qInv, u32 r2)
  * keySwitchProductVec's scalar loop over coefficients [from, n), the
  * ground truth and every vector kernel's tail: both sums take one
  * product per digit and fold through lazySumReduceRaw after every
- * @p budget products that more products follow.
+ * @p budget products that more products follow. This loop and the two
+ * below are defined out of line in modvec.cc, so a vector translation
+ * unit reaches them by call and compiles no copy of its own.
  */
-inline void
-keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
-                     const u32 *const *key0, const u32 *const *key1,
-                     size_t d, const u32 *map, size_t from, size_t n,
-                     u32 q, u32 qInv, u32 r2, size_t budget)
-{
-    for (size_t m = from; m < n; ++m) {
-        const size_t src = map ? map[m] : m;
-        u64 s0 = 0, s1 = 0;
-        size_t left = budget;
-        for (size_t j = 0; j < d; ++j, --left) {
-            if (left == 0) {
-                s0 = lazySumReduceRaw(s0, q, qInv, r2);
-                s1 = lazySumReduceRaw(s1, q, qInv, r2);
-                left = budget;
-            }
-            const u64 x = digits[j][src];
-            s0 += x * key0[j][m];
-            s1 += x * key1[j][m];
-        }
-        out0[m] = lazySumReduceRaw(s0, q, qInv, r2);
-        out1[m] = lazySumReduceRaw(s1, q, qInv, r2);
-    }
-}
+void keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
+                          const u32 *const *key0, const u32 *const *key1,
+                          size_t d, const u32 *map, size_t from, size_t n,
+                          u32 q, u32 qInv, u32 r2, size_t budget);
 
 /**
  * bconvDotVec's scalar loop over [from, n), the ground truth and every
@@ -149,40 +131,13 @@ keySwitchProductLoop(u32 *out0, u32 *out1, const u32 *const *digits,
  * sums, so the product loop auto-vectorises; each lane folds like the
  * above, after every @p budget products that more products follow.
  */
-inline void
-bconvDotLoop(u32 *out, const u32 *const *b, const u32 *w, size_t k,
-             size_t from, size_t n, u32 q, u32 qInv, u32 r2,
-             size_t budget)
-{
-    constexpr size_t kDotLanes = 64;
-    for (size_t m0 = from; m0 < n; m0 += kDotLanes) {
-        const size_t len = std::min(kDotLanes, n - m0);
-        u64 s[kDotLanes] = {};
-        size_t left = budget;
-        for (size_t i = 0; i < k; ++i, --left) {
-            if (left == 0) {
-                for (size_t m = 0; m < len; ++m)
-                    s[m] = lazySumReduceRaw(s[m], q, qInv, r2);
-                left = budget;
-            }
-            for (size_t m = 0; m < len; ++m)
-                s[m] += static_cast<u64>(b[i][m0 + m]) * w[i];
-        }
-        for (size_t m = 0; m < len; ++m)
-            out[m0 + m] = lazySumReduceRaw(s[m], q, qInv, r2);
-    }
-}
+void bconvDotLoop(u32 *out, const u32 *const *b, const u32 *w, size_t k,
+                  size_t from, size_t n, u32 q, u32 qInv, u32 r2,
+                  size_t budget);
 
 /** gatherAddModVec's scalar loop over [from, n). */
-inline void
-gatherAddModLoop(u32 *dst, const u32 *src, const u32 *map, size_t from,
-                 size_t n, u32 q)
-{
-    for (size_t m = from; m < n; ++m) {
-        const u32 s = dst[m] + src[map[m]];
-        dst[m] = s >= q ? s - q : s;
-    }
-}
+void gatherAddModLoop(u32 *dst, const u32 *src, const u32 *map, size_t from,
+                      size_t n, u32 q);
 
 /** One dispatch path's implementations of the modvec.h operations. */
 struct ModVecKernels

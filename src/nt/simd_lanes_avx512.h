@@ -1,11 +1,10 @@
 /**
  * @file
- * AVX-512 (F+DQ+VL) lane primitives shared by the -mavx512* TUs
- * (nt/modvec_avx512.cc, poly/ntt_simd_avx512.cc). Same structure and
- * bit-exactness contract as simd_lanes_avx2.h, at twice the width and
- * with the 512 niceties: mask registers replace blendv, vpmullq (DQ)
- * replaces the two-multiply low-64 product, and vpmovqd compresses
- * u64 lanes in one instruction.
+ * The AVX-512 (F+DQ+VL) lanes type: 16 u32 / 8 u64 lanes in a
+ * __m512i. Include ONLY from sources compiled with -mavx512f/dq/vl.
+ * Same contract as simd_lanes_avx2.h, with the 512 niceties: mask
+ * registers replace blendv, vpmullq (DQ) replaces the two-multiply
+ * low-64 product, and vpmovqd packs u64 lanes in one instruction.
  */
 #pragma once
 
@@ -16,135 +15,87 @@
 
 #include <immintrin.h>
 
-#include "common/types.h"
+#include "nt/simd_lanes.h"
 
-namespace cross::nt::avx512 {
+namespace cross::nt::simd {
 
-/** Fold 16 u32 lanes from [0, 2q) into [0, q). */
-inline __m512i
-fold2qU32(__m512i x, __m512i q)
+struct Avx512 : LaneOps<Avx512>
 {
-    return _mm512_min_epu32(x, _mm512_sub_epi32(x, q));
-}
+    using V = __m512i;
+    static constexpr u32 kU32 = 16;
+    static constexpr u32 kU64 = 8;
 
-/** Fold u64 lanes holding values < 2^32 (masked subtract -- no
- *  wrap-around trickery needed with AVX-512 compares). */
-inline __m512i
-fold2qU64Lane(__m512i x, __m512i q64)
-{
-    const __mmask8 ge = _mm512_cmpge_epu64_mask(x, q64);
-    return _mm512_mask_sub_epi64(x, ge, x, q64);
-}
+    static V load(const void *p) { return _mm512_loadu_si512(p); }
+    static void store(void *p, V v) { _mm512_storeu_si512(p, v); }
+    static V set1(u32 x) { return _mm512_set1_epi32(static_cast<int>(x)); }
+    static V set1x64(u64 x)
+    {
+        return _mm512_set1_epi64(static_cast<i64>(x));
+    }
+    static V zero() { return _mm512_setzero_si512(); }
 
-/** Merge even-half and odd-half u64-lane results into 16 u32 lanes. */
-inline __m512i
-mergeHalves(__m512i re, __m512i ro)
-{
-    return _mm512_mask_blend_epi32(0xAAAA, re,
-                                   _mm512_slli_epi64(ro, 32));
-}
+    static V add32(V a, V b) { return _mm512_add_epi32(a, b); }
+    static V sub32(V a, V b) { return _mm512_sub_epi32(a, b); }
+    static V minU32(V a, V b) { return _mm512_min_epu32(a, b); }
+    static V add64(V a, V b) { return _mm512_add_epi64(a, b); }
+    static V sub64(V a, V b) { return _mm512_sub_epi64(a, b); }
+    static V andBits(V a, V b) { return _mm512_and_si512(a, b); }
+    static V shr32(V a) { return _mm512_srli_epi64(a, 32); }
+    static V mul32(V a, V b) { return _mm512_mul_epu32(a, b); }
 
-/** shoupMulLazy on one u64-lane half; see simd_lanes_avx2.h. */
-inline __m512i
-shoupMulLazyHalf(__m512i xh, __m512i wV, __m512i wsLoV, __m512i wsHiV,
-                 __m512i qV)
-{
-    const __m512i p0 = _mm512_mul_epu32(xh, wsLoV);
-    const __m512i p1 = _mm512_mul_epu32(xh, wsHiV);
-    const __m512i hi = _mm512_srli_epi64(
-        _mm512_add_epi64(p1, _mm512_srli_epi64(p0, 32)), 32);
-    const __m512i wa = _mm512_mul_epu32(xh, wV);
-    return _mm512_sub_epi64(wa, _mm512_mul_epu32(hi, qV));
-}
+    /** Fold u64 lanes holding values < 2^32 from [0, 2q) into [0, q)
+     *  with a masked subtract. */
+    static V foldU64(V x, V q64)
+    {
+        const __mmask8 ge = _mm512_cmpge_epu64_mask(x, q64);
+        return _mm512_mask_sub_epi64(x, ge, x, q64);
+    }
 
-/** shoupMulLazy on 16 u32 lanes (any u32 input, results in [0, 2q)). */
-inline __m512i
-shoupMulLazy16(__m512i x, __m512i wV, __m512i wsLoV, __m512i wsHiV,
-               __m512i qV)
-{
-    const __m512i re = shoupMulLazyHalf(x, wV, wsLoV, wsHiV, qV);
-    const __m512i ro = shoupMulLazyHalf(_mm512_srli_epi64(x, 32), wV,
-                                        wsLoV, wsHiV, qV);
-    return mergeHalves(re, ro);
-}
+    /** Merge even-half and odd-half u64-lane results into 16 u32
+     *  lanes. */
+    static V mergeHalves(V re, V ro)
+    {
+        return _mm512_mask_blend_epi32(0xAAAA, re,
+                                       _mm512_slli_epi64(ro, 32));
+    }
 
-/**
- * shoupMulLazy with one twiddle per u32 lane: lane l of w, wsLo and
- * wsHi holds lane l's w and the two halves of its Shoup factor (a
- * _mm512_set1_epi32 broadcast works too). The odd half shifts its
- * twiddles down with x. Scalar twin: shoupMulLazy() in nt/shoup.h.
- */
-inline __m512i
-shoupMulLazy16PerLane(__m512i x, __m512i w, __m512i wsLo, __m512i wsHi,
-                      __m512i qV)
-{
-    const __m512i re = shoupMulLazyHalf(x, w, wsLo, wsHi, qV);
-    const __m512i ro = shoupMulLazyHalf(
-        _mm512_srli_epi64(x, 32), _mm512_srli_epi64(w, 32),
-        _mm512_srli_epi64(wsLo, 32), _mm512_srli_epi64(wsHi, 32), qV);
-    return mergeHalves(re, ro);
-}
+    /** One conditional `r >= q ? r - q : r` on u64 lanes (masked). */
+    static V condSubQ64(V r, V q64)
+    {
+        const __mmask8 ge = _mm512_cmpge_epu64_mask(r, q64);
+        return _mm512_mask_sub_epi64(r, ge, r, q64);
+    }
 
-/** Montgomery reduce u64 lanes z = a*b (a, b < q) into [0, 2q). */
-inline __m512i
-montReduce64(__m512i z, __m512i qV, __m512i qInvV)
-{
-    const __m512i t = _mm512_mul_epu32(z, qInvV);
-    const __m512i tf =
-        _mm512_srli_epi64(_mm512_mul_epu32(t, qV), 32);
-    const __m512i zhi = _mm512_srli_epi64(z, 32);
-    return _mm512_sub_epi64(_mm512_add_epi64(zhi, qV), tf);
-}
+    /** (t * q) mod 2^64 for u64 lanes (vpmullq). */
+    static V mulLo64(V t, V q64) { return _mm512_mullo_epi64(t, q64); }
 
-/** mont.mulPlain on one u64-lane half (inputs < q in low dwords). */
-inline __m512i
-montMulPlainHalf(__m512i ah, __m512i bh, __m512i qV, __m512i qInvV,
-                 __m512i r2V)
-{
-    const __m512i am = fold2qU64Lane(
-        montReduce64(_mm512_mul_epu32(ah, r2V), qV, qInvV), qV);
-    return fold2qU64Lane(
-        montReduce64(_mm512_mul_epu32(am, bh), qV, qInvV), qV);
-}
+    /** 8 u32 values zero-extended into u64 lanes. */
+    static V loadWidened(const u32 *p)
+    {
+        return _mm512_cvtepu32_epi64(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(p)));
+    }
 
-/**
- * The lazy-sum reduction on u64 lanes z < q * 2^32: Montgomery, times
- * r2 = 2^64 mod q, Montgomery again, fold; results < q in the low
- * dwords. Scalar twin: lazySumReduceRaw() in nt/modvec_impl.h.
- */
-inline __m512i
-lazySumReduce64(__m512i z, __m512i qV, __m512i qInvV, __m512i r2V)
-{
-    const __m512i r = montReduce64(z, qV, qInvV);
-    return fold2qU64Lane(
-        montReduce64(_mm512_mul_epu32(r, r2V), qV, qInvV), qV);
-}
+    /** Store the low dwords of 8 u64 lanes as 8 u32 values (vpmovqd). */
+    static void storePacked(u32 *p, V x)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(p),
+                            _mm512_cvtepi64_epi32(x));
+    }
 
-/** floor(x * m / 2^64) for full-u64 lanes x, m split into dwords. */
-inline __m512i
-mulHi64(__m512i x, __m512i mLo, __m512i mHi, __m512i lo32)
-{
-    const __m512i xh = _mm512_srli_epi64(x, 32);
-    const __m512i ll = _mm512_mul_epu32(x, mLo);
-    const __m512i hl = _mm512_mul_epu32(xh, mLo);
-    const __m512i lh = _mm512_mul_epu32(x, mHi);
-    const __m512i hh = _mm512_mul_epu32(xh, mHi);
-    const __m512i cross = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_srli_epi64(ll, 32),
-                         _mm512_and_si512(hl, lo32)),
-        _mm512_and_si512(lh, lo32));
-    return _mm512_add_epi64(
-        _mm512_add_epi64(hh, _mm512_srli_epi64(hl, 32)),
-        _mm512_add_epi64(_mm512_srli_epi64(lh, 32),
-                         _mm512_srli_epi64(cross, 32)));
-}
+    /** base[idx[l]] in u32 lane l (vpgatherdd). */
+    static V gather(const u32 *base, V idx)
+    {
+        return _mm512_i32gather_epi32(idx, base, 4);
+    }
 
-/** One conditional `r >= q ? r - q : r` on u64 lanes (masked). */
-inline __m512i
-condSubQ64(__m512i r, __m512i q64)
-{
-    const __mmask8 ge = _mm512_cmpge_epu64_mask(r, q64);
-    return _mm512_mask_sub_epi64(r, ge, r, q64);
-}
+    /** v > half ? v + shift : v per u32 lane (liftCenteredSelect), as
+     *  one masked add. */
+    static V liftSelect(V v, V half, V shift)
+    {
+        const __mmask16 high = _mm512_cmpgt_epu32_mask(v, half);
+        return _mm512_mask_add_epi32(v, high, v, shift);
+    }
+};
 
-} // namespace cross::nt::avx512
+} // namespace cross::nt::simd

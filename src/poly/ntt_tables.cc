@@ -17,19 +17,18 @@ NttTables::NttTables(u32 n, u32 q) : n_(n), q_(q)
     psiInv_ = static_cast<u32>(nt::invMod(psi_, q));
 
     const u32 bits = ilog2(n);
-    for (ShoupTwiddles *tw : {&psiBr_, &psiInvBr_})
-        for (std::vector<u32> *v : {&tw->w, &tw->shoupLo, &tw->shoupHi})
-            v->resize(n);
-    const auto set = [q](ShoupTwiddles &tw, u32 i, u64 w) {
+    twiddles_.resize(6 * size_t{n});
+    const auto set = [&](size_t dir, u32 i, u64 w) {
         const nt::ShoupConst c = nt::shoupPrecompute(static_cast<u32>(w), q);
-        tw.w[i] = c.w;
-        tw.shoupLo[i] = static_cast<u32>(c.wShoup);
-        tw.shoupHi[i] = static_cast<u32>(c.wShoup >> 32);
+        u32 *p = twiddles_.data() + 3 * dir * n;
+        p[i] = c.w;
+        p[n + i] = static_cast<u32>(c.wShoup);
+        p[2 * n + i] = static_cast<u32>(c.wShoup >> 32);
     };
     for (u32 i = 0; i < n; ++i) {
         const u64 e = bitReverse(i, bits);
-        set(psiBr_, i, nt::powMod(psi_, e, q));
-        set(psiInvBr_, i, nt::powMod(psiInv_, e, q));
+        set(0, i, nt::powMod(psi_, e, q));
+        set(1, i, nt::powMod(psiInv_, e, q));
     }
     nInv_ = nt::shoupPrecompute(static_cast<u32>(nt::invMod(n, q)), q);
 }

@@ -8,11 +8,12 @@
  * bit-reversed order with Shoup precomputation, the layout expected by the
  * Cooley-Tukey / Gentleman-Sande in-place kernels in ntt_ct.h.
  *
- * Each direction is one ShoupTwiddles: three u32 arrays (w and the two
- * halves of its Shoup factor) instead of one array of padded 16-byte
- * ShoupConst, so a vector stage loads one twiddle per lane with plain
- * contiguous loads, at 12 bytes per twiddle. psiBr()/psiInvBr() rebuild
- * one entry as a ShoupConst by value for scalar callers.
+ * Each direction is three u32 arrays (w and the two halves of its Shoup
+ * factor, read through a ShoupTwiddles view) instead of one array of
+ * padded 16-byte ShoupConst, so a vector stage loads one twiddle per
+ * lane with plain contiguous loads, at 12 bytes per twiddle.
+ * psiBr()/psiInvBr() rebuild one entry as a ShoupConst by value for
+ * scalar callers.
  */
 #pragma once
 
@@ -26,13 +27,15 @@ namespace cross::poly {
 
 /**
  * Shoup-form twiddles as structure-of-arrays: entry i is w[i] with the
- * Shoup factor shoupHi[i] * 2^32 + shoupLo[i].
+ * Shoup factor shoupHi[i] * 2^32 + shoupLo[i]. A view of the NttTables
+ * that made it, valid while they live; the vector stage kernels read
+ * the arrays through these plain pointers.
  */
 struct ShoupTwiddles
 {
-    std::vector<u32> w;
-    std::vector<u32> shoupLo;
-    std::vector<u32> shoupHi;
+    const u32 *w;
+    const u32 *shoupLo;
+    const u32 *shoupHi;
 
     /** Entry @p i as a ShoupConst. */
     nt::ShoupConst at(size_t i) const
@@ -58,16 +61,16 @@ class NttTables
     u32 psi() const { return psi_; }
 
     /** psi^bitrev(i) for i in [0, N), the forward (CT) twiddles. */
-    const ShoupTwiddles &forwardTwiddles() const { return psiBr_; }
+    ShoupTwiddles forwardTwiddles() const { return twiddles(0); }
 
     /** psi^-bitrev(i), the inverse (GS) twiddles. */
-    const ShoupTwiddles &inverseTwiddles() const { return psiInvBr_; }
+    ShoupTwiddles inverseTwiddles() const { return twiddles(1); }
 
     /** psi^bitrev(i), Shoup form; i in [0, N). */
-    nt::ShoupConst psiBr(u32 i) const { return psiBr_.at(i); }
+    nt::ShoupConst psiBr(u32 i) const { return forwardTwiddles().at(i); }
 
     /** psi^-bitrev(i), Shoup form. */
-    nt::ShoupConst psiInvBr(u32 i) const { return psiInvBr_.at(i); }
+    nt::ShoupConst psiInvBr(u32 i) const { return inverseTwiddles().at(i); }
 
     /** N^-1 mod q, Shoup form (final INTT scaling). */
     const nt::ShoupConst &nInv() const { return nInv_; }
@@ -76,12 +79,18 @@ class NttTables
     u32 psiPow(u64 e) const;
 
   private:
+    /** Direction @p dir's arrays: w, shoupLo and shoupHi, N each. */
+    ShoupTwiddles twiddles(size_t dir) const
+    {
+        const u32 *p = twiddles_.data() + 3 * dir * n_;
+        return {p, p + n_, p + 2 * n_};
+    }
+
     u32 n_;
     u32 q_;
     u32 psi_;
     u32 psiInv_;
-    ShoupTwiddles psiBr_;
-    ShoupTwiddles psiInvBr_;
+    std::vector<u32> twiddles_; ///< forward, then inverse (twiddles())
     nt::ShoupConst nInv_;
 };
 

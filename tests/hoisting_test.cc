@@ -254,7 +254,7 @@ class HoistingDnum3Fixture : public HoistingFixture
 
 TEST_F(HoistingDnum3Fixture, KeySwitchMatchesTextbookReferenceBitForBit)
 {
-    ASSERT_EQ(ctx.activeDigits(ctx.qCount() - 1), 3u);
+    ASSERT_EQ(ctx.hybridKeySwitch().activeDigits(ctx.qCount() - 1), 3u);
     expectTextbookKeySwitchAtEveryLevel(0x7e43);
 }
 

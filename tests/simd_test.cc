@@ -131,8 +131,14 @@ TEST(SimdDispatch, SetThrowsUnderActiveParallelFor)
 // modvec conformance: every op, every available ISA, random shapes
 // ---------------------------------------------------------------------
 
-/** Sizes covering the vector body, the scalar tail, and both empty. */
-const size_t kSizes[] = {0, 1, 7, 8, 16, 33, 100, 1024, 1031};
+/**
+ * Sizes covering the vector body, the scalar tail, and both empty: one
+ * below, at and one above every vector width (u64 lanes: 4 and 8; u32
+ * lanes: 8 and 16) and twice the widest, so each instantiation's body
+ * and tail meet at every width.
+ */
+const size_t kSizes[] = {0,  1,  3,  4,  5,  7,   8,    9,   15,
+                         16, 17, 31, 32, 33, 100, 1024, 1031};
 
 struct ModVecCase
 {
@@ -334,7 +340,7 @@ std::vector<LazyShape>
 lazyShapes(Rng &rng)
 {
     std::vector<LazyShape> shapes;
-    for (size_t n : {1, 15, 16, 17, 33, 8197}) {
+    for (size_t n : {1, 7, 8, 9, 15, 16, 17, 33, 8197}) {
         shapes.push_back({n, {}, "identity"});
         std::vector<u32> perm(n);
         for (size_t m = 0; m < n; ++m)
@@ -477,7 +483,7 @@ TEST(SimdConformance, BConvDotMatchesExactSum)
     Rng rng(0xbc0);
     const auto isas = availableIsas();
     for (u32 bits : kLazyBits) {
-        for (size_t n : {1, 15, 16, 17, 33, 8197}) {
+        for (size_t n : {1, 7, 8, 9, 15, 16, 17, 33, 8197}) {
             for (size_t k = 1; k <= 20; ++k) {
                 for (bool all_max : {false, true}) {
                     // Sources below a modulus of another width, as a
@@ -572,9 +578,10 @@ TEST(SimdConformance, NttBitIdenticalAcrossIsas)
     Rng rng(97);
     // 20..30-bit moduli take the lazy Harvey path (q < 2^30); the
     // 30-bit one is the widest lazy modulus, where 4q comes closest to
-    // 2^32. 31-bit ones exercise the strict fallback. Degrees 4..16 run
-    // the scalar stage below two vectors, 32 is one AVX-512 vector
-    // pair, and 8192 is Set-B's degree.
+    // 2^32. 31-bit ones exercise the strict fallback. Degrees 4 and 8
+    // run the scalar stage below two vectors on every path, 16 is one
+    // AVX2 vector pair (and the scalar stage on AVX-512), 32 is one
+    // AVX-512 vector pair, and 8192 is Set-B's degree.
     for (u32 bits : {20u, 28u, 30u, 31u}) {
         for (u32 n : {4u, 8u, 16u, 32u, 64u, 256u, 2048u, 8192u}) {
             const u32 q = static_cast<u32>(
