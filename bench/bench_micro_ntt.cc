@@ -113,15 +113,17 @@ BM_BConv(benchmark::State &state)
 BENCHMARK(BM_BConv)->Arg(4)->Arg(8)->Arg(12);
 
 /**
- * Post-run dispatch sweep: the radix-2 forward NTT timed under every
- * available SIMD path (scalar, then AVX2/AVX-512 where compiled in and
- * CPU-supported, interleaved round by round), emitting one per-path
- * record plus the trajectory metrics micro_ntt/avx2_vs_scalar_speedup
- * and micro_ntt/avx512_vs_scalar_speedup (items_per_sec = speedup ratio;
- * bench/fidelity_tolerance.json range-checks the AVX2 one). Unlike the
- * --isa flag, which pins one path for the whole binary, this sweep
- * measures every path in a single run so the ratios come from the same
- * host, the same tables and the same inputs.
+ * Post-run dispatch sweep: the radix-2 forward and inverse NTT timed
+ * under every available SIMD path (scalar, then AVX2/AVX-512 where
+ * compiled in and CPU-supported, interleaved round by round), emitting
+ * one micro_ntt/ntt_dispatch and one micro_ntt/intt_dispatch record per
+ * path, plus the forward transform's trajectory metrics
+ * micro_ntt/avx2_vs_scalar_speedup and micro_ntt/avx512_vs_scalar_speedup
+ * (items_per_sec = speedup ratio; bench/fidelity_tolerance.json
+ * range-checks the AVX2 one). Unlike the --isa flag, which pins one
+ * path for the whole binary, this sweep measures every path in a
+ * single run so the ratios come from the same host, the same tables
+ * and the same inputs.
  */
 void
 dispatchSweep(bench::Reporter &rep)
@@ -131,6 +133,7 @@ dispatchSweep(bench::Reporter &rep)
         static_cast<u32>(nt::generateNttPrimes(28, 1, 2ULL * n)[0]);
     poly::NttTables tab(n, q);
     auto a = randomPoly(n, q, 0x15a);
+    auto b = randomPoly(n, q, 0x15b);
 
     std::vector<nt::SimdIsa> isas; // scalar first: the ratios' baseline
     for (auto isa : {nt::SimdIsa::Scalar, nt::SimdIsa::Avx2,
@@ -146,49 +149,63 @@ dispatchSweep(bench::Reporter &rep)
     // Debug or sanitized build spends seconds on one sample, and its
     // ratios are not host-speed figures anyway.
     constexpr double kMaxSeconds = 10;
-    // One sample: ns per NTT over kIters back-to-back transforms.
-    const auto sample = [&](nt::SimdIsa isa) {
+    // One sample: ns per transform over kIters back-to-back forward
+    // (a) or inverse (b) transforms.
+    const auto sample = [&](nt::SimdIsa isa, bool inverse) {
         nt::setSimdIsa(isa);
+        u32 *x = inverse ? b.data() : a.data();
         WallTimer w;
         for (int i = 0; i < kIters; ++i) {
-            poly::forwardInPlace(a.data(), tab);
-            benchmark::DoNotOptimize(a.data());
+            if (inverse)
+                poly::inverseInPlace(x, tab);
+            else
+                poly::forwardInPlace(x, tab);
+            benchmark::DoNotOptimize(x);
+            benchmark::ClobberMemory();
         }
         return w.seconds() * 1e9 / kIters;
     };
-    // A warmup sample per path, then best-of-kRounds with the paths
-    // interleaved inside each round (scalar, AVX2, AVX-512 back to
-    // back). Best-of keeps the undisturbed per-path speed; the
-    // interleaving makes load on a shared host land on every path's
-    // samples alike instead of on one path's whole block of rounds.
+    // A warmup sample per path and direction, then best-of-kRounds
+    // with the paths interleaved inside each round (scalar, AVX2,
+    // AVX-512 back to back, forward then inverse). Best-of keeps the
+    // undisturbed per-path speed; the interleaving makes load on a
+    // shared host land on every path's samples alike instead of on one
+    // path's whole block of rounds.
     const WallTimer sweep;
     for (auto isa : isas)
-        (void)sample(isa);
+        for (bool inverse : {false, true})
+            (void)sample(isa, inverse);
     std::vector<double> best_ns(isas.size(), 1e30);
+    std::vector<double> best_inv_ns(isas.size(), 1e30);
     for (int round = 0; round < kRounds; ++round) {
-        for (size_t p = 0; p < isas.size(); ++p)
-            best_ns[p] = std::min(best_ns[p], sample(isas[p]));
+        for (size_t p = 0; p < isas.size(); ++p) {
+            best_ns[p] = std::min(best_ns[p], sample(isas[p], false));
+            best_inv_ns[p] =
+                std::min(best_inv_ns[p], sample(isas[p], true));
+        }
         if (sweep.seconds() > kMaxSeconds)
             break;
     }
     nt::setSimdIsa(prev);
 
-    TablePrinter t("SIMD dispatch sweep: radix-2 forward NTT, N = 2^12");
-    t.header({"ISA", "ns/NTT", "vs scalar"});
+    TablePrinter t("SIMD dispatch sweep: radix-2 NTT, N = 2^12");
+    t.header({"ISA", "ns/NTT", "vs scalar", "ns/INTT", "vs scalar"});
     for (size_t p = 0; p < isas.size(); ++p) {
         const char *name = nt::simdIsaName(isas[p]);
-        rep.add("micro_ntt/ntt_dispatch",
-                {{"isa", name}, {"n", std::to_string(n)}}, best_ns[p],
+        const std::vector<std::pair<std::string, std::string>> params = {
+            {"isa", name}, {"n", std::to_string(n)}};
+        rep.add("micro_ntt/ntt_dispatch", params, best_ns[p],
                 1e9 / best_ns[p]);
-        if (p == 0) {
-            t.row({name, fmtF(best_ns[p], 1), "1.00"});
-        } else {
-            const double speedup = best_ns[0] / best_ns[p];
+        rep.add("micro_ntt/intt_dispatch", params, best_inv_ns[p],
+                1e9 / best_inv_ns[p]);
+        const double speedup = best_ns[0] / best_ns[p];
+        if (p > 0)
             rep.add(std::string("micro_ntt/") + name +
                         "_vs_scalar_speedup",
                     {{"n", std::to_string(n)}}, 0.0, speedup);
-            t.row({name, fmtF(best_ns[p], 1), fmtX(speedup, 2)});
-        }
+        t.row({name, fmtF(best_ns[p], 1), fmtX(speedup, 2),
+               fmtF(best_inv_ns[p], 1),
+               fmtX(best_inv_ns[0] / best_inv_ns[p], 2)});
     }
     t.print(std::cout);
 }

@@ -36,7 +36,8 @@ void subModVec(u32 *dst, const u32 *a, const u32 *b, size_t n, u32 q);
 /** dst[j] = (-a[j]) mod q; requires a[j] < q. */
 void negModVec(u32 *dst, const u32 *a, size_t n, u32 q);
 
-/** dst[j] = shoupMul(a[j], c, q), strict [0, q); a[j] < 2q allowed. */
+/** dst[j] = shoupMul(a[j], c, q), strict [0, q); any u32 a[j] (lazy
+ *  inputs below 2q included). */
 void mulShoupVec(u32 *dst, const u32 *a, const ShoupConst &c, size_t n,
                  u32 q);
 

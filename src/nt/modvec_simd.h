@@ -71,14 +71,11 @@ void
 mulShoup(u32 *dst, const u32 *a, ShoupConst c, size_t n, u32 q)
 {
     const auto qV = L::set1(q);
-    const auto q64V = L::set1x64(q);
-    const auto wV = L::set1x64(c.w);
-    const auto wsLoV = L::set1x64(c.wShoup & 0xffffffffULL);
-    const auto wsHiV = L::set1x64(c.wShoup >> 32);
+    const auto wV = L::set1(c.w);
+    const auto wsV = L::set1(c.wShoup);
     size_t j = 0;
     for (; j + L::kU32 <= n; j += L::kU32) {
-        const auto lazy =
-            L::shoupMulLazy(L::load(a + j), wV, wsLoV, wsHiV, q64V);
+        const auto lazy = L::shoupMulLazy(L::load(a + j), wV, wsV, qV);
         L::store(dst + j, L::fold2q(lazy, qV));
     }
     if (j < n)

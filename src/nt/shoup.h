@@ -1,10 +1,18 @@
 /**
  * @file
  * Shoup modular multiplication: when one operand w is known ahead of time
- * (twiddle factors), precompute w' = floor(w * 2^64 / q) and reduce with a
- * single high product. The paper evaluates Shoup in the Fig. 13 ablation;
- * it loses to Montgomery on the TPU because the 64-bit product is
- * expensive on a 32-bit VPU -- our simulator costs it accordingly.
+ * (twiddle factors, constant multipliers), precompute the 32-bit factor
+ * w' = floor(w * 2^32 / q) and reduce with one 32 x 32 high product
+ * (Harvey, "Faster arithmetic for number-theoretic transforms", 2014).
+ * For any u32 a, floor(a * w' / 2^32) is floor(a * w / q) or one less,
+ * so a * w minus that multiple of q lies in [0, 2q); with q < 2^31 that
+ * fits u32, and wrapping u32 arithmetic computes it exactly.
+ *
+ * Every host kernel uses this form: the NTT stages (scalar and vector),
+ * mulShoupVec and their callers. The paper's Fig. 13 ablation prices
+ * Shoup with a 64-bit factor, which loses to Montgomery on a TPU's
+ * 32-bit VPU; the simulator costs that form (cross/lowering.cc), not
+ * this one.
  */
 #pragma once
 
@@ -17,36 +25,32 @@ namespace cross::nt {
 struct ShoupConst
 {
     u32 w;      ///< the constant operand, < q
-    u64 wShoup; ///< floor(w * 2^64 / q)
+    u32 wShoup; ///< floor(w * 2^32 / q)
 };
 
 /** Build the precomputation; requires w < q < 2^31. */
 inline ShoupConst
 shoupPrecompute(u32 w, u32 q)
 {
+    requireThat(q < (1u << 31), "shoupPrecompute: need q < 2^31");
     requireThat(w < q, "shoupPrecompute: operand must be < q");
-    return {w, static_cast<u64>((static_cast<u128>(w) << 64) / q)};
+    return {w, static_cast<u32>((static_cast<u64>(w) << 32) / q)};
 }
 
-/**
- * (a * w) mod q with precomputed w'; a < 2q allowed (lazy input).
- * @return result in [0, q)
- */
-inline u32
-shoupMul(u32 a, const ShoupConst &c, u32 q)
-{
-    u64 hi = static_cast<u64>((static_cast<u128>(c.wShoup) * a) >> 64);
-    u64 r = static_cast<u64>(c.w) * a - hi * q;
-    // r in [0, 2q) by the standard Shoup bound.
-    return static_cast<u32>(r >= q ? r - q : r);
-}
-
-/** Lazy variant: result in [0, 2q), one fewer correction. */
+/** (a * w) mod q lazily, in [0, 2q), for any u32 @p a. */
 inline u32
 shoupMulLazy(u32 a, const ShoupConst &c, u32 q)
 {
-    u64 hi = static_cast<u64>((static_cast<u128>(c.wShoup) * a) >> 64);
-    return static_cast<u32>(static_cast<u64>(c.w) * a - hi * q);
+    const u32 hi = static_cast<u32>((static_cast<u64>(c.wShoup) * a) >> 32);
+    return a * c.w - hi * q;
+}
+
+/** (a * w) mod q in [0, q), for any u32 @p a (lazy input included). */
+inline u32
+shoupMul(u32 a, const ShoupConst &c, u32 q)
+{
+    const u32 r = shoupMulLazy(a, c, q);
+    return r >= q ? r - q : r;
 }
 
 } // namespace cross::nt

@@ -18,10 +18,11 @@
  * Primitives a lanes type provides (V is its vector type):
  *  - kU32, kU64; load(p), store(p, v) (unaligned, any element type);
  *    set1(u32) (u32 lanes), set1x64(u64) (u64 lanes), zero();
- *  - add32, sub32, minU32 on u32 lanes; add64, sub64, andBits, shr32
- *    (u64 lanes >> 32) and mul32 (low dword x low dword -> u64) on u64
- *    lanes;
- *  - the ones whose instructions really differ per ISA: foldU64,
+ *  - add32, sub32, minU32 and mulLo32 (low dword of the product,
+ *    vpmulld) on u32 lanes; add64, sub64, andBits, shr32 (u64 lanes
+ *    >> 32) and mul32 (low dword x low dword -> u64) on u64 lanes;
+ *  - the ones whose instructions really differ per ISA: mulHi32 (high
+ *    dword of the u32 product, over the even/odd split), foldU64,
  *    mergeHalves, condSubQ64, mulLo64, loadWidened, storePacked,
  *    gather and liftSelect, each documented where it is defined.
  *
@@ -58,43 +59,18 @@ struct LaneOps
     }
 
     /**
-     * shoupMulLazy on one u64-lane half: hi = floor(wShoup * x / 2^64)
-     * computed as (wsHi*x + ((wsLo*x) >> 32)) >> 32 (exact: both
-     * partials < 2^64 and their sum cannot carry), then x*w - hi*q in
-     * [0, 2q). Scalar twin: shoupMulLazy() in nt/shoup.h.
+     * shoupMulLazy on u32 lanes: lane l of w and ws holds lane l's
+     * constant and its 32-bit Shoup factor (a set1 broadcast serves one
+     * constant to every lane). Any u32 input, results in [0, 2q) for
+     * q < 2^31: the quotient hi = mulHi32(x, ws) is exact or one short,
+     * and x*w - hi*q wraps correctly in u32 lanes. Scalar twin:
+     * shoupMulLazy() in nt/shoup.h.
      */
     template <class V>
-    static V shoupMulLazyHalf(V xh, V w, V wsLo, V wsHi, V q)
+    static V shoupMulLazy(V x, V w, V ws, V q)
     {
-        const V p0 = L::mul32(xh, wsLo);
-        const V p1 = L::mul32(xh, wsHi);
-        const V hi = L::shr32(L::add64(p1, L::shr32(p0)));
-        return L::sub64(L::mul32(xh, w), L::mul32(hi, q));
-    }
-
-    /** shoupMulLazy on u32 lanes under one broadcast twiddle (w, wsLo
-     *  and wsHi in u64 lanes): any u32 input, results in [0, 2q). */
-    template <class V>
-    static V shoupMulLazy(V x, V w, V wsLo, V wsHi, V q)
-    {
-        return L::mergeHalves(shoupMulLazyHalf(x, w, wsLo, wsHi, q),
-                              shoupMulLazyHalf(L::shr32(x), w, wsLo, wsHi,
-                                               q));
-    }
-
-    /**
-     * shoupMulLazy with one twiddle per u32 lane: lane l of w, wsLo and
-     * wsHi holds lane l's w and the two halves of its Shoup factor (a
-     * set1 broadcast works too). The odd half shifts its twiddles down
-     * with x. Scalar twin: shoupMulLazy() in nt/shoup.h.
-     */
-    template <class V>
-    static V shoupMulLazyPerLane(V x, V w, V wsLo, V wsHi, V q)
-    {
-        return L::mergeHalves(
-            shoupMulLazyHalf(x, w, wsLo, wsHi, q),
-            shoupMulLazyHalf(L::shr32(x), L::shr32(w), L::shr32(wsLo),
-                             L::shr32(wsHi), q));
+        const V hi = L::mulHi32(x, ws);
+        return L::sub32(L::mulLo32(x, w), L::mulLo32(hi, q));
     }
 
     /**

@@ -37,11 +37,22 @@ struct Avx512 : LaneOps<Avx512>
     static V add32(V a, V b) { return _mm512_add_epi32(a, b); }
     static V sub32(V a, V b) { return _mm512_sub_epi32(a, b); }
     static V minU32(V a, V b) { return _mm512_min_epu32(a, b); }
+    static V mulLo32(V a, V b) { return _mm512_mullo_epi32(a, b); }
     static V add64(V a, V b) { return _mm512_add_epi64(a, b); }
     static V sub64(V a, V b) { return _mm512_sub_epi64(a, b); }
     static V andBits(V a, V b) { return _mm512_and_si512(a, b); }
     static V shr32(V a) { return _mm512_srli_epi64(a, 32); }
     static V mul32(V a, V b) { return _mm512_mul_epu32(a, b); }
+
+    /** floor(a * b / 2^32) per u32 lane: the even and odd lanes' 64-bit
+     *  products (vpmuludq), and one masked blend of their high dwords. */
+    static V mulHi32(V a, V b)
+    {
+        const V even = _mm512_srli_epi64(_mm512_mul_epu32(a, b), 32);
+        const V odd = _mm512_mul_epu32(_mm512_srli_epi64(a, 32),
+                                       _mm512_srli_epi64(b, 32));
+        return _mm512_mask_blend_epi32(0xAAAA, even, odd);
+    }
 
     /** Fold u64 lanes holding values < 2^32 from [0, 2q) into [0, q)
      *  with a masked subtract. */

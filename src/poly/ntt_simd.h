@@ -17,7 +17,7 @@
  *
  * The lanes mirror the scalar helpers in ntt_kernels.h bit for bit:
  * the conditional folds become unsigned-min selects and the Shoup
- * multiply is LaneOps::shoupMulLazyPerLane. A span t of at least one
+ * multiply is LaneOps::shoupMulLazy. A span t of at least one
  * vector runs each block as whole vectors under the block's broadcast
  * twiddle; a shorter span runs on two vectors (kU32 / T blocks) at a
  * time through Span<t>; a degree below two vectors runs the scalar
@@ -32,37 +32,36 @@
 
 namespace cross::poly::detail::simd {
 
-/** One twiddle per u32 lane: w and the two halves of its Shoup factor. */
+/** One twiddle per u32 lane: w and its Shoup factor. */
 template <class N>
 struct LaneTwiddles
 {
-    typename N::V w, lo, hi;
+    typename N::V w, ws;
 };
 
 /**
  * The stage of span t over n coefficients when t is below one vector
- * (T walks 1, 2, 4, ... up to kU32 / 2); false when t is not. w, lo and
- * hi point at the stage's first twiddle.
+ * (T walks 1, 2, 4, ... up to kU32 / 2); false when t is not. w and ws
+ * point at the stage's first twiddle.
  */
 template <class N, u32 T, class Butterfly>
 bool
-shortSpanStage(u32 *a, u32 n, u32 t, const u32 *w, const u32 *lo,
-               const u32 *hi, Butterfly bfly)
+shortSpanStage(u32 *a, u32 n, u32 t, const u32 *w, const u32 *ws,
+               Butterfly bfly)
 {
     using V = typename N::V;
     if constexpr (T >= N::kU32) {
         return false;
     } else {
         if (t != T)
-            return shortSpanStage<N, 2 * T>(a, n, t, w, lo, hi, bfly);
+            return shortSpanStage<N, 2 * T>(a, n, t, w, ws, bfly);
         const typename N::template Span<T> span;
         for (u32 k = 0; k < n; k += 2 * N::kU32) {
             V x, y;
             span.split(N::load(a + k), N::load(a + k + N::kU32), x, y);
             const u32 b = k / (2 * T); // the chunk's first block
             bfly(x, y,
-                 LaneTwiddles<N>{span.twiddles(w + b), span.twiddles(lo + b),
-                                 span.twiddles(hi + b)});
+                 LaneTwiddles<N>{span.twiddles(w + b), span.twiddles(ws + b)});
             V v0, v1;
             span.merge(x, y, v0, v1);
             N::store(a + k, v0);
@@ -80,13 +79,11 @@ stage(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, Butterfly bfly)
     using V = typename N::V;
     const u32 m = n / (2 * t);
     const u32 *w = tw.w + m;
-    const u32 *lo = tw.shoupLo + m;
-    const u32 *hi = tw.shoupHi + m;
-    if (shortSpanStage<N, 1>(a, n, t, w, lo, hi, bfly))
+    const u32 *ws = tw.wShoup + m;
+    if (shortSpanStage<N, 1>(a, n, t, w, ws, bfly))
         return;
     for (u32 i = 0; i < m; ++i) {
-        const LaneTwiddles<N> c{N::set1(w[i]), N::set1(lo[i]),
-                                N::set1(hi[i])};
+        const LaneTwiddles<N> c{N::set1(w[i]), N::set1(ws[i])};
         u32 *x = a + 2 * i * t;
         for (u32 j = 0; j < t; j += N::kU32) {
             V xv = N::load(x + j);
@@ -112,7 +109,7 @@ fwdStage(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q)
     // fwdButterflyLazyOne on every lane.
     stage<N>(a, n, t, tw, [=](V &x, V &y, const LaneTwiddles<N> &c) {
         const V u = N::fold2q(x, twoQV);
-        const V v = N::shoupMulLazyPerLane(y, c.w, c.lo, c.hi, qV);
+        const V v = N::shoupMulLazy(y, c.w, c.ws, qV);
         x = N::add32(u, v);
         y = N::sub32(N::add32(u, twoQV), v);
     });
@@ -134,7 +131,7 @@ invStage(u32 *a, u32 n, u32 t, const ShoupTwiddles &tw, u32 q)
         const V s = N::add32(x, y);
         const V d = N::sub32(N::add32(x, twoQV), y);
         x = N::fold2q(s, twoQV);
-        y = N::shoupMulLazyPerLane(d, c.w, c.lo, c.hi, qV);
+        y = N::shoupMulLazy(d, c.w, c.ws, qV);
     });
 }
 

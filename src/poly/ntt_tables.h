@@ -8,12 +8,11 @@
  * bit-reversed order with Shoup precomputation, the layout expected by the
  * Cooley-Tukey / Gentleman-Sande in-place kernels in ntt_ct.h.
  *
- * Each direction is three u32 arrays (w and the two halves of its Shoup
- * factor, read through a ShoupTwiddles view) instead of one array of
- * padded 16-byte ShoupConst, so a vector stage loads one twiddle per
- * lane with plain contiguous loads, at 12 bytes per twiddle.
- * psiBr()/psiInvBr() rebuild one entry as a ShoupConst by value for
- * scalar callers.
+ * Each direction is two u32 arrays, w and its 32-bit Shoup factor
+ * floor(w * 2^32 / q) (nt/shoup.h), read through a ShoupTwiddles view:
+ * 8 bytes per twiddle, and a vector stage loads one twiddle per lane
+ * with plain contiguous loads. psiBr()/psiInvBr() return one entry as
+ * a ShoupConst by value for scalar callers.
  */
 #pragma once
 
@@ -27,21 +26,17 @@ namespace cross::poly {
 
 /**
  * Shoup-form twiddles as structure-of-arrays: entry i is w[i] with the
- * Shoup factor shoupHi[i] * 2^32 + shoupLo[i]. A view of the NttTables
- * that made it, valid while they live; the vector stage kernels read
- * the arrays through these plain pointers.
+ * Shoup factor wShoup[i]. A view of the NttTables that made it, valid
+ * while they live; the vector stage kernels read the arrays through
+ * these plain pointers.
  */
 struct ShoupTwiddles
 {
     const u32 *w;
-    const u32 *shoupLo;
-    const u32 *shoupHi;
+    const u32 *wShoup;
 
     /** Entry @p i as a ShoupConst. */
-    nt::ShoupConst at(size_t i) const
-    {
-        return {w[i], (static_cast<u64>(shoupHi[i]) << 32) | shoupLo[i]};
-    }
+    nt::ShoupConst at(size_t i) const { return {w[i], wShoup[i]}; }
 };
 
 /** Twiddle-factor tables for a fixed ring degree N and prime modulus q. */
@@ -50,7 +45,7 @@ class NttTables
   public:
     /**
      * @param n ring degree (power of two)
-     * @param q NTT prime with q == 1 (mod 2n)
+     * @param q NTT prime with q == 1 (mod 2n) and q < 2^31
      */
     NttTables(u32 n, u32 q);
 
@@ -79,11 +74,11 @@ class NttTables
     u32 psiPow(u64 e) const;
 
   private:
-    /** Direction @p dir's arrays: w, shoupLo and shoupHi, N each. */
+    /** Direction @p dir's arrays: w and wShoup, N each. */
     ShoupTwiddles twiddles(size_t dir) const
     {
-        const u32 *p = twiddles_.data() + 3 * dir * n_;
-        return {p, p + n_, p + 2 * n_};
+        const u32 *p = twiddles_.data() + 2 * dir * n_;
+        return {p, p + n_};
     }
 
     u32 n_;

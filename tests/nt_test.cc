@@ -6,6 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <stdexcept>
+#include <vector>
+
 #include "common/rng.h"
 #include "nt/barrett.h"
 #include "nt/bigint.h"
@@ -226,14 +230,37 @@ TEST(Shoup, MatchesReferenceOverRandomConstants)
 
 TEST(Shoup, AcceptsLazyInput)
 {
-    const u32 q = 268369921u;
+    // Any u32 input: a 28-bit modulus, the widest lazy NTT prime
+    // (q < 2^30) and the widest modulus the factor serves (2^31 - 1).
     Rng rng(8);
-    for (int i = 0; i < 500; ++i) {
-        const u32 w = static_cast<u32>(rng.uniform(q));
-        const auto c = shoupPrecompute(w, q);
-        const u32 a = static_cast<u32>(rng.uniform(2ULL * q));
-        EXPECT_EQ(shoupMul(a, c, q), mulMod(a % q, w, q));
+    for (u32 q : {268369921u, 1073692673u, 2147483647u}) {
+        std::vector<u32> ws = {0, 1, q - 1};
+        for (int i = 0; i < 100; ++i)
+            ws.push_back(static_cast<u32>(rng.uniform(q)));
+        for (u32 w : ws) {
+            const auto c = shoupPrecompute(w, q);
+            const u32 edges[] = {0, 1, q - 1, 2 * q - 1, 0xffffffffu};
+            std::vector<u32> as(std::begin(edges), std::end(edges));
+            for (int j = 0; j < 20; ++j)
+                as.push_back(static_cast<u32>(rng.uniform(1ULL << 32)));
+            for (u32 a : as) {
+                const u64 expect = mulMod(a, w, q);
+                EXPECT_EQ(shoupMul(a, c, q), expect)
+                    << "q=" << q << " w=" << w << " a=" << a;
+                const u32 lazy = shoupMulLazy(a, c, q);
+                EXPECT_LT(lazy, 2 * u64{q})
+                    << "q=" << q << " w=" << w << " a=" << a;
+                EXPECT_EQ(lazy % q, expect)
+                    << "q=" << q << " w=" << w << " a=" << a;
+            }
+        }
     }
+}
+
+TEST(Shoup, RejectsModulusOf32Bits)
+{
+    // 3 * 2^30 + 1 is an NTT prime, but 2q no longer fits 32 bits.
+    EXPECT_THROW(shoupPrecompute(1, 3221225473u), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

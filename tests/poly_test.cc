@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 #include "common/bitops.h"
@@ -106,6 +107,41 @@ TEST_P(NttCtTest, Linearity)
 INSTANTIATE_TEST_SUITE_P(Degrees, NttCtTest,
                          ::testing::Values(8u, 16u, 32u, 64u, 256u, 1024u,
                                            4096u, 8192u));
+
+TEST(NttCtTest, RejectsModulusOf32Bits)
+{
+    // 3 * 2^30 + 1 is an NTT prime, but the Shoup factor needs 2q to
+    // fit 32 bits.
+    EXPECT_THROW(NttTables(8, 3221225473u), std::invalid_argument);
+}
+
+// The forward transform against its definition, not against another
+// transform: out[i] = sum_j a_j * psi^((2 * bitrev(i) + 1) * j) mod q.
+// 20-, 28- and 30-bit primes take the lazy path, a 31-bit one the
+// strict fallback.
+TEST(NttCtTest, ForwardMatchesDirectEvaluation)
+{
+    for (u32 bits : {20u, 28u, 30u, 31u}) {
+        for (u32 n : {4u, 16u, 64u, 256u}) {
+            const u32 q = testPrime(n, bits);
+            const NttTables tab(n, q);
+            const auto a = randomPoly(n, q, 5 * n + bits);
+            const u32 logn = ilog2(n);
+            std::vector<u32> expect(n);
+            for (u32 i = 0; i < n; ++i) {
+                const u64 odd = 2 * bitReverse(i, logn) + 1;
+                u64 s = 0;
+                for (u32 j = 0; j < n; ++j)
+                    s = nt::addMod(
+                        s, nt::mulMod(a[j], tab.psiPow(odd * j), q), q);
+                expect[i] = static_cast<u32>(s);
+            }
+            auto out = a;
+            forwardInPlace(out.data(), tab);
+            EXPECT_EQ(out, expect) << "bits=" << bits << " n=" << n;
+        }
+    }
+}
 
 // X^(N-1) * X == -1 (mod X^N + 1): the negacyclic wraparound.
 TEST(Schoolbook, NegacyclicWraparound)

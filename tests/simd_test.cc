@@ -36,6 +36,7 @@
 #include "nt/shoup.h"
 #include "nt/simd_dispatch.h"
 #include "poly/ntt_ct.h"
+#include "poly/ntt_kernels.h"
 #include "poly/ntt_tables.h"
 #include "poly/ring.h"
 
@@ -145,13 +146,21 @@ struct ModVecCase
     u32 q;
     std::vector<u32> a, b, a2q; // a2q: lazy-range inputs < 2q
     std::vector<u64> wide;      // accumulators < 2^63
-    nt::ShoupConst c;
+    std::vector<nt::ShoupConst> shoup; // w = 0, 1, q - 1 and a random one
     u32 w;
     // Centred-lift sources: residues mod qFrom (same width as q, the
     // select path) and mod qFromWide (>= 2q, the Barrett path).
     u32 qFrom, qFromWide;
     std::vector<u32> fromA, fromWideA;
 };
+
+/** @p v with its first entries replaced by @p edges (as many as fit). */
+template <size_t K>
+void
+leadWith(std::vector<u32> &v, const u32 (&edges)[K])
+{
+    std::copy_n(edges, std::min(K, v.size()), v.begin());
+}
 
 /** Residues mod @p q_from, led by the lift's edge cases. */
 std::vector<u32>
@@ -161,8 +170,7 @@ liftSources(Rng &rng, size_t n, u32 q_from, u32 q)
     const u32 edges[] = {0, q_from - 1, q_from / 2, q_from / 2 + 1,
                          q_from > q ? q_from - q : 1,
                          q_from > 2 * u64{q} ? q_from - 2 * q : 2};
-    for (size_t i = 0; i < n && i < std::size(edges); ++i)
-        v[i] = edges[i];
+    leadWith(v, edges);
     return v;
 }
 
@@ -171,13 +179,19 @@ makeCase(Rng &rng, u32 bits, size_t n)
 {
     ModVecCase t;
     t.q = randomModulus(bits);
-    t.a = randomVec(rng, n, t.q);
-    t.b = randomVec(rng, n, t.q);
-    t.a2q = randomVec(rng, n, 2ull * t.q);
+    const u32 q = t.q;
+    // Every pair of a, b in {0, 1, q - 1} leads the operands.
+    t.a = randomVec(rng, n, q);
+    leadWith(t.a, {0, 0, 0, 1, 1, 1, q - 1, q - 1, q - 1});
+    t.b = randomVec(rng, n, q);
+    leadWith(t.b, {0, 1, q - 1, 0, 1, q - 1, 0, 1, q - 1});
+    t.a2q = randomVec(rng, n, 2ull * q);
+    leadWith(t.a2q, {q, 2 * q - 1, 0, 1, q - 1});
     t.wide.resize(n);
     for (auto &x : t.wide)
         x = rng.uniform(u64{1} << 62);
-    t.c = nt::shoupPrecompute(static_cast<u32>(rng.uniform(t.q)), t.q);
+    for (u32 w : {0u, 1u, q - 1, static_cast<u32>(rng.uniform(q))})
+        t.shoup.push_back(nt::shoupPrecompute(w, q));
     t.w = static_cast<u32>(rng.uniform(t.q));
     t.qFrom = static_cast<u32>((u64{1} << (bits - 1)) |
                                rng.uniform(u64{1} << (bits - 1)) | 1);
@@ -192,8 +206,8 @@ makeCase(Rng &rng, u32 bits, size_t n)
 /** All modvec results for one case under the active dispatch. */
 struct ModVecResults
 {
-    std::vector<u32> add, sub, neg, shoup, shoup2q, mont, mul, red, lift,
-        liftWide;
+    std::vector<u32> add, sub, neg, mont, mul, red, lift, liftWide;
+    std::vector<std::vector<u32>> shoup, shoup2q; // one per constant
     std::vector<u64> accum, redip;
 };
 
@@ -210,10 +224,12 @@ runModVec(const ModVecCase &t)
     nt::subModVec(r.sub.data(), t.a.data(), t.b.data(), n, t.q);
     r.neg.resize(n);
     nt::negModVec(r.neg.data(), t.a.data(), n, t.q);
-    r.shoup.resize(n);
-    nt::mulShoupVec(r.shoup.data(), t.a.data(), t.c, n, t.q);
-    r.shoup2q.resize(n);
-    nt::mulShoupVec(r.shoup2q.data(), t.a2q.data(), t.c, n, t.q);
+    for (const nt::ShoupConst &c : t.shoup) {
+        r.shoup.emplace_back(n);
+        nt::mulShoupVec(r.shoup.back().data(), t.a.data(), c, n, t.q);
+        r.shoup2q.emplace_back(n);
+        nt::mulShoupVec(r.shoup2q.back().data(), t.a2q.data(), c, n, t.q);
+    }
     r.mont.resize(n);
     nt::mulMontVec(r.mont.data(), t.a.data(), t.b.data(), n, mont);
     r.mul.resize(n);
@@ -230,6 +246,16 @@ runModVec(const ModVecCase &t)
     nt::liftCenteredVec(r.liftWide.data(), t.fromWideA.data(), n,
                         t.qFromWide, bar);
     return r;
+}
+
+/** a[j] * c.w mod q by the 128-bit product: mulShoupVec's ground truth. */
+std::vector<u32>
+shoupReference(const std::vector<u32> &a, const nt::ShoupConst &c, u32 q)
+{
+    std::vector<u32> out(a.size());
+    for (size_t j = 0; j < a.size(); ++j)
+        out[j] = static_cast<u32>(nt::mulMod(a[j], c.w, q));
+    return out;
 }
 
 /** The centred lift in signed arithmetic: the kernel's ground truth. */
@@ -278,6 +304,13 @@ TEST(SimdConformance, ModVecBitIdenticalAcrossIsas)
             {
                 IsaGuard g(nt::SimdIsa::Scalar);
                 ref = runModVec(t);
+            }
+            for (size_t k = 0; k < t.shoup.size(); ++k) {
+                EXPECT_EQ(ref.shoup[k], shoupReference(t.a, t.shoup[k], t.q))
+                    << "bits=" << bits << " n=" << n << " w=" << t.shoup[k].w;
+                EXPECT_EQ(ref.shoup2q[k],
+                          shoupReference(t.a2q, t.shoup[k], t.q))
+                    << "bits=" << bits << " n=" << n << " w=" << t.shoup[k].w;
             }
             EXPECT_EQ(ref.lift, liftReference(t.fromA, t.qFrom, t.q))
                 << "bits=" << bits << " n=" << n;
@@ -571,6 +604,58 @@ runNtt(const std::vector<std::vector<u32>> &in, const poly::NttTables &tab)
         out.push_back(std::move(v));
     }
     return out;
+}
+
+/**
+ * One stage kernel at a time, against the scalar stage: every forward
+ * stage on inputs in [0, 4q) and every inverse stage on [0, 2q), each
+ * led by the largest value, at the 28-bit Set-B width and at the widest
+ * lazy modulus. The outputs must keep the stage invariant, which the
+ * transforms check only in builds with CROSS_NTT_CHECK_RANGE live.
+ */
+TEST(SimdConformance, NttStageBitIdenticalAcrossIsas)
+{
+    Rng rng(31);
+    const auto isas = availableIsas();
+    const u32 q28 =
+        static_cast<u32>(nt::generateNttPrimes(28, 1, 2ull * 8192)[0]);
+    // The largest NTT prime below 2^30 at N <= 2^13: 4q comes closest
+    // to 2^32.
+    for (u32 q : {q28, 1073692673u}) {
+        for (u32 n : {16u, 32u, 64u, 8192u}) {
+            const poly::NttTables tab(n, q);
+            for (u32 t = n / 2; t >= 1; t >>= 1) {
+                for (bool fwd : {true, false}) {
+                    const u64 bound = (fwd ? 4 : 2) * u64{q};
+                    std::vector<u32> in = randomVec(rng, n, bound);
+                    in[0] = in[t] = in[n - 1] = static_cast<u32>(bound - 1);
+                    std::vector<u32> ref;
+                    for (auto isa : isas) {
+                        IsaGuard g(isa);
+                        const auto &ker = poly::detail::activeNttKernels();
+                        std::vector<u32> out = in;
+                        if (fwd)
+                            ker.fwdStage(out.data(), n, t,
+                                         tab.forwardTwiddles(), q);
+                        else
+                            ker.invStage(out.data(), n, t,
+                                         tab.inverseTwiddles(), q);
+                        const auto where = ::testing::Message()
+                            << (fwd ? "forward" : "inverse")
+                            << " isa=" << nt::simdIsaName(isa)
+                            << " q=" << q << " n=" << n << " t=" << t;
+                        EXPECT_LT(*std::max_element(out.begin(), out.end()),
+                                  bound)
+                            << where;
+                        if (ref.empty())
+                            ref = out; // scalar runs first
+                        else
+                            EXPECT_EQ(out, ref) << where;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(SimdConformance, NttBitIdenticalAcrossIsas)
