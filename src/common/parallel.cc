@@ -19,13 +19,26 @@ namespace {
 /** Set while a thread runs a part of a pool job (workers and caller). */
 thread_local bool t_in_job = false;
 
-/** One parallelFor call: items [begin, begin + n) in parts parts. */
+/**
+ * One parallelFor call: items [begin, begin + n) in parts parts. It
+ * lives on its caller's stack; the fields above the claim state stay
+ * fixed while it runs, so a part runs from them unlocked.
+ */
 struct Job
 {
     size_t begin = 0;
     size_t n = 0;
     u32 parts = 0;
     const std::function<void(size_t)> *body = nullptr;
+
+    // Guarded by Pool::m. Parts [claimed, parts) are unclaimed (part 0
+    // is the caller's), and while any are, the job is on the pool's
+    // open list between older and newer.
+    u32 claimed = 1;
+    u32 worker_parts = 0; // parts workers claimed and still run
+    std::exception_ptr worker_error{}; // the first one a worker part threw
+    Job *older = nullptr;
+    Job *newer = nullptr;
 
     /** Run part p's items; return what it threw, if anything. */
     std::exception_ptr
@@ -45,29 +58,33 @@ struct Job
     }
 };
 
-/** Workers 1..threads-1 and the one job slot they serve. */
+/**
+ * Workers 1..threads-1 and the open jobs they share. Jobs of different
+ * callers run side by side: an idle worker claims the next part of the
+ * oldest open job, and a caller runs part 0 and then every part of its
+ * own job that no worker has claimed, so it waits only for the parts
+ * workers took, never for another caller's job. A caller returns only
+ * after its job has left the open list and no worker still runs a part
+ * of it, so no worker touches a Job after its caller's frame is gone.
+ * Workers never start jobs -- their nested parallelFor calls run
+ * inline.
+ */
 struct Pool
 {
-    // The one job slot: a second caller queues here. Workers never
-    // take it -- their nested parallelFor calls run inline.
-    std::mutex slot;
     std::mutex m;
     std::condition_variable work_cv;
     std::condition_variable done_cv;
-    // The current job, guarded by m. A worker sees a new job by the
-    // generation changing; the job stays fixed until every part has
-    // reported, so a worker runs its part from an unlocked copy.
-    u64 generation = 0;
-    Job job;
-    u32 pending = 0;
-    std::exception_ptr error;
+    // Guarded by m: the intrusive FIFO of jobs with an unclaimed part,
+    // so starting a job allocates nothing.
+    Job *oldest = nullptr;
+    Job *newest = nullptr;
     bool stop = false;
     std::vector<std::thread> workers;
 
     explicit Pool(u32 threads)
     {
-        for (u32 part = 1; part < threads; ++part)
-            workers.emplace_back([this, part] { work(part); });
+        for (u32 w = 1; w < threads; ++w)
+            workers.emplace_back([this] { work(); });
     }
     Pool(const Pool &) = delete;
     Pool &operator=(const Pool &) = delete;
@@ -83,46 +100,64 @@ struct Pool
             t.join();
     }
 
-    /** Run @p next (part 0 on the caller) and return its error. */
-    std::exception_ptr
-    run(const Job &next)
+    /** Claim @p job's next part, unlinking the job once it has none
+     *  left; m is held. */
+    u32
+    claim(Job &job)
     {
-        std::lock_guard<std::mutex> one_job(slot);
+        const u32 p = job.claimed++;
+        if (job.claimed == job.parts) {
+            (job.older ? job.older->newer : oldest) = job.newer;
+            (job.newer ? job.newer->older : newest) = job.older;
+        }
+        return p;
+    }
+
+    /** Run @p job, the caller taking part 0 and every part no worker
+     *  claims, and return its first error, a worker's first. */
+    std::exception_ptr
+    run(Job &job)
+    {
         {
             std::lock_guard<std::mutex> g(m);
-            job = next;
-            pending = next.parts - 1;
-            ++generation;
+            job.older = newest;
+            (newest ? newest->newer : oldest) = &job;
+            newest = &job;
         }
-        work_cv.notify_all();
-        const std::exception_ptr mine = next.runPart(0);
+        for (u32 p = 1; p < job.parts; ++p)
+            work_cv.notify_one();
+        std::exception_ptr mine = job.runPart(0);
         std::unique_lock<std::mutex> lock(m);
-        done_cv.wait(lock, [&] { return pending == 0; });
-        // Hand a worker's error over instead of keeping a reference, so
-        // the caller, not a later job, frees the exception.
-        return error ? std::exchange(error, nullptr) : mine;
+        while (job.claimed < job.parts) {
+            const u32 p = claim(job);
+            lock.unlock();
+            std::exception_ptr err = job.runPart(p);
+            if (!mine)
+                mine = std::move(err);
+            lock.lock();
+        }
+        done_cv.wait(lock, [&] { return job.worker_parts == 0; });
+        return job.worker_error ? job.worker_error : mine;
     }
 
     void
-    work(u32 part)
+    work()
     {
-        u64 seen = 0;
         std::unique_lock<std::mutex> lock(m);
         for (;;) {
-            work_cv.wait(lock, [&] { return stop || generation != seen; });
+            work_cv.wait(lock, [&] { return stop || oldest; });
             if (stop)
                 return;
-            seen = generation;
-            if (part >= job.parts)
-                continue;
-            const Job current = job;
+            Job &job = *oldest;
+            const u32 p = claim(job);
+            ++job.worker_parts;
             lock.unlock();
-            const std::exception_ptr err = current.runPart(part);
+            std::exception_ptr err = job.runPart(p);
             lock.lock();
-            if (err && !error)
-                error = err;
-            if (--pending == 0)
-                done_cv.notify_one();
+            if (err && !job.worker_error)
+                job.worker_error = std::move(err);
+            if (--job.worker_parts == 0)
+                done_cv.notify_all();
         }
     }
 };

@@ -7,19 +7,24 @@
  *
  *  1. Static split: n items on T threads run as parts = min(T, n)
  *     contiguous parts, part p covering [begin + p*n/parts,
- *     begin + (p+1)*n/parts); the caller runs part 0 and worker p
- *     part p. Which thread runs which items depends only on
- *     (begin, end, T), so a body that writes only its own item's
- *     outputs writes exactly the bytes the sequential loop writes.
- *  2. One job at a time: a second application thread's parallelFor
- *     waits until the running job has finished.
+ *     begin + (p+1)*n/parts), each part on one thread. The caller
+ *     runs part 0, an idle worker claims the next unclaimed part, and
+ *     once part 0 is done the caller runs every part no worker has
+ *     claimed. Which thread runs a part never changes an item's
+ *     result, so a body that writes only its own item's outputs writes
+ *     exactly the bytes the sequential loop writes.
+ *  2. Jobs share the workers: parallelFor calls from different
+ *     application threads run side by side, a worker serving the
+ *     oldest job with an unclaimed part. A caller waits only for the
+ *     parts of its own job that workers took, never for another
+ *     caller's job.
  *  3. Inline: a nested call, a range of at most one item and a thread
  *     count of 1 (the default) run the plain loop on the caller,
  *     without touching the pool, so a batch of one never waits.
- *  4. The first exception a part throws (a worker's before the
- *     caller's) is rethrown on the caller once every part is done.
+ *  4. A job's first exception (a worker's before the caller's) is
+ *     rethrown on that job's own caller once all its parts are done.
  *  5. Resizing the pool or switching the SIMD path while a job runs
- *     or waits throws instead of pulling state out from under it.
+ *     throws instead of pulling state out from under it.
  */
 #pragma once
 
@@ -35,15 +40,16 @@ u32 globalThreadCount();
 /**
  * Resize the global pool (benches expose it as --threads); n == 0 is
  * clamped to 1. @throws std::logic_error from inside a parallel region
- * or while a pool job runs or waits on another thread.
+ * or while a pool job runs on another thread.
  */
 void setGlobalThreadCount(u32 n);
 
 /** True while this thread runs a part of a pool job. */
 bool inParallelRegion();
 
-/** Pool jobs running or queued on any thread (inline runs are not
- *  jobs); setGlobalThreadCount and nt::setSimdIsa refuse while > 0. */
+/** Pool jobs running on any thread (no job ever queues behind another,
+ *  and inline runs are not jobs); setGlobalThreadCount and
+ *  nt::setSimdIsa refuse while > 0. */
 u32 activeParallelJobs();
 
 /** Run body(i) for every i in [begin, end) under the rules above. */

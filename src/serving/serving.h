@@ -150,10 +150,12 @@ struct ServingConfig
     u64 maxBatchWaitMicros = 0;
     /** Batch-forming/executing threads. Each executes one batch at a
      *  time: the batch's items are spread over the shared global thread
-     *  pool, so 1 (the default) already saturates the pool with
-     *  multi-item batches, and a batch of one runs on its dispatcher's
-     *  own thread without entering the pool. More dispatchers overlap
-     *  batch forming with execution. */
+     *  pool, and the dispatcher runs every part of its own batch that
+     *  no worker has claimed, so it never waits for another
+     *  dispatcher's batch; a batch of one runs on its dispatcher's own
+     *  thread without entering the pool. So k dispatchers on a
+     *  T-thread pool compute on up to T - 1 + k threads, and more
+     *  dispatchers also overlap batch forming with execution. */
     u32 dispatchers = 1;
 };
 

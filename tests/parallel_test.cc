@@ -1,12 +1,13 @@
 /**
  * @file
  * Tests for the parallel execution layer: parallelFor's static split,
- * its one job slot shared by application threads, inline nested calls,
- * exceptions and refused resizes; kernel results that do not depend on
- * the pool size; and the BatchEvaluator's conformance contract --
- * batched parallel results and the merged KernelLog must be
- * bit-identical to a sequential run, and a batch of one never waits
- * for the pool.
+ * the workers it shares among application threads (a caller never
+ * waits for another caller's job), inline nested calls, exceptions
+ * kept to their own job and refused resizes; kernel results that do
+ * not depend on the pool size; and the BatchEvaluator's conformance
+ * contract -- batched parallel results and the merged KernelLog must
+ * be bit-identical to a sequential run, and no batch waits for another
+ * caller's job.
  *
  * Thread count comes from CROSS_TEST_THREADS (default 4) so the TSan
  * CI job can run this suite with real concurrency: every assertion
@@ -18,11 +19,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "ckks/batch_evaluator.h"
 #include "ckks/context.h"
@@ -51,6 +55,22 @@ struct ThreadGuard
     explicit ThreadGuard(u32 n) { setGlobalThreadCount(n); }
     ~ThreadGuard() { setGlobalThreadCount(1); }
 };
+
+/** Spin until @p ready() holds or 5 s pass; false on the timeout, so a
+ *  regression fails instead of hanging. */
+template <class Ready>
+bool
+spinUntil(Ready ready)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!ready()) {
+        if (std::chrono::steady_clock::now() > deadline)
+            return false;
+        std::this_thread::yield();
+    }
+    return true;
+}
 
 // ---------------------------------------------------------------------
 // parallelFor
@@ -87,35 +107,57 @@ TEST(ParallelFor, PropagatesExceptions)
         EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ParallelFor, EachThreadRunsOneContiguousPart)
+TEST(ParallelFor, EachPartIsContiguousOnOneThread)
 {
     const u32 threads = std::max(2u, testThreads());
     ThreadGuard guard(threads);
     std::vector<std::thread::id> owner(257);
-    parallelFor(0, owner.size(),
-                [&](size_t i) { owner[i] = std::this_thread::get_id(); });
+    std::vector<int> hits(owner.size(), 0);
+    parallelFor(0, owner.size(), [&](size_t i) {
+        owner[i] = std::this_thread::get_id();
+        ++hits[i];
+    });
     // Part p of min(threads, n) covers [p*n/parts, (p+1)*n/parts) on
-    // one thread, the caller runs part 0, and no thread runs two parts,
-    // so each thread's items are one contiguous run.
+    // one thread and the caller runs part 0. A thread may run several
+    // parts: the caller runs every part no worker claimed before its
+    // own part ended, which these trivial bodies usually allow.
     const size_t n = owner.size();
     const size_t parts = std::min<size_t>(threads, n);
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(n));
     EXPECT_EQ(owner[0], std::this_thread::get_id());
-    std::vector<std::thread::id> seen;
     for (size_t p = 0; p < parts; ++p) {
         const size_t lo = n * p / parts;
         const size_t hi = n * (p + 1) / parts;
         for (size_t i = lo; i < hi; ++i)
             EXPECT_EQ(owner[i], owner[lo]) << "item " << i;
-        EXPECT_EQ(std::count(seen.begin(), seen.end(), owner[lo]), 0)
-            << "part " << p;
-        seen.push_back(owner[lo]);
     }
+}
+
+TEST(ParallelFor, OverlappingPartsRunOnDistinctThreads)
+{
+    // Every part waits until all have started, so the caller, busy in
+    // part 0, can take none of the others: workers run them.
+    const u32 threads = std::max(2u, testThreads());
+    ThreadGuard guard(threads);
+    std::atomic<u32> started{0};
+    std::vector<std::thread::id> owner(threads);
+    parallelFor(0, threads, [&](size_t i) {
+        owner[i] = std::this_thread::get_id();
+        ++started;
+        spinUntil([&] { return started.load() == threads; });
+    });
+    EXPECT_EQ(owner[0], std::this_thread::get_id());
+    std::sort(owner.begin(), owner.end());
+    EXPECT_EQ(std::unique(owner.begin(), owner.end()) - owner.begin(),
+              static_cast<std::ptrdiff_t>(threads));
 }
 
 TEST(ParallelFor, ConcurrentCallersEachCoverTheirRange)
 {
-    // Two application threads share the one job slot: each call runs
-    // whole, every item of its own range exactly once, no deadlock.
+    // Four application threads, more callers than workers at up to
+    // four threads: each call runs whole, every item of its own range
+    // exactly once, no deadlock.
     ThreadGuard guard(std::max(2u, testThreads()));
     constexpr int kCalls = 300;
     constexpr size_t kRange = 37;
@@ -130,11 +172,122 @@ TEST(ParallelFor, ConcurrentCallersEachCoverTheirRange)
                 ++bad;
         }
     };
-    std::thread a(caller);
-    std::thread b(caller);
+    std::vector<std::thread> callers;
+    for (int t = 0; t < 4; ++t)
+        callers.emplace_back(caller);
+    for (auto &t : callers)
+        t.join();
+    EXPECT_EQ(bad.load(), 0);
+}
+
+TEST(ParallelFor, ACallerNeverWaitsForAnotherCallersJob)
+{
+    // One caller's job holds every thread of the pool. A second
+    // caller's job must still run, all of it on that caller's thread,
+    // instead of waiting for the first.
+    const u32 threads = std::max(2u, testThreads());
+    ThreadGuard guard(threads);
+    std::atomic<u32> started{0};
+    std::atomic<bool> release{false};
+    std::thread holder([&] {
+        parallelFor(0, threads, [&](size_t) {
+            ++started;
+            while (!release.load())
+                std::this_thread::yield();
+        });
+    });
+    const bool held = spinUntil([&] { return started.load() == threads; });
+
+    const size_t range = 3 * static_cast<size_t>(threads);
+    std::vector<int> hits(range, 0);
+    std::vector<std::thread::id> owner(range);
+    std::promise<std::thread::id> done;
+    auto caller_id = done.get_future();
+    std::thread caller([&] {
+        parallelFor(0, range, [&](size_t i) {
+            ++hits[i];
+            owner[i] = std::this_thread::get_id();
+        });
+        done.set_value(std::this_thread::get_id());
+    });
+    const bool finished =
+        caller_id.wait_for(std::chrono::seconds(5)) ==
+        std::future_status::ready;
+    // Release the holder either way, so a regression fails instead of
+    // hanging.
+    release.store(true);
+    holder.join();
+    caller.join();
+
+    ASSERT_TRUE(held) << "the holder's parts did not all start";
+    EXPECT_TRUE(finished)
+        << "the second caller's job waited for the first caller's";
+    EXPECT_EQ(std::count(hits.begin(), hits.end(), 1),
+              static_cast<std::ptrdiff_t>(range));
+    EXPECT_EQ(std::count(owner.begin(), owner.end(), caller_id.get()),
+              static_cast<std::ptrdiff_t>(range))
+        << "items of the second job ran on other threads";
+}
+
+TEST(ParallelFor, AWorkerErrorReachesOnlyItsOwnJobsCaller)
+{
+    // Jobs A and B overlap. A's last part throws on a worker (A's
+    // caller is held in part 0 until that part starts) while B's first
+    // item waits for the throw: A's caller gets the error, and B
+    // completes without it.
+    const u32 threads = std::max(2u, testThreads());
+    ThreadGuard guard(threads);
+    const size_t a_range = threads;
+    const size_t b_range = 3 * static_cast<size_t>(threads);
+    std::atomic<bool> thrower_started{false};
+    std::atomic<bool> b_started{false};
+    std::atomic<bool> a_threw{false};
+    std::thread::id thrower;
+    bool overlapped = false;
+    std::string a_error;
+    std::thread a([&] {
+        try {
+            parallelFor(0, a_range, [&](size_t i) {
+                if (i == 0)
+                    spinUntil([&] { return thrower_started.load(); });
+                if (i != a_range - 1)
+                    return;
+                thrower = std::this_thread::get_id();
+                thrower_started.store(true);
+                overlapped = spinUntil([&] { return b_started.load(); });
+                a_threw.store(true);
+                throw std::runtime_error("job A");
+            });
+        } catch (const std::runtime_error &e) {
+            a_error = e.what();
+        }
+    });
+    const std::thread::id a_id = a.get_id();
+
+    std::vector<int> b_hits(b_range, 0);
+    std::exception_ptr b_error;
+    std::thread b([&] {
+        spinUntil([&] { return thrower_started.load(); });
+        try {
+            parallelFor(0, b_range, [&](size_t i) {
+                b_started.store(true);
+                if (i == 0)
+                    spinUntil([&] { return a_threw.load(); });
+                ++b_hits[i];
+            });
+        } catch (...) {
+            b_error = std::current_exception();
+        }
+    });
     a.join();
     b.join();
-    EXPECT_EQ(bad.load(), 0);
+
+    EXPECT_TRUE(overlapped) << "job B did not start while job A ran";
+    EXPECT_NE(thrower, a_id) << "A's throwing part ran on its caller";
+    EXPECT_EQ(a_error, "job A");
+    EXPECT_FALSE(b_error) << "job A's error reached job B's caller";
+    for (size_t i = 0; i < b_range; ++i)
+        EXPECT_EQ(b_hits[i], 1) << "item " << i;
 }
 
 TEST(ParallelFor, NestedCallsExecuteInline)
@@ -484,18 +637,21 @@ TEST_F(BatchConformance, MixedLevelsShareOnePrecompPerLevel)
     expectEqual(batch.run(a, mult), seq);
 }
 
-TEST_F(BatchConformance, BatchOfOneNeverWaitsForThePool)
+TEST_F(BatchConformance, NoBatchWaitsForAnotherCallersJob)
 {
-    // The batch item is the only unit of parallel work, so a one-item
-    // run stays on its caller's thread and must finish while another
-    // thread's job holds the pool.
-    const auto a = encryptBatch(1, 8);
+    // While another thread's job holds the pool, a one-item run stays
+    // on its caller's thread and a 3-item run shares the workers the
+    // holder leaves idle; each must finish and equal sequential
+    // rotate calls.
+    const auto a = encryptBatch(3, 8);
     const u32 k = encoder.rotationAutomorphism(1);
     const auto rot_key = keygen.rotationKey(k);
     setGlobalThreadCount(1);
     const ckks::CkksEvaluator ev(ctx);
-    const auto want = ev.rotate(
-        a[0], k, ev.precomputeKeySwitch(rot_key, a[0].limbs() - 1));
+    const auto pre = ev.precomputeKeySwitch(rot_key, a[0].limbs() - 1);
+    ckks::CtVec want;
+    for (const auto &ct : a)
+        want.push_back(ev.rotate(ct, k, pre));
 
     ThreadGuard guard(std::max(2u, testThreads()));
     std::atomic<bool> holding{false};
@@ -514,29 +670,38 @@ TEST_F(BatchConformance, BatchOfOneNeverWaitsForThePool)
 
     ckks::Pipeline rotate;
     rotate.rotate(k, rot_key);
-    std::promise<ckks::CtVec> done;
-    auto got = done.get_future();
-    std::thread runner([&] {
-        try {
-            done.set_value(ckks::BatchEvaluator(ctx).run(a, rotate));
-        } catch (...) {
-            done.set_exception(std::current_exception());
-        }
-    });
-    const bool finished = got.wait_for(std::chrono::seconds(5)) ==
-        std::future_status::ready;
+    const ckks::CtVec inputs[] = {{a[0]}, a};
+    std::promise<ckks::CtVec> done[2];
+    std::future<ckks::CtVec> got[2];
+    std::vector<std::thread> runners;
+    bool finished[2] = {};
+    for (size_t r = 0; r < 2; ++r) {
+        got[r] = done[r].get_future();
+        runners.emplace_back([&, r] {
+            try {
+                done[r].set_value(
+                    ckks::BatchEvaluator(ctx).run(inputs[r], rotate));
+            } catch (...) {
+                done[r].set_exception(std::current_exception());
+            }
+        });
+        finished[r] = got[r].wait_for(std::chrono::seconds(5)) ==
+            std::future_status::ready;
+    }
     // Release the pool either way, so a regression fails instead of
     // hanging.
     release.store(true);
     holder.join();
-    runner.join();
+    for (auto &t : runners)
+        t.join();
 
-    EXPECT_TRUE(finished) << "a batch of one waited for the pool";
-    const auto out = got.get();
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_TRUE(out[0].c0 == want.c0);
-    EXPECT_TRUE(out[0].c1 == want.c1);
-    EXPECT_DOUBLE_EQ(out[0].scale, want.scale);
+    for (size_t r = 0; r < 2; ++r) {
+        EXPECT_TRUE(finished[r]) << "a batch of " << inputs[r].size()
+                                 << " waited for another caller's job";
+        const auto out = got[r].get();
+        ASSERT_EQ(out.size(), inputs[r].size());
+        expectEqual(out, {want.begin(), want.begin() + out.size()});
+    }
 }
 
 TEST_F(BatchConformance, EmptyBatchIsANoOp)
