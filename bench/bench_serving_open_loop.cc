@@ -28,7 +28,12 @@
  * a time) before any number is reported. Emits
  * cross-bench-v1 records: serving/deadline_miss_rate,
  * serving/fairness_jain (tolerance-banded), and per-load p50/p99 /
- * throughput. Runtime config:
+ * throughput. Each submitter keeps an absolute arrival schedule (it
+ * sleeps until its start plus the cumulative gap, so an oversleep
+ * does not delay later arrivals), and serving/open_loop_submit_lag
+ * reports how far behind that schedule the submissions ran: a load
+ * point whose lag nears the mean gap was not offered in full.
+ * Runtime config:
  *
  *     --tenants <n>         tenants, weights 4,2,1 cycling (default 3)
  *     --requests <n>        requests per weight unit per tenant per
@@ -44,6 +49,7 @@
  */
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <deque>
@@ -51,6 +57,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <numeric>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -117,6 +124,8 @@ struct LoadResult
 {
     double p50_us = 0.0;
     double p99_us = 0.0;
+    double lagMeanUs = 0.0; ///< submissions' lateness behind schedule
+    double lagP99Us = 0.0;
     double rps = 0.0;
     double missRate = 0.0;
     double jain = 0.0;
@@ -194,7 +203,8 @@ struct OpenLoopSetup
 /**
  * One load point: every tenant runs an open-loop Poisson submitter
  * (exponential inter-arrivals at load x weight_t / sum(w) of the
- * sequential service rate) plus a drainer that measures each request's
+ * sequential service rate, each submission due at the thread's start
+ * plus the summed gaps) plus a drainer that measures each request's
  * submit-to-completion latency and classifies rejections.
  */
 LoadResult
@@ -228,6 +238,7 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
 
     LoadResult res;
     std::vector<std::vector<double>> lat_us(tenants);
+    std::vector<std::vector<double>> lag_us(tenants);
     std::atomic<u64> misses{0}, queue_full{0}, deadline_total{0};
     std::atomic<bool> ok{true};
     std::mutex err_m;
@@ -289,14 +300,22 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
                     }
                 });
 
+                using Clock = std::chrono::steady_clock;
+                using Micros = std::chrono::duration<double, std::micro>;
+                const Clock::time_point start = Clock::now();
+                double due_us = 0.0;
                 for (u64 i = 0; i < reqs_t; ++i) {
-                    // Poisson arrivals: exponential inter-arrival gaps.
+                    // Poisson arrivals: exponential inter-arrival gaps,
+                    // each due at start + the gaps so far, so a late
+                    // wake-up delays only its own submission.
                     const double u = rng.real();
-                    const double gap =
-                        -std::log(1.0 - std::min(u, 0.999999)) *
-                        mean_gap_us;
-                    std::this_thread::sleep_for(std::chrono::microseconds(
-                        static_cast<u64>(gap)));
+                    due_us += -std::log(1.0 - std::min(u, 0.999999)) *
+                              mean_gap_us;
+                    const Clock::time_point due =
+                        start + std::chrono::duration_cast<Clock::duration>(
+                                    Micros(due_us));
+                    std::this_thread::sleep_until(due);
+                    lag_us[t].push_back(Micros(Clock::now() - due).count());
                     serving::SubmitOptions opts;
                     if (i % 2 == 0) { // every other request has a deadline
                         opts.deadlineUs = static_cast<u64>(deadline_us);
@@ -361,6 +380,15 @@ runLoad(OpenLoopSetup &s, double load, u64 requests, u64 threads,
     std::sort(all.begin(), all.end());
     res.p50_us = percentile(all, 0.50);
     res.p99_us = percentile(all, 0.99);
+
+    std::vector<double> lags;
+    for (const auto &l : lag_us)
+        lags.insert(lags.end(), l.begin(), l.end());
+    std::sort(lags.begin(), lags.end());
+    if (!lags.empty())
+        res.lagMeanUs = std::accumulate(lags.begin(), lags.end(), 0.0) /
+                        static_cast<double>(lags.size());
+    res.lagP99Us = percentile(lags, 0.99);
     if (res.completed == 0) {
         std::cerr << "load " << load << ": no request completed\n";
         res.ok = false;
@@ -379,7 +407,7 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
 
     TablePrinter t("Open-loop multi-tenant serving (host CPU)");
     t.header({"Load", "Offered r/s", "Done r/s", "p50 ms", "p99 ms",
-              "Miss %", "Jain", "mean batch"});
+              "Miss %", "Jain", "mean batch", "lag us", "lag p99 us"});
 
     bool all_ok = true;
     std::vector<std::pair<double, LoadResult>> results;
@@ -390,7 +418,8 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
         t.row({fmtF(load, 2), fmtF(load / s.seqPerReqUs * 1e6, 1),
                fmtF(r.rps, 1), fmtF(r.p50_us / 1e3, 2),
                fmtF(r.p99_us / 1e3, 2), fmtF(r.missRate * 100, 1),
-               fmtF(r.jain, 3), fmtF(r.meanBatch, 1)});
+               fmtF(r.jain, 3), fmtF(r.meanBatch, 1),
+               fmtF(r.lagMeanUs, 1), fmtF(r.lagP99Us, 1)});
         results.emplace_back(load, r);
     }
     t.print(std::cout);
@@ -418,6 +447,15 @@ openLoop(bench::Reporter &rep, u64 tenants, u64 requests, u64 threads,
                   r.rps > 0 ? 1e6 / r.rps : 0.0, r.rps);
         rep.add("serving/deadline_miss_rate", params, 0.0, r.missRate);
         rep.add("serving/fairness_jain", params, 0.0, r.jain);
+        auto with_metric = [&](const char *m) {
+            auto p = params;
+            p.emplace_back("metric", m);
+            return p;
+        };
+        rep.addUs("serving/open_loop_submit_lag", with_metric("mean"),
+                  r.lagMeanUs);
+        rep.addUs("serving/open_loop_submit_lag", with_metric("p99"),
+                  r.lagP99Us);
     }
     return true;
 }

@@ -71,8 +71,6 @@ applyStageTo(const CkksEvaluator &ev, const PipelineStage &st, Ct &&cur,
         return ev.multiply(cur, (*st.rhs)[i], *pre.at(0));
       case HeOp::Rescale:
         return ev.rescale(std::forward<Ct>(cur));
-      case HeOp::RescaleMulti:
-        return ev.rescaleMulti(std::forward<Ct>(cur));
       case HeOp::Rotate:
         return ev.rotate(cur, st.autoIdx, *pre.at(0));
       case HeOp::AddPlain:
@@ -133,12 +131,6 @@ Pipeline &
 Pipeline::rescale()
 {
     return push({.op = HeOp::Rescale});
-}
-
-Pipeline &
-Pipeline::rescaleMulti()
-{
-    return push({.op = HeOp::RescaleMulti});
 }
 
 Pipeline &
@@ -255,20 +247,6 @@ BatchEvaluator::run(const CtVec &input, const Pipeline &pipeline) const
                 scale[i] = scale[i] /
                     static_cast<double>(ctx_.qModulus(limbs[i] - 1));
                 --limbs[i];
-            }
-            break;
-
-          case HeOp::RescaleMulti:
-            for (size_t i = 0; i < count; ++i) {
-                requireThat(limbs[i] > ctx_.params().rescaleSplit,
-                            "BatchEvaluator::run: not enough limbs for "
-                            "a double rescale");
-                for (u32 r = 0; r < ctx_.params().rescaleSplit; ++r) {
-                    scale[i] = scale[i] /
-                        static_cast<double>(
-                            ctx_.qModulus(limbs[i] - 1 - r));
-                }
-                limbs[i] -= ctx_.params().rescaleSplit;
             }
             break;
 

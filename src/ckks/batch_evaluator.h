@@ -126,7 +126,6 @@ class Pipeline
     /** cur[i] * rhs[i] with relinearisation against @p rlk. */
     Pipeline &multiply(const CtVec &rhs, const SwitchKey &rlk);
     Pipeline &rescale();
-    Pipeline &rescaleMulti();
     Pipeline &rotate(u32 auto_idx, const SwitchKey &rot_key);
 
     /** @name Plaintext-operand stages (CtS/StC matrices, EvalMod

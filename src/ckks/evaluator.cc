@@ -182,17 +182,6 @@ CkksEvaluator::rescale(Ciphertext ct) const
 }
 
 Ciphertext
-CkksEvaluator::rescaleMulti(Ciphertext ct) const
-{
-    const u32 split = ctx_.params().rescaleSplit;
-    requireThat(ct.limbs() > split,
-                "rescaleMulti: not enough limbs for a double rescale");
-    for (u32 i = 0; i < split; ++i)
-        ct = rescale(std::move(ct));
-    return ct;
-}
-
-Ciphertext
 CkksEvaluator::rotate(const Ciphertext &ct, u32 auto_idx,
                       const KeySwitchPrecomp &pre) const
 {

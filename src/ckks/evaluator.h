@@ -83,9 +83,9 @@ struct HoistedDecomp
  *
  * An operator that returns a changed copy of an input takes that input
  * by value (add and sub their first operand, relinearize, rescale,
- * rescaleMulti, addPlain, multiplyPlain, reduceToLimbs) and works in
- * its limbs: a caller that moves a dying value in pays no copy, and an
- * lvalue argument is copied once and left unchanged.
+ * addPlain, multiplyPlain, reduceToLimbs) and works in its limbs: a
+ * caller that moves a dying value in pays no copy, and an lvalue
+ * argument is copied once and left unchanged.
  */
 class CkksEvaluator
 {
@@ -109,12 +109,6 @@ class CkksEvaluator
                         const KeySwitchPrecomp &pre) const;
     /** Drop the last limb, dividing the scale by q_l. */
     Ciphertext rescale(Ciphertext ct) const;
-    /**
-     * Double rescaling (Section V-A): drop params().rescaleSplit
-     * sub-moduli in one logical level step -- how CROSS supports
-     * baselines whose moduli exceed the 32-bit register width.
-     */
-    Ciphertext rescaleMulti(Ciphertext ct) const;
     /** Slot rotation: automorphism + key switch. Implemented as a
      *  fan-out-of-one hoisted rotation (hoistedModUp +
      *  applyHoistedRotation), so each branch of a hoisted fan-out is

@@ -188,15 +188,6 @@ walkGraph(const Graph &ex, const CkksParams &params,
             cur.scale /= q_at(cur.limbs - 1);
             --cur.limbs;
             break;
-          case NodeKind::RescaleMulti:
-            if (cur.limbs <= params.rescaleSplit)
-                failAt(id, n, "not enough limbs for a double rescale");
-            emit(HeOp::RescaleMulti);
-            for (u32 r = 0; r < params.rescaleSplit; ++r) {
-                cur.scale /= q_at(cur.limbs - 1);
-                --cur.limbs;
-            }
-            break;
           case NodeKind::Reduce: {
             const Ledger &ref = wr.after[n.args[1]];
             if (ref.limbs > cur.limbs)
@@ -392,18 +383,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
         }
     }
 
-    // Key working-set plan vs the residency budget. Bytes mirror
-    // KeySwitchPrecomp::paramBytes analytically: the extended slot
-    // list plus, per active digit, two polynomials over the extended
-    // basis.
-    const auto precomp_bytes = [&](size_t level) {
-        const HybridKeySwitch &ks = ctx.hybridKeySwitch();
-        const size_t ext = level + 1 + ks.pCount();
-        const size_t digits = ks.activeDigits(level);
-        return ext * sizeof(u32) +
-               digits * 2 * ext * static_cast<size_t>(ctx.degree()) *
-                   sizeof(u32);
-    };
+    // Key working-set plan vs the residency budget.
     std::set<std::tuple<bool, u32, size_t>> seen;
     for (const GraphOp &op : cg->ops_) {
         const auto add_entry = [&](bool relin, u32 a, size_t level) {
@@ -413,7 +393,7 @@ compileGraph(const CkksContext &ctx, const Graph &g,
             e.relin = relin;
             e.autoIdx = a;
             e.level = level;
-            e.bytes = precomp_bytes(level);
+            e.bytes = ctx.hybridKeySwitch().precompBytes(level);
             cg->keyPlan_.entries.push_back(e);
             cg->keyPlan_.totalBytes += e.bytes;
         };
@@ -475,11 +455,6 @@ compileGraph(const CkksContext &ctx, const Graph &g,
               case HeOp::Rescale:
                 step.stages.push_back(
                     [](Pipeline &p, const Slots &) { p.rescale(); });
-                break;
-              case HeOp::RescaleMulti:
-                step.stages.push_back([](Pipeline &p, const Slots &) {
-                    p.rescaleMulti();
-                });
                 break;
               case HeOp::Rotate: {
                 const u32 a = rot_idx.at(id).front();

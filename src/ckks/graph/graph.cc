@@ -18,7 +18,6 @@ nodeKindName(NodeKind kind)
       case NodeKind::Rotate: return "Rotate";
       case NodeKind::LinearTransform: return "LinearTransform";
       case NodeKind::Rescale: return "Rescale";
-      case NodeKind::RescaleMulti: return "RescaleMulti";
       case NodeKind::Reduce: return "Reduce";
       case NodeKind::Polynomial: return "Polynomial";
     }
@@ -161,17 +160,6 @@ Graph::rescale(NodeId a, std::string label)
     checkArg(a, "Graph::rescale: bad operand id");
     Node n;
     n.kind = NodeKind::Rescale;
-    n.args = {a};
-    n.label = std::move(label);
-    return push(std::move(n));
-}
-
-NodeId
-Graph::rescaleMulti(NodeId a, std::string label)
-{
-    checkArg(a, "Graph::rescaleMulti: bad operand id");
-    Node n;
-    n.kind = NodeKind::RescaleMulti;
     n.args = {a};
     n.label = std::move(label);
     return push(std::move(n));

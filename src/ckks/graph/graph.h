@@ -13,9 +13,9 @@
  *
  * Two node tiers:
  *  - primitives map 1:1 onto pipeline stages (Add, Multiply,
- *    AddPlain, MultiplyPlain, Rotate, Rescale, RescaleMulti, Reduce =
- *    level alignment, and LinearTransform = sum_j [pt_j *] rotate(x,
- *    k_j), the one hoisted stage that matVec and slotSum both build);
+ *    AddPlain, MultiplyPlain, Rotate, Rescale, Reduce = level
+ *    alignment, and LinearTransform = sum_j [pt_j *] rotate(x, k_j),
+ *    the one hoisted stage that matVec and slotSum both build);
  *  - the Polynomial macro expands deterministically into the exact
  *    primitive sequence the hand-written HELR example used -- the
  *    expansion order is part of the contract, asserted bit-identical
@@ -58,7 +58,6 @@ enum class NodeKind
      *  rotate(x, d) (matVec): one hoisted LinearTransform stage. */
     LinearTransform,
     Rescale,
-    RescaleMulti,
     /** Truncate to a reference node's limb count (reduceToLimbs; logs
      *  no kernels). adoptScale additionally copies the reference's
      *  ledger scale -- the explicit `lin.scale = cub.scale` level
@@ -148,7 +147,6 @@ class Graph
     NodeId slotSum(NodeId a, std::vector<i64> steps,
                    std::string label = "");
     NodeId rescale(NodeId a, std::string label = "");
-    NodeId rescaleMulti(NodeId a, std::string label = "");
     /** Truncate @p a to @p ref's ledger limb count; adopt_scale also
      *  copies @p ref's ledger scale. */
     NodeId reduceTo(NodeId a, NodeId ref, bool adopt_scale,

@@ -21,9 +21,6 @@ enum class HeOp
     Mult,
     Rescale,
     Rotate,
-    /** Double rescaling (Section V-A): params().rescaleSplit chained
-     *  single rescales dropping one sub-modulus each. */
-    RescaleMulti,
     /** ct + pt (CtS/StC matrix constants, EvalMod Chebyshev terms). */
     AddPlain,
     /** ct * pt: no key switch, no relinearisation. */
@@ -47,7 +44,6 @@ heOpName(HeOp op)
       case HeOp::Mult: return "HE-Mult";
       case HeOp::Rescale: return "Rescale";
       case HeOp::Rotate: return "Rotate";
-      case HeOp::RescaleMulti: return "RescaleMulti";
       case HeOp::AddPlain: return "HE-Add-Plain";
       case HeOp::MultiplyPlain: return "HE-Mult-Plain";
       case HeOp::LinearTransform: return "LinearTransform";

@@ -144,6 +144,14 @@ HybridKeySwitch::precompute(const SwitchKey &swk, size_t level) const
     return pre;
 }
 
+size_t
+HybridKeySwitch::precompBytes(size_t level) const
+{
+    const size_t ext = level + 1 + pCount_;
+    return ext * sizeof(u32) +
+           activeDigits(level) * 2 * ext * ring_.degree() * sizeof(u32);
+}
+
 std::pair<RnsPoly, RnsPoly>
 HybridKeySwitch::keySwitch(RnsPoly c, const KeySwitchPrecomp &pre,
                            KernelLog *log) const

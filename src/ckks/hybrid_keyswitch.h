@@ -83,6 +83,11 @@ class HybridKeySwitch
      *  the key digits restricted to it. */
     KeySwitchPrecomp precompute(const SwitchKey &swk, size_t level) const;
 
+    /** paramBytes() of a precompute(swk, @p level) result, without
+     *  building it: the extended slot list plus, per active digit, two
+     *  polynomials over the extended basis. */
+    size_t precompBytes(size_t level) const;
+
     /** ModUp -> inner product -> ModDown of @p c against @p pre, the
      *  pair that adds onto (c0, c1); kernels go to @p log if not null.
      *  Consumes @p c: ModUp INTTs it in place. */

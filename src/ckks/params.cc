@@ -55,8 +55,7 @@ CkksParams::doubleRescaled(u32 n, size_t levels, u32 wide_logq, u32 dnum)
     CkksParams p;
     p.n = n;
     p.logq = 28;
-    p.rescaleSplit = (wide_logq + p.logq - 1) / p.logq;
-    p.limbs = levels * p.rescaleSplit;
+    p.limbs = levels * ((wide_logq + p.logq - 1) / p.logq);
     p.dnum = dnum;
     p.scaleBits = 24;
     return p;

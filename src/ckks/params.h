@@ -49,18 +49,16 @@ struct CkksParams
      * Double rescaling (Section V-A): map a requested wide-modulus chain
      * (e.g. L levels of 59-bit primes, as FIDESlib/FAB report) onto
      * 32-bit-register-friendly sub-moduli by splitting every level into
-     * ceil(wideLogq / logq) primes of logq bits. One logical rescale then
-     * drops that many limbs (CkksEvaluator::rescaleMulti).
+     * ceil(wideLogq / logq) primes of logq bits. One logical rescale is
+     * then limbs / levels successive rescales (CkksEvaluator::rescale
+     * calls, graph nodes or pipeline stages), each dropping one limb.
      *
      * @param levels    levels of the wide chain
      * @param wide_logq wide prime width the baseline used (> 31 allowed)
-     * @return params with limbs = levels * split and the split recorded
+     * @return params with limbs = levels * ceil(wide_logq / logq)
      */
     static CkksParams doubleRescaled(u32 n, size_t levels, u32 wide_logq,
                                      u32 dnum = 3);
-
-    /** Sub-moduli dropped per logical level (1 = ordinary rescaling). */
-    u32 rescaleSplit = 1;
 
     std::string describe() const;
 };

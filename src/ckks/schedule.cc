@@ -151,17 +151,6 @@ enumerateKernels(HeOp op, const CkksParams &p, size_t level)
         break;
       }
 
-      case HeOp::RescaleMulti: {
-        const u32 split = p.rescaleSplit;
-        requireThat(level >= split,
-                    "rescaleMulti needs level >= rescaleSplit");
-        for (u32 s = 0; s < split; ++s) {
-            auto one = enumerateKernels(HeOp::Rescale, p, level - s);
-            v.insert(v.end(), one.begin(), one.end());
-        }
-        break;
-      }
-
       case HeOp::AddPlain:
         push(v, KernelKind::VecModAdd, n, limbs);
         break;
@@ -179,7 +168,7 @@ enumerateKernels(HeOp op, const CkksParams &p, size_t level)
 }
 
 size_t
-heOpNextLevel(HeOp op, const CkksParams &p, size_t level)
+heOpNextLevel(HeOp op, size_t level)
 {
     switch (op) {
       case HeOp::Add:
@@ -192,11 +181,6 @@ heOpNextLevel(HeOp op, const CkksParams &p, size_t level)
       case HeOp::Rescale:
         requireThat(level >= 1, "heOpNextLevel: rescale needs >= 2 limbs");
         return level - 1;
-      case HeOp::RescaleMulti:
-        requireThat(level >= p.rescaleSplit,
-                    "heOpNextLevel: rescaleMulti needs level >= "
-                    "rescaleSplit");
-        return level - p.rescaleSplit;
     }
     internalCheck(false, "heOpNextLevel: unknown op");
     return level;
@@ -229,7 +213,7 @@ enumerateKernels(const std::vector<PipelineOp> &pipeline,
             const auto one = enumerateKernels(st.op, p, level);
             v.insert(v.end(), one.begin(), one.end());
         }
-        level = heOpNextLevel(st.op, p, level);
+        level = heOpNextLevel(st.op, level);
     }
     return v;
 }

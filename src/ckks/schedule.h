@@ -47,8 +47,8 @@ enumerateKernels(const std::vector<PipelineOp> &pipeline,
 std::vector<KernelCall> enumerateKeySwitch(const CkksParams &params,
                                            size_t level);
 
-/** Level after applying @p op at @p level (Rescale consumes limbs). */
-size_t heOpNextLevel(HeOp op, const CkksParams &params, size_t level);
+/** Level after applying @p op at @p level (Rescale consumes one limb). */
+size_t heOpNextLevel(HeOp op, size_t level);
 
 /** Prices enumerated schedules on a simulated TPU. */
 class HeOpCostModel

@@ -1,6 +1,7 @@
 #include "nt/primes.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 #include "nt/modops.h"
@@ -43,7 +44,7 @@ pollardRho(u64 n)
             u64 diff = x > y ? x - y : y - x;
             if (diff == 0)
                 break;
-            d = std::__gcd(diff, n);
+            d = std::gcd(diff, n);
         }
         if (d != 1 && d != n)
             return d;

@@ -1,6 +1,6 @@
 #include "rns/basis.h"
 
-#include <algorithm>
+#include <numeric>
 
 #include "common/check.h"
 #include "nt/modops.h"
@@ -21,7 +21,7 @@ RnsBasis::RnsBasis(std::vector<u64> moduli) : moduli_(std::move(moduli))
     // Pairwise coprimality (we use primes, but verify the contract).
     for (size_t i = 0; i < moduli_.size(); ++i) {
         for (size_t j = i + 1; j < moduli_.size(); ++j) {
-            requireThat(std::__gcd(moduli_[i], moduli_[j]) == 1,
+            requireThat(std::gcd(moduli_[i], moduli_[j]) == 1,
                         "RnsBasis: moduli must be pairwise coprime");
         }
     }

@@ -238,10 +238,10 @@ TEST_F(CkksFixture, LongerOperandsMatchTheirTruncation)
                      evaluator.multiplyPlain(ca_low, pt_low)));
 }
 
-// add, sub, relinearize, rescale, rescaleMulti, addPlain, multiplyPlain,
-// reduceToLimbs and keySwitch take the input they change by value: an
-// lvalue argument comes back unchanged, and moving the input in gives
-// the same bits as copying it, at every level.
+// add, sub, relinearize, rescale, addPlain, multiplyPlain, reduceToLimbs
+// and keySwitch take the input they change by value: an lvalue argument
+// comes back unchanged, and moving the input in gives the same bits as
+// copying it, at every level.
 TEST_F(CkksFixture, ConsumingOpsLeaveLvaluesAndMatchMovedInputs)
 {
     const auto rlk = keygen.relinKey();
@@ -281,9 +281,6 @@ TEST_F(CkksFixture, ConsumingOpsLeaveLvaluesAndMatchMovedInputs)
         });
         check("rescale", [&](auto &&in) {
             return evaluator.rescale(std::forward<decltype(in)>(in));
-        });
-        check("rescaleMulti", [&](auto &&in) {
-            return evaluator.rescaleMulti(std::forward<decltype(in)>(in));
         });
         check("addPlain", [&](auto &&in) {
             return evaluator.addPlain(std::forward<decltype(in)>(in), pt);
@@ -520,9 +517,6 @@ TEST_P(ScheduleMatch, EnumeratorPredictsEvaluatorKernels)
       case HeOp::Rotate:
         (void)ev.rotate(ca, k, rot_key);
         break;
-      case HeOp::RescaleMulti:
-        (void)ev.rescaleMulti(ca);
-        break;
       case HeOp::AddPlain:
         (void)ev.addPlain(ca, pt);
         break;
@@ -555,13 +549,10 @@ INSTANTIATE_TEST_SUITE_P(AllOps, ScheduleMatch,
                                            HeOp::MultiplyPlain,
                                            HeOp::LinearTransform));
 
-// Conformance at *every* level -- not just the top spot-check above --
-// including the double-rescale operator (rescaleSplit = 2).
+// Conformance at *every* level -- not just the top spot-check above.
 TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
 {
-    auto params = CkksParams::testSet(1 << 9, 6, 2);
-    params.rescaleSplit = 2;
-    CkksContext ctx(params);
+    CkksContext ctx(CkksParams::testSet(1 << 9, 6, 2));
     CkksEncoder encoder(ctx);
     KeyGenerator keygen(ctx, 101);
     CkksEncryptor enc(ctx, keygen.publicKey(), 102);
@@ -575,13 +566,10 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
         encoder.encode(randomSlots(4, 26, 0.5), kScale, ctx.qCount()));
 
     for (HeOp op : {HeOp::Add, HeOp::Mult, HeOp::Rescale, HeOp::Rotate,
-                    HeOp::RescaleMulti, HeOp::AddPlain,
-                    HeOp::MultiplyPlain, HeOp::LinearTransform}) {
+                    HeOp::AddPlain, HeOp::MultiplyPlain,
+                    HeOp::LinearTransform}) {
         for (size_t level = 0; level < ctx.qCount(); ++level) {
-            const size_t min_level = op == HeOp::Rescale ? 1
-                : op == HeOp::RescaleMulti ? params.rescaleSplit
-                                           : 0;
-            if (level < min_level)
+            if (op == HeOp::Rescale && level == 0)
                 continue;
             const auto ct = ev.reduceToLimbs(fresh, level + 1);
             const auto pt = encoder.encode(randomSlots(4, 27, 0.5),
@@ -601,9 +589,6 @@ TEST(ScheduleMatchAllLevels, EnumeratorPredictsEvaluatorAtEveryLevel)
                 break;
               case HeOp::Rotate:
                 (void)ev.rotate(ct, k, rot_pre);
-                break;
-              case HeOp::RescaleMulti:
-                (void)ev.rescaleMulti(ct);
                 break;
               case HeOp::AddPlain:
                 (void)ev.addPlain(ct, pt);
@@ -669,21 +654,6 @@ TEST(ScheduleMatchAllLevels, KeySwitchLogMatchesEnumeratorAtEveryLevel)
     }
 }
 
-TEST(ScheduleMatchAllLevels, RescaleMultiIsSplitChainedRescales)
-{
-    auto p = CkksParams::testSet(1 << 10, 6, 3);
-    p.rescaleSplit = 2;
-    const auto multi = enumerateKernels(HeOp::RescaleMulti, p, 5);
-    auto expect = enumerateKernels(HeOp::Rescale, p, 5);
-    const auto second = enumerateKernels(HeOp::Rescale, p, 4);
-    expect.insert(expect.end(), second.begin(), second.end());
-    ASSERT_EQ(multi.size(), expect.size());
-    for (size_t i = 0; i < multi.size(); ++i)
-        EXPECT_TRUE(multi[i].sameShape(expect[i])) << i;
-    EXPECT_THROW(enumerateKernels(HeOp::RescaleMulti, p, 1),
-                 std::invalid_argument);
-}
-
 TEST(Schedule, LowerLevelsShrinkKernelCounts)
 {
     const auto p = CkksParams::testSet(1 << 10, 6, 3);
@@ -717,17 +687,11 @@ TEST(Schedule, PipelineEnumeratorChainsStagesWithEvolvingLevel)
 
 TEST(Schedule, HeOpNextLevelTracksLimbConsumption)
 {
-    auto p = CkksParams::testSet(1 << 10, 6, 3);
-    p.rescaleSplit = 2;
-    EXPECT_EQ(heOpNextLevel(HeOp::Add, p, 5), 5u);
-    EXPECT_EQ(heOpNextLevel(HeOp::Mult, p, 5), 5u);
-    EXPECT_EQ(heOpNextLevel(HeOp::Rotate, p, 5), 5u);
-    EXPECT_EQ(heOpNextLevel(HeOp::Rescale, p, 5), 4u);
-    EXPECT_EQ(heOpNextLevel(HeOp::RescaleMulti, p, 5), 3u);
-    EXPECT_THROW(heOpNextLevel(HeOp::Rescale, p, 0),
-                 std::invalid_argument);
-    EXPECT_THROW(heOpNextLevel(HeOp::RescaleMulti, p, 1),
-                 std::invalid_argument);
+    EXPECT_EQ(heOpNextLevel(HeOp::Add, 5), 5u);
+    EXPECT_EQ(heOpNextLevel(HeOp::Mult, 5), 5u);
+    EXPECT_EQ(heOpNextLevel(HeOp::Rotate, 5), 5u);
+    EXPECT_EQ(heOpNextLevel(HeOp::Rescale, 5), 4u);
+    EXPECT_THROW(heOpNextLevel(HeOp::Rescale, 0), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------

@@ -146,7 +146,8 @@ class HoistingFixture : public ::testing::Test
     /**
      * At every level: keySwitch, multiply, rotate, a hoisted fan-out of
      * three over one shared decomposition and the conjugation each
-     * equal the textbook steps.
+     * equal the textbook steps, and precompBytes sizes the
+     * relinearisation precomp exactly.
      */
     void
     expectTextbookKeySwitchAtEveryLevel(u64 seed)
@@ -164,6 +165,8 @@ class HoistingFixture : public ::testing::Test
             const Ciphertext a = ev.reduceToLimbs(encryptRandom(rng), limbs);
             const Ciphertext b = ev.reduceToLimbs(encryptRandom(rng), limbs);
             const auto relin_pre = ev.precomputeKeySwitch(relin, level);
+            EXPECT_EQ(ctx.hybridKeySwitch().precompBytes(level),
+                      relin_pre.paramBytes());
 
             const auto [k0, k1] = ev.keySwitch(a.c1, relin_pre);
             const auto [r0, r1] = textbookKeySwitch(ctx.hybridKeySwitch(),

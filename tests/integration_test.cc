@@ -10,15 +10,22 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
+#include "ckks/batch_evaluator.h"
 #include "ckks/bootstrap.h"
 #include "ckks/context.h"
 #include "ckks/encoder.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
+#include "ckks/graph/compiler.h"
 #include "ckks/keys.h"
 #include "ckks/schedule.h"
+#include "common/parallel.h"
 #include "common/rng.h"
+
+#include "test_util.h"
 
 namespace cross::ckks {
 namespace {
@@ -198,7 +205,6 @@ TEST(DoubleRescaling, ParamsAndEvaluator)
 {
     // Section V-A: a 56-bit logical level maps to two 28-bit sub-moduli.
     const auto p = CkksParams::doubleRescaled(1 << 10, 3, 56, 2);
-    EXPECT_EQ(p.rescaleSplit, 2u);
     EXPECT_EQ(p.limbs, 6u);
 
     CkksContext ctx(p);
@@ -218,9 +224,8 @@ TEST(DoubleRescaling, ParamsAndEvaluator)
     const double wide_scale = std::ldexp(1.0, 54);
     const auto ct =
         enc.encrypt(encoder.encode(a, wide_scale, ctx.qCount()));
-    auto prod = ev.multiply(ct, ct, rlk);
-    const auto rescaled = ev.rescaleMulti(prod);
-    // One logical rescale drops two limbs.
+    // One logical rescale is two rescales, each dropping one limb.
+    const auto rescaled = ev.rescale(ev.rescale(ev.multiply(ct, ct, rlk)));
     EXPECT_EQ(rescaled.limbs(), ctx.qCount() - 2);
     const auto decoded = encoder.decode(dec.decrypt(rescaled));
     for (size_t i = 0; i < 8; ++i)
@@ -229,17 +234,85 @@ TEST(DoubleRescaling, ParamsAndEvaluator)
     EXPECT_GT(rescaled.scale, std::ldexp(1.0, 48));
 }
 
+TEST(DoubleRescaling, CompiledGraphMatchesSequentialAndEnumerator)
+{
+    // rescale(rescale(x * x)) over the 6-limb chain: one fused segment
+    // whose batch run equals the sequential reference bit for bit and
+    // logs, per item, the enumerator's Mult + Rescale + Rescale.
+    const auto p = CkksParams::doubleRescaled(1 << 10, 3, 56, 2);
+    CkksContext ctx(p);
+    CkksEncoder encoder(ctx);
+    KeyGenerator keygen(ctx, 14);
+    CkksEncryptor enc(ctx, keygen.publicKey(), 15);
+    CkksDecryptor dec(ctx, keygen.secretKey());
+
+    graph::Graph g;
+    const auto x = g.input();
+    g.rescale(g.rescale(g.multiply(x, x)));
+    const double wide_scale = std::ldexp(1.0, 54);
+    graph::CompileOptions opts;
+    opts.lowering.baseScale = wide_scale;
+    opts.keygen = &keygen;
+    const auto compiled = graph::compileGraph(ctx, g, opts);
+    EXPECT_EQ(compiled->segmentCount(), 1u);
+
+    Rng rng(16);
+    std::vector<std::vector<Complex>> vals(2);
+    CtVec input;
+    for (auto &v : vals) {
+        v.resize(encoder.slotCount());
+        for (auto &c : v)
+            c = Complex(rng.real() - 0.5, 0);
+        input.push_back(
+            enc.encrypt(encoder.encode(v, wide_scale, ctx.qCount())));
+    }
+
+    setGlobalThreadCount(testutil::testThreads());
+    KernelLog log;
+    const auto outs = compiled->run(BatchEvaluator(ctx, &log), {input});
+    setGlobalThreadCount(1);
+    const auto seq = compiled->runSequential(nullptr, {input});
+
+    const auto one = enumerateKernels(
+        {{HeOp::Mult}, {HeOp::Rescale}, {HeOp::Rescale}}, p, 5);
+    ASSERT_EQ(log.calls().size(), 2 * one.size());
+    for (size_t i = 0; i < log.calls().size(); ++i)
+        EXPECT_TRUE(log.calls()[i].sameShape(one[i % one.size()])) << i;
+    for (size_t i = 0; i < input.size(); ++i) {
+        const Ciphertext &got = outs.at(0).at(i);
+        const Ciphertext &want = seq.at(0).at(i);
+        EXPECT_TRUE(got.c0 == want.c0 && got.c1 == want.c1 &&
+                    got.scale == want.scale)
+            << "item " << i;
+        EXPECT_EQ(got.limbs(), ctx.qCount() - 2);
+        const auto decoded = encoder.decode(dec.decrypt(got));
+        for (size_t j = 0; j < 8; ++j)
+            EXPECT_LT(std::abs(decoded[j] - vals[i][j] * vals[i][j]), 1e-2);
+    }
+}
+
 TEST(DoubleRescaling, RejectsWhenTooFewLimbs)
 {
+    // A logical rescale of a 2-limb item would leave no limb: the
+    // batch walk rejects the second rescale before any work runs.
     const auto p = CkksParams::doubleRescaled(1 << 9, 1, 56, 1);
     CkksContext ctx(p);
     KeyGenerator keygen(ctx, 12);
-    CkksEvaluator ev(ctx);
     CkksEncoder encoder(ctx);
     CkksEncryptor enc(ctx, keygen.publicKey(), 13);
     std::vector<Complex> a(4, Complex(0.1, 0));
-    const auto ct = enc.encrypt(encoder.encode(a, kScale, ctx.qCount()));
-    EXPECT_THROW((void)ev.rescaleMulti(ct), std::invalid_argument);
+    const CtVec in = {enc.encrypt(encoder.encode(a, kScale, ctx.qCount()))};
+    ASSERT_EQ(in[0].limbs(), 2u);
+    Pipeline pipe;
+    pipe.rescale().rescale();
+    try {
+        (void)BatchEvaluator(ctx).run(in, pipe);
+        ADD_FAILURE() << "a rescale past the chain was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("BatchEvaluator::run"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(CostModelIntegration, LevelSweepMonotonic)

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -71,7 +72,7 @@ TEST(ModOps, InvModRoundTrip)
     for (int i = 0; i < 200; ++i) {
         const u64 q = rng.range(3, 1ULL << 31);
         const u64 a = rng.range(1, q - 1);
-        if (std::__gcd(a, q) != 1)
+        if (std::gcd(a, q) != 1)
             continue;
         const u64 inv = invMod(a, q);
         EXPECT_EQ(mulMod(a, inv, q), 1u);
